@@ -1,13 +1,15 @@
 """Rule ``toggle-coverage``: every boolean config toggle is exercised by
-the equivalence-matrix tests.
+the equivalence tests.
 
-The toggle matrix (13 scenarios x every boolean knob, plans byte-identical
-on/off) is what lets "off only for equivalence testing" fields exist at
-all.  A toggle the tests never mention is a toggle whose off-path can rot
-unnoticed -- so every ``bool`` field of ``DPSolverConfig`` /
-``PlannerConfig`` must appear somewhere in ``tests/`` (as a keyword
-argument, attribute, identifier or string -- comments do not count), or
-carry a justified suppression on its definition line.
+The golden plan digests (``tests/golden/``: 13 scenarios, plans
+byte-identical across the default, engine-forced and exhaustive solver
+configs) and the equivalence suites are what let value-preserving boolean
+fields exist at all.  A toggle the tests never mention is a toggle whose
+off-path can rot unnoticed -- so every ``bool`` field of
+``DPSolverConfig`` / ``PlannerConfig`` must appear somewhere in
+``tests/`` (as a keyword argument, attribute, identifier or string --
+comments do not count), or carry a justified suppression on its
+definition line.
 """
 
 from __future__ import annotations

@@ -69,9 +69,9 @@ a budget node runs *batched* over the engine's per-layer arrays
 (:meth:`DPSolver._solve_budget_batched`: dominance-answered straggler
 iterations resolve in elementwise kernels, bit-identical to the scalar
 recursion, which remains both as the fallback for genuinely binding suffix
-budgets and -- with ``batched_budget_threading=False`` or
-``enable_pruning=False`` -- as the equivalence-test reference).  Two further
-mechanisms answer most queries without a fresh search:
+budgets and -- with ``enable_pruning=False`` -- as the equivalence-test
+reference).  Two further mechanisms answer most queries without a fresh
+search:
 
 * A *budget-dominance* shortcut: whenever the unconstrained optimum of a
   subproblem fits the remaining budget it is also the budgeted optimum, so
@@ -116,7 +116,6 @@ from repro.core.budget import SearchBudget, SearchBudgetExhausted
 from repro.core.hotpath import hot_path
 from repro.core.objectives import OptimizationGoal
 from repro.core.resource_state import (
-    SHARED_ARGMIN_MAX_DENSITY,
     BudgetBoundTables,
     ResourceStateCodec,
     ResourceStateEngine,
@@ -199,7 +198,8 @@ class DPSolverConfig:
     # no signature-keyed artifact can fork on this value.
     max_budget_iterations: int = 4
     #: Branch-and-bound pruning of DP branches that provably cannot beat the
-    #: incumbent.  Value-preserving; off only for equivalence testing.
+    #: incumbent.  Value-preserving; off only as the exhaustive reference
+    #: the equivalence suites and ``tests/golden/`` compare against.
     enable_pruning: bool = True
     #: Layered-engine dispatch threshold: the engine's batched kernels
     #: amortise their fixed NumPy cost only when the per-stage state layers
@@ -240,73 +240,6 @@ class DPSolverConfig:
     #: (engine/scalar equivalence suites), so this is purely a latency
     #: knob.
     engine_min_states_budget: int = 32
-    #: Share forward reachability layers across DP candidates through the
-    #: search context (keyed by the per-stage footprint signature, so only
-    #: byte-identical forward passes are ever reused).  Off only for
-    #: equivalence testing.
-    enable_layer_cache: bool = True
-    #: Batch each budget node's straggler-loop combo scan over the engine's
-    #: per-layer arrays (dominance-answered combos resolve in elementwise
-    #: kernels; genuinely binding suffixes keep the scalar recursion).
-    #: Value-identical to the scalar scan; off only for equivalence testing.
-    batched_budget_threading: bool = True
-    #: Straggler convergence/infeasibility certificates: monotone per-
-    #: (stage, state) straggler and cost lower bounds (one batched pass
-    #: over the engine layers on wide pools, a memoized scalar recursion on
-    #: tiny ones) prove budget-infeasible suffix solves ``None`` -- and cut
-    #: the straggler loop to its first iteration -- without re-solving.
-    #: Outcome-identical by bound admissibility (see ``_solve_suffix``);
-    #: off only for equivalence testing.
-    enable_straggler_bound: bool = True
-    #: Seed the straggler loop from the child's engine ``max_t``: when the
-    #: suffix's unconstrained optimum dominates the budget even at the
-    #: straggler the combined solution will discover, the loop's fixpoint
-    #: is resolved before its first solve.  Exactly the scalar loop's
-    #: iteration-1-dominance + iteration-2-re-probe collapsed; off only
-    #: for equivalence testing.
-    engine_seeded_straggler: bool = True
-    #: Share the mbs-independent parts of the budget search's backward
-    #: machinery across every candidate with the same forward layers:
-    #: per-row combo columns/child rows (``ForwardLayers.row_cols``),
-    #: whole-layer dominance tables (``engine.budget_tables``) and the
-    #: context-cached bound tables.  (Sharing the *full* child-gather
-    #: matrices of ``run_backward`` itself was measured slower at the
-    #: 1024-GPU point -- retained intermediates beat the saved ops; see
-    #: ``ForwardLayers._row_cols`` -- so those stay transient.)
-    #: Bit-identical values either way; off only for equivalence testing.
-    shared_backward: bool = True
-    #: Resolve certified binding rows inside ``_solve_budget_batched``
-    #: (per-combo straggler-bound certificates at the assumed and
-    #: re-tested budgets) instead of falling back to the scalar recursion.
-    #: Off only for equivalence testing.
-    batched_layer_resolve: bool = True
-    #: Score backward layers through the CSR skeleton of valid (state,
-    #: combo) entries cached on the shared forward layers
-    #: (``ForwardLayers.backward_csr``) -- at most the truncation limit of
-    #: entries per state instead of the dense (rows, combos) product, with
-    #: a segmented first-min replacing the dense argmin.  Bit-identical
-    #: values and tie-breaks (segment order is master ranking order); the
-    #: dense path stays as the equivalence reference.
-    shared_backward_argmin: bool = True
-    #: Density ceiling for routing a layer through the CSR kernel (valid
-    #: entries / dense size; ``resource_state.SHARED_ARGMIN_MAX_DENSITY``).
-    #: Dense layers are faster through the broadcast argmin, so the CSR
-    #: route only engages once the truncation masks make a layer sparse;
-    #: 1.0 forces the shared kernel everywhere (the equivalence suites do).
-    #: A pure latency policy -- both routes are bit-identical.
-    shared_backward_density: float = SHARED_ARGMIN_MAX_DENSITY
-    #: Run the backward elementwise combine through the fused workspace
-    #: kernel: ``np.take`` gathers into preallocated per-footprint scratch
-    #: buffers hung off the shared forward layers plus a cached-signature
-    #: ``np.einsum`` for the cost product, so a big layer allocates no
-    #: (rows, combos)- or nnz-sized temporaries at all
-    #: (``SearchStats.combine_fused_hits`` counts the layers served).
-    #: Bit-identical by construction -- same operand order and the same
-    #: IEEE op chain as the reference blocks, which stay in place both as
-    #: the small-layer fast path (dispatch by measured block size,
-    #: ``resource_state.FUSED_COMBINE_MIN_ELEMS``) and for the equivalence
-    #: suites; off only for equivalence testing.
-    fused_combine: bool = True
 
     def __post_init__(self) -> None:
         if self.max_combos_per_stage < 1:
@@ -403,7 +336,6 @@ class DPSolver:
         self._bounds: BudgetBoundTables | None = None
         self._scalar_bound_memo: list[dict] = [{} for _ in partitions]
         self._certs_active = False
-        self._seed_active = False
         self._forward_sig: tuple | None = None
         self._vector_states = True
         self._caps_list: list[tuple[int, ...]] = []
@@ -485,14 +417,8 @@ class DPSolver:
         self._scalar_bound_memo = [{} for _ in range(num_stages)]
         self._bounds = None
         self._forward_sig = None
-        self._certs_active = (self.config.enable_straggler_bound
-                              and self.config.enable_pruning
+        self._certs_active = (self.config.enable_pruning
                               and not self.track_budget_forks)
-        # Seeding needs only the engine's dominance tables, not the bound
-        # tables, so it stays available with the bound toggle off.
-        self._seed_active = (self.config.engine_seeded_straggler
-                             and self.config.enable_pruning
-                             and not self.track_budget_forks)
         self.fork_keys.clear()
         root = tuple(sorted((key, count) for key, count in resources.items()
                             if count > 0))
@@ -552,9 +478,8 @@ class DPSolver:
             engine = self._build_engine(state)
             # Forward work is charged per candidate whether the layers were
             # computed fresh or served from the shared cache, so the search
-            # counters are invariant across the layer-cache toggle (and
-            # across the serial/parallel drivers, whose contexts see
-            # different hit patterns).
+            # counters are invariant across the serial/parallel drivers,
+            # whose contexts see different hit patterns.
             self.stats.nodes_explored += engine.states_computed
             self.stats.memo_hits += engine.dedup_hits
             self._engine = engine
@@ -611,19 +536,11 @@ class DPSolver:
         signature = forward_signature(root_state, reqs, self._caps_vec,
                                       self._clamp_active, limit)
         self._forward_sig = signature
-        if self.config.enable_layer_cache:
-            forward = context.forward_layers(signature, build)
-        else:
-            forward = build()
         engine = ResourceStateEngine(
-            self._codec, tables, forward, self.num_microbatches,
-            self.goal is OptimizationGoal.MIN_COST,
-            search_budget=self.search_budget,
-            shared_argmin=self.config.shared_backward_argmin,
-            shared_argmin_max_density=self.config.shared_backward_density,
-            fused_combine=self.config.fused_combine)
+            self._codec, tables, context.forward_layers(signature, build),
+            self.num_microbatches, self.goal is OptimizationGoal.MIN_COST,
+            search_budget=self.search_budget)
         engine.run_backward()
-        self.stats.backward_shared_hits += engine.shared_skeleton_hits
         self.stats.combine_fused_hits += engine.combine_fused_hits
         return engine
 
@@ -963,12 +880,12 @@ class DPSolver:
         """Bound tables over the engine layers, built on first budget use.
 
         One batched backward pass (``compute_budget_bounds``); shared
-        across candidates through the search context when the backward
-        sharing toggle is on -- the key captures everything the pass reads
-        (forward signature, microbatch count, per-stage compute/cost/sync
-        scalars -- sync entered the pass with the folded sync floor, and it
-        varies with the data-parallel degree, so omitting it would alias
-        candidates), so only bit-identical tables are ever reused.
+        across candidates through the search context -- the key captures
+        everything the pass reads (forward signature, microbatch count,
+        per-stage compute/cost/sync scalars -- sync entered the pass with
+        the folded sync floor, and it varies with the data-parallel
+        degree, so omitting it would alias candidates), so only
+        bit-identical tables are ever reused.
         """
         bounds = self._bounds
         if bounds is None:
@@ -980,14 +897,11 @@ class DPSolver:
                 return compute_budget_bounds(
                     forward, tables, nb, search_budget=self.search_budget)
 
-            if self.config.shared_backward:
-                signature = (self._forward_sig, nb,
-                             tuple(t.compute.tobytes() for t in tables),
-                             tuple(t.rate.tobytes() for t in tables),
-                             tuple(t.sync.tobytes() for t in tables))
-                bounds = self.context.budget_bounds(signature, build)
-            else:
-                bounds = build()
+            signature = (self._forward_sig, nb,
+                         tuple(t.compute.tobytes() for t in tables),
+                         tuple(t.rate.tobytes() for t in tables),
+                         tuple(t.sync.tobytes() for t in tables))
+            bounds = self.context.budget_bounds(signature, build)
             self._bounds = bounds
         return bounds
 
@@ -1148,8 +1062,7 @@ class DPSolver:
                     self._budget_store(stage_index, key, -math.inf, budget,
                                        None, True, math.inf)
                     return None
-                if (self.config.batched_budget_threading
-                        and not self.track_budget_forks):
+                if not self.track_budget_forks:
                     # Genuinely binding budget on an engine-covered state:
                     # scan the whole combo row threaded through the engine
                     # layers.  Fork tracking must observe every suffix
@@ -1356,39 +1269,19 @@ class DPSolver:
             return cached
         engine = self._engine
         table = self._tables[stage_index]
-        if self.config.shared_backward:
-            # The column/child indices are forward-only, so the (possibly
-            # cross-candidate) forward layers cache them once for every
-            # candidate; only the scalar gathers below are per candidate.
-            cols, child = engine.forward.row_cols(stage_index, row, is_last)
-        elif is_last:
-            cols = engine.forward.last_sel[row].nonzero()[0]
-            child = None
-        else:
-            crow = engine.forward.child_row[stage_index][row]
-            cols = (crow >= 0).nonzero()[0]
-            child = crow[cols]
+        # The column/child indices are forward-only, so the (possibly
+        # cross-candidate) forward layers cache them once for every
+        # candidate; only the scalar gathers below are per candidate.
+        cols, child = engine.forward.row_cols(stage_index, row, is_last)
         if is_last:
             entry = (cols.tolist(), table.compute[cols].tolist(),
                      table.sync[cols].tolist(), table.rate[cols].tolist(),
                      None, None, None, None, None, None, None, None)
         else:
             next_stage = stage_index + 1
-            if self.config.shared_backward:
-                # Whole-layer dominance tables: one vectorized pass per
-                # layer, per-element bit-identical to the per-row gather.
-                cost_vec, feas_vec = engine.budget_tables(next_stage)
-                cost_unc = cost_vec[child]
-                feasible = feas_vec[child]
-            else:
-                rate_gather = engine.rate[next_stage][child]
-                # Elementwise product == engine.projected_cost per row.
-                cost_unc = rate_gather * engine.time_value[next_stage][child]
-                feasible = np.isfinite(engine.value[next_stage][child])
-            clb = None
-            if self._certs_active and self.config.batched_layer_resolve:
-                clb = (self._engine_bounds().cost_lb[next_stage][child]
-                       .tolist())
+            # Whole-layer dominance tables: one vectorized pass per layer,
+            # per-element bit-identical to a per-row gather.
+            cost_vec, feas_vec = engine.budget_tables(next_stage)
             entry = (cols.tolist(), table.compute[cols].tolist(),
                      table.sync[cols].tolist(), table.rate[cols].tolist(),
                      child.tolist(),
@@ -1396,9 +1289,10 @@ class DPSolver:
                      engine.max_t[next_stage][child].tolist(),
                      engine.sync_t[next_stage][child].tolist(),
                      engine.rate[next_stage][child].tolist(),
-                     cost_unc.tolist(),
-                     feasible.tolist(),
-                     clb)
+                     cost_vec[child].tolist(),
+                     feas_vec[child].tolist(),
+                     self._engine_bounds().cost_lb[next_stage][child]
+                     .tolist())
         self._budget_row_cache[(stage_index, row)] = entry
         return entry
 
@@ -1438,7 +1332,9 @@ class DPSolver:
 
         Only the winning combo ever materialises ``StageAssignment`` /
         ``DPSolution`` objects; the scalar path materialised every
-        dominance-answered suffix it probed.
+        dominance-answered suffix it probed.  Runs only on engine-covered
+        states, and the engine is only built with pruning on, so the B&B
+        checks are unconditional here.
         """
         nb = self.num_microbatches
         nb1 = nb - 1
@@ -1454,7 +1350,6 @@ class DPSolver:
         best: DPSolution | None = None
         best_value = math.inf
         best_idx = -1  # winning *resolved* combo, materialised after the scan
-        pruning = self.config.enable_pruning
         max_iterations = self.config.max_budget_iterations
         sum_after = self._sfx_sum[next_stage]
         max_after = self._sfx_max[next_stage]
@@ -1482,25 +1377,24 @@ class DPSolver:
                 continue
 
             cutoff = upper_bound if upper_bound < best_value else best_value
-            if pruning:
-                # Same admissible bounds (and tail cut) as the scalar scan;
-                # the scalars come from the kernel table instead of a
-                # lazily-built assignment, bit-identical by construction.
-                sum_lb = t_s + sum_after
-                max_lb = t_s if t_s >= max_after else max_after
-                base_lb = sum_lb + nb1 * max_lb
-                if is_cost:
-                    bound = ((rate_s + rate_after) * (base_lb + sync_s)
-                             * _COST_BOUND_SLACK)
-                    if bound >= cutoff:
-                        stats.pruned_branches += 1
-                        continue
-                elif base_lb >= cutoff:
-                    stats.pruned_branches += num_combos - n
-                    break
-                elif base_lb + sync_s >= cutoff:
+            # Same admissible bounds (and tail cut) as the scalar scan; the
+            # scalars come from the kernel table instead of a lazily-built
+            # assignment, bit-identical by construction.
+            sum_lb = t_s + sum_after
+            max_lb = t_s if t_s >= max_after else max_after
+            base_lb = sum_lb + nb1 * max_lb
+            if is_cost:
+                bound = ((rate_s + rate_after) * (base_lb + sync_s)
+                         * _COST_BOUND_SLACK)
+                if bound >= cutoff:
                     stats.pruned_branches += 1
                     continue
+            elif base_lb >= cutoff:
+                stats.pruned_branches += num_combos - n
+                break
+            elif base_lb + sync_s >= cutoff:
+                stats.pruned_branches += 1
+                continue
 
             if not feasible_list[n]:
                 continue  # infeasible suffix: the recursion returns None
@@ -1536,7 +1430,7 @@ class DPSolver:
                         continue
                     if cost_unc_list[n] <= rb2:
                         resolved = True
-                    elif clb_list is not None and clb_list[n] > rb2:
+                    elif clb_list[n] > rb2:
                         # Certificate: at the tightened budget every
                         # suffix solution costs more, so the recursion's
                         # iteration 2 would come back empty and the combo
@@ -1545,7 +1439,7 @@ class DPSolver:
                         continue
                     else:
                         iter1_done = True
-            elif clb_list is not None and clb_list[n] > rb1:
+            elif clb_list[n] > rb1:
                 # Certificate: the suffix is budget-infeasible even with
                 # this stage assumed the straggler -- the recursion's
                 # iteration 1 would return None.  Resolved in-layer, no
@@ -1570,21 +1464,13 @@ class DPSolver:
                     compute_time_s=entry[4])
                 entry[2] = assignment
             child_state = forward_states[child_list[n]]
-            seed = None
-            if iter1_done:
-                if self.config.batched_layer_resolve:
-                    # Hand the inline iteration-1 result over so the
-                    # recursion enters at iteration 2 instead of
-                    # re-deriving it.
-                    seed = self._materialize(next_stage, child_list[n])
-                else:
-                    # The recursion will re-derive (and re-count)
-                    # iteration 1; retract the inline count so the
-                    # counter stays comparable across toggles.
-                    stats.suffix_iterations -= 1
+            # Hand an inline iteration-1 result over so the recursion
+            # enters at iteration 2 instead of re-deriving it.
+            seed = (self._materialize(next_stage, child_list[n])
+                    if iter1_done else None)
             candidate = self._solve_suffix(
                 stage_index, assignment, child_state, child_state.tobytes(),
-                budget, cutoff if pruning else math.inf, seed_suffix=seed)
+                budget, cutoff, seed_suffix=seed)
             if candidate is None:
                 continue
             value = self._value(candidate)
@@ -1660,7 +1546,7 @@ class DPSolver:
         outcome-identical to running it (the reduction is what
         ``SearchStats.suffix_iterations`` / ``suffix_certified`` observe):
 
-        * **Engine-seeded straggler** (``engine_seeded_straggler``): when
+        * **Engine-seeded straggler**: when
           the child's unconstrained engine optimum fits the remaining
           budget even at the straggler the *combined* solution discovers
           (its ``max_t`` is known from the engine layer), the loop's
@@ -1672,7 +1558,7 @@ class DPSolver:
           or infeasible entry stored at a budget at or above the
           unconstrained cost would contradict the dominance shortcut that
           guards every store).
-        * **Cost lower bound** (``enable_straggler_bound``): a monotone
+        * **Cost lower bound**: a monotone
           per-(stage, state) lower bound on the cost of *every* suffix
           solution in the truncated search space.  ``cost_lb > remaining
           budget`` proves the iteration's suffix solve returns ``None``
@@ -1706,8 +1592,7 @@ class DPSolver:
         assumed_straggler = t_a
         engine = self._engine
         certs = self._certs_active
-        if engine is not None and (certs or self._seed_active
-                                   or seed_suffix is not None):
+        if certs and engine is not None:
             row = engine.row_for_key(next_stage, remaining_key)
             if row is not None:
                 cost_vec, feas_vec = engine.budget_tables(next_stage)
@@ -1716,8 +1601,7 @@ class DPSolver:
                     # infeasible outright.
                     stats.suffix_certified += 1
                     return None
-                if certs:
-                    cost_lb = self._engine_bounds().cost_lb[next_stage][row]
+                cost_lb = self._engine_bounds().cost_lb[next_stage][row]
                 if seed_suffix is not None:
                     # Batched-scan continuation: the caller already ran --
                     # and counted -- iteration 1 inline (dominance at the
@@ -1733,7 +1617,7 @@ class DPSolver:
                     prev_suffix = seed_suffix
                     assumed_straggler = combined.max_stage_time_s
                     iterations -= 1
-                elif self._seed_active:
+                else:
                     rb1 = budget - rate_a * nb * t_a
                     if rb1 <= 0:
                         return None
@@ -1768,7 +1652,7 @@ class DPSolver:
                         iterations -= 1
                         prev_suffix = suffix
                         assumed_straggler = actual
-        elif certs and engine is None:
+        elif certs:
             bound = self._scalar_bound(next_stage, remaining, remaining_key)
             cost_lb = bound[5]
 

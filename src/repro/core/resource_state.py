@@ -225,21 +225,9 @@ class StageKernelTable(StageComboTable):
 #: the chunking is what keeps the engine's memory flat beyond that.
 FORWARD_CHUNK_ELEMS = 1 << 25
 
-#: Maximum layer density (valid entries / dense size) at which the backward
-#: sweep routes a layer through the shared CSR argmin kernel.  The CSR
-#: chain pays fancy-index gathers plus two segmented ``reduceat`` passes
-#: per *valid* entry, where the dense path pays broadcast arithmetic plus
-#: one ``argmin`` per *dense* entry; measured at the 1024-GPU bench point
-#: the per-entry ratio is ~3-4x, so the CSR path only wins once the
-#: truncation masks leave well under a quarter of the dense product valid.
-#: Above the threshold the skeleton is not even built.  Both paths are
-#: bit-identical (the equivalence suite forces each in turn), so the
-#: dispatch is a pure latency policy.
-SHARED_ARGMIN_MAX_DENSITY = 0.25
-
-#: Combine block sizes (dense ``rows * combos``, or CSR ``nnz``) routed
-#: through the fused workspace kernel (``DPSolverConfig.fused_combine``)
-#: -- a *band*, not a floor.  Below the minimum the reference expression
+#: Combine block sizes (``rows * combos``) routed through the fused
+#: workspace kernel (:meth:`ResourceStateEngine._combine_dense_fused`) --
+#: a *band*, not a floor.  Below the minimum the reference expression
 #: chain wins: the fused path's gain is skipping full-size temporary
 #: allocations, which is noise for blocks that fit comfortably in cache,
 #: while its ``np.take``/workspace indirection has a fixed per-call
@@ -254,8 +242,8 @@ SHARED_ARGMIN_MAX_DENSITY = 0.25
 #: ``child_row`` with ``mode="clip"``: an explicit clamped-index buffer
 #: cost more L2 traffic than every elementwise saving combined (per-op
 #: timing, 1024-GPU point).  Both paths are bit-identical (the
-#: equivalence suite pins them), so the dispatch is a pure latency
-#: policy.
+#: equivalence suite forces each in turn), so the dispatch is a pure
+#: latency policy.
 FUSED_COMBINE_MIN_ELEMS = 16384
 FUSED_COMBINE_MAX_ELEMS = 1 << 21
 
@@ -350,14 +338,12 @@ class ForwardLayers:
     """
 
     __slots__ = ("states", "child_row", "last_sel", "states_computed",
-                 "dedup_hits", "row_of", "_row_cols", "_backward_csr",
-                 "_backward_nnz", "_combine_ws")
+                 "dedup_hits", "row_of", "_row_cols", "_combine_ws")
 
     def __init__(self, states: list[np.ndarray],
                  child_row: list[np.ndarray | None],
                  last_sel: np.ndarray, states_computed: int,
-                 dedup_hits: int,
-                 backward_nnz: dict[int, int] | None = None) -> None:
+                 dedup_hits: int) -> None:
         self.states = states
         self.child_row = child_row
         self.last_sel = last_sel
@@ -374,20 +360,6 @@ class ForwardLayers:
         #: retained intermediates turn every backward temp allocation into
         #: fresh-page traffic).
         self._row_cols: dict[tuple[int, int], tuple] = {}
-        #: Per-stage CSR skeleton of the valid (state, combo) entries, built
-        #: lazily by :meth:`backward_csr` and shared across every candidate
-        #: (it is a pure function of ``child_row``/``last_sel``).  Index
-        #: arrays only -- at the default truncation limit that is at most
-        #: ~2*limit+1 int64 per state, far below the transient (rows,
-        #: combos) float64 gather matrices PR 4's negative result keeps off
-        #: the shared layers.
-        self._backward_csr: dict[int, tuple] = {}
-        #: Per-stage count of valid (state, combo) entries, the density
-        #: input of the backward-path dispatch (:meth:`backward_nnz`);
-        #: mbs-independent like the skeleton itself.  The forward pass
-        #: pre-fills it from counts it computes anyway; the lazy fallback
-        #: covers hand-built layers.
-        self._backward_nnz: dict[int, int] = dict(backward_nnz or {})
         #: Named grow-only scratch buffers of the fused backward combine
         #: (:meth:`combine_workspace`): hung off the shared forward layers
         #: because every candidate on this footprint signature scores the
@@ -438,7 +410,7 @@ class ForwardLayers:
 
         The column/child index pair the budget search gathers per engine
         row; ``child`` is ``None`` on the last stage.  Forward-derived, so
-        shared across candidates like :meth:`child_gather`.
+        shared across candidates like the layers themselves.
         """
         cached = self._row_cols.get((stage_index, row))
         if cached is None:
@@ -450,62 +422,6 @@ class ForwardLayers:
                 cached = (cols, crow[cols])
             self._row_cols[(stage_index, row)] = cached
         return cached
-
-    def backward_nnz(self, stage_index: int, last: bool) -> int:
-        """Count of valid (state, combo) entries in one layer.
-
-        A cheap boolean reduction over the forward masks, cached per stage
-        (mbs-independent), so the backward dispatch can compare a layer's
-        density against :data:`SHARED_ARGMIN_MAX_DENSITY` without building
-        the CSR skeleton first.
-        """
-        cached = self._backward_nnz.get(stage_index)
-        if cached is None:
-            if last:
-                cached = int(np.count_nonzero(self.last_sel))
-            else:
-                cached = int(np.count_nonzero(
-                    self.child_row[stage_index] >= 0))
-            self._backward_nnz[stage_index] = cached
-        return cached
-
-    def backward_csr(self, stage_index: int,
-                     last: bool) -> tuple[tuple, bool]:
-        """CSR skeleton of one layer's valid (state, combo) entries.
-
-        Returns ``((row_ptr, cols, child), reused)``: the flattened
-        row-major valid entries of ``child_row[stage_index]`` (or
-        ``last_sel`` on the last stage, where ``child`` is ``None``) --
-        ``cols[k]`` is the k-th entry's master combo column, ``child[k]``
-        its child-layer row, and ``row_ptr`` the per-state segment offsets.
-        Within each segment entries appear in ascending column order, i.e.
-        master ranking order, which is what lets a segmented first-min
-        reduction reproduce the dense ``argmin`` tie-break exactly.
-
-        The skeleton is mbs-independent (child maps are forward state), so
-        every candidate sharing this forward pass reuses it; ``reused``
-        reports whether this call hit the cache (surfaced as
-        ``SearchStats.backward_shared_hits``).
-        """
-        cached = self._backward_csr.get(stage_index)
-        if cached is not None:
-            return cached, True
-        if last:
-            rows_idx, cols = self.last_sel.nonzero()
-            child = None
-            num_rows = self.last_sel.shape[0]
-        else:
-            crow = self.child_row[stage_index]
-            rows_idx, cols = (crow >= 0).nonzero()
-            child = crow[rows_idx, cols]
-            num_rows = crow.shape[0]
-        counts = np.bincount(rows_idx, minlength=num_rows)
-        row_ptr = np.zeros(num_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_ptr[1:])
-        cached = (row_ptr, cols, child)
-        self._backward_csr[stage_index] = cached
-        return cached, False
-
 
 @hot_path
 def compute_forward_layers(reqs: list[np.ndarray], caps_vec: list[np.ndarray],
@@ -537,7 +453,6 @@ def compute_forward_layers(reqs: list[np.ndarray], caps_vec: list[np.ndarray],
     last_sel: np.ndarray | None = None
     states_computed = 0
     dedup_hits = 0
-    stage_nnz: dict[int, int] = {}
     for j in range(num_stages):
         layers.append(states)
         states_computed += states.shape[0]
@@ -577,10 +492,8 @@ def compute_forward_layers(reqs: list[np.ndarray], caps_vec: list[np.ndarray],
                 sel = fits
             sel_full[start:start + chunk] = sel
             if last:
-                stage_nnz[j] = stage_nnz.get(j, 0) + int(np.count_nonzero(sel))
                 continue
             rows, cols = sel.nonzero()
-            stage_nnz[j] = stage_nnz.get(j, 0) + rows.shape[0]
             children = block[rows] - req[cols]
             if clamp_active[j + 1]:
                 children = np.minimum(children, caps_vec[j + 1])
@@ -606,7 +519,7 @@ def compute_forward_layers(reqs: list[np.ndarray], caps_vec: list[np.ndarray],
         states = uniq
     return ForwardLayers(states=layers, child_row=child_rows,
                          last_sel=last_sel, states_computed=states_computed,
-                         dedup_hits=dedup_hits, backward_nnz=stage_nnz)
+                         dedup_hits=dedup_hits)
 
 
 #: Relative slack applied to the cost lower bounds so they stay admissible
@@ -843,10 +756,7 @@ class ResourceStateEngine:
     def __init__(self, codec: ResourceStateCodec,
                  tables: list[StageKernelTable], forward: ForwardLayers,
                  num_microbatches: int, minimize_cost: bool,
-                 search_budget=None, shared_argmin: bool = True,
-                 shared_argmin_max_density: float =
-                 SHARED_ARGMIN_MAX_DENSITY,
-                 fused_combine: bool = True) -> None:
+                 search_budget=None) -> None:
         self.codec = codec
         #: Optional cooperative cancellation point (``tick()`` per layer in
         #: the backward sweep); None leaves the sweep uncancellable.
@@ -855,24 +765,6 @@ class ResourceStateEngine:
         self.forward = forward
         self.nb1 = float(num_microbatches - 1)
         self.minimize_cost = minimize_cost
-        #: Score layers through the shared CSR skeleton
-        #: (:meth:`ForwardLayers.backward_csr`) instead of dense (rows,
-        #: combos) matrices; bit-identical by construction (same per-entry
-        #: op chain, segment order = master ranking order), kept toggleable
-        #: as the equivalence reference (``shared_backward_argmin``).
-        self.shared_argmin = shared_argmin
-        #: Per-layer density ceiling for the CSR route (see
-        #: :data:`SHARED_ARGMIN_MAX_DENSITY`); 1.0 forces every layer
-        #: through the shared kernel (the equivalence tests do).
-        self.shared_argmin_max_density = shared_argmin_max_density
-        #: Layers whose CSR skeleton was reused from the shared forward
-        #: pass this backward sweep (-> SearchStats.backward_shared_hits).
-        self.shared_skeleton_hits = 0
-        #: Route big combine blocks through the fused workspace kernel
-        #: (see :data:`FUSED_COMBINE_MIN_ELEMS`); bit-identical to the
-        #: reference chains, kept toggleable for the equivalence suites
-        #: (``DPSolverConfig.fused_combine``).
-        self.fused_combine = fused_combine
         #: Layers whose combine was served by the fused workspace kernel
         #: this backward sweep (-> SearchStats.combine_fused_hits).
         self.combine_fused_hits = 0
@@ -917,37 +809,17 @@ class ResourceStateEngine:
 
     @hot_path
     def run_backward(self) -> None:
-        """Backward optimisation over the (possibly shared) forward layers.
-
-        Per layer, routes through the shared CSR kernel only when the
-        layer is sparse enough for it to win (see
-        :data:`SHARED_ARGMIN_MAX_DENSITY`); the two paths are bit-identical
-        so the dispatch never changes a result.
-        """
+        """Backward optimisation over the (possibly shared) forward layers."""
         budget = self.search_budget
-        num_stages = len(self.tables)
-        for j in range(num_stages - 1, -1, -1):
+        for j in range(len(self.tables) - 1, -1, -1):
             if budget is not None:
                 budget.tick()
-            if self.shared_argmin and self._layer_is_sparse(j, num_stages):
-                self._solve_layer_shared(j)
-            else:
-                self._solve_layer(j)
-
-    def _layer_is_sparse(self, j: int, num_stages: int) -> bool:
-        """Whether one layer clears the CSR route's density ceiling."""
-        dense = (self.forward.states[j].shape[0]
-                 * self.tables[j].req.shape[0])
-        if dense == 0:
-            return True  # both paths short-circuit to the infeasible form
-        last = j == num_stages - 1
-        nnz = self.forward.backward_nnz(j, last)
-        return nnz <= self.shared_argmin_max_density * dense
+            self._solve_layer(j)
 
     def _mark_layer_infeasible(self, j: int, rows: int) -> None:
         """Record a whole layer as infeasible (no combo chain completes).
 
-        The same normal form both scoring paths emit for individually
+        The same normal form :meth:`_solve_layer` emits for individually
         infeasible rows: ``value``/``time_value`` ``+inf``, backpointer 0,
         zeroed quadruples.  Consumers gate on feasibility before reading
         any of the finite fields (see :meth:`budget_tables`).
@@ -990,15 +862,14 @@ class ResourceStateEngine:
         sync_a = table.sync[None, :]
         rate_a = table.rate[None, :]
         shape = (rows, table.req.shape[0])
-        # Fused-workspace dispatch (DPSolverConfig.fused_combine):
-        # mid-band non-last layers gather with np.take into preallocated
-        # per-footprint buffers instead of allocating fresh (rows, combos)
-        # temporaries.  Same operand order, same IEEE op chain -- the
-        # reference block below doubles as the out-of-band fast path and
-        # the equivalence reference.
+        # Fused-workspace dispatch (band of FUSED_COMBINE_MIN_ELEMS ..
+        # FUSED_COMBINE_MAX_ELEMS): mid-band non-last layers gather with
+        # np.take into preallocated per-footprint buffers instead of
+        # allocating fresh (rows, combos) temporaries.  Same operand order,
+        # same IEEE op chain -- the reference block below doubles as the
+        # out-of-band fast path and the equivalence reference.
         elems = rows * table.req.shape[0]
-        fused = (self.fused_combine and not last
-                 and FUSED_COMBINE_MIN_ELEMS <= elems
+        fused = (not last and FUSED_COMBINE_MIN_ELEMS <= elems
                  <= FUSED_COMBINE_MAX_ELEMS)
         if last:
             sum_c = np.broadcast_to(table.compute[None, :], shape)
@@ -1066,7 +937,7 @@ class ResourceStateEngine:
         # Normal form for infeasible rows (all entries invalid): argmin of
         # an all-inf row is already 0; the gathered quadruples would be
         # whatever column 0 combined to, which nothing may read -- pin them
-        # to 0 so both scoring paths emit identical arrays everywhere and
+        # to 0 so the arrays match _mark_layer_infeasible's normal form and
         # feasibility-gated consumers (see budget_tables) stay NaN-free.
         feasible = np.isfinite(value)
         self.arg[j] = arg
@@ -1133,128 +1004,6 @@ class ResourceStateEngine:
                        out=ws("base", n, bool).reshape(shape))
         np.logical_or(invalid, base, out=invalid)
         return sum_c, max_c, sync_c, rate_c, time_v, invalid
-
-    # lint: disable=hot-loop-alloc -- operates on nnz-sized CSR entry
-    # vectors (already density-gated far below the dense product) and
-    # row-sized outputs; no (rows, combos) temporary exists on this path.
-    @hot_path
-    def _solve_layer_shared(self, j: int) -> None:
-        """Score one layer through the shared CSR skeleton.
-
-        Same per-entry operation chain as :meth:`_solve_layer`, evaluated
-        only on the valid (state, combo) entries (at most the truncation
-        limit per state) instead of the dense (rows, combos) product, with
-        the layer reduction as a segmented first-min: ``minimum.reduceat``
-        per row segment, then the first flat index attaining the segment
-        minimum.  Segment entries are in master ranking order
-        (:meth:`ForwardLayers.backward_csr`), so the tie-break is the dense
-        ``argmin``'s first-minimum, bit for bit.  Infeasible rows (empty
-        segment, or every entry's child infeasible) take the shared normal
-        form of :meth:`_mark_layer_infeasible`.
-        """
-        table = self.tables[j]
-        forward = self.forward
-        last = j == len(self.tables) - 1
-        rows = forward.states[j].shape[0]
-        if (table.req.shape[0] == 0
-                or (not last and forward.states[j + 1].shape[0] == 0)):
-            self._mark_layer_infeasible(j, rows)
-            return
-        (row_ptr, cols, child), reused = forward.backward_csr(j, last)
-        self.shared_skeleton_hits += reused
-        nnz = cols.shape[0]
-        if nnz == 0:
-            self._mark_layer_infeasible(j, rows)
-            return
-        # Fused-workspace dispatch, as in _solve_layer: mid-band non-last
-        # layers run the same per-entry chain through np.take gathers into
-        # the shared per-footprint buffers; the reference block stays as
-        # the out-of-band fast path and the equivalence reference.
-        fused = (self.fused_combine and not last
-                 and FUSED_COMBINE_MIN_ELEMS <= nnz
-                 <= FUSED_COMBINE_MAX_ELEMS)
-        if fused:
-            ws = forward.combine_workspace
-            t_a = np.take(table.compute, cols, out=ws("ta", nnz))
-            sync_a = np.take(table.sync, cols, out=ws("sync_a", nnz))
-            rate_a = np.take(table.rate, cols, out=ws("rate_a", nnz))
-            sum_e = np.take(self.sum_t[j + 1], child, out=ws("sum", nnz))
-            np.add(t_a, sum_e, out=sum_e)
-            max_e = np.take(self.max_t[j + 1], child, out=ws("max", nnz))
-            np.maximum(t_a, max_e, out=max_e)
-            sync_e = np.take(self.sync_t[j + 1], child,
-                             out=ws("sync", nnz))
-            np.maximum(sync_a, sync_e, out=sync_e)
-            rate_e = np.take(self.rate[j + 1], child, out=ws("rate", nnz))
-            np.add(rate_a, rate_e, out=rate_e)
-            # time_e = sum_e + self.nb1 * max_e + sync_e, left-associated
-            # (scalar multiply commutes bitwise).
-            time_e = np.multiply(max_e, self.nb1, out=ws("time", nnz))
-            np.add(sum_e, time_e, out=time_e)
-            np.add(time_e, sync_e, out=time_e)
-            # isinf of the 1-D child values gathered -- commutes with the
-            # gather, so value-identical to isinf(value[child]).
-            invalid_e = np.take(np.isinf(self.value[j + 1]), child,
-                                out=ws("invalid", nnz, bool))
-            self.combine_fused_hits += 1
-        else:
-            t_a = table.compute[cols]
-            sync_a = table.sync[cols]
-            rate_a = table.rate[cols]
-            if last:
-                sum_e = t_a
-                max_e = t_a
-                sync_e = sync_a
-                rate_e = rate_a
-                time_e = t_a + self.nb1 * t_a + sync_a
-                invalid_e = None
-            else:
-                sum_e = t_a + self.sum_t[j + 1][child]
-                max_e = np.maximum(t_a, self.max_t[j + 1][child])
-                sync_e = np.maximum(sync_a, self.sync_t[j + 1][child])
-                rate_e = rate_a + self.rate[j + 1][child]
-                time_e = sum_e + self.nb1 * max_e + sync_e
-                invalid_e = np.isinf(self.value[j + 1][child])
-        if self.minimize_cost:
-            if fused:
-                # Cached-signature einsum product, straight into workspace
-                # (same IEEE multiply as ``rate_e * time_e``).
-                scored_e = np.einsum("i,i->i", rate_e, time_e,
-                                     out=ws("scored", nnz))
-            else:
-                scored_e = rate_e * time_e
-        else:
-            scored_e = time_e
-        if invalid_e is not None:
-            if fused:
-                # In place: under the cost objective ``scored_e`` owns its
-                # buffer; under throughput it aliases ``time_e``, which is
-                # safe -- a feasible row's selected entry scored finite
-                # (never masked) and an infeasible row's time is pinned to
-                # +inf by the feasibility gate below either way.
-                scored_e[invalid_e] = np.inf
-            else:
-                scored_e = np.where(invalid_e, np.inf, scored_e)
-        starts = row_ptr[:-1]
-        counts = row_ptr[1:] - starts
-        nonempty = counts > 0
-        # reduceat rejects start == len and treats empty segments as a
-        # 1-element gather; clamp, reduce, then overwrite the empty rows.
-        safe_starts = np.minimum(starts, nnz - 1)
-        seg_min = np.minimum.reduceat(scored_e, safe_starts)
-        value = np.where(nonempty, seg_min, np.inf)
-        is_min = scored_e == np.repeat(value, counts)
-        first = np.minimum.reduceat(
-            np.where(is_min, np.arange(nnz), nnz), safe_starts)
-        feasible = np.isfinite(value)
-        sel = np.where(feasible, first, 0)
-        self.arg[j] = np.where(feasible, cols[sel], 0)
-        self.value[j] = value
-        self.time_value[j] = np.where(feasible, time_e[sel], np.inf)
-        self.sum_t[j] = np.where(feasible, sum_e[sel], 0.0)
-        self.max_t[j] = np.where(feasible, max_e[sel], 0.0)
-        self.sync_t[j] = np.where(feasible, sync_e[sel], 0.0)
-        self.rate[j] = np.where(feasible, rate_e[sel], 0.0)
 
     # -- lookups -------------------------------------------------------------
 

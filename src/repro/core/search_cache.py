@@ -182,15 +182,12 @@ class PlannerSearchContext:
         #: Layer reachability is microbatch-size independent, so every
         #: (P, mbs, D) candidate with the same signature -- typically all
         #: mbs variants of one (P, D) -- shares one forward pass.  The
-        #: cached ForwardLayers also lazily grow the backward CSR argmin
-        #: skeletons (``ForwardLayers.backward_csr``): the sparsity pattern
-        #: of each layer's feasible (row, combo) pairs, which is likewise
-        #: mbs-independent, so every candidate sharing a forward pass
-        #: shares the backward reduction's structure too
-        #: (``SearchStats.backward_shared_hits``).  Bounded FIFO: one
-        #: planner call produces one signature per (P, D)-shaped
-        #: candidate, far below the cap; the bound only guards pathological
-        #: topologies from accumulating layer arrays without limit.
+        #: cached ForwardLayers also lazily grow the budget search's
+        #: per-row combo columns (``ForwardLayers.row_cols``), likewise
+        #: mbs-independent.  Bounded FIFO: one planner call produces one
+        #: signature per (P, D)-shaped candidate, far below the cap; the
+        #: bound only guards pathological topologies from accumulating
+        #: layer arrays without limit.
         self._forward_layers: dict[tuple, object] = {}
         self._forward_layers_max = 256
         #: Budget-certificate bound tables (resource-state engine):

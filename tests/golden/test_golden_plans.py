@@ -1,0 +1,169 @@
+"""Golden plan digests: 13 planner scenarios x 3 solver configs.
+
+Every scenario's chosen plan is pinned by the SHA-256 of its
+``plan_to_json`` encoding in ``plan_digests.json``.  The digests were
+captured under the default config, and every config below must reproduce
+them byte for byte:
+
+* ``default`` -- adaptive scalar/engine dispatch;
+* ``engine`` -- the layered engine forced in both regimes
+  (``engine_min_states=0, engine_min_states_budget=0``);
+* ``exhaustive`` -- ``enable_pruning=False``, the plain exhaustive
+  recursion every production path is checked against (skipped on
+  ``bigmixed-maxthr``, where it is too slow for tier-1).
+
+This is the safety contract for deleting solver paths: a change that keeps
+these digests keeps every chosen plan.  Regenerate the digests only for a
+change that is *meant* to alter plans::
+
+    PYTHONPATH=src python tests/golden/test_golden_plans.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from repro.core.dp_solver import DPSolverConfig
+from repro.core.objectives import Objective
+from repro.core.planner import PlannerConfig, SailorPlanner
+from repro.core.serialization import plan_to_json
+from repro.core.simulator import build_environment
+from repro.hardware.topology import ClusterTopology
+from repro.models.catalog import get_model
+from repro.models.spec import TrainingJobSpec
+
+DIGESTS_PATH = pathlib.Path(__file__).with_name("plan_digests.json")
+
+SCENARIO_NAMES = (
+    "mixed-maxthr", "mixed-mincost", "mixed-budget", "mixed-floor",
+    "mixed-maxgpus", "a100-maxthr", "geo-maxthr", "geo-mincost",
+    "geo-budget", "neo-maxthr", "mixed-parallel", "mixed-engine",
+    "bigmixed-maxthr",
+)
+
+CONFIGS = {
+    "default": DPSolverConfig(),
+    "engine": DPSolverConfig(engine_min_states=0, engine_min_states_budget=0),
+    "exhaustive": DPSolverConfig(enable_pruning=False),
+}
+
+#: Every (scenario, config) pair except the exhaustive reference on the
+#: 64-GPU pool, which is too slow for tier-1.
+CASES = [(scenario, config)
+         for scenario in SCENARIO_NAMES for config in CONFIGS
+         if (scenario, config) != ("bigmixed-maxthr", "exhaustive")]
+
+
+def build_scenarios() -> dict[str, tuple]:
+    """``name -> (env, job, topology, objective, PlannerConfig kwargs)``.
+
+    Budgets are 0.6x the unconstrained optimum's cost, computed under the
+    default config, so every config solves the identical objective.
+    """
+    opt_job = TrainingJobSpec(model=get_model("OPT-350M"),
+                              global_batch_size=256, sequence_length=2048)
+    neo_job = TrainingJobSpec(model=get_model("GPT-Neo-2.7B"),
+                              global_batch_size=256, sequence_length=2048)
+    mixed = ClusterTopology.single_zone(
+        "us-central1-a", {"a2-highgpu-4g": 4, "n1-standard-v100-4": 4})
+    big_mixed = ClusterTopology.single_zone(
+        "us-central1-a", {"a2-highgpu-4g": 8, "n1-standard-v100-4": 8})
+    geo = ClusterTopology(nodes={
+        "us-central1-a": {"a2-highgpu-4g": 2},
+        "us-central1-b": {"a2-highgpu-4g": 2},
+        "us-west1-a": {"a2-highgpu-4g": 2},
+    })
+    opt_env = build_environment(opt_job, mixed, seed=7)
+    geo_env = build_environment(opt_job, geo, seed=11)
+    neo_env = build_environment(neo_job, mixed, seed=13)
+    a100_only = mixed.restricted_to_gpu("A100-40")
+
+    unconstrained = SailorPlanner(opt_env).plan(opt_job, mixed,
+                                                Objective.max_throughput())
+    budget = unconstrained.evaluation.cost_per_iteration_usd * 0.6
+    unconstrained_geo = SailorPlanner(geo_env).plan(
+        opt_job, geo, Objective.max_throughput())
+    budget_geo = unconstrained_geo.evaluation.cost_per_iteration_usd * 0.6
+
+    scenarios = {
+        "mixed-maxthr": (opt_env, opt_job, mixed,
+                         Objective.max_throughput(), {}),
+        "mixed-mincost": (opt_env, opt_job, mixed, Objective.min_cost(), {}),
+        "mixed-budget": (opt_env, opt_job, mixed, Objective.max_throughput(
+            max_cost_per_iteration_usd=budget), {}),
+        "mixed-floor": (opt_env, opt_job, mixed, Objective.min_cost(
+            min_throughput_iters_per_s=0.05), {}),
+        "mixed-maxgpus": (opt_env, opt_job, mixed,
+                          Objective.max_throughput(max_gpus=8), {}),
+        "a100-maxthr": (opt_env, opt_job, a100_only,
+                        Objective.max_throughput(), {}),
+        "geo-maxthr": (geo_env, opt_job, geo, Objective.max_throughput(), {}),
+        "geo-mincost": (geo_env, opt_job, geo, Objective.min_cost(), {}),
+        "geo-budget": (geo_env, opt_job, geo, Objective.max_throughput(
+            max_cost_per_iteration_usd=budget_geo), {}),
+        "neo-maxthr": (neo_env, neo_job, mixed, Objective.max_throughput(),
+                       {}),
+        "mixed-parallel": (opt_env, opt_job, mixed,
+                           Objective.max_throughput(),
+                           {"parallel_workers": 2}),
+        "mixed-engine": (opt_env, opt_job, mixed, Objective.max_throughput(),
+                         {"engine_forced": True}),
+        "bigmixed-maxthr": (opt_env, opt_job, big_mixed,
+                            Objective.max_throughput(), {}),
+    }
+    assert tuple(scenarios) == SCENARIO_NAMES
+    return scenarios
+
+
+def plan_digest(scenario: tuple, dp_config: DPSolverConfig) -> str | None:
+    """SHA-256 of the chosen plan's JSON; ``None`` when no plan is found.
+
+    The ``mixed-engine`` scenario forces the engine on top of whichever
+    config runs it.
+    """
+    env, job, topology, objective, extra = scenario
+    extra = dict(extra)
+    if extra.pop("engine_forced", False):
+        dp_config = dataclasses.replace(dp_config, engine_min_states=0)
+    planner = SailorPlanner(env, config=PlannerConfig(dp_config=dp_config,
+                                                      **extra))
+    result = planner.plan(job, topology, objective)
+    if not result.found:
+        return None
+    return hashlib.sha256(plan_to_json(result.plan).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def scenarios() -> dict[str, tuple]:
+    return build_scenarios()
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, str | None]:
+    return json.loads(DIGESTS_PATH.read_text())
+
+
+@pytest.mark.parametrize("scenario_name,config_name", CASES)
+def test_plan_digest_is_golden(scenarios, golden, scenario_name,
+                               config_name):
+    digest = plan_digest(scenarios[scenario_name], CONFIGS[config_name])
+    assert digest is not None
+    assert digest == golden[scenario_name]
+
+
+def capture() -> None:
+    """Rewrite the digest file from the default config's plans."""
+    scenarios = build_scenarios()
+    digests = {name: plan_digest(scenarios[name], CONFIGS["default"])
+               for name in SCENARIO_NAMES}
+    DIGESTS_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True)
+                            + "\n")
+
+
+if __name__ == "__main__":
+    capture()

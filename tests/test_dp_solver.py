@@ -465,9 +465,10 @@ def test_straggler_convergence_tolerance_is_relative_plus_absolute():
 @pytest.mark.parametrize("pp,dp", [(1, 2), (2, 2), (2, 4), (3, 1)])
 def test_batched_budget_threading_matches_scalar_recursion(opt_env, opt_job,
                                                            pp, dp):
-    """The per-layer batched straggler kernel must return bitwise-identical
-    solutions to the scalar per-combo recursion across binding and
-    non-binding budgets (both with the engine forced on)."""
+    """The per-layer batched straggler kernel (engine forced on) must
+    return bitwise-identical solutions to the exhaustive scalar per-combo
+    recursion (``enable_pruning=False``) across binding and non-binding
+    budgets."""
     resources = {("us-central1-a", "a2-highgpu-4g"): 4,
                  ("us-central1-a", "n1-standard-v100-4"): 4}
     probe = build_solver(opt_env, opt_job, pp=pp, dp=dp)
@@ -483,9 +484,7 @@ def test_batched_budget_threading_matches_scalar_recursion(opt_env, opt_job,
         batched.config = DPSolverConfig(engine_min_states=0)
         batched.engine_min_states = 0
         scalar = build_solver(opt_env, opt_job, pp=pp, dp=dp)
-        scalar.config = DPSolverConfig(engine_min_states=0,
-                                       batched_budget_threading=False)
-        scalar.engine_min_states = 0
+        scalar.config = DPSolverConfig(enable_pruning=False)
         a = batched.solve(dict(resources), budget_per_iteration=budget)
         b = scalar.solve(dict(resources), budget_per_iteration=budget)
         assert (a is None) == (b is None)
@@ -614,9 +613,10 @@ def test_budget_bounds_are_true_lower_bounds_over_random_pools(opt_env,
 def test_certificates_match_uncertified_recursion(opt_env, opt_job, pp, dp,
                                                   engine_forced):
     """Certificates (straggler/cost bounds, engine seeding, batched-layer
-    resolve) must return bitwise-identical solutions to the plain scalar
-    straggler recursion across binding and non-binding budgets, in both
-    the engine and the tiny-pool (scalar) dispatch regimes."""
+    resolve) must return bitwise-identical solutions to the uncertified
+    exhaustive straggler recursion (``enable_pruning=False``) across
+    binding and non-binding budgets, in both the engine and the tiny-pool
+    (scalar) dispatch regimes."""
     resources = {("us-central1-a", "a2-highgpu-4g"): 4,
                  ("us-central1-a", "n1-standard-v100-4"): 4}
     engine_min = 0 if engine_forced else 10**9
@@ -635,14 +635,7 @@ def test_certificates_match_uncertified_recursion(opt_env, opt_job, pp, dp,
         certified.engine_min_states = engine_min
         certified.engine_min_states_budget = engine_min
         plain = build_solver(opt_env, opt_job, pp=pp, dp=dp)
-        plain.config = DPSolverConfig(
-            engine_min_states=engine_min,
-            engine_min_states_budget=engine_min,
-            enable_straggler_bound=False,
-            engine_seeded_straggler=False, batched_layer_resolve=False,
-            shared_backward=False)
-        plain.engine_min_states = engine_min
-        plain.engine_min_states_budget = engine_min
+        plain.config = DPSolverConfig(enable_pruning=False)
         a = certified.solve(dict(resources), budget_per_iteration=budget)
         b = plain.solve(dict(resources), budget_per_iteration=budget)
         assert (a is None) == (b is None)
@@ -671,9 +664,7 @@ def test_certificates_fire_and_are_counted(opt_env, opt_job):
     assert certified.stats.suffix_iterations > 0
 
     plain = build_solver(opt_env, opt_job, pp=2, dp=4)
-    plain.config = DPSolverConfig(enable_straggler_bound=False,
-                                  engine_seeded_straggler=False,
-                                  batched_layer_resolve=False)
+    plain.config = DPSolverConfig(enable_pruning=False)
     assert plain.solve(dict(resources), budget_per_iteration=budget) \
         is not None
     assert plain.stats.suffix_certified == 0

@@ -327,9 +327,10 @@ def test_initargs_fallback_matches_shm_path(opt_env, opt_job, mixed_topology,
 
 def test_layer_cache_and_batched_threading_do_not_change_the_chosen_plan(
         opt_env, opt_job, mixed_topology):
-    """End-to-end guarantee behind the PR's speedups: sharing forward
+    """End-to-end guarantee behind the engine's speedups: sharing forward
     layers across candidates and batching the budget threading return
-    byte-identical plans (engine forced on so both paths actually run)."""
+    byte-identical plans to the exhaustive recursion (engine forced on so
+    both paths actually run)."""
     from repro.core.dp_solver import DPSolverConfig
 
     unconstrained = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
@@ -342,21 +343,6 @@ def test_layer_cache_and_batched_threading_do_not_change_the_chosen_plan(
         reference = None
         for dp_config in (
                 DPSolverConfig(engine_min_states=0),
-                DPSolverConfig(engine_min_states=0, enable_layer_cache=False),
-                DPSolverConfig(engine_min_states=0,
-                               batched_budget_threading=False),
-                DPSolverConfig(engine_min_states=0,
-                               enable_straggler_bound=False),
-                DPSolverConfig(engine_min_states=0,
-                               engine_seeded_straggler=False),
-                DPSolverConfig(engine_min_states=0, shared_backward=False),
-                DPSolverConfig(engine_min_states=0,
-                               shared_backward_argmin=False),
-                DPSolverConfig(engine_min_states=0,
-                               shared_backward_density=1.0),  # force CSR
-                DPSolverConfig(engine_min_states=0,
-                               batched_layer_resolve=False),
-                DPSolverConfig(engine_min_states=0, fused_combine=False),
                 DPSolverConfig(engine_min_states_budget=0),  # budget -> engine
                 DPSolverConfig(),  # adaptive dispatch (scalar certificates)
                 DPSolverConfig(enable_pruning=False),
@@ -537,40 +523,34 @@ def test_family_memo_and_availability_floors_preserve_plans(opt_env, opt_job,
 def test_fused_combine_preserves_plans_when_forced(opt_env, opt_job,
                                                    mixed_topology,
                                                    monkeypatch):
-    """Force the fused combine onto every layer (dispatch threshold 1,
-    engine always on): plans, evaluations, and node counts are
-    bit-identical to the reference chain on both the dense and the CSR
-    argmin routes, and the fused kernel demonstrably runs."""
+    """Force each combine route onto every layer by moving the dispatch
+    band (engine always on): with ``FUSED_COMBINE_MIN_ELEMS = 1`` every
+    non-last layer runs the fused kernel, with the minimum above the
+    maximum none does.  Plans, evaluations, and node counts are
+    bit-identical between the two, and the fused kernel demonstrably
+    runs."""
     import repro.core.resource_state as rs
     from repro.core.dp_solver import DPSolverConfig
 
-    monkeypatch.setattr(rs, "FUSED_COMBINE_MIN_ELEMS", 1)
+    dp_config = DPSolverConfig(engine_min_states=0)
     fused_hits = 0
     for objective in (Objective.max_throughput(), Objective.min_cost()):
-        reference = None
-        for dp_config in (
-                DPSolverConfig(engine_min_states=0, fused_combine=False),
-                DPSolverConfig(engine_min_states=0),
-                DPSolverConfig(engine_min_states=0,
-                               shared_backward_argmin=False),  # dense route
-                DPSolverConfig(engine_min_states=0,
-                               shared_backward_density=1.0),  # CSR route
-        ):
+        snapshots = []
+        for fused in (False, True):
+            monkeypatch.setattr(rs, "FUSED_COMBINE_MIN_ELEMS",
+                                1 if fused else rs.FUSED_COMBINE_MAX_ELEMS + 1)
             result = SailorPlanner(opt_env, config=PlannerConfig(
                 dp_config=dp_config)).plan(opt_job, mixed_topology, objective)
             assert result.found
-            snapshot = (plan_to_json(result.plan),
-                        result.evaluation.iteration_time_s,
-                        result.evaluation.cost_per_iteration_usd,
-                        result.search_stats.nodes_explored)
-            if reference is None:
-                reference = snapshot
-            else:
-                assert snapshot == reference
-            if dp_config.fused_combine:
+            snapshots.append((plan_to_json(result.plan),
+                              result.evaluation.iteration_time_s,
+                              result.evaluation.cost_per_iteration_usd,
+                              result.search_stats.nodes_explored))
+            if fused:
                 fused_hits += result.search_stats.combine_fused_hits
             else:
                 assert result.search_stats.combine_fused_hits == 0
+        assert snapshots[0] == snapshots[1]
     assert fused_hits > 0
 
 

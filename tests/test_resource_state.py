@@ -262,35 +262,13 @@ def test_forward_row_cols_matches_local_computation():
     assert forward.row_cols(0, 0, last=False)[0] is cols  # cached
 
 
-def test_shared_backward_is_bitwise_identical(opt_env, opt_job):
-    """run_backward with the shared child gathers must produce bitwise the
-    same layer tables as the per-candidate computation."""
-    solver_a = build_solver(opt_env, opt_job, pp=2, dp=2)
-    solver_a.engine_min_states = 0
-    solver_b = build_solver(opt_env, opt_job, pp=2, dp=2)
-    solver_b.config = DPSolverConfig(engine_min_states=0,
-                                     shared_backward=False)
-    solver_b.engine_min_states = 0
-    resources = {("us-central1-a", "a2-highgpu-4g"): 4,
-                 ("us-central1-a", "n1-standard-v100-4"): 4}
-    assert solver_a.solve(dict(resources)) is not None
-    assert solver_b.solve(dict(resources)) is not None
-    shared, local = solver_a._engine, solver_b._engine
-    assert shared is not None and local is not None
-    for name in ("arg", "value", "time_value", "sum_t", "max_t", "sync_t",
-                 "rate"):
-        for a, b in zip(getattr(shared, name), getattr(local, name)):
-            assert np.array_equal(a, b)
-
-
-def test_shared_argmin_kernel_matches_dense_over_random_pools(opt_env,
-                                                              opt_job):
-    """Randomized equivalence sweep for the CSR segmented-argmin backward
-    kernel (``shared_backward_argmin``): over seeded random pools x
-    objectives x (pp, dp) shapes, the shared kernel must reproduce the
-    dense per-candidate reduction bit-for-bit -- same scores, same
-    first-min tie-breaks (``arg``), same infeasible-row normal form --
-    and the two solvers must return identical solutions."""
+def test_engine_matches_exhaustive_recursion_over_random_pools(opt_env,
+                                                               opt_job):
+    """Randomized equivalence sweep for the layered engine: over seeded
+    random pools x objectives x (pp, dp) shapes, the engine (forced on
+    these small pools) must return exactly the solution of the exhaustive
+    recursion (``enable_pruning=False``) -- same placements, bitwise-equal
+    objective fields."""
     import random
 
     from repro.core.objectives import OptimizationGoal
@@ -308,38 +286,32 @@ def test_shared_argmin_kernel_matches_dense_over_random_pools(opt_env,
         goal = rng.choice([OptimizationGoal.MAX_THROUGHPUT,
                            OptimizationGoal.MIN_COST])
 
-        shared = build_solver(opt_env, opt_job, pp=pp, dp=dp, goal=goal)
-        # density 1.0 forces the CSR kernel on every layer, dense or not --
-        # the default dispatch would route these small dense pools to the
-        # broadcast path and the sweep would compare dense against dense.
-        shared.config = DPSolverConfig(engine_min_states=0,
-                                       shared_backward_density=1.0)
-        shared.engine_min_states = 0
-        dense = build_solver(opt_env, opt_job, pp=pp, dp=dp, goal=goal)
-        dense.config = DPSolverConfig(engine_min_states=0,
-                                      shared_backward_argmin=False)
-        dense.engine_min_states = 0
+        engine_solver = build_solver(opt_env, opt_job, pp=pp, dp=dp,
+                                     goal=goal)
+        engine_solver.engine_min_states = 0
+        reference = build_solver(opt_env, opt_job, pp=pp, dp=dp, goal=goal)
+        reference.config = DPSolverConfig(enable_pruning=False)
 
-        a = shared.solve(dict(resources))
-        b = dense.solve(dict(resources))
+        a = engine_solver.solve(dict(resources))
+        b = reference.solve(dict(resources))
+        assert engine_solver._engine is not None
+        assert reference._engine is None
         assert (a is None) == (b is None)
-        if a is not None:
-            assert [x.placements for x in a.assignments] == \
-                [x.placements for x in b.assignments]
-        if shared._engine is None or dense._engine is None:
+        if a is None:
             continue
-        for name in ("arg", "value", "time_value", "sum_t", "max_t",
-                     "sync_t", "rate"):
-            for sa, da in zip(getattr(shared._engine, name),
-                              getattr(dense._engine, name)):
-                assert np.array_equal(sa, da)
+        assert [x.placements for x in a.assignments] == \
+            [x.placements for x in b.assignments]
+        for field in ("max_stage_time_s", "sum_stage_time_s",
+                      "max_sync_time_s", "cost_rate_usd_per_s"):
+            assert getattr(a, field) == getattr(b, field)  # bitwise
         compared += 1
     assert compared >= 6
 
 
-def _tie_break_engine(shared_argmin: bool) -> ResourceStateEngine:
-    """One-stage engine whose two cheapest combos tie exactly, over a
-    shared ForwardLayers (so the CSR path exercises its skeleton cache)."""
+def test_backward_tie_break_is_first_minimum():
+    """Deliberate score ties: the backward argmin must pick the first
+    minimum in master ranking order, as the recursion's strict-improvement
+    scan does."""
     root_pairs = ((("z", "a"), 3), (("z", "b"), 3))
     codec = ResourceStateCodec(root_pairs)
     entries = []
@@ -358,44 +330,12 @@ def _tie_break_engine(shared_argmin: bool) -> ResourceStateEngine:
     root = codec.encode(root_pairs)
     forward = compute_forward_layers([table.req], [root.copy()], [False], 16,
                                      root)
-    # Density 1.0 forces the CSR route regardless of the layer's density
-    # (the dispatch would send this dense toy layer down the broadcast
-    # path and the kernel under test would never run).
-    return ResourceStateEngine(codec, [table], forward,
-                               num_microbatches=2, minimize_cost=False,
-                               shared_argmin=shared_argmin,
-                               shared_argmin_max_density=1.0)
-
-
-def test_shared_argmin_tie_break_is_first_minimum():
-    """Deliberate score ties: both kernels must pick the first minimum in
-    master ranking order, bitwise-identically."""
-    engines = []
-    for shared in (True, False):
-        engine = _tie_break_engine(shared)
-        engine.run_backward()
-        engines.append(engine)
-    shared, dense = engines
-    for name in ("arg", "value", "time_value", "sum_t", "max_t", "sync_t",
-                 "rate"):
-        assert np.array_equal(getattr(shared, name)[0],
-                              getattr(dense, name)[0])
+    engine = ResourceStateEngine(codec, [table], forward,
+                                 num_microbatches=2, minimize_cost=False)
+    engine.run_backward()
     root_row = 0
-    assert shared.arg[0][root_row] == 0  # first of the tied pair
-
-
-def test_shared_argmin_skeleton_is_cached_on_forward_layers():
-    """Two backward passes over one ForwardLayers share the CSR skeleton:
-    the second engine's pass must count a reuse hit per layer."""
-    first = _tie_break_engine(True)
-    first.run_backward()
-    assert first.shared_skeleton_hits == 0  # built the skeleton
-    second = ResourceStateEngine(first.codec, first.tables, first.forward,
-                                 num_microbatches=4, minimize_cost=True,
-                                 shared_argmin=True,
-                                 shared_argmin_max_density=1.0)
-    second.run_backward()
-    assert second.shared_skeleton_hits == 1  # one stage, reused
+    assert engine.arg[0][root_row] == 0  # first of the tied pair
+    assert engine.value[0][root_row] == 1.0 + 1.0 * 1.0 + 0.25
 
 
 def test_engine_budget_tables_match_scalar_probes(opt_env, opt_job):

