@@ -15,7 +15,8 @@ The contract, per config field:
    expression.  Recognised key expressions are (a) tuples assigned to a
    name in ``{"key", "signature", "sig", "cache_key"}``, (b) the argument
    list of a ``forward_signature(...)`` call, and (c) the first argument
-   of ``context.forward_layers(...)`` / ``context.budget_bounds(...)``.
+   of ``context.forward_layers(...)`` / ``context.budget_bounds(...)`` /
+   ``context.solution(...)`` (the whole-solve memo).
    Reaching is resolved through one level of local aliasing
    (``limit = self.config.max_combos_per_stage`` then ``limit`` in the
    key) and through function parameters (``max_mixed`` in
@@ -58,7 +59,7 @@ KEY_SITE_FILES = ("dp_solver.py", "resource_state.py", "search_cache.py",
                   "planner.py")
 KEY_NAMES = {"key", "signature", "sig", "cache_key"}
 KEY_BUILDER_CALLS = {"forward_signature"}
-KEY_CACHE_METHODS = {"forward_layers", "budget_bounds"}
+KEY_CACHE_METHODS = {"forward_layers", "budget_bounds", "solution"}
 #: Attribute spellings under which a config object is read.
 CONFIG_ATTRS = {"config", "dp_config", "_config"}
 

@@ -387,6 +387,11 @@ class SearchStats:
     #: (``PlannerConfig.availability_aware_floors``); churn replans against
     #: an unchanged pool hit this on every branch.
     availability_floor_hits: int = 0
+    #: Whole DP solves answered from the search context's solve memo
+    #: (``PlannerSearchContext.solution``): a replan revisiting a pool on a
+    #: long-lived context skips the solver construction and the solve.
+    #: Always 0 for a cold single call.
+    solve_memo_hits: int = 0
 
     def merge(self, other: "SearchStats") -> None:
         """Accumulate another stats block into this one (parallel driver)."""
@@ -429,6 +434,7 @@ class SearchStats:
                 f"families_skipped={self.families_skipped} "
                 f"fused_combines={self.combine_fused_hits} "
                 f"avail_floor_hits={self.availability_floor_hits} "
+                f"solve_memo_hits={self.solve_memo_hits} "
                 f"branches={self.branches_complete}+"
                 f"{self.branches_incomplete}cut "
                 f"interrupts={self.budget_interrupts}")

@@ -31,7 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from multiprocessing import shared_memory
 
 from repro.core.budget import SearchBudget, SearchBudgetExhausted
@@ -279,6 +279,12 @@ class SailorPlanner:
         stats_before = context.stats.copy()
         search_budget = SearchBudget.maybe(
             deadline, self.config.max_search_nodes)
+        # The solve memo is skipped under a deterministic node budget: a
+        # hit spends no ticks, so warm and cold runs would cut at
+        # different candidates.
+        memo_config = (astuple(self.config.dp_config)
+                       if search_budget is None
+                       or search_budget.max_ticks is None else None)
 
         # Every branch is visited even after the budget trips: an expired
         # branch skips its DP solves and only prices its unexplored
@@ -294,7 +300,8 @@ class SailorPlanner:
             outcome = self._plan_branch(job, objective, consolidated,
                                         resources, pp, mbs, context,
                                         search_budget,
-                                        incumbent=incumbent_eval)
+                                        incumbent=incumbent_eval,
+                                        memo_config=memo_config)
             outcomes.append(outcome)
             if (outcome.evaluation is not None
                     and objective.better(outcome.evaluation, incumbent_eval)):
@@ -390,6 +397,7 @@ class SailorPlanner:
                      pp: int, mbs: int, context: PlannerSearchContext,
                      search_budget: SearchBudget | None = None,
                      incumbent: PlanEvaluation | None = None,
+                     memo_config: tuple | None = None,
                      ) -> _BranchOutcome:
         """Search every data-parallel candidate of one (P, mbs) branch.
 
@@ -398,6 +406,10 @@ class SailorPlanner:
         solve) keeps the branch incumbent found so far and prices the
         unexplored candidates with an admissible lower bound, so the merged
         result can certify its remaining optimality gap.
+
+        ``memo_config`` (``astuple`` of the solver config) turns on the
+        context's whole-solve memo (:meth:`PlannerSearchContext.solution`);
+        ``None`` solves every candidate afresh.
         """
         heuristics = self.config.heuristics
         outcome = _BranchOutcome(label=f"P{pp}/mbs{mbs}")
@@ -482,6 +494,14 @@ class SailorPlanner:
                     if tail_floor[i + 1] < tail_floor[i]:
                         tail_floor[i] = tail_floor[i + 1]
 
+        if memo_config is not None:
+            # The raw root pool exactly as the solver normalises it, so a
+            # memo hit is exact by construction.
+            memo_pool = tuple(sorted((key, count)
+                                     for key, count in resources.items()
+                                     if count > 0))
+            memo_tp = tuple(tp_options_key(opts) for opts in tp_options)
+
         stale = 0
         best_score_this_branch: float | None = None
         cut_from: int | None = None
@@ -500,16 +520,24 @@ class SailorPlanner:
                     context.stats.candidates_killed_unevaluated += (
                         len(dp_candidates) - dp_index)
                     break
-            num_microbatches = job.num_microbatches(dp, mbs)
-            solver = DPSolver(
-                env=self.env, job=job, partitions=partitions,
-                tp_options_per_stage=tp_options, microbatch_size=mbs,
-                data_parallel=dp, num_microbatches=num_microbatches,
-                goal=objective.goal, config=self.config.dp_config,
-                context=context, search_budget=search_budget)
+
+            def solve() -> DPSolution | None:
+                solver = DPSolver(
+                    env=self.env, job=job, partitions=partitions,
+                    tp_options_per_stage=tp_options, microbatch_size=mbs,
+                    data_parallel=dp,
+                    num_microbatches=job.num_microbatches(dp, mbs),
+                    goal=objective.goal, config=self.config.dp_config,
+                    context=context, search_budget=search_budget)
+                return solver.solve(resources, budget_per_iteration=budget)
+
             try:
-                solution = solver.solve(resources,
-                                        budget_per_iteration=budget)
+                if memo_config is None:
+                    solution = solve()
+                else:
+                    key = (pp, mbs, dp, memo_tp, memo_pool, budget,
+                           memo_config)
+                    solution = context.solution(key, solve)
             except SearchBudgetExhausted:
                 # Salvage: the pre-deadline incumbent in ``outcome`` stands;
                 # the aborted candidate joins the unexplored set below.

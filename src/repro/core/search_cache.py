@@ -42,6 +42,9 @@ stage master combos    ``(partition, mbs, dp, tp_key, resources, goal,
                        combo-config knobs)``
 link class             ``(zone_a, zone_b)``
 node specs / prices    ``node_type``
+DP solve memo          ``(pp, mbs, dp, per-stage tp_keys, raw root pool,
+                       budget, astuple(DPSolverConfig))`` -- consulted
+                       only without a deterministic node budget
 =====================  ====================================================
 
 ``placements`` is the canonical tuple ``((StageOption, count), ...)`` and
@@ -180,8 +183,13 @@ class PlannerSearchContext:
         #: engine): ForwardLayers keyed by the solver's forward signature
         #: (clamped root + per-stage footprint matrices + clamps + limit).
         #: Layer reachability is microbatch-size independent, so every
-        #: (P, mbs, D) candidate with the same signature -- typically all
-        #: mbs variants of one (P, D) -- shares one forward pass.  The
+        #: (P, mbs, D) candidate with the same signature shares one forward
+        #: pass.  Sharing is rare on unconstrained plans: on the seeded
+        #: 1024-GPU perfbench pool a plan makes 147 lookups over 145
+        #: distinct signatures (2 hits) -- the per-stage TP options, and so
+        #: the footprints, differ between mbs variants, and the combo-list
+        #: truncation binds in 135 of the 145 builds.  Budget plans on the
+        #: 80-GPU pool hit 20-28 times per plan.  The
         #: cached ForwardLayers also lazily grow the budget search's
         #: per-row combo columns (``ForwardLayers.row_cols``), likewise
         #: mbs-independent.  Bounded FIFO: one planner call produces one
@@ -224,6 +232,16 @@ class PlannerSearchContext:
         #: observable behind the churn-replans-reuse-them-warm claim.
         self._availability_floors: dict[tuple, object] = {}
         self._availability_floors_max = 256
+        #: Whole-solve memo: the ``DPSolver.solve`` result (a DPSolution
+        #: or None) keyed by every solve input -- ``(pp, mbs, dp,
+        #: per-stage TP keys, raw root pool, budget, astuple(DPSolverConfig))``
+        #: -- so a churn replan that revisits a pool answers its solves
+        #: without even building the solver.  Cold single calls never hit
+        #: (each candidate is solved once per call).  Bounded FIFO; the cap
+        #: holds about a hundred churn replans' worth of solves (the
+        #: perfbench churn traces average ~41 per replan).
+        self._solutions: dict[tuple, object] = {}
+        self._solutions_max = 4096
         self._link_class: dict[tuple[str, str], LinkClass] = {}
         self._region: dict[str, str] = {}
         self._gpus_per_node: dict[str, int] = {}
@@ -491,6 +509,27 @@ class PlannerSearchContext:
                 next(iter(self._availability_floors)))
         self._availability_floors[signature] = tables
         return tables
+
+    def solution(self, key: tuple, build):
+        """Memoised ``DPSolver.solve`` result for one complete solve key.
+
+        ``build`` constructs the solver and solves on a miss; hits are
+        counted on ``stats.solve_memo_hits``.  ``None`` (infeasible) is a
+        result like any other and is memoised too.  A solve interrupted by
+        its search budget raises out of ``build`` before anything is
+        stored, so only complete solves are ever served.  Every hit hands
+        out the same DPSolution object, so callers must only read it (the
+        planner just materialises a plan from it).  Bounded FIFO, same
+        policy as the forward layers.
+        """
+        if key in self._solutions:
+            self.stats.solve_memo_hits += 1
+            return self._solutions[key]
+        solution = build()
+        if len(self._solutions) >= self._solutions_max:
+            self._solutions.pop(next(iter(self._solutions)))
+        self._solutions[key] = solution
+        return solution
 
     # -- combo enumeration ------------------------------------------------------
 

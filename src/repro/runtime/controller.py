@@ -125,6 +125,7 @@ class ReplanDecision:
     deadline_missed: bool = False
     layer_cache_hits: int = 0
     cache_hits: int = 0
+    solve_memo_hits: int = 0
 
 
 @dataclass
@@ -579,7 +580,8 @@ class TrainingController:
             replan_latency_s=result.search_time_s if result is not None else 0.0,
             deadline_missed=deadline_missed,
             layer_cache_hits=stats.layer_cache_hits,
-            cache_hits=stats.cache_hits))
+            cache_hits=stats.cache_hits,
+            solve_memo_hits=stats.solve_memo_hits))
 
     def _cleanup_workers(self, time_s: float) -> None:
         for worker in self.workers:

@@ -79,6 +79,7 @@ class ChurnReport:
     #: Incremental-reuse counters summed over all solves.
     layer_cache_hits: int = 0
     cache_hits: int = 0
+    solve_memo_hits: int = 0
     #: Training outcome.
     iterations_completed: int = 0
     iterations_lost_to_rollback: int = 0
@@ -163,7 +164,8 @@ class ChurnReport:
             f"p99={self.p99_replan_latency_s * 1e3:.1f} ms "
             f"({self.plans_per_s:.1f} plans/s)",
             f"incremental reuse: {self.layer_cache_hits} layer hits, "
-            f"{self.cache_hits} cache hits",
+            f"{self.cache_hits} cache hits, "
+            f"{self.solve_memo_hits} solve-memo hits",
             f"training: {self.iterations_completed} iterations "
             f"({self.iterations_lost_to_rollback} lost to rollback), "
             f"{self.training_time_s:.0f}s training / "
@@ -379,10 +381,12 @@ class ChurnReplayer:
             if decision.replan_latency_s > 0:
                 report.replans += 1
                 report.replan_latencies_s.append(decision.replan_latency_s)
-                if decision.layer_cache_hits > 0 or decision.cache_hits > 0:
+                if (decision.layer_cache_hits > 0 or decision.cache_hits > 0
+                        or decision.solve_memo_hits > 0):
                     report.replans_warm += 1
                 report.layer_cache_hits += decision.layer_cache_hits
                 report.cache_hits += decision.cache_hits
+                report.solve_memo_hits += decision.solve_memo_hits
             if decision.tier is DegradationTier.SHRINK_DP:
                 report.shrinks += 1
             elif decision.tier is DegradationTier.PARK:

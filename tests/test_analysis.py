@@ -27,6 +27,7 @@ from repro.analysis.report import (
     format_text,
     result_from_json,
 )
+from repro.analysis.rules import cache_keys
 from repro.core.hotpath import hot_path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -83,6 +84,21 @@ def test_cache_key_rule_separates_dead_from_unkeyed_fields():
     assert any("folded into no cache key" in m for m in messages)
     # The properly-keyed field must not be flagged.
     assert not any("max_states" in m for m in messages)
+
+
+def test_cache_key_rule_reads_the_solve_memo_key(monkeypatch):
+    """``context.solution(key, build)`` is a key site: a config field only
+    the solve reads is flagged on the bad tree, and the good tree's field
+    is keyed *solely* through that call (unrecognised, it would fire)."""
+    bad = run_lint(FIXTURES / "cache_key_bad", rule_names=["cache-key"])
+    assert any("PlannerConfig.solve_depth" in f.message
+               for f in bad.findings)
+    good = run_lint(FIXTURES / "cache_key_good", rule_names=["cache-key"])
+    assert good.findings == []
+    monkeypatch.setattr(cache_keys, "KEY_CACHE_METHODS",
+                        cache_keys.KEY_CACHE_METHODS - {"solution"})
+    blind = run_lint(FIXTURES / "cache_key_good", rule_names=["cache-key"])
+    assert [f.message for f in blind.findings if "solve_depth" in f.message]
 
 
 def test_determinism_rule_catches_every_seeded_category():

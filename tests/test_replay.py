@@ -83,7 +83,32 @@ def test_incremental_replans_are_warm(opt_env, opt_job, mixed_base):
                                                  base_topology=mixed_base)
     assert report.replans_warm > 0
     assert report.cache_hits > 0
+    assert report.solve_memo_hits > 0
+    assert f"{report.solve_memo_hits} solve-memo hits" in report.describe()
     assert 0.0 < report.percent_replans_warm <= 1.0
+
+
+def _replan_warm_and_cold(env, job, base, trace):
+    """Replan every boundary of ``trace`` on one long-lived controller and
+    on a fresh planner; assert byte-identical plans, return the controller."""
+    availability = trace.to_availability_trace()
+    objective = Objective.max_throughput()
+    controller = TrainingController(env=env, job=job, objective=objective)
+    fresh = SailorPlanner(env)
+
+    compared = 0
+    for time_s, _ in trace.grouped_events():
+        topology = availability.topology_at(time_s, base=base)
+        warm_result = controller.replan(topology)
+        cold_result = fresh.plan(job, topology, objective)
+        assert cold_result.search_stats.solve_memo_hits == 0
+        assert warm_result.found == cold_result.found
+        if warm_result.found:
+            assert (plan_to_json(warm_result.plan)
+                    == plan_to_json(cold_result.plan))
+            compared += 1
+    assert compared > 0
+    return controller
 
 
 def test_incremental_replans_match_from_scratch_solves(opt_env, opt_job,
@@ -91,24 +116,20 @@ def test_incremental_replans_match_from_scratch_solves(opt_env, opt_job,
     """Plans out of the long-lived context are byte-identical to cold solves."""
     trace = FaultScenarioGenerator(seed=2).churn_trace(
         POOLS, duration_s=3600.0, num_events=14)
-    availability = trace.to_availability_trace()
-    objective = Objective.max_throughput()
-    controller = TrainingController(env=opt_env, job=opt_job,
-                                    objective=objective)
-    fresh = SailorPlanner(opt_env)
-
-    compared = 0
-    for time_s, _ in trace.grouped_events():
-        topology = availability.topology_at(time_s, base=mixed_base)
-        warm_result = controller.replan(topology)
-        cold_result = fresh.plan(opt_job, topology, objective)
-        assert warm_result.found == cold_result.found
-        if warm_result.found:
-            assert (plan_to_json(warm_result.plan)
-                    == plan_to_json(cold_result.plan))
-            compared += 1
-    assert compared > 0
+    controller = _replan_warm_and_cold(opt_env, opt_job, mixed_base, trace)
     assert controller.search_stats.cache_hits > 0
+
+
+def test_node_flap_replans_hit_the_solve_memo_and_match_cold(opt_env, opt_job,
+                                                            mixed_base):
+    """A flapping node revisits earlier pools, so whole DP solves are served
+    from the context's solve memo -- and the plans stay byte-identical to
+    cold solves of the same pools."""
+    trace = FaultScenarioGenerator(seed=2).churn_trace(
+        POOLS, duration_s=3600.0, num_events=14,
+        kind_weights={"node_flap": 1.0})
+    controller = _replan_warm_and_cold(opt_env, opt_job, mixed_base, trace)
+    assert controller.search_stats.solve_memo_hits > 0
 
 
 # -- graceful degradation -----------------------------------------------------

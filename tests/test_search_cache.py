@@ -1,23 +1,29 @@
 """Tests for the shared planner search context and its caches."""
 
 import itertools
+from dataclasses import fields, replace
 
 import pytest
 
-from repro.core.dp_solver import DPSolver, StageOption
+from repro.core.budget import SearchBudgetExhausted
+from repro.core.dp_solver import DPSolver, DPSolverConfig, StageOption
 from repro.core.heuristics import (
     HeuristicConfig,
     min_tp_per_stage,
     tp_options_for_stage,
 )
-from repro.core.objectives import OptimizationGoal
+from repro.core.objectives import Objective, OptimizationGoal
 from repro.core.plan import SearchStats
+from repro.core.planner import PlannerConfig, SailorPlanner
 from repro.core.search_cache import (
     PlannerSearchContext,
     StageAssignment,
     tp_options_key,
 )
+from repro.core.serialization import plan_to_json
+from repro.hardware.topology import ClusterTopology
 from repro.models.partition import uniform_partition
+from repro.runtime.controller import TrainingController
 
 
 def build_solver(env, job, context=None, pp=2, dp=2, mbs=2,
@@ -160,8 +166,6 @@ def test_forward_layers_shared_across_candidates(opt_env, opt_job):
     The second candidate's engine solves have the same footprint signature
     (same P, D, mbs and root), so every one of its forward passes must be a
     layer-cache hit -- and the solutions must stay identical."""
-    from repro.core.dp_solver import DPSolverConfig
-
     context = PlannerSearchContext(opt_env, opt_job)
     solver_a = build_solver(opt_env, opt_job, context=context)
     solver_a.config = DPSolverConfig(engine_min_states=0)
@@ -227,3 +231,157 @@ def test_context_stats_shared_with_solver(opt_env, opt_job):
     solver.solve(dict(RESOURCES))
     assert solver.nodes_explored == context.stats.nodes_explored
     assert context.stats.nodes_explored > 0
+
+
+# -- whole-solve memo ------------------------------------------------------------
+
+
+def test_solution_memo_counts_hits_and_memoises_infeasible(opt_env, opt_job):
+    context = PlannerSearchContext(opt_env, opt_job)
+    built = []
+
+    def make(tag):
+        def build():
+            built.append(tag)
+            return tag
+        return build
+
+    assert context.solution(("a",), make(None)) is None
+    assert context.solution(("a",), make("A")) is None  # None is a result
+    assert context.solution(("b",), make("B")) == "B"
+    assert context.solution(("b",), make("B2")) == "B"
+    assert built == [None, "B"]
+    assert context.stats.solve_memo_hits == 2
+
+
+def test_solution_memo_is_bounded_fifo(opt_env, opt_job):
+    context = PlannerSearchContext(opt_env, opt_job)
+    context._solutions_max = 2
+    for tag in ("a", "b", "c"):  # the third store evicts ("a",)
+        context.solution((tag,), lambda tag=tag: tag)
+    assert list(context._solutions) == [("b",), ("c",)]
+    assert context.solution(("a",), lambda: "A2") == "A2"
+    assert context.stats.solve_memo_hits == 0
+
+
+def test_interrupted_solve_is_never_memoised(opt_env, opt_job):
+    context = PlannerSearchContext(opt_env, opt_job)
+
+    def interrupted():
+        raise SearchBudgetExhausted("deadline", 7)
+
+    with pytest.raises(SearchBudgetExhausted):
+        context.solution(("k",), interrupted)
+    assert context.solution(("k",), lambda: "complete") == "complete"
+    assert context.stats.solve_memo_hits == 0
+
+
+#: One result-changing value per ``DPSolverConfig`` field.  Looked up for
+#: every field of the dataclass, so a new field fails the key-completeness
+#: test below until it is given a perturbation here.
+DP_CONFIG_PERTURBATIONS = {
+    "max_combos_per_stage": 1,
+    "max_mixed_types_per_stage": 1,
+    "split_fractions": (0.5,),
+    "max_budget_iterations": 1,
+    "enable_pruning": False,
+    "engine_min_states": 0,
+    "engine_min_states_budget": 0,
+}
+
+
+def _plan_text(result):
+    return plan_to_json(result.plan) if result.found else None
+
+
+@pytest.fixture(scope="module")
+def budget_objective(opt_env, opt_job, mixed_topology):
+    """Max throughput under a budget binding at the unconstrained optimum."""
+    best = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
+                                       Objective.max_throughput())
+    return Objective.max_throughput(
+        max_cost_per_iteration_usd=best.evaluation.cost_per_iteration_usd
+        * 0.8)
+
+
+def _warm_matches_cold(env, job, topology, objective, context, config=None):
+    """Plan on the warm ``context`` and on a fresh one; return the warm
+    result after asserting the two plans are byte-identical."""
+    warm = SailorPlanner(env, config=config).plan(job, topology, objective,
+                                                  context=context)
+    cold = SailorPlanner(env, config=config).plan(job, topology, objective)
+    assert cold.search_stats.solve_memo_hits == 0
+    assert _plan_text(warm) == _plan_text(cold)
+    return warm
+
+
+@pytest.fixture
+def warm_context(opt_env, opt_job, mixed_topology, budget_objective):
+    """A context that has planned pool A under the budget objective."""
+    context = PlannerSearchContext(opt_env, opt_job)
+    SailorPlanner(opt_env).plan(opt_job, mixed_topology, budget_objective,
+                                context=context)
+    return context
+
+
+def test_replanning_the_same_pool_hits_the_solve_memo(
+        opt_env, opt_job, mixed_topology, budget_objective, warm_context):
+    warm = _warm_matches_cold(opt_env, opt_job, mixed_topology,
+                              budget_objective, warm_context)
+    assert warm.search_stats.solve_memo_hits > 0
+    assert warm.search_stats.nodes_explored == 0
+
+
+def test_solve_memo_keys_the_budget(opt_env, opt_job, mixed_topology,
+                                    budget_objective, warm_context):
+    other = Objective.max_throughput(
+        max_cost_per_iteration_usd=(
+            budget_objective.constraint.max_cost_per_iteration_usd * 1.1))
+    warm = _warm_matches_cold(opt_env, opt_job, mixed_topology, other,
+                              warm_context)
+    assert warm.search_stats.solve_memo_hits == 0
+
+
+def test_solve_memo_keys_the_pool(opt_env, opt_job, budget_objective,
+                                  warm_context):
+    smaller = ClusterTopology.single_zone(
+        "us-central1-a", {"a2-highgpu-4g": 4, "n1-standard-v100-4": 3})
+    warm = _warm_matches_cold(opt_env, opt_job, smaller, budget_objective,
+                              warm_context)
+    assert warm.search_stats.solve_memo_hits == 0
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(DPSolverConfig)])
+def test_solve_memo_keys_every_solver_config_field(
+        name, opt_env, opt_job, mixed_topology, budget_objective,
+        warm_context):
+    config = PlannerConfig(dp_config=replace(
+        DPSolverConfig(), **{name: DP_CONFIG_PERTURBATIONS[name]}))
+    warm = _warm_matches_cold(opt_env, opt_job, mixed_topology,
+                              budget_objective, warm_context, config=config)
+    assert warm.search_stats.solve_memo_hits == 0
+
+
+def test_node_budget_plans_bypass_the_solve_memo(
+        opt_env, opt_job, mixed_topology, budget_objective, warm_context):
+    """Under a deterministic node budget a memo hit would spend no ticks and
+    move the cut, so the memo is not consulted: warm == cold, tick for
+    tick."""
+    config = PlannerConfig(max_search_nodes=300)
+    warm = _warm_matches_cold(opt_env, opt_job, mixed_topology,
+                              budget_objective, warm_context, config=config)
+    assert not warm.complete  # the budget really cut the search
+    assert warm.search_stats.solve_memo_hits == 0
+
+
+def test_first_replan_after_a_price_change_misses_the_solve_memo(
+        opt_env, opt_job, mixed_topology):
+    controller = TrainingController(env=opt_env, job=opt_job,
+                                    objective=Objective.max_throughput())
+    controller.replan(mixed_topology)
+    assert controller.replan(mixed_topology).search_stats.solve_memo_hits > 0
+    controller.handle_price_change(mixed_topology, 0.0)
+    decision = controller.decisions[-1]
+    assert decision.action == "deployed"
+    assert decision.replan_latency_s > 0
+    assert decision.solve_memo_hits == 0

@@ -154,6 +154,39 @@ def test_retired_and_unknown_counters_still_decode(opt_env, opt_job,
     assert not hasattr(restored.search_stats, retired)
 
 
+def test_solve_memo_hits_roundtrip_and_older_documents_decode(
+        opt_env, opt_job, a100_topology):
+    """``solve_memo_hits`` rides the JSON document, merge/diff and
+    ``describe()``; a document written before the counter existed decodes
+    with it at zero and every other counter intact."""
+    from repro.core.plan import SearchStats
+    from repro.core.search_cache import PlannerSearchContext
+
+    planner = SailorPlanner(opt_env)
+    objective = Objective.max_throughput()
+    context = PlannerSearchContext(opt_env, opt_job)
+    planner.plan(opt_job, a100_topology, objective, context=context)
+    warm = planner.plan(opt_job, a100_topology, objective, context=context)
+    hits = warm.search_stats.solve_memo_hits
+    assert hits > 0
+    document = json.loads(result_to_json(warm))
+    assert document["search_stats"]["solve_memo_hits"] == hits
+    assert result_from_json(json.dumps(document)).search_stats == \
+        warm.search_stats
+
+    del document["search_stats"]["solve_memo_hits"]
+    older = result_from_json(json.dumps(document)).search_stats
+    assert older.solve_memo_hits == 0
+    assert older.nodes_explored == warm.search_stats.nodes_explored
+    assert older.cache_hits == warm.search_stats.cache_hits
+
+    total = SearchStats(solve_memo_hits=2)
+    total.merge(SearchStats(solve_memo_hits=3))
+    assert total.solve_memo_hits == 5
+    assert total.diff(SearchStats(solve_memo_hits=1)).solve_memo_hits == 4
+    assert "solve_memo_hits=5" in total.describe()
+
+
 def test_result_without_search_stats_decodes_to_zeroes():
     """Documents written before the search_stats block decode cleanly."""
     import json
