@@ -3,25 +3,25 @@ a cache key (or declared value-preserving, or suppressed with a reason).
 
 The failure mode this guards against is the silent cache fork: a new
 ``DPSolverConfig`` / ``PlannerConfig`` field changes what a solve
-produces, but the signature-keyed caches (``forward_signature``, the
-search context's ``key = (...)`` tuples, the budget-bound signatures)
-never learned about it -- so a shared or long-lived context serves
-results computed under a *different* configuration.  PRs 1-8 avoided
-this by hand; this rule machine-checks it.
+produces, but the keyed caches (the search context's ``key = (...)``
+tuples and the whole-solve memo) never learned about it -- so a shared
+or long-lived context serves results computed under a *different*
+configuration.  PRs 1-8 avoided this by hand; this rule machine-checks
+it.
 
 The contract, per config field:
 
 1. **Keyed** -- the field's value reaches a recognised cache-key
    expression.  Recognised key expressions are (a) tuples assigned to a
-   name in ``{"key", "signature", "sig", "cache_key"}``, (b) the argument
-   list of a ``forward_signature(...)`` call, and (c) the first argument
-   of ``context.forward_layers(...)`` / ``context.budget_bounds(...)`` /
-   ``context.solution(...)`` (the whole-solve memo).
+   name in ``{"key", "signature", "sig", "cache_key"}`` and (b) the first
+   argument of ``context.solution(...)`` (the whole-solve memo).
    Reaching is resolved through one level of local aliasing
    (``limit = self.config.max_combos_per_stage`` then ``limit`` in the
    key) and through function parameters (``max_mixed`` in
    ``stage_master_combos``'s key, bound to
-   ``self.config.max_mixed_types_per_stage`` at its call site).
+   ``self.config.max_mixed_types_per_stage`` at its call site).  A
+   composite config passed through ``astuple(...)`` folds in every leaf
+   field (the whole-solve memo keys ``astuple(self.config.dp_config)``).
 2. **Declared value-preserving** -- the field's ``#:`` doc comment
    contains one of the :data:`~repro.analysis.core.VALUE_PRESERVING_MARKERS`
    phrases ("bit-identical", "off only for equivalence testing", ...),
@@ -58,8 +58,7 @@ CONFIG_FILES = ("dp_solver.py", "planner.py")
 KEY_SITE_FILES = ("dp_solver.py", "resource_state.py", "search_cache.py",
                   "planner.py")
 KEY_NAMES = {"key", "signature", "sig", "cache_key"}
-KEY_BUILDER_CALLS = {"forward_signature"}
-KEY_CACHE_METHODS = {"forward_layers", "budget_bounds", "solution"}
+KEY_CACHE_METHODS = {"solution"}
 #: Attribute spellings under which a config object is read.
 CONFIG_ATTRS = {"config", "dp_config", "_config"}
 
@@ -74,14 +73,39 @@ def _config_field_of(node: ast.AST) -> str | None:
     return None
 
 
+def _fields_of(node: ast.AST, field_names: set[str],
+               composites: dict[str, set[str]]) -> set[str]:
+    """Config fields one expression node reads: a direct read, or every
+    leaf field of a composite config passed through ``astuple(...)``."""
+    fname = _config_field_of(node)
+    if fname in field_names:
+        return {fname}
+    if (isinstance(node, ast.Call) and call_name(node) == "astuple"
+            and node.args):
+        return set(composites.get(_config_field_of(node.args[0]), ()))
+    return set()
+
+
+def _alias_fields(value: ast.AST, field_names: set[str],
+                  composites: dict[str, set[str]]) -> set[str]:
+    """Fields a local name aliases when assigned ``value``: a direct config
+    read, or any ``astuple(<composite>)`` inside it (e.g. a conditional
+    ``astuple(self.config.dp_config) if ... else None``)."""
+    fields = _fields_of(value, field_names, composites)
+    for sub in ast.walk(value):
+        if isinstance(sub, ast.Call):
+            fields |= _fields_of(sub, field_names, composites)
+    return fields
+
+
 @dataclass
 class _FunctionScan:
     """Key-relevant facts about one function."""
 
     qualname: str
     params: list[str]
-    #: local name -> config field (single-step aliases).
-    aliases: dict[str, str] = field(default_factory=dict)
+    #: local name -> config fields (single-step aliases).
+    aliases: dict[str, set[str]] = field(default_factory=dict)
     #: parameter names appearing inside this function's key expressions.
     key_params: set[str] = field(default_factory=set)
     #: config fields keyed directly inside this function.
@@ -104,6 +128,12 @@ class CacheKeyRule(Rule):
         if not config_fields:
             return []
         field_names = {f.name for f in config_fields}
+        # Composite fields (a config class nested in another, like
+        # ``PlannerConfig.dp_config``) -> that class's leaf fields.
+        composites = {
+            f.name: {g.name for g in config_fields
+                     if g.cls_name == f.annotation}
+            for f in config_fields if f.annotation in CONFIG_CLASSES}
 
         scans: dict[str, list[_FunctionScan]] = {}
         read_fields: set[str] = set()
@@ -111,7 +141,8 @@ class CacheKeyRule(Rule):
         key_files = index.by_basename(*KEY_SITE_FILES)
         for source_file in key_files:
             for qualname, node in source_file.functions():
-                scan = self._scan_function(qualname, node, field_names)
+                scan = self._scan_function(qualname, node, field_names,
+                                           composites)
                 scans.setdefault(node.name, []).append(scan)
                 keyed_fields |= scan.keyed_fields
             for node in ast.walk(source_file.tree):
@@ -122,7 +153,7 @@ class CacheKeyRule(Rule):
         # Second pass: call sites binding config fields to key parameters.
         for source_file in key_files:
             keyed_fields |= self._call_site_fields(source_file, scans,
-                                                   field_names)
+                                                   field_names, composites)
 
         findings: list[Finding] = []
         for config_field in config_fields:
@@ -151,18 +182,19 @@ class CacheKeyRule(Rule):
     # -- pass 1: per-function key expressions ----------------------------------
 
     def _scan_function(self, qualname: str, node: ast.FunctionDef,
-                       field_names: set[str]) -> _FunctionScan:
+                       field_names: set[str],
+                       composites: dict[str, set[str]]) -> _FunctionScan:
         params = [arg.arg for arg in (node.args.posonlyargs + node.args.args
                                       + node.args.kwonlyargs)]
         scan = _FunctionScan(qualname=qualname, params=params)
-        # Single-step aliases: x = self.config.F (only direct, unconditional
-        # assignments in this function's own body).
+        # Single-step aliases: x = self.config.F or x = astuple(composite)
+        # (only assignments in this function's own body).
         for stmt in ast.walk(node):
             if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
                     and isinstance(stmt.targets[0], ast.Name)):
-                fname = _config_field_of(stmt.value)
-                if fname in field_names:
-                    scan.aliases[stmt.targets[0].id] = fname
+                fields = _alias_fields(stmt.value, field_names, composites)
+                if fields:
+                    scan.aliases[stmt.targets[0].id] = fields
 
         key_exprs: list[ast.AST] = []
         for stmt in ast.walk(node):
@@ -170,22 +202,18 @@ class CacheKeyRule(Rule):
                     and isinstance(stmt.targets[0], ast.Name)
                     and stmt.targets[0].id in KEY_NAMES):
                 key_exprs.append(stmt.value)
-            elif isinstance(stmt, ast.Call):
-                name = call_name(stmt)
-                if name in KEY_BUILDER_CALLS:
-                    key_exprs.extend(stmt.args)
-                    key_exprs.extend(kw.value for kw in stmt.keywords)
-                elif name in KEY_CACHE_METHODS and stmt.args:
-                    key_exprs.append(stmt.args[0])
+            elif (isinstance(stmt, ast.Call) and stmt.args
+                  and call_name(stmt) in KEY_CACHE_METHODS):
+                key_exprs.append(stmt.args[0])
 
         for expr in key_exprs:
             for sub in ast.walk(expr):
-                fname = _config_field_of(sub)
-                if fname in field_names:
-                    scan.keyed_fields.add(fname)
+                fields = _fields_of(sub, field_names, composites)
+                if fields:
+                    scan.keyed_fields |= fields
                 elif isinstance(sub, ast.Name):
                     if sub.id in scan.aliases:
-                        scan.keyed_fields.add(scan.aliases[sub.id])
+                        scan.keyed_fields |= scan.aliases[sub.id]
                     elif sub.id in params:
                         scan.key_params.add(sub.id)
         return scan
@@ -194,28 +222,28 @@ class CacheKeyRule(Rule):
 
     def _call_site_fields(self, source_file: SourceFile,
                           scans: dict[str, list[_FunctionScan]],
-                          field_names: set[str]) -> set[str]:
+                          field_names: set[str],
+                          composites: dict[str, set[str]]) -> set[str]:
         keyed: set[str] = set()
         # Alias maps per enclosing function, so call-site args spelled via a
         # local alias still resolve.
-        alias_by_func: dict[ast.AST, dict[str, str]] = {}
+        alias_by_func: dict[ast.AST, dict[str, set[str]]] = {}
         for _, func in source_file.functions():
-            aliases: dict[str, str] = {}
+            aliases: dict[str, set[str]] = {}
             for stmt in ast.walk(func):
                 if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
                         and isinstance(stmt.targets[0], ast.Name)):
-                    fname = _config_field_of(stmt.value)
-                    if fname in field_names:
-                        aliases[stmt.targets[0].id] = fname
+                    fields = _alias_fields(stmt.value, field_names,
+                                           composites)
+                    if fields:
+                        aliases[stmt.targets[0].id] = fields
             alias_by_func[func] = aliases
 
-        def resolve(arg: ast.AST, aliases: dict[str, str]) -> str | None:
-            fname = _config_field_of(arg)
-            if fname in field_names:
-                return fname
-            if isinstance(arg, ast.Name):
-                return aliases.get(arg.id)
-            return None
+        def resolve(arg: ast.AST, aliases: dict[str, set[str]]) -> set[str]:
+            fields = _fields_of(arg, field_names, composites)
+            if not fields and isinstance(arg, ast.Name):
+                fields = aliases.get(arg.id, set())
+            return fields
 
         for func, aliases in alias_by_func.items():
             for node in ast.walk(func):
@@ -233,12 +261,8 @@ class CacheKeyRule(Rule):
                     for position, arg in enumerate(node.args):
                         slot = position + offset
                         if slot < len(params) and params[slot] in scan.key_params:
-                            fname = resolve(arg, aliases)
-                            if fname:
-                                keyed.add(fname)
+                            keyed |= resolve(arg, aliases)
                     for keyword in node.keywords:
                         if keyword.arg in scan.key_params:
-                            fname = resolve(keyword.value, aliases)
-                            if fname:
-                                keyed.add(fname)
+                            keyed |= resolve(keyword.value, aliases)
         return keyed

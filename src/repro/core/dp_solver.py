@@ -32,15 +32,12 @@ paper's Tables 1-3 hinge on):
   entirely: a :class:`~repro.core.resource_state.ResourceStateEngine`
   computes the same table bottom-up, one whole stage layer of states per
   batched kernel call (see its docstring for the forward/backward passes
-  and the bit-equivalence argument).  The engine's *forward* pass --
-  reachability, which depends only on the root and the per-stage combo
-  footprints, not on the microbatch size -- is shared across candidates
-  through the search context's layer cache
-  (:func:`~repro.core.resource_state.forward_signature` keys it; only
-  byte-identical passes are reused).  Hits need identical footprints, which
-  ``mbs`` variants rarely share (their TP options differ): a cold
-  1024-GPU plan hits 2 of 147 lookups, a budget sweep plan on 80 GPUs
-  20-28.  Where the recursion still runs
+  and the bit-equivalence argument).  Each solve runs its own *forward*
+  pass (reachability) and, on budget solves, its own bound pass; both are
+  freed with the solver.  They are not kept for other candidates: the
+  per-stage footprints differ between ``mbs`` variants, so a cold
+  1024-GPU plan repeats only 2 of 147 forward passes, while keeping them
+  would dominate the planner's peak memory.  Where the recursion still runs
   (binding-budget subtrees, and ``enable_pruning=False``), each state's
   fitting combos, child states (footprint subtracted, per-stage caps
   clamped) and child memo keys are computed once and cached -- via the
@@ -125,7 +122,6 @@ from repro.core.resource_state import (
     StageKernelTable,
     compute_budget_bounds,
     compute_forward_layers,
-    forward_signature,
 )
 from repro.core.search_cache import (
     PlannerSearchContext,
@@ -194,10 +190,6 @@ class DPSolverConfig:
     #: Cap on the budget-split refinement loop of the budget-constrained
     #: search (an approximation knob: more iterations can only refine the
     #: split, never invalidate one).
-    # lint: disable=cache-key -- consumed only inside one DPSolver instance,
-    # whose interval memo dies with it; the cross-candidate budget-bound
-    # tables are admissible floors independent of the refinement depth, so
-    # no signature-keyed artifact can fork on this value.
     max_budget_iterations: int = 4
     #: Branch-and-bound pruning of DP branches that provably cannot beat the
     #: incumbent.  Value-preserving; off only as the exhaustive reference
@@ -338,7 +330,6 @@ class DPSolver:
         self._bounds: BudgetBoundTables | None = None
         self._scalar_bound_memo: list[dict] = [{} for _ in partitions]
         self._certs_active = False
-        self._forward_sig: tuple | None = None
         self._vector_states = True
         self._caps_list: list[tuple[int, ...]] = []
         self._memo: list[dict[bytes, tuple[DPSolution | None, bool, float]]] = \
@@ -418,7 +409,6 @@ class DPSolver:
         self._combo_cache = [{} for _ in range(num_stages)]
         self._scalar_bound_memo = [{} for _ in range(num_stages)]
         self._bounds = None
-        self._forward_sig = None
         self._certs_active = (self.config.enable_pruning
                               and not self.track_budget_forks)
         self.fork_keys.clear()
@@ -478,10 +468,8 @@ class DPSolver:
                                scalar)
         if self.config.enable_pruning:
             engine = self._build_engine(state)
-            # Forward work is charged per candidate whether the layers were
-            # computed fresh or served from the shared cache, so the search
-            # counters are invariant across the serial/parallel drivers,
-            # whose contexts see different hit patterns.
+            # Every engine state counts as an explored node, and the forward
+            # pass's deduplicated children as memo hits.
             self.stats.nodes_explored += engine.states_computed
             self.stats.memo_hits += engine.dedup_hits
             self._engine = engine
@@ -499,12 +487,8 @@ class DPSolver:
         per-combo scalar arrays (compute, sync, cost rate -- all served
         from the shared context's caches), and are installed into
         ``_tables`` so the budget recursion and :meth:`_combos_for_state`
-        reuse the same objects.  The forward reachability layers -- which
-        depend only on the root and the footprint matrices, not on the
-        microbatch size -- are fetched from (or computed into) the search
-        context's cross-candidate layer cache, keyed by
-        :func:`~repro.core.resource_state.forward_signature`; the backward
-        pass always runs per candidate.
+        reuse the same objects.  The forward reachability layers and the
+        backward pass are computed for this solve alone.
         """
         tables: list[StageKernelTable] = []
         context = self.context
@@ -524,22 +508,12 @@ class DPSolver:
             )
             tables.append(table)
             self._tables[stage_index] = table
-        reqs = [table.req for table in tables]
-        limit = self.config.max_combos_per_stage
-
-        def build():
-            # A budget interrupt mid-pass propagates out of the context's
-            # cache fill, so partially-built layers are never cached.
-            return compute_forward_layers(reqs, self._caps_vec,
-                                          self._clamp_active, limit,
-                                          root_state,
-                                          search_budget=self.search_budget)
-
-        signature = forward_signature(root_state, reqs, self._caps_vec,
-                                      self._clamp_active, limit)
-        self._forward_sig = signature
+        forward = compute_forward_layers(
+            [table.req for table in tables], self._caps_vec,
+            self._clamp_active, self.config.max_combos_per_stage, root_state,
+            search_budget=self.search_budget)
         engine = ResourceStateEngine(
-            self._codec, tables, context.forward_layers(signature, build),
+            self._codec, tables, forward,
             self.num_microbatches, self.goal is OptimizationGoal.MIN_COST,
             search_budget=self.search_budget)
         engine.run_backward()
@@ -881,31 +855,14 @@ class DPSolver:
     def _engine_bounds(self) -> BudgetBoundTables:
         """Bound tables over the engine layers, built on first budget use.
 
-        One batched backward pass (``compute_budget_bounds``); shared
-        across candidates through the search context -- the key captures
-        everything the pass reads (forward signature, microbatch count,
-        per-stage compute/cost/sync scalars -- sync entered the pass with
-        the folded sync floor, and it varies with the data-parallel
-        degree, so omitting it would alias candidates), so only
-        bit-identical tables are ever reused.
+        One batched backward pass (``compute_budget_bounds``) per solve,
+        and only on solves that reach a budget node.
         """
-        bounds = self._bounds
-        if bounds is None:
-            tables = self._tables
-            forward = self._engine.forward
-            nb = self.num_microbatches
-
-            def build():
-                return compute_budget_bounds(
-                    forward, tables, nb, search_budget=self.search_budget)
-
-            signature = (self._forward_sig, nb,
-                         tuple(t.compute.tobytes() for t in tables),
-                         tuple(t.rate.tobytes() for t in tables),
-                         tuple(t.sync.tobytes() for t in tables))
-            bounds = self.context.budget_bounds(signature, build)
-            self._bounds = bounds
-        return bounds
+        if self._bounds is None:
+            self._bounds = compute_budget_bounds(
+                self._engine.forward, self._tables, self.num_microbatches,
+                search_budget=self.search_budget)
+        return self._bounds
 
     def _scalar_bound(self, stage_index: int, state: tuple,
                       key: tuple) -> tuple:
@@ -1271,9 +1228,9 @@ class DPSolver:
             return cached
         engine = self._engine
         table = self._tables[stage_index]
-        # The column/child indices are forward-only, so the (possibly
-        # cross-candidate) forward layers cache them once for every
-        # candidate; only the scalar gathers below are per candidate.
+        # The column/child indices are forward-only, so the forward layers
+        # cache them; only the scalar gathers below read the candidate's
+        # tables.
         cols, child = engine.forward.row_cols(stage_index, row, is_last)
         if is_last:
             entry = (cols.tolist(), table.compute[cols].tolist(),

@@ -342,10 +342,6 @@ class SearchStats:
     #: Candidates whose full simulator evaluation was skipped because their
     #: conservative iteration-time floor already lost to the incumbent.
     gate_skips: int = 0
-    #: Forward reachability passes served from the search context's
-    #: cross-candidate layer cache instead of being recomputed (resource-
-    #: state engine; one hit saves one whole chunked fit-test + dedup pass).
-    layer_cache_hits: int = 0
     #: Straggler-loop suffix resolutions actually performed under a budget
     #: constraint: scalar straggler-loop iterations that probe or solve a
     #: suffix, plus each budget combo the batched scan resolves inline via
@@ -378,7 +374,7 @@ class SearchStats:
     #: member was dropped wholesale (``PlannerConfig.family_interval_memo``).
     families_skipped: int = 0
     #: Backward layer combines served by the fused workspace kernel
-    #: (preallocated per-footprint buffers + cached-signature einsum)
+    #: (preallocated process-wide buffers + cached-signature einsum)
     #: instead of fresh full-size temporaries
     #: (``resource_state.FUSED_COMBINE_MIN_ELEMS`` has the dispatch band).
     combine_fused_hits: int = 0
@@ -427,7 +423,6 @@ class SearchStats:
         return (f"nodes={self.nodes_explored} memo_hits={self.memo_hits} "
                 f"pruned={self.pruned_branches} cache_hits={self.cache_hits} "
                 f"gate_skips={self.gate_skips} "
-                f"layer_cache_hits={self.layer_cache_hits} "
                 f"suffix_iters={self.suffix_iterations} "
                 f"suffix_certified={self.suffix_certified} "
                 f"killed_unevaluated={self.candidates_killed_unevaluated} "

@@ -79,8 +79,8 @@ class PlannerConfig:
     # heuristics reroutes lookups rather than forking cached values.
     heuristics: HeuristicConfig = field(default_factory=HeuristicConfig)
     # lint: disable=cache-key -- composite handed to DPSolver; its leaf
-    # fields are linted individually against the solver's keys in
-    # dp_solver.py, and the composite itself is never hashed.
+    # fields are linted individually (the solve memo keys them all through
+    # ``astuple``), and the composite itself is never hashed.
     dp_config: DPSolverConfig = field(default_factory=DPSolverConfig)
     #: Stop exploring further data-parallel degrees after this many
     #: consecutive non-improving candidates (H3/H4 early stop).

@@ -43,18 +43,17 @@ end-to-end consequence.
 
 Forward/backward split
 ----------------------
-The layered engine is split so its expensive half can be shared: *forward
-reachability* (:func:`compute_forward_layers` -> :class:`ForwardLayers`)
-depends only on the root state and each stage's combo footprint matrix, so
-one pass serves every ``(P, mbs, D)`` candidate with the same
-:func:`forward_signature` via the search context's layer cache, while the
-cheap *backward scoring* (:meth:`ResourceStateEngine.run_backward`) runs
-per candidate over its own compute/sync/cost scalars.  The forward pass
-chunks its fit-test broadcast along the state axis (peak memory
-``O(chunk x combos)``) and deduplicates children through an injective
-mixed-radix int64 packing (:func:`layer_pack_weights`) instead of the
-row-wise ``np.unique`` sort -- both pure implementation knobs that leave
-the reachable state sets, and therefore plans, bit-identical.
+The layered engine runs in two passes per solve: *forward reachability*
+(:func:`compute_forward_layers` -> :class:`ForwardLayers`) depends only on
+the root state and each stage's combo footprint matrix, while *backward
+scoring* (:meth:`ResourceStateEngine.run_backward`) reads the candidate's
+compute/sync/cost scalars.  Both belong to one solve and are freed with
+its solver.  The forward pass chunks its fit-test broadcast along the
+state axis (peak memory ``O(chunk x combos)``) and deduplicates children
+through an injective mixed-radix int64 packing
+(:func:`layer_pack_weights`) instead of the row-wise ``np.unique`` sort --
+both pure implementation knobs that leave the reachable state sets, and
+therefore plans, bit-identical.
 """
 
 from __future__ import annotations
@@ -247,11 +246,11 @@ FORWARD_CHUNK_ELEMS = 1 << 25
 FUSED_COMBINE_MIN_ELEMS = 16384
 FUSED_COMBINE_MAX_ELEMS = 1 << 21
 
-#: Process-wide fused-combine scratch pool (see
-#: :meth:`ForwardLayers.combine_workspace` for the sharing/safety
-#: argument).  Grow-only per name; the dispatch band caps every buffer at
-#: ``FUSED_COMBINE_MAX_ELEMS`` elements, so the pool's resident ceiling
-#: is a few hundred MB at full scale and zero until the band first fires.
+#: Process-wide fused-combine scratch pool (see :func:`combine_workspace`
+#: for the sharing/safety argument).  Grow-only per name; the dispatch
+#: band caps every buffer at ``FUSED_COMBINE_MAX_ELEMS`` elements, so the
+#: pool's resident ceiling is a few hundred MB at full scale and zero until
+#: the band first fires.
 _COMBINE_WS: dict[str, np.ndarray] = {}
 
 #: Packed-value ceiling below which :func:`dedup_states` uses the counting
@@ -323,8 +322,33 @@ def dedup_states(children: np.ndarray,
     return uniq, inverse
 
 
+def combine_workspace(name: str, count: int,
+                      dtype=np.float64) -> np.ndarray:
+    """Flat scratch buffer of at least ``count`` elements, by name.
+
+    Grow-only, and backed by one *process-wide* pool (``_COMBINE_WS``):
+    at the 1024-GPU bench point forward builds are nearly 1:1 with
+    candidates (~145 distinct footprints for ~412 fused combines), so
+    per-footprint buffers were used ~3x each and arrived cache-cold every
+    time -- measured, that forfeited the whole fused-kernel win.  One
+    shared pool keeps the buffers hot across every candidate and
+    footprint of the process.  Sharing is safe because the backward sweep
+    runs serially per candidate within a process (parallel workers are
+    separate processes), the workspace is write-before-read within one
+    ``_solve_layer`` call, and every *persisted* layer output is a fresh
+    array (argmin gathers / ``np.where`` results), so no workspace view
+    is ever live once :meth:`ResourceStateEngine._solve_layer` returns.
+    Returned sliced to exactly ``count`` (contiguous, reshapeable).
+    """
+    buf = _COMBINE_WS.get(name)
+    if buf is None or buf.shape[0] < count:
+        buf = np.empty(count, dtype=dtype)
+        _COMBINE_WS[name] = buf
+    return buf[:count]
+
+
 class ForwardLayers:
-    """Forward-reachability result of one root x per-stage-footprint signature.
+    """Forward-reachability result of one solve's root and stage footprints.
 
     Holds everything the forward pass produces -- per-stage unique state
     layers, the ``(N, M)`` child-row maps (``-1`` where a combo does not fit
@@ -332,13 +356,11 @@ class ForwardLayers:
     depends on the microbatch size (compute/sync/cost scalars live on the
     per-candidate :class:`StageKernelTable`).  Reachability depends only on
     the root state, the per-stage combo footprints (in master ranking
-    order), the truncation limit and the suffix clamps, so one instance is
-    shared by every ``(P, mbs, D)`` candidate with the same signature via
-    the :class:`~repro.core.search_cache.PlannerSearchContext` layer cache.
+    order), the truncation limit and the suffix clamps.
     """
 
     __slots__ = ("states", "child_row", "last_sel", "states_computed",
-                 "dedup_hits", "row_of", "_row_cols", "_combine_ws")
+                 "dedup_hits", "row_of", "_row_cols")
 
     def __init__(self, states: list[np.ndarray],
                  child_row: list[np.ndarray | None],
@@ -352,45 +374,13 @@ class ForwardLayers:
         #: bytes -> row maps, built lazily per stage (budget probes only).
         self.row_of: list[dict[bytes, int] | None] = [None] * len(states)
         #: Per-(stage, row) fitting-combo columns and child rows for the
-        #: budget search's row gathers: mbs-independent, so every candidate
-        #: sharing this forward pass reuses them.  Only the rows the budget
-        #: search actually touches are ever built (tiny per-row arrays --
+        #: budget search's row gathers.  Only the rows the budget search
+        #: actually touches are ever built (tiny per-row arrays --
         #: retaining whole (rows, combos) gather matrices here instead was
         #: measured ~1.4x *slower* at the 1024-GPU point: hundreds of MB of
         #: retained intermediates turn every backward temp allocation into
         #: fresh-page traffic).
         self._row_cols: dict[tuple[int, int], tuple] = {}
-        #: Named grow-only scratch buffers of the fused backward combine
-        #: (:meth:`combine_workspace`): hung off the shared forward layers
-        #: because every candidate on this footprint signature scores the
-        #: same layer shapes; the actual buffers live in the process-wide
-        #: pool (see :meth:`combine_workspace`).
-        self._combine_ws = _COMBINE_WS
-
-    def combine_workspace(self, name: str, count: int,
-                          dtype=np.float64) -> np.ndarray:
-        """Flat scratch buffer of at least ``count`` elements, by name.
-
-        Grow-only, and backed by one *process-wide* pool rather than a
-        per-instance dict: at the 1024-GPU bench point forward builds are
-        nearly 1:1 with candidates (~145 distinct footprints for ~412
-        fused combines), so per-footprint buffers were used ~3x each and
-        arrived cache-cold every time -- measured, that forfeited the
-        whole fused-kernel win.  One shared pool keeps the buffers hot
-        across every candidate and footprint of the process.  Sharing is
-        safe because the backward sweep runs serially per candidate
-        within a process (parallel workers are separate processes), the
-        workspace is write-before-read within one ``_solve_layer`` call,
-        and every *persisted* layer output is a fresh array (argmin
-        gathers / ``np.where`` results), so no workspace view is ever
-        live once :meth:`ResourceStateEngine._solve_layer` returns.
-        Returned sliced to exactly ``count`` (contiguous, reshapeable).
-        """
-        buf = self._combine_ws.get(name)
-        if buf is None or buf.shape[0] < count:
-            buf = np.empty(count, dtype=dtype)
-            self._combine_ws[name] = buf
-        return buf[:count]
 
     def row_for_key(self, stage_index: int, key: bytes) -> int | None:
         """Row index of an encoded state in one layer, if reachable."""
@@ -409,8 +399,8 @@ class ForwardLayers:
         """``(fitting combo columns, child rows)`` of one (stage, row).
 
         The column/child index pair the budget search gathers per engine
-        row; ``child`` is ``None`` on the last stage.  Forward-derived, so
-        shared across candidates like the layers themselves.
+        row; ``child`` is ``None`` on the last stage.  Built on first use
+        and kept for the rest of the solve.
         """
         cached = self._row_cols.get((stage_index, row))
         if cached is None:
@@ -696,28 +686,6 @@ def compute_budget_bounds(forward: ForwardLayers,
     return BudgetBoundTables(straggler_lb=slb, cost_lb=cost_lb, sync_lb=mslb)
 
 
-def forward_signature(root_state: np.ndarray, reqs: list[np.ndarray],
-                      caps_vec: list[np.ndarray], clamp_active: list[bool],
-                      limit: int) -> tuple:
-    """Cache key under which a forward pass may be shared across candidates.
-
-    Two candidates with equal signatures run byte-identical forward passes:
-    the key captures the clamped root, every stage's footprint matrix *in
-    master ranking order* (so an mbs-dependent re-ranking changes the key),
-    the truncation limit and the active suffix clamps.  Everything else the
-    engine consumes (compute/sync/cost scalars) is backward-only.
-    """
-    return (
-        root_state.tobytes(),
-        limit,
-        tuple((req.shape[0], req.tobytes()) for req in reqs),
-        # Stage-0 caps are already baked into the (clamped) root state, so
-        # only the child clamps (stages 1..P-1) discriminate forward passes.
-        tuple(caps_vec[j].tobytes() if clamp_active[j] else b""
-              for j in range(1, len(reqs))),
-    )
-
-
 class ResourceStateEngine:
     """Layered bottom-up DP over one root's array-encoded states.
 
@@ -727,12 +695,10 @@ class ResourceStateEngine:
     *same* table the recursion memoises, but one pipeline stage at a time
     over the whole layer of reachable states:
 
-    * **Forward pass** (:func:`compute_forward_layers`, shared across
-      candidates through the search context's layer cache): reachability
-      depends only on the root and the per-stage combo footprints, not on
-      the microbatch size, so one :class:`ForwardLayers` serves every
-      candidate with the same :func:`forward_signature`.
-    * **Backward pass** (:meth:`run_backward`, per candidate): the last
+    * **Forward pass** (:func:`compute_forward_layers`): reachability,
+      which depends only on the root and the per-stage combo footprints,
+      not on the microbatch size.
+    * **Backward pass** (:meth:`run_backward`): the last
       layer scores every fitting combo from the table's scalar arrays;
       every earlier layer combines its combo scalars with the child layer's
       ``(sum, max, sync, rate)`` quadruples in five elementwise array ops
@@ -886,9 +852,9 @@ class ResourceStateEngine:
             self.combine_fused_hits += 1
         else:
             child_row = forward.child_row[j]
-            # Transient per-candidate gather: retaining these (rows,
-            # combos) intermediates on the shared forward layers was
-            # measured slower at scale (see ForwardLayers._row_cols).
+            # Transient gather: retaining these (rows, combos)
+            # intermediates on the forward layers was measured slower
+            # at scale (see ForwardLayers._row_cols).
             # Every elementwise step below reuses its gather buffer
             # in place (same operand association as the expression form,
             # so results stay bit-identical) -- at scale these (rows,
@@ -920,7 +886,7 @@ class ResourceStateEngine:
                 # same IEEE multiply as ``rate_c * time_v``.
                 scored = np.einsum(
                     "ij,ij->ij", rate_c, time_v,
-                    out=self.forward.combine_workspace(
+                    out=combine_workspace(
                         "scored", time_v.size).reshape(shape))
             else:
                 scored = rate_c * time_v
@@ -964,7 +930,7 @@ class ResourceStateEngine:
         Replicates the reference block of :meth:`_solve_layer` bit for
         bit: identical operand order and IEEE op chain, with the gathers
         routed through ``np.take(..., mode="clip", out=)`` into the
-        per-footprint buffers of :meth:`ForwardLayers.combine_workspace`
+        process-wide buffers of :func:`combine_workspace`
         instead of fancy-index allocations.  ``mode="clip"`` maps the -1
         sentinel (the only negative value in ``child_row``) to index 0 --
         exactly the ``np.where(child_row < 0, 0, child_row)`` the
@@ -976,7 +942,7 @@ class ResourceStateEngine:
         ``isinf`` of the 1-D child values commutes with the gather
         itself.
         """
-        ws = self.forward.combine_workspace
+        ws = combine_workspace
         shape = child_row.shape
         n = child_row.size
         sum_c = np.take(self.sum_t[j + 1], child_row, mode="clip",

@@ -52,6 +52,11 @@ DP solve memo          ``(pp, mbs, dp, per-stage tp_keys, raw root pool,
 ...)``; both are hashable by construction.  ``tp_key`` canonicalises the
 per-stage tensor-parallel option dict.
 
+The resource-state engine's forward layers and budget bound tables are
+deliberately *not* cached here: candidates almost never share them (a cold
+1024-GPU plan repeats 2 of 147 forward passes), so each solve builds its
+own and they are freed with the solver.
+
 The context also owns the :class:`~repro.core.plan.SearchStats` counters
 (nodes explored, memo hits, pruned branches, cache hits/misses, and the
 candidate-level incumbent gate's ``gate_skips``) that
@@ -179,35 +184,6 @@ class PlannerSearchContext:
         self._assignment: dict[tuple, StageAssignment] = {}
         self._options: dict[tuple, list[tuple[StageOption, int]]] = {}
         self._combos: dict[tuple, list[list]] = {}
-        #: Cross-candidate forward-reachability cache (resource-state
-        #: engine): ForwardLayers keyed by the solver's forward signature
-        #: (clamped root + per-stage footprint matrices + clamps + limit).
-        #: Layer reachability is microbatch-size independent, so every
-        #: (P, mbs, D) candidate with the same signature shares one forward
-        #: pass.  Sharing is rare on unconstrained plans: on the seeded
-        #: 1024-GPU perfbench pool a plan makes 147 lookups over 145
-        #: distinct signatures (2 hits) -- the per-stage TP options, and so
-        #: the footprints, differ between mbs variants, and the combo-list
-        #: truncation binds in 135 of the 145 builds.  Budget plans on the
-        #: 80-GPU pool hit 20-28 times per plan.  The
-        #: cached ForwardLayers also lazily grow the budget search's
-        #: per-row combo columns (``ForwardLayers.row_cols``), likewise
-        #: mbs-independent.  Bounded FIFO: one planner call produces one
-        #: signature per (P, D)-shaped candidate, far below the cap; the
-        #: bound only guards pathological topologies from accumulating
-        #: layer arrays without limit.
-        self._forward_layers: dict[tuple, object] = {}
-        self._forward_layers_max = 256
-        #: Budget-certificate bound tables (resource-state engine):
-        #: BudgetBoundTables (straggler, cost *and* sync floors -- the cost
-        #: floor folds the minimal attainable sync overhead, see
-        #: ``resource_state.compute_budget_bounds``) keyed by (forward
-        #: signature, num microbatches, per-stage compute/sync/rate blobs)
-        #: -- everything the bound recursion reads -- so only bit-identical
-        #: bound passes are ever shared.  Same bounded-FIFO policy as the
-        #: forward layers.
-        self._budget_bounds: dict[tuple, object] = {}
-        self._budget_bounds_max = 256
         #: Interval memo over partition counts (family floors): per
         #: ``(pp, mbs, tp_key)`` family, the availability-free per-stage
         #: minima triple of ``SailorPlanner._stage_floors``, plus the
@@ -225,9 +201,10 @@ class PlannerSearchContext:
         #: Availability-aware tail-kill floor tables
         #: (``SailorPlanner._availability_stage_tables``), keyed by the
         #: full availability signature ``(pp, mbs, tp_key, resources)``.
-        #: Bounded FIFO like the forward layers: one entry per (branch,
-        #: pool) pair, so an online controller replanning across many
-        #: availability snapshots cannot accumulate tables without limit.
+        #: Bounded FIFO (oldest entry evicted at the cap): one entry per
+        #: (branch, pool) pair, so an online controller replanning across
+        #: many availability snapshots cannot accumulate tables without
+        #: limit.
         #: Hits are counted on ``stats.availability_floor_hits`` -- the
         #: observable behind the churn-replans-reuse-them-warm claim.
         self._availability_floors: dict[tuple, object] = {}
@@ -419,46 +396,6 @@ class PlannerSearchContext:
             compute_time_s=compute_time_s, sync_time_s=sync,
             cost_rate_usd_per_s=cost_rate, nodes_used=nodes_used)
 
-    # -- resource-state forward layers ------------------------------------------
-
-    def forward_layers(self, signature: tuple, build):
-        """Forward-reachability layers for one footprint signature.
-
-        ``build`` is invoked on a miss (it runs the chunked forward pass);
-        hits are counted on ``stats.layer_cache_hits`` -- the observable
-        behind the cross-candidate sharing claim.  Entries are evicted FIFO
-        beyond the (generous) cap; see the attribute comment in
-        ``__init__``.
-        """
-        cached = self._forward_layers.get(signature)
-        if cached is not None:
-            self.stats.layer_cache_hits += 1
-            return cached
-        layers = build()
-        if len(self._forward_layers) >= self._forward_layers_max:
-            self._forward_layers.pop(next(iter(self._forward_layers)))
-        self._forward_layers[signature] = layers
-        return layers
-
-    def budget_bounds(self, signature: tuple, build):
-        """Budget-certificate bound tables for one bound signature.
-
-        The straggler/cost lower bounds the budget search certifies
-        against (``resource_state.compute_budget_bounds``); ``build`` runs
-        the batched bound pass on a miss.  Keyed alongside the forward
-        layers so candidates sharing a forward pass *and* its per-stage
-        compute/rate scalars (plus the microbatch count) share one bound
-        table.
-        """
-        cached = self._budget_bounds.get(signature)
-        if cached is not None:
-            return cached
-        bounds = build()
-        if len(self._budget_bounds) >= self._budget_bounds_max:
-            self._budget_bounds.pop(next(iter(self._budget_bounds)))
-        self._budget_bounds[signature] = bounds
-        return bounds
-
     # -- enumeration-level floors -----------------------------------------------
 
     def family_stage_floors(self, pp: int, mbs: int, tp_key: tuple, build):
@@ -496,8 +433,8 @@ class PlannerSearchContext:
 
         ``build`` assembles the per-stage threshold tables
         (``SailorPlanner._availability_stage_tables``) on a miss; hits are
-        counted on ``stats.availability_floor_hits``.  Bounded FIFO, same
-        policy as the forward layers.
+        counted on ``stats.availability_floor_hits``.  Bounded FIFO; see
+        the attribute comment in ``__init__``.
         """
         cached = self._availability_floors.get(signature)
         if cached is not None:
@@ -520,7 +457,7 @@ class PlannerSearchContext:
         stored, so only complete solves are ever served.  Every hit hands
         out the same DPSolution object, so callers must only read it (the
         planner just materialises a plan from it).  Bounded FIFO, same
-        policy as the forward layers.
+        policy as the availability floors.
         """
         if key in self._solutions:
             self.stats.solve_memo_hits += 1

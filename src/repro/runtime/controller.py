@@ -123,7 +123,6 @@ class ReplanDecision:
     action: str
     replan_latency_s: float = 0.0
     deadline_missed: bool = False
-    layer_cache_hits: int = 0
     cache_hits: int = 0
     solve_memo_hits: int = 0
 
@@ -579,7 +578,6 @@ class TrainingController:
             time_s=time_s, trigger=trigger, tier=tier, action=action,
             replan_latency_s=result.search_time_s if result is not None else 0.0,
             deadline_missed=deadline_missed,
-            layer_cache_hits=stats.layer_cache_hits,
             cache_hits=stats.cache_hits,
             solve_memo_hits=stats.solve_memo_hits))
 

@@ -77,8 +77,9 @@ class ChurnReport:
     #: Latency of every planner solve, in decision order.
     replan_latencies_s: list[float] = field(default_factory=list)
     #: Incremental-reuse counters summed over all solves.
-    layer_cache_hits: int = 0
     cache_hits: int = 0
+    #: Always 0 (its cache is gone); perfbench/workloads.py still reads it.
+    layer_cache_hits: int = 0
     solve_memo_hits: int = 0
     #: Training outcome.
     iterations_completed: int = 0
@@ -163,8 +164,7 @@ class ChurnReport:
             f"replan latency: p50={self.p50_replan_latency_s * 1e3:.1f} ms "
             f"p99={self.p99_replan_latency_s * 1e3:.1f} ms "
             f"({self.plans_per_s:.1f} plans/s)",
-            f"incremental reuse: {self.layer_cache_hits} layer hits, "
-            f"{self.cache_hits} cache hits, "
+            f"incremental reuse: {self.cache_hits} cache hits, "
             f"{self.solve_memo_hits} solve-memo hits",
             f"training: {self.iterations_completed} iterations "
             f"({self.iterations_lost_to_rollback} lost to rollback), "
@@ -381,10 +381,8 @@ class ChurnReplayer:
             if decision.replan_latency_s > 0:
                 report.replans += 1
                 report.replan_latencies_s.append(decision.replan_latency_s)
-                if (decision.layer_cache_hits > 0 or decision.cache_hits > 0
-                        or decision.solve_memo_hits > 0):
+                if decision.cache_hits > 0 or decision.solve_memo_hits > 0:
                     report.replans_warm += 1
-                report.layer_cache_hits += decision.layer_cache_hits
                 report.cache_hits += decision.cache_hits
                 report.solve_memo_hits += decision.solve_memo_hits
             if decision.tier is DegradationTier.SHRINK_DP:

@@ -101,6 +101,66 @@ def test_cache_key_rule_reads_the_solve_memo_key(monkeypatch):
     assert [f.message for f in blind.findings if "solve_depth" in f.message]
 
 
+_ASTUPLE_SOLVER = """
+from dataclasses import dataclass
+
+
+@dataclass
+class DPSolverConfig:
+    #: Read by the solve only; keyed solely through the planner's astuple.
+    limit: int = 16
+
+
+class DPSolver:
+    def __init__(self, config):
+        self.config = config
+
+    def solve(self, root):
+        return root[:self.config.limit]
+"""
+
+_ASTUPLE_PLANNER = """
+from dataclasses import astuple, dataclass, field
+
+
+@dataclass
+class PlannerConfig:
+    # lint: disable=cache-key -- composite; leaf fields linted on their own
+    dp_config: DPSolverConfig = field(default_factory=DPSolverConfig)
+
+
+class SailorPlanner:
+    def __init__(self, config):
+        self.config = config
+
+    def plan(self, context, pool, budgeted):
+        memo_config = (astuple(self.config.dp_config)
+                       if not budgeted else None)
+        return self._plan_branch(context, pool, memo_config=memo_config)
+
+    def _plan_branch(self, context, pool, memo_config=None):
+        key = (pool, {memo})
+        return context.solution(key, lambda: pool)
+"""
+
+
+@pytest.mark.parametrize("memo", ["memo_config", "None"])
+def test_cache_key_rule_follows_astuple_of_a_composite_config(tmp_path,
+                                                              memo):
+    """``astuple(self.config.dp_config)`` folds every leaf field of the
+    composite into the key it reaches -- here through a conditional local
+    alias and a call-site keyword, the shape the planner's solve memo
+    uses.  Drop it from the key and the leaf field is flagged."""
+    core = tmp_path / "src" / "repro" / "core"
+    core.mkdir(parents=True)
+    (core / "dp_solver.py").write_text(_ASTUPLE_SOLVER)
+    (core / "planner.py").write_text(_ASTUPLE_PLANNER.format(memo=memo))
+    result = run_lint(tmp_path, rule_names=["cache-key"])
+    flagged = [f for f in result.findings
+               if "DPSolverConfig.limit" in f.message]
+    assert bool(flagged) == (memo == "None")
+
+
 def test_determinism_rule_catches_every_seeded_category():
     result = run_lint(FIXTURES / "determinism_bad",
                       rule_names=["determinism"])

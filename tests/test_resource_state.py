@@ -19,7 +19,6 @@ from repro.core.resource_state import (
     StageKernelTable,
     compute_forward_layers,
     dedup_states,
-    forward_signature,
     layer_pack_weights,
 )
 
@@ -164,21 +163,6 @@ def test_forward_clamps_children_at_next_stage_caps():
     # The truncation limit caps fitting combos per state.
     limited = compute_forward_layers(reqs, caps, clamp_active, 1, root)
     assert ((limited.child_row[0] >= 0).sum(axis=1) <= 1).all()
-
-
-def test_forward_signature_discriminates_forward_inputs():
-    reqs, caps, clamp_active, root = _toy_forward_inputs()
-    base = forward_signature(root, reqs, caps, clamp_active, 16)
-    assert base == forward_signature(root, reqs, caps, clamp_active, 16)
-    assert base != forward_signature(root, reqs, caps, clamp_active, 8)
-    other_root = np.array([5, 3], dtype=STATE_DTYPE)
-    assert base != forward_signature(other_root, reqs, caps, clamp_active, 16)
-    reordered = [reqs[0][::-1].copy(), reqs[1]]
-    assert base != forward_signature(root, reordered, caps, clamp_active, 16)
-    # An inactive clamp does not discriminate (its caps are never applied).
-    other_caps = [caps[0], caps[1]]
-    unclamped = forward_signature(root, reqs, other_caps, [False, False], 16)
-    assert unclamped != base  # clamp_active[1] differs -> different passes
 
 
 @pytest.mark.parametrize("pp,dp", [(1, 2), (2, 2), (3, 1), (2, 4)])

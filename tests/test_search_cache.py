@@ -1,5 +1,6 @@
 """Tests for the shared planner search context and its caches."""
 
+import gc
 import itertools
 from dataclasses import fields, replace
 
@@ -160,52 +161,37 @@ def _reference_combos(solver, stage_index, resources):
     return combos[:config.max_combos_per_stage]
 
 
-def test_forward_layers_shared_across_candidates(opt_env, opt_job):
-    """Two solvers sharing a context share forward reachability passes.
+def test_forward_layers_do_not_outlive_their_solve(opt_env, opt_job,
+                                                   mixed_topology,
+                                                   monkeypatch):
+    """Each solve owns its forward pass and frees it with its solver: when
+    any solve starts its forward pass, no ``ForwardLayers`` built by an
+    earlier solve is still alive (engine forced on, for max-throughput and
+    a budgeted objective)."""
+    from repro.core import dp_solver
+    from repro.core.resource_state import ForwardLayers
 
-    The second candidate's engine solves have the same footprint signature
-    (same P, D, mbs and root), so every one of its forward passes must be a
-    layer-cache hit -- and the solutions must stay identical."""
-    context = PlannerSearchContext(opt_env, opt_job)
-    solver_a = build_solver(opt_env, opt_job, context=context)
-    solver_a.config = DPSolverConfig(engine_min_states=0)
-    solver_a.engine_min_states = 0
-    solver_b = build_solver(opt_env, opt_job, context=context)
-    solver_b.config = DPSolverConfig(engine_min_states=0)
-    solver_b.engine_min_states = 0
+    live_at_build = []
+    compute_forward_layers = dp_solver.compute_forward_layers
 
-    first = solver_a.solve(dict(RESOURCES))
-    assert first is not None
-    assert context.stats.layer_cache_hits == 0  # cold cache: all misses
-    second = solver_b.solve(dict(RESOURCES))
-    assert second is not None
-    assert context.stats.layer_cache_hits > 0
-    assert [x.placements for x in first.assignments] == \
-        [x.placements for x in second.assignments]
+    def counting(*args, **kwargs):
+        gc.collect()
+        live_at_build.append(sum(isinstance(obj, ForwardLayers)
+                                 for obj in gc.get_objects()))
+        return compute_forward_layers(*args, **kwargs)
 
-
-def test_forward_layers_cache_is_bounded():
-    """The FIFO bound evicts the oldest signature, never the newest."""
-    context = PlannerSearchContext.__new__(PlannerSearchContext)
-    context.stats = SearchStats()
-    context._forward_layers = {}
-    context._forward_layers_max = 2
-    built = []
-
-    def make(tag):
-        def build():
-            built.append(tag)
-            return tag
-        return build
-
-    assert context.forward_layers(("a",), make("A")) == "A"
-    assert context.forward_layers(("b",), make("B")) == "B"
-    assert context.forward_layers(("c",), make("C")) == "C"  # evicts ("a",)
-    assert len(context._forward_layers) == 2
-    assert context.forward_layers(("c",), make("C2")) == "C"  # still cached
-    assert context.stats.layer_cache_hits == 1
-    assert context.forward_layers(("a",), make("A2")) == "A2"  # was evicted
-    assert built == ["A", "B", "C", "A2"]
+    monkeypatch.setattr(dp_solver, "compute_forward_layers", counting)
+    planner = SailorPlanner(opt_env, config=PlannerConfig(
+        dp_config=DPSolverConfig(engine_min_states=0)))
+    unconstrained = planner.plan(opt_job, mixed_topology,
+                                 Objective.max_throughput())
+    assert unconstrained.found
+    budget = unconstrained.evaluation.cost_per_iteration_usd * 0.6
+    budgeted = planner.plan(opt_job, mixed_topology, Objective.max_throughput(
+        max_cost_per_iteration_usd=budget))
+    assert budgeted.found
+    assert len(live_at_build) > 1
+    assert max(live_at_build) == 0
 
 
 def test_search_stats_merge_and_dict_round_trip():
