@@ -88,13 +88,6 @@ def test_bench_simulator_evaluate_uncached(benchmark, env, plan):
     assert evaluation.is_valid
 
 
-def test_bench_simulator_evaluate_scalar(benchmark, env, plan):
-    """The retained scalar reference path (equivalence baseline)."""
-    simulator = SailorSimulator(env, vectorized=False)
-    evaluation = benchmark(lambda: simulator.evaluate(plan))
-    assert evaluation.is_valid
-
-
 def test_bench_memory_estimator(benchmark, env, plan):
     """Per-worker peak-memory estimation for a 32-GPU plan."""
     estimator = MemoryEstimator(env)

@@ -371,7 +371,7 @@ class SearchStats:
     #: Whole (P, mbs) families skipped before any forward build: the
     #: family's interval-memoised floor (min over its data-parallel
     #: members) already loses to the cross-branch incumbent, so every
-    #: member was dropped wholesale (``PlannerConfig.family_interval_memo``).
+    #: member was dropped wholesale (see ``SailorPlanner._plan_branch``).
     families_skipped: int = 0
     #: Backward layer combines served by the fused workspace kernel
     #: (preallocated process-wide buffers + cached-signature einsum)
@@ -379,9 +379,9 @@ class SearchStats:
     #: (``resource_state.FUSED_COMBINE_MIN_ELEMS`` has the dispatch band).
     combine_fused_hits: int = 0
     #: Availability-aware tail-kill floor tables served warm from the
-    #: per-availability-signature cache instead of being rebuilt
-    #: (``PlannerConfig.availability_aware_floors``); churn replans against
-    #: an unchanged pool hit this on every branch.
+    #: per-availability-signature cache instead of being rebuilt (the tail
+    #: kill in ``SailorPlanner._plan_branch``); churn replans against an
+    #: unchanged pool hit this on every branch.
     availability_floor_hits: int = 0
     #: Whole DP solves answered from the search context's solve memo
     #: (``PlannerSearchContext.solution``): a replan revisiting a pool on a

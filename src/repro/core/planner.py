@@ -78,6 +78,10 @@ class PlannerConfig:
     # node type, TP, resources) tuple it describes, so changing the
     # heuristics reroutes lookups rather than forking cached values.
     heuristics: HeuristicConfig = field(default_factory=HeuristicConfig)
+    #: ``dp_config.enable_pruning`` is the search's one pruning switch: it
+    #: also arms the planner's incumbent gate, tail kill and family skip
+    #: (see ``SailorPlanner._plan_branch``); ``False`` is the exhaustive
+    #: oracle.
     # lint: disable=cache-key -- composite handed to DPSolver; its leaf
     # fields are linted individually (the solve memo keys them all through
     # ``astuple``), and the composite itself is never hashed.
@@ -120,82 +124,6 @@ class PlannerConfig:
     # worker builds its own context and the merged plan is pinned identical
     # to the serial search by the parallel-equivalence suite.
     parallel_workers: int | None = None
-    #: Candidate-level incumbent gate: skip the full simulator evaluation of
-    #: a candidate whose conservative floor -- iteration time (pipeline +
-    #: update, no sync) under the throughput objective, monetary cost
-    #: (compute at the time floor + exact egress) under the cost objective
-    #: -- already loses to the branch incumbent.  The gate replays the
-    #: skipped candidate's bookkeeping (OOM counting, H3/H4 staleness) from
-    #: cheap vectorized checks, so the chosen plan is byte-identical with
-    #: the gate on or off.  Under a budget or throughput constraint a skip
-    #: additionally requires the constraint's verdict to be provable from
-    #: the floors (a floor already over the budget / under the throughput
-    #: bar); undecidable candidates fall through to the full evaluation, so
-    #: the constraint bookkeeping stays exact.  ``False`` disables the gate
-    #: for the equivalence tests.
-    enable_candidate_gate: bool = True
-    #: Cost-bound-driven candidate scheduling: precompute an admissible
-    #: evaluation floor for every data-parallel candidate of a branch (the
-    #: availability-free per-stage minima of ``_unexplored_bound``, i.e.
-    #: the candidate list viewed in cost-bound order) and, at the top of
-    #: each iteration, kill the *entire remaining tail* once its best floor
-    #: already loses to the branch incumbent
-    #: (``SearchStats.candidates_killed_unevaluated`` counts them).  Unlike
-    #: the incumbent gate -- which runs after the DP solve and only skips
-    #: the simulator evaluation -- a tail kill skips the DP solve itself.
-    #: Killing only whole tails is what makes the scheduling
-    #: value-preserving: ``Objective.better`` is strict, so no killed
-    #: candidate could have replaced the incumbent, and because nothing
-    #: after the cut is evaluated the H3/H4 staleness divergence cannot
-    #: propagate to a surviving candidate.  (Physically re-sorting the
-    #: evaluation order by bound would *not* be value-preserving: the
-    #: H3/H4 early stop and the first-wins tie-break are
-    #: evaluation-order-dependent.)  The floors are simulator floors, not
-    #: the DP engine's ``cost_lb`` tables: the kill compares against the
-    #: *simulator's* incumbent value, which the DP model does not bound.
-    #: Armed only together with ``dp_config.enable_pruning``; ``False``
-    #: restores the exhaustive per-candidate loop.
-    candidate_ordering: bool = True
-    #: Dominated-family interval memo: before any forward build, price a
-    #: whole (P, mbs) family with an admissible availability-free floor --
-    #: the minimum of ``_candidate_floor`` over the family's data-parallel
-    #: members, with the stage minima and per-member floors
-    #: interval-memoised in the search context (the budget memo's
-    #: validity-range idea one level up: an entry, once computed, answers
-    #: every availability snapshot whose candidate interval contains that
-    #: member) -- and skip the family *wholesale* when the floor already
-    #: loses to the cross-branch incumbent
-    #: (``SearchStats.families_skipped``).  Value-preserving for the same
-    #: reason as the tail kill: ``Objective.better`` is strict, so no
-    #: skipped member could have replaced the incumbent, and a skip
-    #: removes an entire family (a within-enumeration-order cut), so no
-    #: surviving branch sees different H3/H4 or tie-break state.  The
-    #: parallel driver replays the serial skip decisions in branch order
-    #: from the workers' reported floors (``_family_dominated`` is the
-    #: single shared predicate), so both drivers skip identical families.
-    #: Armed only together with ``dp_config.enable_pruning``; ``False``
-    #: restores the unconditional per-branch search for the equivalence
-    #: suites.
-    family_interval_memo: bool = True
-    #: Availability-aware tail-kill floors: tighten the candidate-ordering
-    #: tail kill from availability-free stage minima to minima over the
-    #: (zone, node type, TP) options actually present in the pool, with a
-    #: per-stage replica-capacity threshold -- a stage hosting D replicas
-    #: over at most ``max_mixed_types_per_stage`` options must place
-    #: ``ceil(D / min(2, max_mixed))`` of them on one option, so only
-    #: options with at least that root-pool capacity can set the stage's
-    #: time.  Still admissible (the root pool is a superset of every DP
-    #: sub-state's pool, so the threshold only ever *widens* the option
-    #: set vs. reality), hence value-preserving exactly like
-    #: ``candidate_ordering`` itself, and still used only for
-    #: within-order tail kills;
-    #: ``_unexplored_bound`` keeps the availability-free floors, so the
-    #: optimality-gap certificates are unchanged.  The per-(branch, pool)
-    #: tables are cached in the search context
-    #: (``SearchStats.availability_floor_hits``), so churn replans against
-    #: an unchanged pool reuse them warm.  ``False`` falls back to the
-    #: availability-free tail floors.
-    availability_aware_floors: bool = True
 
 
 @dataclass
@@ -216,10 +144,10 @@ class _BranchOutcome:
     #: branch's *unexplored* candidates; +inf when none could win.
     unexplored_lb: float = math.inf
     #: Admissible availability-free floor of the whole family's minimised
-    #: scalar (``PlannerConfig.family_interval_memo``); ``None`` when the
-    #: family gate was not armed for this branch (no TP options, no DP
-    #: candidates, pruning off), so the parallel driver's replay never
-    #: drops an unpriced branch.
+    #: scalar (the family skip in ``SailorPlanner._plan_branch``); ``None``
+    #: when the family gate was not armed for this branch (no TP options,
+    #: no DP candidates, pruning off), so the parallel driver's replay
+    #: never drops an unpriced branch.
     family_floor: float | None = None
 
 
@@ -247,9 +175,9 @@ class SailorPlanner:
         every cache key explicitly), so a caller replanning against
         successive availability snapshots of the same (env, job, goal) --
         the online controller under churn -- reuses partitions, stage
-        compute/sync/cost tables, forward layers and budget bounds across
-        calls with zero invalidation, and the chosen plan stays identical
-        to a from-scratch solve on the same pool.  The reported
+        compute/sync/cost tables, master combos, floor tables and whole DP
+        solves across calls with zero invalidation, and the chosen plan
+        stays identical to a from-scratch solve on the same pool.  The reported
         ``search_stats`` are always the *delta* this call contributed.
         The parallel driver builds per-worker contexts and ignores an
         external one.
@@ -417,7 +345,11 @@ class SailorPlanner:
         constraint = objective.constraint
         budget = constraint.max_cost_per_iteration_usd
         min_throughput = constraint.min_throughput_iters_per_s
-        gate_armed = self.config.enable_candidate_gate
+        # The one pruning switch: the incumbent gate, the family skip and
+        # the tail kill below are all armed by it.  Without the pruned DP
+        # there is no bound machinery to trust, so ``False`` is the plain
+        # exhaustive per-candidate loop.
+        pruning = self.config.dp_config.enable_pruning
 
         partitions = context.partitions(pp)
         tp_req = min_tp_per_stage(
@@ -437,15 +369,18 @@ class SailorPlanner:
             job, mbs, max_dp, maximize_throughput=maximize_throughput,
             config=heuristics)
 
-        # Dominated-family interval memo (see PlannerConfig
-        # .family_interval_memo): price the whole family from the
-        # interval-memoised availability-free floors and skip it wholesale
-        # -- before any forward build or DP solve -- when it provably
-        # cannot *strictly* beat the cross-branch incumbent.  The floor is
-        # recorded on the outcome either way so the parallel driver can
-        # replay this exact decision from its workers' results.
-        if (self.config.family_interval_memo
-                and self.config.dp_config.enable_pruning and dp_candidates):
+        # Dominated-family skip: price the whole family from the
+        # interval-memoised availability-free floors (``_family_floor``)
+        # and skip it wholesale -- before any forward build or DP solve --
+        # when it provably cannot *strictly* beat the cross-branch
+        # incumbent.  Value-preserving: ``Objective.better`` is strict, so
+        # no skipped member could have replaced the incumbent, and a skip
+        # removes an entire family (a within-enumeration-order cut), so no
+        # surviving branch sees different H3/H4 or tie-break state.  The
+        # floor is recorded on the outcome either way so the parallel
+        # driver can replay this exact decision from its workers' results
+        # through the same ``_family_dominated`` predicate.
+        if pruning and dp_candidates:
             outcome.family_floor = self._family_floor(
                 job, context, partitions, tp_options, mbs, pp, dp_candidates,
                 not maximize_throughput)
@@ -455,44 +390,40 @@ class SailorPlanner:
                 self._count_branch(context, outcome)
                 return outcome
 
-        # Cost-bound-driven candidate scheduling (see PlannerConfig
-        # .candidate_ordering): suffix minima of the per-candidate
-        # admissible floors, so one comparison at the top of the loop
-        # prices the whole unexplored tail.  Branch-local state only --
-        # serial and parallel workers take identical kill decisions, and
-        # the incumbent gate on/off does not perturb them (the gate never
-        # changes the branch incumbent's evolution).  With
-        # ``availability_aware_floors`` the per-candidate floors come from
-        # the pool-aware tables instead of the availability-free minima;
-        # both are admissible, so either way only provably-losing tails
-        # are killed.
+        # Tail kill: suffix minima of the per-candidate admissible floors,
+        # so one comparison at the top of the loop prices the whole
+        # unexplored tail and kills it before its DP solves once its best
+        # floor already loses to the branch incumbent.  Value-preserving
+        # because only whole tails are killed: ``Objective.better`` is
+        # strict, so no killed candidate could have replaced the incumbent,
+        # and nothing after the cut is evaluated, so the H3/H4 staleness
+        # state of a surviving candidate cannot diverge.  (Physically
+        # re-sorting the candidates by floor would *not* be: the H3/H4
+        # early stop and the first-wins tie-break are order-dependent.)
+        # Branch-local state only -- serial and parallel workers take
+        # identical kill decisions, and the incumbent gate does not perturb
+        # them (it never changes the branch incumbent's evolution).  The
+        # floors are simulator floors, not the DP engine's ``cost_lb``
+        # tables: the kill compares against the *simulator's* incumbent
+        # value, which the DP model does not bound.  They come from the
+        # pool-aware tables of ``_availability_tables`` (admissible; see
+        # ``_candidate_floor_available``), cached per (branch, pool) so
+        # churn replans against an unchanged pool reuse them warm;
+        # ``_unexplored_bound`` keeps the availability-free floors, so the
+        # gap certificates never depend on which pool priced the cut.
         tail_floor: list[float] | None = None
-        if (self.config.candidate_ordering
-                and self.config.dp_config.enable_pruning and dp_candidates):
-            avail_tables = None
-            if self.config.availability_aware_floors:
-                avail_tables = self._availability_tables(
-                    context, partitions, tp_options, mbs, pp, resources)
-            if avail_tables is not None:
-                max_mixed = self.config.dp_config.max_mixed_types_per_stage
-                tail_floor = [
-                    self._candidate_floor_available(job, avail_tables, mbs,
-                                                    dp,
-                                                    not maximize_throughput,
-                                                    max_mixed)
-                    for dp in dp_candidates]
-            else:
-                floors = self._stage_floors(context, partitions, tp_options,
-                                            mbs)
-                if floors is not None:
-                    tail_floor = [
-                        self._candidate_floor(job, floors, mbs, dp,
-                                              not maximize_throughput)
-                        for dp in dp_candidates]
-            if tail_floor is not None:
-                for i in range(len(tail_floor) - 2, -1, -1):
-                    if tail_floor[i + 1] < tail_floor[i]:
-                        tail_floor[i] = tail_floor[i + 1]
+        if pruning and dp_candidates:
+            avail_tables = self._availability_tables(
+                context, partitions, tp_options, mbs, pp, resources)
+            max_mixed = self.config.dp_config.max_mixed_types_per_stage
+            tail_floor = [
+                self._candidate_floor_available(job, avail_tables, mbs, dp,
+                                                not maximize_throughput,
+                                                max_mixed)
+                for dp in dp_candidates]
+            for i in range(len(tail_floor) - 2, -1, -1):
+                if tail_floor[i + 1] < tail_floor[i]:
+                    tail_floor[i] = tail_floor[i + 1]
 
         if memo_config is not None:
             # The raw root pool exactly as the solver normalises it, so a
@@ -552,9 +483,12 @@ class SailorPlanner:
             if plan is None:
                 continue
 
-            # Candidate-level incumbent gate (ROADMAP).  Two exact skip
-            # rules, both replaying every observable side effect of the
-            # full path from cheap vectorized checks so the chosen plan is
+            # Candidate-level incumbent gate: skip the full simulator
+            # evaluation when the simulator's conservative floors (time:
+            # pipeline + update, no sync; cost: compute at the time floor
+            # + exact egress) decide the outcome.  Two exact skip rules,
+            # both replaying every observable side effect of the full path
+            # from cheap vectorized checks so the chosen plan is
             # byte-identical with the gate on or off:
             #
             # 1. *Constraint violation*: a cost floor already over the
@@ -571,7 +505,7 @@ class SailorPlanner:
             #    rule stays dormant unless rule 1 fired -- ``meets`` is
             #    never guessed; undecidable candidates take the full
             #    evaluation.
-            if gate_armed:
+            if pruning:
                 if budget is not None or min_throughput is not None:
                     violated = False
                     if budget is not None:
@@ -670,8 +604,8 @@ class SailorPlanner:
         Both are floors of the *simulator's* evaluation, which is what the
         incumbent values the gap compares against.  The small relative
         slack absorbs float association drift between the bound arithmetic
-        and the simulator's.  The same floors drive the candidate-ordering
-        tail kill (``PlannerConfig.candidate_ordering``).
+        and the simulator's.  The same stage minima price the family skip
+        (``_family_floor``).
         """
         floors = self._stage_floors(context, partitions, tp_options, mbs)
         if floors is None:
@@ -790,7 +724,7 @@ class SailorPlanner:
                              tp_options: list[dict[str, list[int]]],
                              mbs: int, pp: int,
                              resources: dict[tuple[str, str], int],
-                             ) -> tuple | None:
+                             ) -> tuple:
         """Per-stage availability-aware floor tables, cached per pool.
 
         For each stage: every (zone, node type, TP) option the pool
@@ -987,9 +921,9 @@ def _make_worker_state(env, job, objective, config, consolidated,
                        resources) -> dict:
     """Bundle one planning call's invariants, including the worker's shared
     search context (reused across every branch the worker executes, so the
-    cross-candidate caches -- compute/sync/cost, master combos, and the
-    resource-state engine's forward layer cache -- are shared by every
-    (P, mbs, D) candidate the worker sees, exactly as in the serial driver)."""
+    cross-candidate caches -- compute/sync/cost, master combos and floor
+    tables -- are shared by every (P, mbs, D) candidate the worker sees,
+    exactly as in the serial driver)."""
     return {
         "planner": SailorPlanner(env, config=config),
         "job": job,
@@ -1242,10 +1176,11 @@ class ParallelPlanner:
                         pass  # a worker's resource tracker beat us to it
 
         # Replay the serial driver's dominated-family skips (see
-        # PlannerConfig.family_interval_memo): workers run with no
-        # cross-branch incumbent -- they only *price* their family -- so
-        # the driver re-takes the serial skip decisions in branch order
-        # from the reported floors, through the same shared predicate.  A
+        # SailorPlanner._plan_branch): workers run with no cross-branch
+        # incumbent -- they only *price* their family -- so the driver
+        # re-takes the serial skip decisions in branch order from the
+        # reported floors, through the same shared predicate (an unpruned
+        # branch reports ``family_floor=None`` and is never dropped).  A
         # dropped branch is replaced by exactly what a serial skip
         # produces: an empty complete outcome plus a stats delta of one
         # skipped family (zero DP solves, zero evaluations), which keeps
@@ -1254,19 +1189,18 @@ class ParallelPlanner:
         # have carried the winner: its best evaluation is >= its family
         # floor >= the incumbent's minimised scalar, and
         # ``Objective.better`` is strict.
-        if self.config.family_interval_memo:
-            incumbent_eval = None
-            for index, (outcome, _) in enumerate(results):
-                if SailorPlanner._family_dominated(
-                        objective, outcome.family_floor, incumbent_eval):
-                    results[index] = (
-                        _BranchOutcome(label=outcome.label,
-                                       family_floor=outcome.family_floor),
-                        SearchStats(families_skipped=1, branches_complete=1))
-                elif (outcome.evaluation is not None
-                      and objective.better(outcome.evaluation,
-                                           incumbent_eval)):
-                    incumbent_eval = outcome.evaluation
+        incumbent_eval = None
+        for index, (outcome, _) in enumerate(results):
+            if SailorPlanner._family_dominated(
+                    objective, outcome.family_floor, incumbent_eval):
+                results[index] = (
+                    _BranchOutcome(label=outcome.label,
+                                   family_floor=outcome.family_floor),
+                    SearchStats(families_skipped=1, branches_complete=1))
+            elif (outcome.evaluation is not None
+                  and objective.better(outcome.evaluation,
+                                       incumbent_eval)):
+                incumbent_eval = outcome.evaluation
 
         for _, branch_stats in results:
             stats.merge(branch_stats)

@@ -17,30 +17,28 @@ deploying them (paper section 4.3).  The package splits the estimation into:
 * :mod:`repro.core.simulator.reference` -- a fine-grained event-driven
   reference simulator standing in for "real hardware" measurements.
 
-Two-path architecture
----------------------
-Evaluation runs on one of two paths that produce **bit-identical** numbers:
+One evaluation path, one test-side reference
+--------------------------------------------
+An :class:`~repro.core.simulator.eval_context.EvaluationContext` -- the
+evaluation-side sibling of the planner's
+:class:`~repro.core.search_cache.PlannerSearchContext` -- canonicalizes
+each plan into flat per-stage/per-replica arrays (layer counts, profiled
+timings, TP degrees, activation/boundary bytes, device capacities) and
+computes compute, update, p2p, memory peaks, OOM and the 1F1B closed form
+in one fused NumPy pass.  Profile lookups are cached per replica class,
+link transfers per class pair, gradient sync per stage shape, and whole
+plan arrays / ``PlanEvaluation`` results per plan signature, so repeated
+and structurally-similar candidates cost almost nothing.
 
-* The **vectorized path** (the default).  An
-  :class:`~repro.core.simulator.eval_context.EvaluationContext` -- the
-  evaluation-side sibling of the planner's
-  :class:`~repro.core.search_cache.PlannerSearchContext` -- canonicalizes
-  each plan into flat per-stage/per-replica arrays (layer counts, profiled
-  timings, TP degrees, activation/boundary bytes, device capacities) and
-  computes compute, update, p2p, memory peaks, OOM and the 1F1B closed form
-  in one fused NumPy pass.  Profile lookups are cached per replica class,
-  link transfers per class pair, gradient sync per stage shape, and whole
-  plan arrays / ``PlanEvaluation`` results per plan signature, so repeated
-  and structurally-similar candidates cost almost nothing.
-* The **scalar path** (``SailorSimulator(env, vectorized=False)``).  The
-  original per-replica walks over :class:`MemoryEstimator` /
-  :class:`TimingEstimator` / :class:`CostEstimator`, retained as the
-  reference implementation; the equivalence test suite asserts the
-  vectorized kernels reproduce it bit-for-bit (the kernels replicate the
-  scalar floating-point operation order, including explicit left-to-right
-  reductions where ``np.sum`` would reassociate).
+The per-replica walks over :class:`MemoryEstimator` /
+:class:`TimingEstimator` / :class:`CostEstimator` (which the baselines
+use directly) are the reference: the equivalence test suite rebuilds a
+scalar evaluation from them and asserts the fused kernels reproduce it
+bit-for-bit (the kernels replicate the scalar floating-point operation
+order, including explicit left-to-right reductions where ``np.sum`` would
+reassociate).
 
-The vectorized path additionally exposes
+:class:`SailorSimulator` additionally exposes
 :meth:`SailorSimulator.evaluate_many` (batch evaluation over the shared
 caches) and :meth:`SailorSimulator.iteration_time_floor` (a conservative
 lower bound the planner's candidate-level incumbent gate uses to skip full

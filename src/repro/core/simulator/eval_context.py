@@ -33,11 +33,11 @@ operations *in the same order* (NumPy float64 arithmetic is IEEE-754, the
 same as Python floats), and reductions whose order matters (the warm-up /
 cool-down sums of the 1F1B closed form) are performed as explicit
 left-to-right accumulations rather than ``np.sum`` (whose pairwise
-summation would reassociate).  The result is bit-identical to the retained
-scalar path, which the equivalence test suite asserts.  The gradient-sync
-term is not vectorized -- it needs the fitted network curves' worst-link
-search -- but is memoized at replica-class granularity, so each distinct
-stage shape computes it once per context.
+summation would reassociate).  The result is bit-identical to a scalar
+evaluation built from the estimators, which the equivalence test suite
+asserts.  The gradient-sync term is not vectorized -- it needs the fitted
+network curves' worst-link search -- but is memoized at replica-class
+granularity, so each distinct stage shape computes it once per context.
 """
 
 from __future__ import annotations

@@ -4,15 +4,13 @@ Combines memory, timing and cost estimation into a single
 :meth:`SailorSimulator.evaluate` call that the planner (and the baselines,
 when asked to use Sailor's estimator) invokes for every candidate plan.
 
-Two execution paths produce bit-identical results:
-
-* the **vectorized path** (default): plans are canonicalized into flat
-  NumPy arrays by a shared :class:`~repro.core.simulator.eval_context.
-  EvaluationContext` and evaluated in one fused pass, with full
-  ``PlanEvaluation`` results cached per plan signature;
-* the **scalar path** (``vectorized=False``): the original per-replica
-  walks over the estimator objects, retained as the reference the
-  equivalence test suite checks the kernels against.
+Plans are canonicalized into flat NumPy arrays by a shared
+:class:`~repro.core.simulator.eval_context.EvaluationContext` and evaluated
+in one fused pass, with full ``PlanEvaluation`` results cached per plan
+signature.  The equivalence test suite checks every result bit-for-bit
+against a scalar reference built from the per-replica estimators
+(:class:`MemoryEstimator`, :class:`TimingEstimator`,
+:class:`CostEstimator`).
 """
 
 from __future__ import annotations
@@ -23,31 +21,23 @@ from repro.core.plan import ParallelizationPlan, PlanEvaluation
 from repro.core.simulator.cost import CostEstimator
 from repro.core.simulator.environment import SimulationEnvironment
 from repro.core.simulator.eval_context import EvaluationContext, plan_signature
-from repro.core.simulator.memory import MemoryEstimator
-from repro.core.simulator.timing import TimingEstimator
 
 
 class SailorSimulator:
     """Estimates memory footprint, iteration time and cost of a plan.
 
-    ``vectorized=False`` selects the scalar reference path;
     ``cache_evaluations`` / ``cache_plans`` control the per-plan-signature
-    caches of the vectorized path (benchmarks disable them to measure the
-    cold fused pass).
+    caches (benchmarks disable them to measure the cold fused pass).
     """
 
     def __init__(self, env: SimulationEnvironment, *,
-                 vectorized: bool = True,
                  cache_evaluations: bool = True,
                  cache_plans: bool = True) -> None:
         self.env = env
-        self.memory = MemoryEstimator(env)
-        self.timing = TimingEstimator(env)
         self.cost = CostEstimator(env)
-        self.context = (EvaluationContext(env, cache_plans=cache_plans)
-                        if vectorized else None)
+        self.context = EvaluationContext(env, cache_plans=cache_plans)
         self._eval_cache: dict[tuple, PlanEvaluation] | None = \
-            {} if (vectorized and cache_evaluations) else None
+            {} if cache_evaluations else None
         self.eval_cache_hits = 0
         self.eval_cache_misses = 0
 
@@ -58,9 +48,6 @@ class SailorSimulator:
         ``check_memory=False`` skips the OOM check (used by estimator-error
         experiments that want timing for configurations known to fit).
         """
-        if self.context is None:
-            return self._evaluate_scalar(plan, check_memory=check_memory)
-
         key = None
         if self._eval_cache is not None:
             key = (plan_signature(plan), check_memory)
@@ -112,13 +99,7 @@ class SailorSimulator:
         estimate (bitwise).  The planner's candidate-level incumbent gate
         skips full evaluation when this floor already loses to the incumbent.
         """
-        if self.context is not None:
-            return self.context.plan_arrays(plan).iteration_time_floor_s
-        pipeline = max(self.timing.pipeline_time(plan, d)
-                       for d in range(plan.data_parallel))
-        update = max(self.timing.replica_update_time(plan, stage, replica)
-                     for stage in plan.stages for replica in stage.replicas)
-        return pipeline + update
+        return self.context.plan_arrays(plan).iteration_time_floor_s
 
     def cost_floor(self, plan: ParallelizationPlan) -> float:
         """Conservative lower bound on :attr:`PlanEvaluation.cost_per_iteration_usd`.
@@ -133,17 +114,13 @@ class SailorSimulator:
         the budget proves the budget violated just as the full evaluation
         would find it.
         """
-        if self.context is not None:
-            arrays = self.context.plan_arrays(plan)
-            floor_time = arrays.iteration_time_floor_s
-            if arrays.comm_usd is None:
-                arrays.comm_usd = self.cost.communication_cost(plan)[0]
-            comm_usd = arrays.comm_usd
-        else:
-            floor_time = self.iteration_time_floor(plan)
-            comm_usd = self.cost.communication_cost(plan)[0]
+        arrays = self.context.plan_arrays(plan)
+        if arrays.comm_usd is None:
+            arrays.comm_usd = self.cost.communication_cost(plan)[0]
         gpu_counts = plan.resource_allocation().gpus_by_type()
-        return self.env.prices.compute_cost(gpu_counts, floor_time) + comm_usd
+        return (self.env.prices.compute_cost(gpu_counts,
+                                             arrays.iteration_time_floor_s)
+                + arrays.comm_usd)
 
     def oom_stages(self, plan: ParallelizationPlan) -> list[int]:
         """Stage indices with at least one worker that does not fit.
@@ -151,43 +128,7 @@ class SailorSimulator:
         Identical to the OOM list :meth:`evaluate` reports; the planner's
         incumbent gate uses it to keep gated-candidate bookkeeping exact.
         """
-        if self.context is not None:
-            return list(self.context.plan_arrays(plan).oom_stages)
-        return self.memory.oom_stages(plan)
-
-    # -- scalar reference path ----------------------------------------------
-
-    def _evaluate_scalar(self, plan: ParallelizationPlan,
-                         *, check_memory: bool = True) -> PlanEvaluation:
-        """Original per-replica evaluation (the equivalence reference)."""
-        # One memory pass serves both the OOM check and the per-stage peaks.
-        breakdowns = self.memory.plan_breakdowns(plan)
-        oom_stages = []
-        if check_memory:
-            for stage, per_stage in zip(plan.stages, breakdowns):
-                if any(not b.fits for b in per_stage):
-                    oom_stages.append(stage.stage_index)
-        stage_peaks = [max(b.peak_bytes for b in per_stage)
-                       for per_stage in breakdowns]
-
-        timing = self.timing.breakdown(plan)
-        iteration_time = timing.iteration_time_s
-        cost = self.cost.breakdown(plan, iteration_time)
-
-        return PlanEvaluation(
-            iteration_time_s=iteration_time,
-            throughput_iters_per_s=(1.0 / iteration_time if iteration_time > 0 else 0.0),
-            cost_per_iteration_usd=cost.total_usd,
-            peak_memory_bytes_per_stage=stage_peaks,
-            is_valid=not oom_stages,
-            oom_stages=oom_stages,
-            compute_cost_usd=cost.compute_usd,
-            communication_cost_usd=cost.communication_usd,
-            pipeline_time_s=timing.pipeline_time_s,
-            sync_time_s=timing.sync_time_s,
-            update_time_s=timing.update_time_s,
-            straggler_stage=timing.straggler_stage,
-        )
+        return list(self.context.plan_arrays(plan).oom_stages)
 
     @staticmethod
     def _copy(evaluation: PlanEvaluation) -> PlanEvaluation:
@@ -199,9 +140,7 @@ class SailorSimulator:
 
     def iteration_time(self, plan: ParallelizationPlan) -> float:
         """Convenience: seconds per iteration."""
-        if self.context is not None:
-            return self.context.timing_breakdown(plan).iteration_time_s
-        return self.timing.iteration_time(plan)
+        return self.context.timing_breakdown(plan).iteration_time_s
 
     def throughput(self, plan: ParallelizationPlan) -> float:
         """Convenience: iterations per second."""
@@ -210,8 +149,5 @@ class SailorSimulator:
 
     def peak_memory_gb(self, plan: ParallelizationPlan) -> list[float]:
         """Convenience: per-stage peak memory in GiB."""
-        if self.context is not None:
-            peaks = self.context.plan_arrays(plan).stage_peaks.tolist()
-        else:
-            peaks = self.memory.stage_peaks(plan)
+        peaks = self.context.plan_arrays(plan).stage_peaks.tolist()
         return [p / (1024 ** 3) for p in peaks]

@@ -7,9 +7,12 @@ are session-scoped.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
-from repro.core.simulator import build_environment
+from repro.core.planner import SailorPlanner
+from repro.core.simulator import SailorSimulator, build_environment
 from repro.hardware.topology import ClusterTopology
 from repro.models.catalog import get_model
 from repro.models.spec import TrainingJobSpec
@@ -68,3 +71,31 @@ def opt_env_geo(opt_job, geo_topology_2regions):
 def neo_env(neo_job, mixed_topology):
     """Environment profiled for GPT-Neo-2.7B over A100 + V100 node types."""
     return build_environment(neo_job, mixed_topology, seed=13)
+
+
+@pytest.fixture
+def disarm_prunes():
+    """Switch single planner prunes off with test-side fakes.
+
+    ``with disarm_prunes(gate=..., tail=..., family=...):`` plans inside the
+    block never fire the chosen prunes.  ``DPSolverConfig.enable_pruning``
+    is the only production switch; every prune is value-preserving, so the
+    equivalence tests use these fakes to compare plans with one prune off.
+    """
+    @contextlib.contextmanager
+    def disarm(*, gate: bool = False, tail: bool = False,
+               family: bool = False):
+        with pytest.MonkeyPatch.context() as mp:
+            if gate:  # zero floors decide no constraint, beat no incumbent
+                mp.setattr(SailorSimulator, "iteration_time_floor",
+                           lambda self, plan: 0.0)
+                mp.setattr(SailorSimulator, "cost_floor",
+                           lambda self, plan: 0.0)
+            if tail:  # a zero tail floor never reaches the incumbent
+                mp.setattr(SailorPlanner, "_candidate_floor_available",
+                           staticmethod(lambda *args: 0.0))
+            if family:
+                mp.setattr(SailorPlanner, "_family_dominated",
+                           staticmethod(lambda *args: False))
+            yield
+    return disarm

@@ -325,7 +325,7 @@ def test_initargs_fallback_matches_shm_path(opt_env, opt_job, mixed_topology,
         via_shm.search_stats.nodes_explored
 
 
-def test_layer_cache_and_batched_threading_do_not_change_the_chosen_plan(
+def test_engine_and_batched_budget_threading_match_the_exhaustive_plan(
         opt_env, opt_job, mixed_topology):
     """End-to-end guarantee behind the engine's speedups: the layered
     engine and the batched budget threading return byte-identical plans
@@ -400,16 +400,14 @@ def test_pruning_does_not_change_the_chosen_plan(opt_env, opt_job,
         exhaustive.search_stats.nodes_explored
 
 
-def test_candidate_ordering_preserves_plans_and_bookkeeping(opt_env, opt_job,
-                                                            mixed_topology):
-    """Cost-bound-driven candidate scheduling must be observability-only:
-    the chosen plan *and* its evaluation are byte-identical with
-    ``candidate_ordering`` on/off, composed with the incumbent gate on/off,
-    across objectives; the kill decision is gate-independent (surviving
-    candidates' bookkeeping replays exactly), kills actually fire when
-    armed, and the toggle disarms under ``enable_pruning=False``."""
-    from repro.core.dp_solver import DPSolverConfig
-
+def test_tail_kill_preserves_plans_and_bookkeeping(opt_env, opt_job,
+                                                   mixed_topology,
+                                                   disarm_prunes):
+    """Cost-bound-driven tail kills must be observability-only: the chosen
+    plan *and* its evaluation are byte-identical with the tail kill on/off,
+    composed with the incumbent gate on/off, across objectives; the kill
+    decision is gate-independent (surviving candidates' bookkeeping
+    replays exactly), and kills actually fire when armed."""
     unconstrained = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
                                                 Objective.max_throughput())
     budget = unconstrained.evaluation.cost_per_iteration_usd * 0.6
@@ -420,12 +418,11 @@ def test_candidate_ordering_preserves_plans_and_bookkeeping(opt_env, opt_job,
                           max_cost_per_iteration_usd=budget)):
         reference = None
         evaluated = {}
-        for ordering in (True, False):
+        for tail in (True, False):
             for gate in (True, False):
-                result = SailorPlanner(opt_env, config=PlannerConfig(
-                    candidate_ordering=ordering,
-                    enable_candidate_gate=gate)).plan(
-                    opt_job, mixed_topology, objective)
+                with disarm_prunes(tail=not tail, gate=not gate):
+                    result = SailorPlanner(opt_env).plan(
+                        opt_job, mixed_topology, objective)
                 assert result.found
                 snapshot = (plan_to_json(result.plan),
                             result.evaluation.iteration_time_s,
@@ -434,38 +431,31 @@ def test_candidate_ordering_preserves_plans_and_bookkeeping(opt_env, opt_job,
                     reference = snapshot
                 else:
                     assert snapshot == reference
-                evaluated[(ordering, gate)] = result.candidates_evaluated
+                evaluated[(tail, gate)] = (result.candidates_evaluated,
+                                           result.oom_plans_generated)
                 killed = result.search_stats.candidates_killed_unevaluated
-                if ordering:
+                if tail:
                     killed_total += killed
                 else:
                     assert killed == 0
+                if not gate:
+                    assert result.search_stats.gate_skips == 0
         # Tail kills depend only on the branch incumbent's evolution, which
         # the gate never perturbs -- so the surviving candidate count is
-        # identical gate on/off (within one ordering setting).
+        # identical gate on/off (within one tail setting).
         assert evaluated[(True, True)] == evaluated[(True, False)]
         assert evaluated[(False, True)] == evaluated[(False, False)]
     assert killed_total > 0
-    # Without the pruned DP there is no bound machinery to trust: the
-    # exhaustive reference must stay exhaustive even with the toggle on.
-    exhaustive = SailorPlanner(opt_env, config=PlannerConfig(
-        candidate_ordering=True,
-        dp_config=DPSolverConfig(enable_pruning=False))).plan(
-        opt_job, mixed_topology, Objective.max_throughput())
-    assert exhaustive.search_stats.candidates_killed_unevaluated == 0
-    assert plan_to_json(exhaustive.plan) == plan_to_json(unconstrained.plan)
 
 
 def test_family_memo_and_availability_floors_preserve_plans(opt_env, opt_job,
-                                                            mixed_topology):
-    """The dominated-family interval memo and the availability-aware tail
-    floors must be latency-only: the chosen plan *and* its evaluation are
-    byte-identical with each toggle on/off (composed with each other),
-    across objectives; family skips actually fire when armed, the gate
-    disarms under ``enable_pruning=False``, and the parallel driver's
+                                                            mixed_topology,
+                                                            disarm_prunes):
+    """The dominated-family skip must be latency-only: the chosen plan
+    *and* its evaluation are byte-identical with the skip on/off (composed
+    with the availability-aware tail kill on/off), across objectives;
+    family skips actually fire when armed, and the parallel driver's
     replay takes the exact skip decisions the serial loop takes."""
-    from repro.core.dp_solver import DPSolverConfig
-
     unconstrained = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
                                                 Objective.max_throughput())
     budget = unconstrained.evaluation.cost_per_iteration_usd * 0.6
@@ -476,11 +466,10 @@ def test_family_memo_and_availability_floors_preserve_plans(opt_env, opt_job,
                           max_cost_per_iteration_usd=budget)):
         reference = None
         for family in (True, False):
-            for avail in (True, False):
-                result = SailorPlanner(opt_env, config=PlannerConfig(
-                    family_interval_memo=family,
-                    availability_aware_floors=avail)).plan(
-                    opt_job, mixed_topology, objective)
+            for tail in (True, False):
+                with disarm_prunes(family=not family, tail=not tail):
+                    result = SailorPlanner(opt_env).plan(
+                        opt_job, mixed_topology, objective)
                 assert result.found
                 snapshot = (plan_to_json(result.plan),
                             result.evaluation.iteration_time_s,
@@ -495,14 +484,6 @@ def test_family_memo_and_availability_floors_preserve_plans(opt_env, opt_job,
                 else:
                     assert skipped == 0
     assert skipped_total > 0
-    # Without the pruned DP there is no bound machinery to trust: the
-    # family gate must stay disarmed even with the toggle on.
-    exhaustive = SailorPlanner(opt_env, config=PlannerConfig(
-        family_interval_memo=True,
-        dp_config=DPSolverConfig(enable_pruning=False))).plan(
-        opt_job, mixed_topology, Objective.max_throughput())
-    assert exhaustive.search_stats.families_skipped == 0
-    assert plan_to_json(exhaustive.plan) == plan_to_json(unconstrained.plan)
     # The parallel driver replays the serial skip decisions from worker
     # outcomes (workers price families but never skip): same plan, same
     # skip count.
@@ -513,6 +494,34 @@ def test_family_memo_and_availability_floors_preserve_plans(opt_env, opt_job,
     assert plan_to_json(parallel.plan) == plan_to_json(serial.plan)
     assert parallel.search_stats.families_skipped == \
         serial.search_stats.families_skipped
+
+
+@pytest.mark.parametrize("objective", [Objective.max_throughput(),
+                                       Objective.min_cost()],
+                         ids=["throughput", "cost"])
+def test_enable_pruning_false_is_the_exhaustive_oracle(opt_env, opt_job,
+                                                       mixed_topology,
+                                                       objective):
+    """``DPSolverConfig.enable_pruning=False`` is the one switch that turns
+    every prune off: no gate skip, tail kill or family skip fires on
+    either driver, and both drivers return the pruned search's plan."""
+    from repro.core.dp_solver import DPSolverConfig
+
+    config = PlannerConfig(dp_config=DPSolverConfig(enable_pruning=False))
+    serial = SailorPlanner(opt_env, config=config).plan(
+        opt_job, mixed_topology, objective)
+    parallel = ParallelPlanner(opt_env, config=config, max_workers=2).plan(
+        opt_job, mixed_topology, objective)
+    pruned = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
+    assert serial.found
+    assert plan_to_json(parallel.plan) == plan_to_json(serial.plan)
+    assert plan_to_json(pruned.plan) == plan_to_json(serial.plan)
+    assert parallel.candidates_evaluated == serial.candidates_evaluated
+    for result in (serial, parallel):
+        stats = result.search_stats
+        assert stats.gate_skips == 0
+        assert stats.candidates_killed_unevaluated == 0
+        assert stats.families_skipped == 0
 
 
 def test_fused_combine_preserves_plans_when_forced(opt_env, opt_job,

@@ -1,7 +1,8 @@
 """Equivalence suite for the vectorized evaluation layer.
 
-Asserts that the vectorized path (``EvaluationContext`` + fused kernels +
-evaluation cache) reproduces the retained scalar reference path
+Asserts that ``SailorSimulator`` (``EvaluationContext`` + fused kernels +
+evaluation cache) reproduces a scalar reference built from the per-replica
+estimators (:func:`scalar_evaluate`, :func:`scalar_cost_floor`)
 *bit-for-bit* over homogeneous, heterogeneous and multi-zone plans; that
 ``evaluate_many`` preserves input order; that the planner's candidate-level
 incumbent gate never changes the chosen plan; and that the context's
@@ -16,15 +17,76 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.objectives import Objective
-from repro.core.plan import ParallelizationPlan, StageConfig, StageReplica
-from repro.core.planner import PlannerConfig, SailorPlanner
-from repro.core.simulator import EvaluationContext, SailorSimulator, plan_signature
+from repro.core.plan import (
+    ParallelizationPlan,
+    PlanEvaluation,
+    StageConfig,
+    StageReplica,
+)
+from repro.core.planner import SailorPlanner
+from repro.core.simulator import (
+    CostEstimator,
+    EvaluationContext,
+    MemoryEstimator,
+    SailorSimulator,
+    TimingEstimator,
+    plan_signature,
+)
 from repro.models.partition import uniform_partition
 
 
 def evaluations_equal(a, b) -> bool:
     """Bitwise equality of two PlanEvaluations (no tolerance)."""
     return dataclasses.asdict(a) == dataclasses.asdict(b)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference: per-replica walks over the estimators
+# ---------------------------------------------------------------------------
+
+def scalar_evaluate(env, plan: ParallelizationPlan,
+                    *, check_memory: bool = True) -> PlanEvaluation:
+    """The reference ``SailorSimulator.evaluate`` must reproduce bitwise."""
+    # One memory pass serves both the OOM check and the per-stage peaks.
+    breakdowns = MemoryEstimator(env).plan_breakdowns(plan)
+    oom_stages = []
+    if check_memory:
+        for stage, per_stage in zip(plan.stages, breakdowns):
+            if any(not b.fits for b in per_stage):
+                oom_stages.append(stage.stage_index)
+    stage_peaks = [max(b.peak_bytes for b in per_stage)
+                   for per_stage in breakdowns]
+    timing = TimingEstimator(env).breakdown(plan)
+    iteration_time = timing.iteration_time_s
+    cost = CostEstimator(env).breakdown(plan, iteration_time)
+    return PlanEvaluation(
+        iteration_time_s=iteration_time,
+        throughput_iters_per_s=(1.0 / iteration_time
+                                if iteration_time > 0 else 0.0),
+        cost_per_iteration_usd=cost.total_usd,
+        peak_memory_bytes_per_stage=stage_peaks,
+        is_valid=not oom_stages,
+        oom_stages=oom_stages,
+        compute_cost_usd=cost.compute_usd,
+        communication_cost_usd=cost.communication_usd,
+        pipeline_time_s=timing.pipeline_time_s,
+        sync_time_s=timing.sync_time_s,
+        update_time_s=timing.update_time_s,
+        straggler_stage=timing.straggler_stage,
+    )
+
+
+def scalar_cost_floor(env, plan: ParallelizationPlan) -> float:
+    """The reference ``SailorSimulator.cost_floor`` must reproduce bitwise:
+    compute cost at the pipeline + update time floor, plus exact egress."""
+    timing = TimingEstimator(env)
+    pipeline = max(timing.pipeline_time(plan, d)
+                   for d in range(plan.data_parallel))
+    update = max(timing.replica_update_time(plan, stage, replica)
+                 for stage in plan.stages for replica in stage.replicas)
+    comm_usd = CostEstimator(env).communication_cost(plan)[0]
+    gpu_counts = plan.resource_allocation().gpus_by_type()
+    return env.prices.compute_cost(gpu_counts, pipeline + update) + comm_usd
 
 
 def heterogeneous_plan(job, microbatch_size: int = 2) -> ParallelizationPlan:
@@ -83,8 +145,7 @@ def test_vectorized_matches_scalar_homogeneous(opt_env, opt_job, config,
                                            pp, dp, tp, mbs)
     vectorized = SailorSimulator(opt_env).evaluate(plan,
                                                    check_memory=check_memory)
-    scalar = SailorSimulator(opt_env, vectorized=False).evaluate(
-        plan, check_memory=check_memory)
+    scalar = scalar_evaluate(opt_env, plan, check_memory=check_memory)
     assert evaluations_equal(vectorized, scalar)
 
 
@@ -92,14 +153,14 @@ def test_vectorized_matches_scalar_homogeneous(opt_env, opt_job, config,
 def test_vectorized_matches_scalar_heterogeneous(opt_env, opt_job, mbs):
     plan = heterogeneous_plan(opt_job, microbatch_size=mbs)
     vectorized = SailorSimulator(opt_env).evaluate(plan)
-    scalar = SailorSimulator(opt_env, vectorized=False).evaluate(plan)
+    scalar = scalar_evaluate(opt_env, plan)
     assert evaluations_equal(vectorized, scalar)
 
 
 def test_vectorized_matches_scalar_multizone(opt_env_geo, opt_job):
     plan = multizone_plan(opt_job)
     vectorized = SailorSimulator(opt_env_geo).evaluate(plan)
-    scalar = SailorSimulator(opt_env_geo, vectorized=False).evaluate(plan)
+    scalar = scalar_evaluate(opt_env_geo, plan)
     assert evaluations_equal(vectorized, scalar)
     # Cross-zone plans must exercise the egress-cost path.
     assert vectorized.communication_cost_usd > 0
@@ -109,7 +170,7 @@ def test_vectorized_matches_scalar_with_checkpointing(opt_env, opt_job):
     job = dataclasses.replace(opt_job, activation_checkpointing=True)
     plan = ParallelizationPlan.homogeneous(job, "a2-highgpu-4g", 4, 2, 4, 2)
     vectorized = SailorSimulator(opt_env).evaluate(plan)
-    scalar = SailorSimulator(opt_env, vectorized=False).evaluate(plan)
+    scalar = scalar_evaluate(opt_env, plan)
     assert evaluations_equal(vectorized, scalar)
 
 
@@ -118,7 +179,7 @@ def test_oom_detection_identical_on_too_small_gpus(neo_env, neo_job):
     plan = ParallelizationPlan.homogeneous(neo_job, "n1-standard-v100-4",
                                            1, 2, 1, 1)
     vectorized = SailorSimulator(neo_env).evaluate(plan)
-    scalar = SailorSimulator(neo_env, vectorized=False).evaluate(plan)
+    scalar = scalar_evaluate(neo_env, plan)
     assert evaluations_equal(vectorized, scalar)
     assert not vectorized.is_valid
     assert vectorized.oom_stages == [0]
@@ -154,9 +215,8 @@ def test_evaluate_many_preserves_input_order(opt_env, opt_job):
     ]
     batched = simulator.evaluate_many(plans)
     assert len(batched) == len(plans)
-    reference = SailorSimulator(opt_env, vectorized=False)
     for plan, result in zip(plans, batched):
-        assert evaluations_equal(result, reference.evaluate(plan))
+        assert evaluations_equal(result, scalar_evaluate(opt_env, plan))
     assert evaluations_equal(batched[0], batched[3])
 
 
@@ -248,11 +308,11 @@ def _plans_identical(a, b) -> bool:
     Objective.max_throughput(max_gpus=16),
 ], ids=["throughput", "cost", "throughput-max-gpus"])
 def test_gate_on_off_chooses_identical_plans(opt_env, opt_job, mixed_topology,
-                                             objective):
-    gate_on = SailorPlanner(opt_env, config=PlannerConfig()).plan(
-        opt_job, mixed_topology, objective)
-    gate_off = SailorPlanner(opt_env, config=PlannerConfig(
-        enable_candidate_gate=False)).plan(opt_job, mixed_topology, objective)
+                                             objective, disarm_prunes):
+    gate_on = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
+    with disarm_prunes(gate=True):
+        gate_off = SailorPlanner(opt_env).plan(
+            opt_job, mixed_topology, objective)
     assert _plans_identical(gate_on, gate_off)
     assert gate_on.candidates_evaluated == gate_off.candidates_evaluated
     assert gate_on.oom_plans_generated == gate_off.oom_plans_generated
@@ -260,20 +320,21 @@ def test_gate_on_off_chooses_identical_plans(opt_env, opt_job, mixed_topology,
 
 
 def test_gate_on_off_identical_on_geo_topology(opt_env_geo, opt_job,
-                                               geo_topology_2regions):
+                                               geo_topology_2regions,
+                                               disarm_prunes):
     objective = Objective.max_throughput()
     gate_on = SailorPlanner(opt_env_geo).plan(
         opt_job, geo_topology_2regions, objective)
-    gate_off = SailorPlanner(opt_env_geo, config=PlannerConfig(
-        enable_candidate_gate=False)).plan(
-        opt_job, geo_topology_2regions, objective)
+    with disarm_prunes(gate=True):
+        gate_off = SailorPlanner(opt_env_geo).plan(
+            opt_job, geo_topology_2regions, objective)
     assert _plans_identical(gate_on, gate_off)
 
 
 @pytest.mark.parametrize("budget_fraction", [0.6, 1.5],
                          ids=["binding", "generous"])
 def test_gate_arms_under_budget_constraint(opt_env, opt_job, mixed_topology,
-                                           budget_fraction):
+                                           budget_fraction, disarm_prunes):
     """The gate stays armed under a budget: a candidate is skipped only
     when the floors also decide the constraint (cost floor over budget),
     so the chosen plan and every counter stay byte-identical."""
@@ -283,8 +344,9 @@ def test_gate_arms_under_budget_constraint(opt_env, opt_job, mixed_topology,
               * budget_fraction)
     objective = Objective.max_throughput(max_cost_per_iteration_usd=budget)
     gate_on = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
-    gate_off = SailorPlanner(opt_env, config=PlannerConfig(
-        enable_candidate_gate=False)).plan(opt_job, mixed_topology, objective)
+    with disarm_prunes(gate=True):
+        gate_off = SailorPlanner(opt_env).plan(
+            opt_job, mixed_topology, objective)
     assert _plans_identical(gate_on, gate_off)
     assert gate_on.candidates_evaluated == gate_off.candidates_evaluated
     assert gate_on.oom_plans_generated == gate_off.oom_plans_generated
@@ -292,7 +354,7 @@ def test_gate_arms_under_budget_constraint(opt_env, opt_job, mixed_topology,
 
 
 def test_gate_skips_over_budget_candidates_on_geo_topology(
-        opt_env_geo, opt_job, geo_topology_2regions):
+        opt_env_geo, opt_job, geo_topology_2regions, disarm_prunes):
     """The DP's budget filter knows nothing about egress, so on a
     multi-zone topology it emits candidates whose exact egress cost busts
     the budget; the egress-covering cost floor proves that without the
@@ -303,9 +365,9 @@ def test_gate_skips_over_budget_candidates_on_geo_topology(
     objective = Objective.max_throughput(max_cost_per_iteration_usd=budget)
     gate_on = SailorPlanner(opt_env_geo).plan(
         opt_job, geo_topology_2regions, objective)
-    gate_off = SailorPlanner(opt_env_geo, config=PlannerConfig(
-        enable_candidate_gate=False)).plan(
-        opt_job, geo_topology_2regions, objective)
+    with disarm_prunes(gate=True):
+        gate_off = SailorPlanner(opt_env_geo).plan(
+            opt_job, geo_topology_2regions, objective)
     assert _plans_identical(gate_on, gate_off)
     assert gate_on.candidates_evaluated == gate_off.candidates_evaluated
     assert gate_on.oom_plans_generated == gate_off.oom_plans_generated
@@ -314,11 +376,13 @@ def test_gate_skips_over_budget_candidates_on_geo_topology(
 
 
 def test_gate_arms_under_min_cost_with_throughput_floor(opt_env, opt_job,
-                                                        mixed_topology):
+                                                        mixed_topology,
+                                                        disarm_prunes):
     objective = Objective.min_cost(min_throughput_iters_per_s=0.5)
     gate_on = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
-    gate_off = SailorPlanner(opt_env, config=PlannerConfig(
-        enable_candidate_gate=False)).plan(opt_job, mixed_topology, objective)
+    with disarm_prunes(gate=True):
+        gate_off = SailorPlanner(opt_env).plan(
+            opt_job, mixed_topology, objective)
     assert _plans_identical(gate_on, gate_off)
     assert gate_on.candidates_evaluated == gate_off.candidates_evaluated
 
@@ -368,5 +432,5 @@ def test_cost_floor_covers_egress_on_multizone_plans(opt_env_geo, opt_job):
 def test_cost_floor_scalar_path_agrees(opt_env, opt_job):
     plan = heterogeneous_plan(opt_job)
     vectorized = SailorSimulator(opt_env).cost_floor(plan)
-    scalar = SailorSimulator(opt_env, vectorized=False).cost_floor(plan)
+    scalar = scalar_cost_floor(opt_env, plan)
     assert vectorized == scalar  # bitwise: same scalars, same op order
