@@ -30,14 +30,14 @@
 #                                   SearchStats.suffix_certified); the
 #                                   128-GPU budget and 256-GPU points --
 #                                   run once in the tier-1 phase -- assert
-#                                   the candidate-ordering tail kills fire
-#                                   (nonzero candidates_killed_unevaluated,
-#                                   so a disarmed ordering path fails CI);
+#                                   the tail kills fire (nonzero
+#                                   candidates_killed_unevaluated, so a
+#                                   disarmed tail kill fails CI);
 #                                   the 256-GPU min-cost point asserts the
 #                                   dominated-family interval memo skips
 #                                   whole families (nonzero
 #                                   families_skipped), and tier-1 carries
-#                                   the forced fused-combine on/off
+#                                   the forced fused-combine route
 #                                   equivalence smoke
 #                                   (test_fused_combine_preserves_plans_
 #                                   when_forced), so a disarmed family

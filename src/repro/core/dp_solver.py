@@ -37,16 +37,13 @@ paper's Tables 1-3 hinge on):
   freed with the solver.  They are not kept for other candidates: the
   per-stage footprints differ between ``mbs`` variants, so a cold
   1024-GPU plan repeats only 2 of 147 forward passes, while keeping them
-  would dominate the planner's peak memory.  Where the recursion still runs
-  (binding-budget subtrees, and ``enable_pruning=False``), each state's
-  fitting combos, child states (footprint subtracted, per-stage caps
-  clamped) and child memo keys are computed once and cached -- via the
-  vectorized :class:`~repro.core.resource_state.StageComboTable` kernels
-  on wide pools, via scalar scans over tuple states on tiny pools where
-  NumPy call overhead cannot amortise (``DPSolver.engine_min_states``
-  picks the regime; both produce the identical fit order, and a mode's
-  memo keys -- state bytes for vector, the state tuples themselves for
-  scalar -- never mix within one solve).
+  would dominate the planner's peak memory.  Tiny pools (below
+  :data:`ENGINE_MIN_STATES`, where NumPy call overhead cannot amortise)
+  and ``enable_pruning=False`` run the recursion instead, over plain int
+  tuple states that are their own memo keys; each state's fitting combos
+  come from one scalar scan in master order, cached per state.  An
+  engine-backed solve never enters the recursion: its budget nodes run
+  batched over the engine layers (below).
 * **Branch-and-bound.**  Before recursing on a combo the solver computes an
   admissible lower bound on the objective of any completed solution through
   that combo (best achievable compute time / cost rate of the remaining
@@ -66,11 +63,10 @@ assumption was wrong (section 4.2.3).  This is what makes budget-constrained
 searches slower (Table 3).  On engine-covered states the whole combo scan of
 a budget node runs *batched* over the engine's per-layer arrays
 (:meth:`DPSolver._solve_budget_batched`: dominance-answered straggler
-iterations resolve in elementwise kernels, bit-identical to the scalar
-recursion, which remains both as the fallback for genuinely binding suffix
-budgets and -- with ``enable_pruning=False`` -- as the equivalence-test
-reference).  Two further mechanisms answer most queries without a fresh
-search:
+iterations resolve in elementwise kernels, bit-identical to the tuple
+recursion's per-combo loop, which ``enable_pruning=False`` keeps as the
+equivalence-test reference).  Two further mechanisms answer most queries
+without a fresh search:
 
 * A *budget-dominance* shortcut: whenever the unconstrained optimum of a
   subproblem fits the remaining budget it is also the budgeted optimum, so
@@ -118,7 +114,6 @@ from repro.core.resource_state import (
     BudgetBoundTables,
     ResourceStateCodec,
     ResourceStateEngine,
-    StageComboTable,
     StageKernelTable,
     compute_budget_bounds,
     compute_forward_layers,
@@ -195,45 +190,6 @@ class DPSolverConfig:
     #: incumbent.  Value-preserving; off only as the exhaustive reference
     #: the equivalence suites and ``tests/golden/`` compare against.
     enable_pruning: bool = True
-    #: Layered-engine dispatch threshold: the engine's batched kernels
-    #: amortise their fixed NumPy cost only when the per-stage state layers
-    #: are wide, which ``prod(root count + 1)`` (an upper bound on any
-    #: layer's size) predicts well.  Below the threshold the B&B recursion
-    #: -- byte-identical by the equivalence suites -- is faster.  Tests set
-    #: this to 0 to force the engine.
-    engine_min_states: int = 100
-    #: Budget-aware dispatch: with a budget constraint the engine pays for
-    #: itself much earlier (its dominance tables and bound certificates
-    #: answer most straggler-loop work in O(1), where the scalar recursion
-    #: re-walks suffixes), so budgeted solves dispatch at
-    #: ``min(engine_min_states, engine_min_states_budget)``.  Decision
-    #: table (measured on the bench scenarios, see ROADMAP item 4):
-    #:
-    #: ==================  ============  =====================  ==========
-    #: objective           state space   dispatch               why
-    #: ==================  ============  =====================  ==========
-    #: unconstrained       < 100         scalar recursion       NumPy call
-    #:                                                          overhead
-    #:                                                          dominates
-    #: unconstrained       >= 100        engine                 batched
-    #:                                                          layers win
-    #: budget-constrained  < 32          scalar recursion       tiny pools
-    #:                                                          still churn
-    #:                                                          too few
-    #:                                                          states
-    #: budget-constrained  >= 32         engine                 0.52s vs
-    #:                                                          0.68s on
-    #:                                                          the 64-GPU
-    #:                                                          (81-state)
-    #:                                                          budget
-    #:                                                          point
-    #: ==================  ============  =====================  ==========
-    #:
-    #: Unconstrained 32/64-GPU points re-checked scalar-faster, so their
-    #: threshold is unchanged.  Both regimes produce byte-identical plans
-    #: (engine/scalar equivalence suites), so this is purely a latency
-    #: knob.
-    engine_min_states_budget: int = 32
 
     def __post_init__(self) -> None:
         if self.max_combos_per_stage < 1:
@@ -244,13 +200,32 @@ class DPSolverConfig:
             # The straggler-approximation loop must run at least once, or
             # budget-constrained solves would fall through with no result.
             raise ValueError("max_budget_iterations must be >= 1")
-        if self.engine_min_states < 0:
-            raise ValueError("engine_min_states must be >= 0")
-        if self.engine_min_states_budget < 0:
-            raise ValueError("engine_min_states_budget must be >= 0")
         for fraction in self.split_fractions:
             if not 0.0 < fraction < 1.0:
                 raise ValueError("split_fractions must lie strictly in (0, 1)")
+
+
+#: Layered-engine dispatch thresholds on ``prod(root count + 1)``, an upper
+#: bound on any state layer's size.  The engine's batched kernels amortise
+#: their fixed NumPy cost only on wide layers; below the threshold the tuple
+#: recursion is faster.  A budget makes the engine pay off much earlier
+#: (its dominance tables and certificates answer most straggler-loop work
+#: in O(1)), so budgeted solves dispatch at the min of the two.  Measured
+#: on the bench scenarios:
+#:
+#: ==============  ===========  =========  =================================
+#: objective       state space  dispatch   why
+#: ==============  ===========  =========  =================================
+#: unconstrained   < 100        recursion  NumPy call overhead dominates
+#: unconstrained   >= 100       engine     batched layers win
+#: budget          < 32         recursion  engine forced: 1.3-1.8x slower
+#: budget          >= 32        engine     0.52 s vs 0.68 s, 81-state point
+#: ==============  ===========  =========  =================================
+#:
+#: Both regimes return byte-identical plans (``tests/golden/``), so these
+#: are pure latency policy; tests monkeypatch them to 0 to force the engine.
+ENGINE_MIN_STATES = 100
+ENGINE_MIN_STATES_BUDGET = 32
 
 
 #: Relative slack applied to cost-mode lower bounds: the cost bound divides
@@ -309,50 +284,39 @@ class DPSolver:
         self.context = context or PlannerSearchContext(env, job, goal)
         self._tp_keys = [tp_options_key(opts) for opts in tp_options_per_stage]
         # Per-solve state, rebuilt by :meth:`solve`: the resource-state
-        # codec (array encoding of the root's states), per-stage combo
-        # tables, per-state filtered combo views (child states and memo
-        # keys precomputed), clamp vectors, admissible per-suffix bounds,
-        # and the memos.  Memo keys are the stage index prefixed to the
-        # state raw bytes, one dict per stage; budgeted entries live
-        # in ``_budget_memo`` as interval lists (see the module docstring).
+        # codec (array encoding of the root's states), the engine's kernel
+        # tables or the recursion's per-stage footprint pairs, per-state
+        # fitting combo lists, clamp vectors, admissible per-suffix bounds,
+        # and the memos.  Memos are one dict per stage, keyed on the state
+        # itself (an int tuple in the recursion, its raw bytes on engine
+        # solves); budgeted entries live in ``_budget_memo`` as interval
+        # lists (see the module docstring).
         self._root: ResourceKey = ()
         self._codec: ResourceStateCodec | None = None
-        self._tables: list[StageComboTable | None] = [None] * len(partitions)
+        self._tables: list[StageKernelTable] = []
+        self._pairs: list[list | None] = [None] * len(partitions)
         self._engine: ResourceStateEngine | None = None
         self._mat_cache: dict[tuple[int, int], DPSolution] = {}
         self._budget_row_cache: dict[tuple[int, int], tuple] = {}
         #: Straggler/cost lower-bound tables (budget certificates): the
-        #: engine-layer tables on wide pools, a per-(stage, state) memo for
-        #: the scalar recursion on tiny ones.  Built lazily on the first
-        #: budget node of a solve; ``_certs_active`` gates every use (off
-        #: under ``enable_pruning=False`` -- the pristine reference --
-        #: and under fork tracking, which must observe every query).
+        #: engine-layer tables on engine solves, a per-(stage, state) memo
+        #: for the recursion.  Built lazily on the first budget node of a
+        #: solve, and only with ``enable_pruning`` (the pristine reference
+        #: runs without certificates).
         self._bounds: BudgetBoundTables | None = None
         self._scalar_bound_memo: list[dict] = [{} for _ in partitions]
-        self._certs_active = False
-        self._vector_states = True
         self._caps_list: list[tuple[int, ...]] = []
-        self._memo: list[dict[bytes, tuple[DPSolution | None, bool, float]]] = \
+        self._memo: list[dict[tuple | bytes,
+                              tuple[DPSolution | None, bool, float]]] = \
             [{} for _ in partitions]
-        self._budget_memo: list[dict[bytes, list[list]]] = \
+        self._budget_memo: list[dict[tuple | bytes, list[list]]] = \
             [{} for _ in partitions]
-        self._combo_cache: list[dict[bytes, tuple]] = [{} for _ in partitions]
+        self._combo_cache: list[dict[tuple, list]] = [{} for _ in partitions]
         self._clamp_active: list[bool] = [True] * len(partitions)
         self._caps_vec: list[np.ndarray] = []
         self._sfx_sum: list[float] = []
         self._sfx_max: list[float] = []
         self._sfx_rate: list[float] = []
-        #: Layered-engine dispatch thresholds (see DPSolverConfig); kept as
-        #: instance attributes so tests can force a regime per solver.
-        self.engine_min_states = self.config.engine_min_states
-        self.engine_min_states_budget = self.config.engine_min_states_budget
-        #: Observability for the interval-memo property tests: when
-        #: ``track_budget_forks`` is set (tests only; off the hot path by
-        #: default), ``fork_keys`` collects the distinct ``(stage, state,
-        #: rounded budget)`` triples the old per-budget memo would have
-        #: keyed entries under, for comparison with ``budget_memo_entries``.
-        self.track_budget_forks = False
-        self.fork_keys: set[tuple] = set()
         self._prepare_clamps()
 
     @property
@@ -409,15 +373,13 @@ class DPSolver:
         self._combo_cache = [{} for _ in range(num_stages)]
         self._scalar_bound_memo = [{} for _ in range(num_stages)]
         self._bounds = None
-        self._certs_active = (self.config.enable_pruning
-                              and not self.track_budget_forks)
-        self.fork_keys.clear()
         root = tuple(sorted((key, count) for key, count in resources.items()
                             if count > 0))
         self._root = root
         codec = ResourceStateCodec(root)
         self._codec = codec
-        self._tables = [None] * len(self.partitions)
+        self._tables = []
+        self._pairs = [None] * num_stages
         # A stage's suffix clamp can only ever bind if it binds on the root:
         # descendant states shrink, so when the root is under every cap the
         # clamp is a no-op for the whole search and can be skipped.
@@ -434,80 +396,64 @@ class DPSolver:
         state = codec.root_state
         if self._clamp_active[0]:
             state = codec.clamp(state, self._caps_vec[0])
-        # Adaptive dispatch on the (upper bound of the) reachable state
-        # space.  Wide pools: the layered engine answers unconstrained
-        # solves outright (and the budget search's dominance probes), and
-        # any remaining recursion runs on array states with the vectorized
-        # kernels.  Tiny pools: the batched kernels cannot amortise their
-        # fixed NumPy cost, so the recursion runs on plain int tuples with
-        # scalar scans instead -- same fit order, same (struct-packed) memo
-        # keys, byte-identical plans.  ``enable_pruning=False`` keeps the
-        # plain exhaustive recursion as the independent reference the
-        # equivalence property tests compare against.
+        # Dispatch on the (upper bound of the) reachable state space.  Wide
+        # pools: the layered engine answers unconstrained solves outright
+        # and runs budget nodes batched over its layers.  Tiny pools, where
+        # the batched kernels cannot amortise their fixed NumPy cost, and
+        # ``enable_pruning=False`` (the exhaustive reference the
+        # equivalence tests compare against) run the recursion over int
+        # tuple states -- same fit order, byte-identical plans.
         self._engine = None
         self._mat_cache = {}
         self._budget_row_cache = {}
         state_space = 1
         for count in codec.root_state.tolist():
             state_space *= count + 1
-        # Budget-aware dispatch (decision table on DPSolverConfig): budget
-        # solves profit from the engine on much smaller pools, so they use
-        # the min of the two thresholds -- a test forcing the engine via
-        # ``engine_min_states = 0`` still gets it in both regimes.
-        threshold = self.engine_min_states
+        threshold = ENGINE_MIN_STATES
         if budget_per_iteration is not None:
-            threshold = min(threshold, self.engine_min_states_budget)
-        self._vector_states = state_space >= threshold
-        if not self._vector_states:
-            # Scalar mode keys memos on the state tuples themselves (the
-            # original tuple encoding's keying; pack()-ing bytes here would
-            # only add per-child overhead the small pool cannot amortise).
+            threshold = min(threshold, ENGINE_MIN_STATES_BUDGET)
+        if not self.config.enable_pruning or state_space < threshold:
             self._caps_list = [tuple(caps.tolist()) for caps in self._caps_vec]
-            scalar = tuple(state.tolist())
-            return self._solve(0, scalar, budget_per_iteration, math.inf,
-                               scalar)
-        if self.config.enable_pruning:
-            engine = self._build_engine(state)
-            # Every engine state counts as an explored node, and the forward
-            # pass's deduplicated children as memo hits.
-            self.stats.nodes_explored += engine.states_computed
-            self.stats.memo_hits += engine.dedup_hits
-            self._engine = engine
-            if budget_per_iteration is None:
-                if not engine.feasible(0, 0):
-                    return None
-                return self._materialize(0, 0)
-        return self._solve(0, state, budget_per_iteration, math.inf,
-                           state.tobytes())
+            return self._solve(0, tuple(state.tolist()),
+                               budget_per_iteration, math.inf)
+        engine = self._build_engine(state)
+        # Every engine state counts as an explored node, and the forward
+        # pass's deduplicated children as memo hits.
+        self.stats.nodes_explored += engine.states_computed
+        self.stats.memo_hits += engine.dedup_hits
+        self._engine = engine
+        if budget_per_iteration is None:
+            if not engine.feasible(0, 0):
+                return None
+            return self._materialize(0, 0)
+        return self._solve(0, state.tobytes(), budget_per_iteration,
+                           math.inf)
 
     def _build_engine(self, root_state: np.ndarray) -> ResourceStateEngine:
         """Assemble the per-stage kernel tables and the layered engine.
 
-        The kernel tables extend the recursion's combo tables with eager
+        The kernel tables pair each stage's footprint matrix with eager
         per-combo scalar arrays (compute, sync, cost rate -- all served
         from the shared context's caches), and are installed into
-        ``_tables`` so the budget recursion and :meth:`_combos_for_state`
-        reuse the same objects.  The forward reachability layers and the
-        backward pass are computed for this solve alone.
+        ``_tables`` for materialisation and the batched budget scan.  The
+        forward reachability layers and the backward pass are computed
+        for this solve alone.
         """
         tables: list[StageKernelTable] = []
         context = self.context
         for stage_index, partition in enumerate(self.partitions):
             master = self._master_combos(stage_index, self._root)
-            plain = self._codec.combo_table(master)
-            table = StageKernelTable(
-                entries=plain.entries,
-                req=plain.req,
-                pairs=plain.pairs,
+            tables.append(StageKernelTable(
+                entries=master,
+                req=self._codec.combo_req(master),
                 compute=np.array([entry[4] for entry in master]),
                 sync=np.array([context.stage_sync_time(
                     partition, self.data_parallel, entry[0])
                     for entry in master]),
                 rate=np.array([context.stage_cost_rate(entry[0])
                                for entry in master]),
-            )
-            tables.append(table)
-            self._tables[stage_index] = table
+            ))
+        self._tables = tables
         forward = compute_forward_layers(
             [table.req for table in tables], self._caps_vec,
             self._clamp_active, self.config.max_combos_per_stage, root_state,
@@ -563,16 +509,6 @@ class DPSolver:
             self.partitions[stage_index], self.microbatch_size, node_type,
             tensor_parallel)
 
-    def stage_sync_time(self, stage_index: int,
-                        placements: list[tuple[StageOption, int]]) -> float:
-        """Approximate gradient all-reduce time of a stage's replicas."""
-        return self.context.stage_sync_time(
-            self.partitions[stage_index], self.data_parallel, tuple(placements))
-
-    def stage_cost_rate(self, placements: list[tuple[StageOption, int]]) -> float:
-        """USD per second of the whole nodes a stage occupies."""
-        return self.context.stage_cost_rate(tuple(placements))
-
     # -- combo generation ---------------------------------------------------------
 
     def generate_combos(self, stage_index: int,
@@ -602,85 +538,42 @@ class DPSolver:
             self.config.max_mixed_types_per_stage,
             self.config.split_fractions)
 
-    def _stage_table(self, stage_index: int) -> StageComboTable:
-        """The stage's master combos with footprints packed for the codec."""
-        table = self._tables[stage_index]
-        if table is None:
-            master = self._master_combos(stage_index, self._root)
-            table = (self._codec.combo_table(master) if self._vector_states
-                     else self._codec.combo_pairs(master))
-            self._tables[stage_index] = table
-        return table
-
-    def _combos_for_state(self, stage_index: int, state,
-                          key: bytes) -> tuple[list, np.ndarray | None]:
+    def _combos_for_state(self, stage_index: int, state: tuple) -> list:
         """Combos of the root master list that fit one resource state.
 
         A combo generated from a resource subset is exactly a root combo
-        whose whole-node footprint fits the subset, so one vectorized fit
-        test against the stage's precomputed
-        :class:`~repro.core.resource_state.StageComboTable` (already in
-        ranking order) truncated at ``max_combos_per_stage`` reproduces the
-        per-state enumeration at a fraction of the cost.  Returns
-        ``([(entry, row, child memo key), ...], children)`` where
-        ``children[row]`` is the state minus the entry's footprint,
-        pre-clamped at the *next* stage's caps, and the child keys are
-        sliced out of the matrix's single ``tobytes`` blob (memos are
-        per-stage dicts, so a state's raw bytes are the whole key) -- the
-        recursion does no per-combo state arithmetic at all (``children``
-        is ``None`` for the last stage, which has no recursion).  Cached
+        whose whole-node footprint fits the subset, so a fit scan over the
+        stage's root master list (already in ranking order) truncated at
+        ``max_combos_per_stage`` reproduces the per-state enumeration.
+        Returns ``[(entry, ((slot, used), ...)), ...]``: *references* to
+        the stage's shared footprint pairs, so no per-state allocation
+        survives the scan (allocation churn here shows up as whole-solve
+        GC pauses); the recursion subtracts children per visit.  Cached
         per ``(stage, state)``.
         """
         cache = self._combo_cache[stage_index]
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        codec = self._codec
-        table = self._stage_table(stage_index)
+        fitting = cache.get(state)
+        if fitting is not None:
+            return fitting
+        pairs = self._pairs[stage_index]
+        if pairs is None:
+            pairs = self._codec.combo_pairs(
+                self._master_combos(stage_index, self._root))
+            self._pairs[stage_index] = pairs
         limit = self.config.max_combos_per_stage
-        is_last = stage_index == len(self.partitions) - 1
-        next_stage = stage_index + 1
-
-        if not self._vector_states:
-            # Scalar build over tuple states (small pools): the same
-            # first-`limit` fit scan in master order.  The cached rows are
-            # *references* to the stage's shared (entry, needs) pairs --
-            # no per-state allocations survive the scan (allocation churn
-            # here shows up as whole-solve GC pauses), and the recursion
-            # subtracts children per visit exactly like the original tuple
-            # encoding did.
-            fitting = []
-            found = 0
-            for pair in table.pairs:
-                for slot, used in pair[1]:
-                    if state[slot] < used:
-                        break
-                else:
-                    fitting.append(pair)
-                    found += 1
-                    if found >= limit:
-                        break
-            cached = (fitting, None)
-            cache[key] = cached
-            return cached
-
-        idx = codec.fitting_combos(table, state, limit)
-        entries = table.entries
-        rows = idx.tolist()
-        if is_last:
-            children = None
-            fitting = [(entries[i], n, None) for n, i in enumerate(rows)]
-        else:
-            children = state - table.req[idx]
-            if self._clamp_active[next_stage]:
-                children = np.minimum(children, self._caps_vec[next_stage])
-            blob = children.tobytes()
-            width = children.shape[1] * children.itemsize
-            fitting = [(entries[i], n, blob[n * width:(n + 1) * width])
-                       for n, i in enumerate(rows)]
-        cached = (fitting, children)
-        cache[key] = cached
-        return cached
+        fitting = []
+        found = 0
+        for pair in pairs:
+            for slot, used in pair[1]:
+                if state[slot] < used:
+                    break
+            else:
+                fitting.append(pair)
+                found += 1
+                if found >= limit:
+                    break
+        cache[state] = fitting
+        return fitting
 
     # -- resource clamping --------------------------------------------------------
 
@@ -719,8 +612,8 @@ class DPSolver:
 
         Returns the input tuple unchanged (same object) when nothing caps,
         so the common case allocates nothing.  (This is the *tuple-form*
-        clamp used for context cache keys; states inside the recursion use
-        the codec's vectorized clamp.)
+        clamp used for context cache keys; the recursion clamps its int
+        tuple states per slot inline.)
         """
         changed = False
         for (_, node_type), count in resources:
@@ -806,8 +699,8 @@ class DPSolver:
 
     # -- budget interval memo ------------------------------------------------------
 
-    def _budget_lookup(self, stage_index: int, key: bytes, budget: float,
-                       upper_bound: float) -> tuple | None:
+    def _budget_lookup(self, stage_index: int, key: tuple | bytes,
+                       budget: float, upper_bound: float) -> tuple | None:
         """Interval entry answering ``budget`` under the caller's bound.
 
         An entry ``[lo, hi, solution, exact, bound]`` answers every budget
@@ -824,7 +717,7 @@ class DPSolver:
                 return entry
         return None
 
-    def _budget_store(self, stage_index: int, key: bytes, lo: float,
+    def _budget_store(self, stage_index: int, key: tuple | bytes, lo: float,
                       hi: float, solution: DPSolution | None, exact: bool,
                       bound: float) -> None:
         """Record one interval entry, widening an existing compatible one.
@@ -864,9 +757,8 @@ class DPSolver:
                 search_budget=self.search_budget)
         return self._bounds
 
-    def _scalar_bound(self, stage_index: int, state: tuple,
-                      key: tuple) -> tuple:
-        """Scalar-mode bound recursion: ``(straggler_lb, decomposable cost,
+    def _scalar_bound(self, stage_index: int, state: tuple) -> tuple:
+        """Scalar bound recursion: ``(straggler_lb, decomposable cost,
         rate_lb, sum_lb, sync_lb, cost_lb)`` of one tuple state, memoized.
 
         The tiny-pool counterpart of ``compute_budget_bounds`` -- same five
@@ -879,13 +771,13 @@ class DPSolver:
         infeasible suffix.
         """
         memo = self._scalar_bound_memo[stage_index]
-        cached = memo.get(key)
+        cached = memo.get(state)
         if cached is not None:
             return cached
         if self.search_budget is not None:
             self.search_budget.tick()
         nb = self.num_microbatches
-        combos, _ = self._combos_for_state(stage_index, state, key)
+        combos = self._combos_for_state(stage_index, state)
         is_last = stage_index == len(self.partitions) - 1
         next_stage = stage_index + 1
         caps = None
@@ -908,9 +800,8 @@ class DPSolver:
                 if caps is not None:
                     child = [count if count <= cap else cap
                              for count, cap in zip(child, caps)]
-                child_state = tuple(child)
                 c_s, c_d, c_r, c_u, c_m, _ = self._scalar_bound(
-                    next_stage, child_state, child_state)
+                    next_stage, tuple(child))
                 if c_s == math.inf:
                     continue
                 s = t_c if t_c >= c_s else c_s
@@ -937,27 +828,24 @@ class DPSolver:
             cost = ((decomposable if decomposable >= product else product)
                     * _COST_BOUND_SLACK)
             result = (best_s, best_d, best_r, best_u, best_m, cost)
-        memo[key] = result
+        memo[state] = result
         return result
 
     # -- recursion ------------------------------------------------------------------
 
-    def _solve(self, stage_index: int, resources,
-               budget: float | None, upper_bound: float,
-               key: bytes | None = None) -> DPSolution | None:
-        """Best assignment of stages ``stage_index..P-1`` from ``resources``.
+    def _solve(self, stage_index: int, state: tuple | bytes,
+               budget: float | None, upper_bound: float) -> DPSolution | None:
+        """Best assignment of stages ``stage_index..P-1`` from ``state``.
 
-        ``resources`` is an array-encoded state, already clamped at this
-        stage's caps (the root is clamped by :meth:`solve`, children by
-        :meth:`_combos_for_state`); ``key`` is its memo key when the caller
-        already has it.
+        ``state`` is a resource state already clamped at this stage's caps
+        (the root is clamped by :meth:`solve`, children by the combo loop)
+        and is its own memo key: an int tuple in the recursion, the raw
+        state bytes on an engine-backed solve, which only reaches here
+        for budget nodes and answers them from the engine layers.
         """
-        if key is None:
-            key = (resources if isinstance(resources, tuple)
-                   else resources.tobytes())
         nb = self.num_microbatches
         if budget is None:
-            entry = self._memo[stage_index].get(key)
+            entry = self._memo[stage_index].get(state)
             if entry is not None:
                 solution, exact, bound = entry
                 # A bound-limited entry only proves "nothing beats `bound`";
@@ -967,13 +855,7 @@ class DPSolver:
                     self.stats.memo_hits += 1
                     return solution
         else:
-            if self.track_budget_forks:
-                # Keyed on the exact budget float: rounding to 6 decimals
-                # collided budgets differing below 1e-6 USD and undercounted
-                # distinct forks (the stat the interval-memo property tests
-                # compare entry counts against).
-                self.fork_keys.add((stage_index, key, budget))
-            hit = self._budget_lookup(stage_index, key, budget, upper_bound)
+            hit = self._budget_lookup(stage_index, state, budget, upper_bound)
             if hit is not None:
                 self.stats.memo_hits += 1
                 return hit[2]
@@ -982,6 +864,7 @@ class DPSolver:
         if guard is not None:
             guard.tick()
 
+        pruning = self.config.enable_pruning
         if budget is not None:
             # Budget dominance: the unconstrained optimum of this subproblem
             # is shared by every budget the straggler loop proposes.  When
@@ -993,74 +876,64 @@ class DPSolver:
             # budgets fall through to the budget-threaded search.  The
             # layered engine answers the probe in O(1) from its
             # already-computed table (including the projected cost, so
-            # binding probes materialise nothing); the recursive fallback
-            # covers ``enable_pruning=False``.
+            # binding probes materialise nothing).
             engine = self._engine
-            row = (engine.row_for_key(stage_index, key)
-                   if engine is not None else None)
-            if row is not None:
+            if engine is not None:
+                row = engine.row_for_key(stage_index, state)
                 if not engine.feasible(stage_index, row):
-                    self._budget_store(stage_index, key, -math.inf, math.inf,
-                                       None, True, math.inf)
+                    self._budget_store(stage_index, state, -math.inf,
+                                       math.inf, None, True, math.inf)
                     return None
                 cost = engine.projected_cost(stage_index, row)
                 if cost <= budget:
                     unconstrained = self._materialize(stage_index, row)
-                    self._budget_store(stage_index, key, cost, math.inf,
+                    self._budget_store(stage_index, state, cost, math.inf,
                                        unconstrained, True, math.inf)
                     return unconstrained
-                if (self._certs_active
-                        and self._engine_bounds().cost_lb[stage_index][row]
-                        > budget):
+                if self._engine_bounds().cost_lb[stage_index][row] > budget:
                     # Certificate: every solution in this node's search
                     # space costs more than the budget (a budgeted scan
                     # only ever returns budget-respecting solutions, so
                     # it would come back empty) -- true infeasibility,
                     # valid for every budget at or below this one.
                     self.stats.suffix_certified += 1
-                    self._budget_store(stage_index, key, -math.inf, budget,
+                    self._budget_store(stage_index, state, -math.inf, budget,
                                        None, True, math.inf)
                     return None
-                if not self.track_budget_forks:
-                    # Genuinely binding budget on an engine-covered state:
-                    # scan the whole combo row threaded through the engine
-                    # layers.  Fork tracking must observe every suffix
-                    # query in _solve, so it pins the scalar scan (same
-                    # guard as _solve_suffix's inline memo probe).
-                    return self._solve_budget_batched(stage_index, key, row,
-                                                      budget, upper_bound)
-            else:
-                unconstrained = self._solve(stage_index, resources, None,
-                                            math.inf, key)
-                if unconstrained is None:
-                    self._budget_store(stage_index, key, -math.inf, math.inf,
-                                       None, True, math.inf)
-                    return None
-                cost = unconstrained.projected_cost(nb)
-                if cost <= budget:
-                    self._budget_store(stage_index, key, cost, math.inf,
-                                       unconstrained, True, math.inf)
-                    return unconstrained
-                if (self._certs_active and not self._vector_states
-                        and self._scalar_bound(stage_index, resources,
-                                               key)[5] > budget):
-                    # Scalar-mode node certificate (tiny pools): same true
-                    # infeasibility proof as the engine-layer bound above.
-                    self.stats.suffix_certified += 1
-                    self._budget_store(stage_index, key, -math.inf, budget,
-                                       None, True, math.inf)
-                    return None
+                # Genuinely binding budget on an engine-covered state: scan
+                # the whole combo row threaded through the engine layers.
+                return self._solve_budget_batched(stage_index, state, row,
+                                                  budget, upper_bound)
+            unconstrained = self._solve(stage_index, state, None, math.inf)
+            if unconstrained is None:
+                self._budget_store(stage_index, state, -math.inf, math.inf,
+                                   None, True, math.inf)
+                return None
+            cost = unconstrained.projected_cost(nb)
+            if cost <= budget:
+                self._budget_store(stage_index, state, cost, math.inf,
+                                   unconstrained, True, math.inf)
+                return unconstrained
+            if pruning and self._scalar_bound(stage_index, state)[5] > budget:
+                # Recursion-side node certificate (tiny pools): same true
+                # infeasibility proof as the engine-layer bound above.
+                self.stats.suffix_certified += 1
+                self._budget_store(stage_index, state, -math.inf, budget,
+                                   None, True, math.inf)
+                return None
 
         stats = self.stats
         context = self.context
         partition = self.partitions[stage_index]
         best: DPSolution | None = None
         best_value = math.inf
-        pruning = self.config.enable_pruning
-        combos, children = self._combos_for_state(stage_index, resources, key)
+        combos = self._combos_for_state(stage_index, state)
         is_last = stage_index == len(self.partitions) - 1
         next_stage = stage_index + 1
         child_memo = None if is_last else self._memo[next_stage]
+        child_caps = (self._caps_list[next_stage]
+                      if not is_last and self._clamp_active[next_stage]
+                      else None)
         # Hot-loop locals: the suffix bound and candidate scoring below are
         # the inlined, allocation-free forms of _suffix_lower_bound /
         # _combine + _value -- the exact same floating-point operations in
@@ -1070,15 +943,8 @@ class DPSolver:
         sum_after = self._sfx_sum[next_stage]
         max_after = self._sfx_max[next_stage]
         rate_after = self._sfx_rate[next_stage]
-        # Scalar rows fill their child state/key lazily (see
-        # _combos_for_state); these locals serve that first-visit build.
-        vector = self._vector_states
-        if not vector and not is_last:
-            scalar_caps = (self._caps_list[next_stage]
-                           if self._clamp_active[next_stage] else None)
 
-        for combo_index, combo in enumerate(combos):
-            entry = combo[0]
+        for combo_index, (entry, footprint) in enumerate(combos):
             assignment = entry[2]
             if assignment is None:
                 assignment = context.build_stage_assignment(
@@ -1127,39 +993,32 @@ class DPSolver:
                     stats.pruned_branches += 1
                     continue
 
-            if vector:
-                child_key = combo[2]
-                child_state = None  # children[combo[1]], fetched on miss
-            else:
-                child = list(resources)
-                for slot, used in combo[1]:
-                    child[slot] -= used
-                if scalar_caps is not None:
-                    child = [count if count <= cap else cap
-                             for count, cap in zip(child, scalar_caps)]
-                child_state = tuple(child)
-                child_key = child_state
+            child = list(state)
+            for slot, used in footprint:
+                child[slot] -= used
+            if child_caps is not None:
+                child = [count if count <= cap else cap
+                         for count, cap in zip(child, child_caps)]
+            child_state = tuple(child)
 
             if budget is None:
-                # Inlined fast path: memo probe on the precomputed child key
-                # without the call overhead of _solve (the overwhelmingly
-                # common hit case); the bound matches _child_bound exactly.
+                # Inlined fast path: memo probe on the child state without
+                # the call overhead of _solve (the overwhelmingly common hit
+                # case); the bound matches _child_bound exactly.
                 if not pruning or cutoff == math.inf:
                     child_bound = math.inf
                 elif is_cost:
                     child_bound = cutoff
                 else:
                     child_bound = (cutoff - t_a) * (1.0 + 1e-12)
-                child_entry = child_memo.get(child_key)
+                child_entry = child_memo.get(child_state)
                 if child_entry is not None and (
                         child_entry[1] or child_bound <= child_entry[2]):
                     stats.memo_hits += 1
                     suffix = child_entry[0]
                 else:
-                    if child_state is None:
-                        child_state = children[combo[1]]
                     suffix = self._solve(next_stage, child_state, None,
-                                         child_bound, child_key)
+                                         child_bound)
                 if suffix is None:
                     continue
                 sum_t = t_a + suffix.sum_stage_time_s
@@ -1185,10 +1044,8 @@ class DPSolver:
                     best_value = value
                 continue
 
-            if child_state is None:
-                child_state = children[combo[1]]
             candidate = self._solve_suffix(
-                stage_index, assignment, child_state, child_key, budget,
+                stage_index, assignment, child_state, budget,
                 cutoff if pruning else math.inf)
             if candidate is None:
                 continue
@@ -1201,12 +1058,12 @@ class DPSolver:
         # incumbent only improves, so nothing better was discarded.
         exact = best_value < upper_bound or upper_bound == math.inf
         if budget is None:
-            self._memo[stage_index][key] = (best, exact, upper_bound)
+            self._memo[stage_index][state] = (best, exact, upper_bound)
         else:
             # The found optimum answers every budget down to its own cost;
             # an infeasible result, every budget below the one that failed.
             lo = best.projected_cost(nb) if best is not None else -math.inf
-            self._budget_store(stage_index, key, lo, budget, best, exact,
+            self._budget_store(stage_index, state, lo, budget, best, exact,
                                upper_bound)
         return best
 
@@ -1261,8 +1118,9 @@ class DPSolver:
                               upper_bound: float) -> DPSolution | None:
         """One budget node's combo scan threaded through the engine layers.
 
-        Replaces the scalar per-combo straggler recursion for states the
-        layered engine covers.  The straggler-approximation loop's suffix
+        The engine-side counterpart of :meth:`_solve`'s per-combo loop:
+        every budget node of an engine-backed solve runs here, never in
+        the tuple recursion.  The straggler-approximation loop's suffix
         solves are, in the overwhelmingly common case, answered by budget
         dominance (the suffix's unconstrained optimum fits the remaining
         budget) -- and the engine's backward arrays already hold every
@@ -1281,19 +1139,18 @@ class DPSolver:
         * a combo whose discovered straggler exceeds the assumption
           re-tests dominance at the tightened budget (``rb2``); when it
           still holds the suffix is unchanged, so the loop's fixpoint is
-          reached with the same combined solution the scalar recursion
+          reached with the same combined solution the per-combo loop
           returns;
-        * only combos with a genuinely binding suffix budget fall back to
-          the scalar straggler recursion (:meth:`_solve_suffix`), threaded
-          with the same running-incumbent cutoff the scalar scan uses --
-          and the same B&B bound checks (including the sorted-combo tail
-          cut) guard every combo first, exactly as in :meth:`_solve`.
+        * only combos with a genuinely binding suffix budget run the
+          straggler loop (:meth:`_solve_suffix`, whose suffix solves land
+          back here one stage down), threaded with the same
+          running-incumbent cutoff the per-combo loop uses -- and the same
+          B&B bound checks (including the sorted-combo tail cut) guard
+          every combo first, exactly as in :meth:`_solve`.
 
         Only the winning combo ever materialises ``StageAssignment`` /
-        ``DPSolution`` objects; the scalar path materialised every
-        dominance-answered suffix it probed.  Runs only on engine-covered
-        states, and the engine is only built with pruning on, so the B&B
-        checks are unconditional here.
+        ``DPSolution`` objects.  The engine is only built with pruning on,
+        so the B&B checks are unconditional here.
         """
         nb = self.num_microbatches
         nb1 = nb - 1
@@ -1336,7 +1193,7 @@ class DPSolver:
                 continue
 
             cutoff = upper_bound if upper_bound < best_value else best_value
-            # Same admissible bounds (and tail cut) as the scalar scan; the
+            # Same admissible bounds (and tail cut) as _solve's loop; the
             # scalars come from the kernel table instead of a lazily-built
             # assignment, bit-identical by construction.
             sum_lb = t_s + sum_after
@@ -1400,9 +1257,8 @@ class DPSolver:
                         iter1_done = True
             elif clb_list[n] > rb1:
                 # Certificate: the suffix is budget-infeasible even with
-                # this stage assumed the straggler -- the recursion's
-                # iteration 1 would return None.  Resolved in-layer, no
-                # scalar fallback.
+                # this stage assumed the straggler -- the straggler loop's
+                # iteration 1 would return None.  Resolved in-layer.
                 stats.suffix_certified += 1
                 continue
             if resolved:
@@ -1413,7 +1269,7 @@ class DPSolver:
                     best = None
                 continue
 
-            # Genuinely binding suffix budget: scalar straggler recursion.
+            # Genuinely binding suffix budget: the straggler loop.
             entry = table.entries[cols[n]]
             assignment = entry[2]
             if assignment is None:
@@ -1422,14 +1278,14 @@ class DPSolver:
                     self.data_parallel, entry[0], nodes_used=entry[1],
                     compute_time_s=entry[4])
                 entry[2] = assignment
-            child_state = forward_states[child_list[n]]
-            # Hand an inline iteration-1 result over so the recursion
-            # enters at iteration 2 instead of re-deriving it.
+            # Hand an inline iteration-1 result over so the loop enters at
+            # iteration 2 instead of re-deriving it.
             seed = (self._materialize(next_stage, child_list[n])
                     if iter1_done else None)
             candidate = self._solve_suffix(
-                stage_index, assignment, child_state, child_state.tobytes(),
-                budget, cutoff, seed_suffix=seed)
+                stage_index, assignment,
+                forward_states[child_list[n]].tobytes(), budget, cutoff,
+                seed_suffix=seed)
             if candidate is None:
                 continue
             value = self._value(candidate)
@@ -1481,8 +1337,7 @@ class DPSolver:
         return (cutoff - assignment.compute_time_s) * (1.0 + 1e-12)
 
     def _solve_suffix(self, stage_index: int, assignment: StageAssignment,
-                      remaining, remaining_key: bytes,
-                      budget: float, cutoff: float,
+                      remaining: tuple | bytes, budget: float, cutoff: float,
                       seed_suffix: DPSolution | None = None,
                       ) -> DPSolution | None:
         """Combine one stage assignment with the best budgeted suffix.
@@ -1491,7 +1346,9 @@ class DPSolver:
         the current stage is the straggler, compute the remaining budget,
         solve the suffix, and retry with the discovered straggler when the
         assumption turns out wrong.  (The unbudgeted case is handled by the
-        inlined fast path in :meth:`_solve`.)
+        inlined fast path in :meth:`_solve`.)  ``remaining`` is the suffix
+        state in :meth:`_solve`'s form: an int tuple, or raw bytes on an
+        engine-backed solve.
 
         ``seed_suffix`` is the batched scan's continuation handoff: the
         caller already resolved (and counted) iteration 1 inline -- the
@@ -1536,10 +1393,8 @@ class DPSolver:
         next_stage = stage_index + 1
         # Inlined interval-memo probe for the loop's suffix queries (the
         # overwhelmingly common hit case): same lookup rule as
-        # _budget_lookup, minus the per-iteration call overhead.  Skipped
-        # under fork tracking, which must observe every query in _solve.
+        # _budget_lookup, minus the per-iteration call overhead.
         budget_memo = self._budget_memo[next_stage]
-        probe_inline = not self.track_budget_forks
         stats = self.stats
         t_a = assignment.compute_time_s
         rate_a = assignment.cost_rate_usd_per_s
@@ -1550,70 +1405,67 @@ class DPSolver:
         prev_suffix: DPSolution | None = None
         assumed_straggler = t_a
         engine = self._engine
-        certs = self._certs_active
-        if certs and engine is not None:
-            row = engine.row_for_key(next_stage, remaining_key)
-            if row is not None:
-                cost_vec, feas_vec = engine.budget_tables(next_stage)
-                if not feas_vec[row]:
-                    # Iteration 1's solve would find the suffix state
-                    # infeasible outright.
-                    stats.suffix_certified += 1
+        if engine is not None:
+            row = engine.row_for_key(next_stage, remaining)
+            cost_vec, feas_vec = engine.budget_tables(next_stage)
+            if not feas_vec[row]:
+                # Iteration 1's solve would find the suffix state
+                # infeasible outright.
+                stats.suffix_certified += 1
+                return None
+            cost_lb = self._engine_bounds().cost_lb[next_stage][row]
+            if seed_suffix is not None:
+                # Batched-scan continuation: the caller already ran --
+                # and counted -- iteration 1 inline (dominance at the
+                # assumed straggler, combined under budget, not
+                # converged, re-tested budget positive but binding),
+                # so enter the loop at iteration 2 directly.
+                combined = self._combine(assignment, seed_suffix)
+                # Replicate iteration 1's dominance store so later
+                # probes of this suffix state hit.
+                self._budget_store(next_stage, remaining,
+                                   float(cost_vec[row]), math.inf,
+                                   seed_suffix, True, math.inf)
+                prev_suffix = seed_suffix
+                assumed_straggler = combined.max_stage_time_s
+                iterations -= 1
+            else:
+                rb1 = budget - rate_a * nb * t_a
+                if rb1 <= 0:
                     return None
-                cost_lb = self._engine_bounds().cost_lb[next_stage][row]
-                if seed_suffix is not None:
-                    # Batched-scan continuation: the caller already ran --
-                    # and counted -- iteration 1 inline (dominance at the
-                    # assumed straggler, combined under budget, not
-                    # converged, re-tested budget positive but binding),
-                    # so enter the loop at iteration 2 directly.
-                    combined = self._combine(assignment, seed_suffix)
-                    # Replicate iteration 1's dominance store so later
-                    # probes of this suffix state hit.
-                    self._budget_store(next_stage, remaining_key,
-                                       float(cost_vec[row]), math.inf,
-                                       seed_suffix, True, math.inf)
-                    prev_suffix = seed_suffix
-                    assumed_straggler = combined.max_stage_time_s
-                    iterations -= 1
-                else:
-                    rb1 = budget - rate_a * nb * t_a
-                    if rb1 <= 0:
+                cost_unc = cost_vec[row]
+                if cost_unc <= rb1:
+                    # Iteration 1 resolves by dominance; seed the
+                    # loop at its discovered straggler.
+                    stats.suffix_iterations += 1
+                    suffix = self._materialize(next_stage, row)
+                    combined = self._combine(assignment, suffix)
+                    if combined.projected_cost(nb) > budget:
                         return None
-                    cost_unc = cost_vec[row]
-                    if cost_unc <= rb1:
-                        # Iteration 1 resolves by dominance; seed the
-                        # loop at its discovered straggler.
-                        stats.suffix_iterations += 1
-                        suffix = self._materialize(next_stage, row)
-                        combined = self._combine(assignment, suffix)
-                        if combined.projected_cost(nb) > budget:
-                            return None
-                        actual = combined.max_stage_time_s
-                        if (iterations == 1
-                                or straggler_converged(actual, t_a)):
-                            return combined
-                        rb2 = budget - rate_a * nb * actual
-                        if rb2 <= 0:
-                            return None
-                        # Replicate iteration 1's dominance store so
-                        # later probes of this suffix state hit.
-                        self._budget_store(next_stage, remaining_key,
-                                           float(cost_unc), math.inf,
-                                           suffix, True, math.inf)
-                        if cost_unc <= rb2:
-                            # Iteration 2 re-probes the same dominance
-                            # entry: the fixpoint is certified.
-                            stats.suffix_certified += 1
-                            return combined
-                        # Genuinely binding at the discovered straggler:
-                        # continue from iteration 2.
-                        iterations -= 1
-                        prev_suffix = suffix
-                        assumed_straggler = actual
-        elif certs:
-            bound = self._scalar_bound(next_stage, remaining, remaining_key)
-            cost_lb = bound[5]
+                    actual = combined.max_stage_time_s
+                    if (iterations == 1
+                            or straggler_converged(actual, t_a)):
+                        return combined
+                    rb2 = budget - rate_a * nb * actual
+                    if rb2 <= 0:
+                        return None
+                    # Replicate iteration 1's dominance store so
+                    # later probes of this suffix state hit.
+                    self._budget_store(next_stage, remaining,
+                                       float(cost_unc), math.inf,
+                                       suffix, True, math.inf)
+                    if cost_unc <= rb2:
+                        # Iteration 2 re-probes the same dominance
+                        # entry: the fixpoint is certified.
+                        stats.suffix_certified += 1
+                        return combined
+                    # Genuinely binding at the discovered straggler:
+                    # continue from iteration 2.
+                    iterations -= 1
+                    prev_suffix = suffix
+                    assumed_straggler = actual
+        elif self.config.enable_pruning:
+            cost_lb = self._scalar_bound(next_stage, remaining)[5]
 
         guard = self.search_budget
         for _ in range(iterations):
@@ -1629,16 +1481,14 @@ class DPSolver:
                 stats.suffix_certified += 1
                 return None
             stats.suffix_iterations += 1
-            suffix = None
             hit = None
-            if probe_inline:
-                entries = budget_memo.get(remaining_key)
-                if entries is not None:
-                    for entry in entries:
-                        if (entry[0] <= remaining_budget <= entry[1]
-                                and (entry[3] or child_bound <= entry[4])):
-                            hit = entry
-                            break
+            entries = budget_memo.get(remaining)
+            if entries is not None:
+                for entry in entries:
+                    if (entry[0] <= remaining_budget <= entry[1]
+                            and (entry[3] or child_bound <= entry[4])):
+                        hit = entry
+                        break
             if hit is not None:
                 stats.memo_hits += 1
                 suffix = hit[2]
@@ -1649,8 +1499,7 @@ class DPSolver:
                     return combined
             else:
                 suffix = self._solve(next_stage, remaining,
-                                     remaining_budget, child_bound,
-                                     remaining_key)
+                                     remaining_budget, child_bound)
             if suffix is None:
                 return None
             prev_suffix = suffix

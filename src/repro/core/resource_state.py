@@ -11,10 +11,11 @@ profile`` showed exactly those walks (``_combos_for_state`` fit-scans and
 ``_subtract_state``) dominating planner latency once the evaluation layer
 was vectorized.  This module replaces the encoding wholesale: a
 :class:`ResourceStateCodec` maps states to fixed-width NumPy count vectors
-(one slot per root (zone, node type) pair) and provides vectorized
-subtract / fits / clamp kernels plus per-stage precomputed combo tables
-(:class:`StageComboTable`), so the per-state work is a handful of NumPy
-calls over *all* combos at once instead of a Python loop per combo.
+(one slot per root (zone, node type) pair) and packs per-stage combo
+footprints, and the layered engine below does the per-state work as a
+handful of NumPy calls over whole state layers and *all* combos at once
+instead of a Python loop per combo.  (Tiny pools keep a tuple-state
+recursion in the solver, over the codec's slot order.)
 
 Bijection contract
 ------------------
@@ -73,26 +74,6 @@ ResourceKey = tuple[tuple[tuple[str, str], int], ...]
 #: dtype of every encoded state; fixed so ``state_key`` widths never vary
 #: within one codec.
 STATE_DTYPE = np.int64
-
-
-@dataclass
-class StageComboTable:
-    """One stage's master combo list, footprints pre-packed for the kernels.
-
-    ``entries`` is the untruncated, ranking-sorted master list the shared
-    :class:`~repro.core.search_cache.PlannerSearchContext` built (mutable
-    ``[placements, footprint, lazy StageAssignment, footprint items, stage
-    compute time]`` rows); ``req[i]`` is ``entries[i]``'s whole-node
-    footprint as a count vector aligned with the codec's slots, and
-    ``pairs[i]`` the same footprint as sparse ``(slot, used)`` items for
-    the scalar fit-scan (small pools, where a Python loop beats the NumPy
-    call overhead).
-    """
-
-    entries: list
-    req: np.ndarray | None  # (num_combos, num_slots) int64; None on the
-                            # scalar path (see ResourceStateCodec.combo_pairs)
-    pairs: list             # [(entry, ((slot, used), ...)), ...]
 
 
 class ResourceStateCodec:
@@ -155,66 +136,47 @@ class ResourceStateCodec:
             return state
         return np.minimum(state, caps)
 
-    @staticmethod
-    def subtract(state: np.ndarray, needs: np.ndarray) -> np.ndarray | None:
-        """Remove one footprint; ``None`` when some slot goes negative."""
-        out = state - needs
-        if (out < 0).any():
-            return None
-        return out
-
-    def combo_table(self, entries: list) -> StageComboTable:
-        """Pack a master combo list's footprints into a fit-test matrix."""
+    def combo_req(self, entries: list) -> np.ndarray:
+        """A master combo list's whole-node footprints as a
+        ``(num_combos, num_slots)`` count matrix: the engine's fit-test
+        input."""
         req = np.zeros((len(entries), self.num_slots), dtype=STATE_DTYPE)
         slot = self.slot
-        pairs = []
         for row, entry in enumerate(entries):
             for node_key, used in entry[3]:
                 req[row, slot[node_key]] = used
-            pairs.append((entry, tuple((slot[node_key], used)
-                                       for node_key, used in entry[3])))
-        return StageComboTable(entries=entries, req=req, pairs=pairs)
+        return req
 
-    def combo_pairs(self, entries: list) -> StageComboTable:
-        """Scalar-path variant of :meth:`combo_table`: sparse footprints
-        only, no fit-test matrix (tiny pools never run the vector kernels,
-        so building the matrix would be pure overhead)."""
+    def combo_pairs(self, entries: list) -> list:
+        """A master combo list's footprints as sparse ``[(entry, ((slot,
+        used), ...)), ...]`` pairs: the recursion's scalar fit scan input
+        (tiny pools, where a Python loop beats the NumPy call overhead)."""
         slot = self.slot
-        pairs = [(entry, tuple((slot[node_key], used)
-                               for node_key, used in entry[3]))
-                 for entry in entries]
-        return StageComboTable(entries=entries, req=None, pairs=pairs)
-
-    @staticmethod
-    def fitting_combos(table: StageComboTable, state: np.ndarray,
-                       limit: int) -> np.ndarray:
-        """Indices of the first ``limit`` master combos that fit ``state``.
-
-        One vectorized comparison over the whole table replaces the
-        per-combo Python fit scan; master order (the ranking order) is
-        preserved, so truncating at ``limit`` selects the same combos the
-        scalar scan did.
-        """
-        idx = (table.req <= state).all(axis=1).nonzero()[0]
-        if idx.size > limit:
-            return idx[:limit]
-        return idx
+        return [(entry, tuple((slot[node_key], used)
+                              for node_key, used in entry[3]))
+                for entry in entries]
 
 
 @dataclass
-class StageKernelTable(StageComboTable):
-    """A combo table extended with the per-combo scalars the engine batches.
+class StageKernelTable:
+    """One stage's master combo list, packed for the engine's kernels.
 
-    ``compute[i]`` / ``sync[i]`` / ``rate[i]`` are ``entries[i]``'s stage
-    compute time, gradient-sync time and cost rate -- exactly the scalars a
-    lazily-built ``StageAssignment`` would carry, gathered eagerly so the
-    backward pass can score every (state, combo) candidate in one array
-    expression.
+    ``entries`` is the untruncated, ranking-sorted master list the shared
+    :class:`~repro.core.search_cache.PlannerSearchContext` built (mutable
+    ``[placements, footprint, lazy StageAssignment, footprint items, stage
+    compute time]`` rows); ``req[i]`` is ``entries[i]``'s whole-node
+    footprint as a count vector aligned with the codec's slots.
+    ``compute[i]`` / ``sync[i]`` / ``rate[i]`` are its stage compute time,
+    gradient-sync time and cost rate -- exactly the scalars a lazily-built
+    ``StageAssignment`` would carry, gathered eagerly so the backward pass
+    can score every (state, combo) candidate in one array expression.
     """
 
-    compute: np.ndarray = None  # (M,) float64
-    sync: np.ndarray = None     # (M,)
-    rate: np.ndarray = None     # (M,)
+    entries: list
+    req: np.ndarray      # (M, num_slots) int64
+    compute: np.ndarray  # (M,) float64
+    sync: np.ndarray     # (M,)
+    rate: np.ndarray     # (M,)
 
 
 #: Element budget of one forward fit-test block: the (chunk, M, S) broadcast

@@ -11,6 +11,7 @@ import contextlib
 
 import pytest
 
+from repro.core import dp_solver
 from repro.core.planner import SailorPlanner
 from repro.core.simulator import SailorSimulator, build_environment
 from repro.hardware.topology import ClusterTopology
@@ -99,3 +100,29 @@ def disarm_prunes():
                            staticmethod(lambda *args: False))
             yield
     return disarm
+
+
+@pytest.fixture
+def engine_thresholds():
+    """Move the DP solver's engine dispatch thresholds inside a block.
+
+    ``with engine_thresholds(unconstrained, budget):`` sets
+    ``ENGINE_MIN_STATES`` / ``ENGINE_MIN_STATES_BUDGET``; ``0`` forces the
+    layered engine on every pool, ``None`` keeps the module default.  The
+    thresholds are pure latency policy, so tests move them to compare
+    regimes on the same pool.
+    """
+    @contextlib.contextmanager
+    def thresholds(unconstrained: int | None = 0, budget: int | None = 0):
+        with pytest.MonkeyPatch.context() as mp:
+            if unconstrained is not None:
+                mp.setattr(dp_solver, "ENGINE_MIN_STATES", unconstrained)
+            if budget is not None:
+                mp.setattr(dp_solver, "ENGINE_MIN_STATES_BUDGET", budget)
+            yield
+    return thresholds
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long-running integration test")

@@ -5,12 +5,12 @@ Every scenario's chosen plan is pinned by the SHA-256 of its
 captured under the default config, and every config below must reproduce
 them byte for byte:
 
-* ``default`` -- adaptive scalar/engine dispatch;
-* ``engine`` -- the layered engine forced in both regimes
-  (``engine_min_states=0, engine_min_states_budget=0``);
+* ``default`` -- adaptive recursion/engine dispatch;
+* ``engine`` -- the layered engine forced in both regimes (the
+  ``ENGINE_MIN_STATES`` / ``ENGINE_MIN_STATES_BUDGET`` dispatch
+  thresholds monkeypatched to 0);
 * ``exhaustive`` -- ``enable_pruning=False``, the plain exhaustive
-  recursion every production path is checked against (skipped on
-  ``bigmixed-maxthr``, where it is too slow for tier-1).
+  recursion every production path is checked against.
 
 This is the safety contract for deleting solver paths: a change that keeps
 these digests keeps every chosen plan.  Regenerate the digests only for a
@@ -21,13 +21,13 @@ change that is *meant* to alter plans::
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import pathlib
 
 import pytest
 
+from repro.core import dp_solver
 from repro.core.dp_solver import DPSolverConfig
 from repro.core.objectives import Objective
 from repro.core.planner import PlannerConfig, SailorPlanner
@@ -46,17 +46,15 @@ SCENARIO_NAMES = (
     "bigmixed-maxthr",
 )
 
+#: ``name -> (DPSolverConfig, engine forced)``.
 CONFIGS = {
-    "default": DPSolverConfig(),
-    "engine": DPSolverConfig(engine_min_states=0, engine_min_states_budget=0),
-    "exhaustive": DPSolverConfig(enable_pruning=False),
+    "default": (DPSolverConfig(), False),
+    "engine": (DPSolverConfig(), True),
+    "exhaustive": (DPSolverConfig(enable_pruning=False), False),
 }
 
-#: Every (scenario, config) pair except the exhaustive reference on the
-#: 64-GPU pool, which is too slow for tier-1.
 CASES = [(scenario, config)
-         for scenario in SCENARIO_NAMES for config in CONFIGS
-         if (scenario, config) != ("bigmixed-maxthr", "exhaustive")]
+         for scenario in SCENARIO_NAMES for config in CONFIGS]
 
 
 def build_scenarios() -> dict[str, tuple]:
@@ -120,19 +118,24 @@ def build_scenarios() -> dict[str, tuple]:
     return scenarios
 
 
-def plan_digest(scenario: tuple, dp_config: DPSolverConfig) -> str | None:
+def plan_digest(scenario: tuple, config: tuple[DPSolverConfig, bool],
+                ) -> str | None:
     """SHA-256 of the chosen plan's JSON; ``None`` when no plan is found.
 
     The ``mixed-engine`` scenario forces the engine on top of whichever
     config runs it.
     """
     env, job, topology, objective, extra = scenario
+    dp_config, engine_forced = config
     extra = dict(extra)
-    if extra.pop("engine_forced", False):
-        dp_config = dataclasses.replace(dp_config, engine_min_states=0)
+    engine_forced = extra.pop("engine_forced", False) or engine_forced
     planner = SailorPlanner(env, config=PlannerConfig(dp_config=dp_config,
                                                       **extra))
-    result = planner.plan(job, topology, objective)
+    with pytest.MonkeyPatch.context() as mp:
+        if engine_forced:
+            mp.setattr(dp_solver, "ENGINE_MIN_STATES", 0)
+            mp.setattr(dp_solver, "ENGINE_MIN_STATES_BUDGET", 0)
+        result = planner.plan(job, topology, objective)
     if not result.found:
         return None
     return hashlib.sha256(plan_to_json(result.plan).encode()).hexdigest()

@@ -395,53 +395,24 @@ def test_interval_memo_budget_sweep_against_brute_force(opt_env, opt_job,
 
 def test_interval_memo_entry_count_drops_vs_per_budget_forking(opt_env,
                                                                opt_job):
-    """A binding budget's straggler loop proposes many distinct rounded
-    budgets per suffix state; interval entries must collapse them."""
+    """A binding budget's straggler loop proposes many distinct budgets per
+    suffix state; interval entries must collapse them."""
     resources = {("us-central1-a", "a2-highgpu-4g"): 4,
                  ("us-central1-a", "n1-standard-v100-4"): 4}
     solver = build_solver(opt_env, opt_job, pp=2, dp=4)
+    solver.config = DPSolverConfig(enable_pruning=False)
     nb = solver.num_microbatches
     base_cost = solver.solve(dict(resources)).projected_cost(nb)
 
-    solver.track_budget_forks = True
     solution = solver.solve(dict(resources),
                             budget_per_iteration=base_cost * 0.7)
     assert solution is not None
     entries = solver.budget_memo_entries()
-    forks = len(solver.fork_keys)
     assert entries > 0
-    # Per-rounded-budget keying would have stored (at least) one entry per
-    # distinct (stage, state, rounded budget) query; intervals store fewer.
-    assert entries < forks
-
-
-def test_fork_keys_distinguish_budgets_closer_than_1e6(opt_env, opt_job):
-    """Regression: fork bookkeeping used ``round(budget, 6)``, so two
-    budgets 1e-8 apart collided into one key and the fork stat undercounted
-    distinct straggler-loop queries.  Keyed on the exact float, two solves
-    whose budgets differ below the old rounding grain must record different
-    key sets."""
-    resources = {("us-central1-a", "a2-highgpu-4g"): 4,
-                 ("us-central1-a", "n1-standard-v100-4"): 4}
-    solver = build_solver(opt_env, opt_job, pp=2, dp=4)
-    nb = solver.num_microbatches
-    budget = solver.solve(dict(resources)).projected_cost(nb) * 0.7
-
-    solver.track_budget_forks = True
-    assert solver.solve(dict(resources), budget_per_iteration=budget) \
-        is not None
-    first = set(solver.fork_keys)
-    assert solver.solve(dict(resources),
-                        budget_per_iteration=budget + 1e-8) is not None
-    second = set(solver.fork_keys)
-    assert first and second
-    # Every budget threaded from the root differs by exactly 1e-8 between
-    # the two solves -- below round(..., 6)'s resolution, which mapped both
-    # runs onto identical key sets.
-    assert first != second
-    rounded = lambda keys: {(stage, key, round(budget, 6))
-                            for stage, key, budget in keys}
-    assert rounded(first) == rounded(second)
+    # Without certificates every straggler iteration is one budgeted suffix
+    # query, so per-budget keying would have stored (at least) one entry
+    # per iteration; intervals store fewer.
+    assert entries < solver.stats.suffix_iterations
 
 
 def test_straggler_convergence_tolerance_is_relative_plus_absolute():
@@ -464,7 +435,8 @@ def test_straggler_convergence_tolerance_is_relative_plus_absolute():
 
 @pytest.mark.parametrize("pp,dp", [(1, 2), (2, 2), (2, 4), (3, 1)])
 def test_batched_budget_threading_matches_scalar_recursion(opt_env, opt_job,
-                                                           pp, dp):
+                                                           pp, dp,
+                                                           engine_thresholds):
     """The per-layer batched straggler kernel (engine forced on) must
     return bitwise-identical solutions to the exhaustive scalar per-combo
     recursion (``enable_pruning=False``) across binding and non-binding
@@ -481,11 +453,10 @@ def test_batched_budget_threading_matches_scalar_recursion(opt_env, opt_job,
     for fraction in BUDGET_FRACTIONS:
         budget = base_cost * fraction
         batched = build_solver(opt_env, opt_job, pp=pp, dp=dp)
-        batched.config = DPSolverConfig(engine_min_states=0)
-        batched.engine_min_states = 0
         scalar = build_solver(opt_env, opt_job, pp=pp, dp=dp)
         scalar.config = DPSolverConfig(enable_pruning=False)
-        a = batched.solve(dict(resources), budget_per_iteration=budget)
+        with engine_thresholds():
+            a = batched.solve(dict(resources), budget_per_iteration=budget)
         b = scalar.solve(dict(resources), budget_per_iteration=budget)
         assert (a is None) == (b is None)
         if a is None:
@@ -544,8 +515,8 @@ def _solver_root_state(solver):
     return state
 
 
-def test_budget_bounds_are_true_lower_bounds_over_random_pools(opt_env,
-                                                               opt_job):
+def test_budget_bounds_are_true_lower_bounds_over_random_pools(
+        opt_env, opt_job, engine_thresholds):
     """Property (hypothesis-style randomized sweep): the straggler and cost
     lower bounds never exceed *any* solution in the search space -- in
     particular not the minimum -- in both the engine-layer and the
@@ -566,9 +537,8 @@ def test_budget_bounds_are_true_lower_bounds_over_random_pools(opt_env,
         dp = rng.choice([1, 2, 4])
 
         engine_solver = build_solver(opt_env, opt_job, pp=pp, dp=dp)
-        engine_solver.config = DPSolverConfig(engine_min_states=0)
-        engine_solver.engine_min_states = 0
-        unconstrained = engine_solver.solve(dict(resources))
+        with engine_thresholds():
+            unconstrained = engine_solver.solve(dict(resources))
         solutions = enumerate_solutions(engine_solver, resources)
         nb = engine_solver.num_microbatches
 
@@ -593,10 +563,9 @@ def test_budget_bounds_are_true_lower_bounds_over_random_pools(opt_env,
         scalar_solver = build_solver(opt_env, opt_job, pp=pp, dp=dp)
         assert scalar_solver.solve(dict(resources)) is not None or \
             unconstrained is None
-        if not scalar_solver._vector_states:
+        if scalar_solver._engine is None:
             root = tuple(_solver_root_state(scalar_solver).tolist())
-            s_slb, _, _, _, s_mlb, s_clb = scalar_solver._scalar_bound(
-                0, root, root)
+            s_slb, _, _, _, s_mlb, s_clb = scalar_solver._scalar_bound(0, root)
             if not solutions:
                 assert math.isinf(s_slb) and math.isinf(s_clb)
                 assert math.isinf(s_mlb)
@@ -611,7 +580,8 @@ def test_budget_bounds_are_true_lower_bounds_over_random_pools(opt_env,
 @pytest.mark.parametrize("pp,dp", [(1, 2), (2, 2), (2, 4), (3, 1)])
 @pytest.mark.parametrize("engine_forced", [True, False])
 def test_certificates_match_uncertified_recursion(opt_env, opt_job, pp, dp,
-                                                  engine_forced):
+                                                  engine_forced,
+                                                  engine_thresholds):
     """Certificates (straggler/cost bounds, engine seeding, batched-layer
     resolve) must return bitwise-identical solutions to the uncertified
     exhaustive straggler recursion (``enable_pruning=False``) across
@@ -630,13 +600,10 @@ def test_certificates_match_uncertified_recursion(opt_env, opt_job, pp, dp,
     for fraction in BUDGET_FRACTIONS:
         budget = base_cost * fraction
         certified = build_solver(opt_env, opt_job, pp=pp, dp=dp)
-        certified.config = DPSolverConfig(engine_min_states=engine_min,
-                                          engine_min_states_budget=engine_min)
-        certified.engine_min_states = engine_min
-        certified.engine_min_states_budget = engine_min
         plain = build_solver(opt_env, opt_job, pp=pp, dp=dp)
         plain.config = DPSolverConfig(enable_pruning=False)
-        a = certified.solve(dict(resources), budget_per_iteration=budget)
+        with engine_thresholds(engine_min, engine_min):
+            a = certified.solve(dict(resources), budget_per_iteration=budget)
         b = plain.solve(dict(resources), budget_per_iteration=budget)
         assert (a is None) == (b is None)
         assert plain.stats.suffix_certified == 0
@@ -671,19 +638,22 @@ def test_certificates_fire_and_are_counted(opt_env, opt_job):
     assert plain.stats.suffix_iterations > certified.stats.suffix_iterations
 
 
-def test_certificates_disabled_under_fork_tracking(opt_env, opt_job):
-    """Fork tracking must observe every suffix query, so certificates (which
-    remove queries) stay off while it is active."""
+def test_engine_backed_budget_solve_never_enters_the_recursion(
+        opt_env, opt_job, engine_thresholds):
+    """With the engine forced, a binding-budget solve answers every node
+    from the engine layers (batched scan, certificates, dominance): the
+    tuple recursion's per-state combo caches stay empty."""
     resources = {("us-central1-a", "a2-highgpu-4g"): 4,
                  ("us-central1-a", "n1-standard-v100-4"): 4}
     solver = build_solver(opt_env, opt_job, pp=2, dp=4)
     nb = solver.num_microbatches
-    budget = solver.solve(dict(resources)).projected_cost(nb) * 0.7
-    solver.track_budget_forks = True
-    assert solver.solve(dict(resources), budget_per_iteration=budget) \
-        is not None
-    assert not solver._certs_active
-    assert solver.stats.suffix_certified == 0
+    budget = solver.solve(dict(resources)).projected_cost(nb) * 0.55
+    with engine_thresholds():
+        assert solver.solve(dict(resources), budget_per_iteration=budget) \
+            is not None
+    assert solver._engine is not None
+    assert all(not cache for cache in solver._combo_cache)
+    assert solver.stats.suffix_certified > 0
 
 
 def test_interval_memo_repeat_solves_are_deterministic(opt_env, opt_job):

@@ -326,7 +326,7 @@ def test_initargs_fallback_matches_shm_path(opt_env, opt_job, mixed_topology,
 
 
 def test_engine_and_batched_budget_threading_match_the_exhaustive_plan(
-        opt_env, opt_job, mixed_topology):
+        opt_env, opt_job, mixed_topology, engine_thresholds):
     """End-to-end guarantee behind the engine's speedups: the layered
     engine and the batched budget threading return byte-identical plans
     to the exhaustive recursion (engine forced on so both paths actually
@@ -341,14 +341,16 @@ def test_engine_and_batched_budget_threading_match_the_exhaustive_plan(
                           max_cost_per_iteration_usd=budget),
                       Objective.min_cost()):
         reference = None
-        for dp_config in (
-                DPSolverConfig(engine_min_states=0),
-                DPSolverConfig(engine_min_states_budget=0),  # budget -> engine
-                DPSolverConfig(),  # adaptive dispatch (scalar certificates)
-                DPSolverConfig(enable_pruning=False),
+        for dp_config, thresholds in (
+                (DPSolverConfig(), (0, None)),  # engine forced
+                (DPSolverConfig(), (None, 0)),  # budget -> engine
+                (DPSolverConfig(), (None, None)),  # adaptive dispatch
+                (DPSolverConfig(enable_pruning=False), (None, None)),
         ):
-            result = SailorPlanner(opt_env, config=PlannerConfig(
-                dp_config=dp_config)).plan(opt_job, mixed_topology, objective)
+            with engine_thresholds(*thresholds):
+                result = SailorPlanner(opt_env, config=PlannerConfig(
+                    dp_config=dp_config)).plan(opt_job, mixed_topology,
+                                               objective)
             assert result.found
             encoded = plan_to_json(result.plan)
             if reference is None:
@@ -533,18 +535,18 @@ def test_fused_combine_preserves_plans_when_forced(opt_env, opt_job,
     maximum none does.  Plans, evaluations, and node counts are
     bit-identical between the two, and the fused kernel demonstrably
     runs."""
+    import repro.core.dp_solver as dp_solver
     import repro.core.resource_state as rs
-    from repro.core.dp_solver import DPSolverConfig
 
-    dp_config = DPSolverConfig(engine_min_states=0)
+    monkeypatch.setattr(dp_solver, "ENGINE_MIN_STATES", 0)
     fused_hits = 0
     for objective in (Objective.max_throughput(), Objective.min_cost()):
         snapshots = []
         for fused in (False, True):
             monkeypatch.setattr(rs, "FUSED_COMBINE_MIN_ELEMS",
                                 1 if fused else rs.FUSED_COMBINE_MAX_ELEMS + 1)
-            result = SailorPlanner(opt_env, config=PlannerConfig(
-                dp_config=dp_config)).plan(opt_job, mixed_topology, objective)
+            result = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
+                                                 objective)
             assert result.found
             snapshots.append((plan_to_json(result.plan),
                               result.evaluation.iteration_time_s,

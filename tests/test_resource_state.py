@@ -15,7 +15,6 @@ from repro.core.resource_state import (
     STATE_DTYPE,
     ResourceStateCodec,
     ResourceStateEngine,
-    StageComboTable,
     StageKernelTable,
     compute_forward_layers,
     dedup_states,
@@ -23,6 +22,13 @@ from repro.core.resource_state import (
 )
 
 from test_dp_solver import build_solver
+
+
+@pytest.fixture
+def force_engine(engine_thresholds):
+    """Force the layered engine on these small pools."""
+    with engine_thresholds():
+        yield
 
 
 ROOT = ((("us-central1-a", "a2-highgpu-4g"), 4),
@@ -63,25 +69,6 @@ def test_codec_kernels_match_scalar_semantics():
     assert clamped.tolist() == [2, 0, 2]
     # No-op clamp returns the input object (allocation-free common case).
     assert codec.clamp(clamped, caps) is clamped
-
-    needs = np.array([1, 0, 3], dtype=STATE_DTYPE)
-    assert codec.subtract(state, needs).tolist() == [3, 2, 0]
-    assert codec.subtract(needs, state) is None  # underflow -> infeasible
-
-
-def test_fitting_combos_preserves_master_order_and_limit():
-    codec = ResourceStateCodec(ROOT)
-    entries = []
-    for req in ([1, 0, 0], [0, 1, 0], [2, 0, 0], [0, 0, 2], [4, 2, 0]):
-        items = tuple((ROOT[i][0], count) for i, count in enumerate(req)
-                      if count)
-        entries.append([None, None, None, items, 0.0])
-    table = codec.combo_table(entries)
-    assert isinstance(table, StageComboTable)
-    state = np.array([2, 1, 0], dtype=STATE_DTYPE)
-    # Fitting combos in master order: rows 0, 1, 2 fit; 3 and 4 do not.
-    assert codec.fitting_combos(table, state, limit=16).tolist() == [0, 1, 2]
-    assert codec.fitting_combos(table, state, limit=2).tolist() == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +155,7 @@ def test_forward_clamps_children_at_next_stage_caps():
 @pytest.mark.parametrize("pp,dp", [(1, 2), (2, 2), (3, 1), (2, 4)])
 @pytest.mark.parametrize("goal_cost", [False, True])
 def test_engine_matches_exhaustive_recursion(opt_env, opt_job, pp, dp,
-                                             goal_cost):
+                                             goal_cost, force_engine):
     """The layered engine (enable_pruning=True) and the exhaustive
     recursion (enable_pruning=False) must choose identical assignments."""
     from repro.core.objectives import OptimizationGoal
@@ -178,7 +165,6 @@ def test_engine_matches_exhaustive_recursion(opt_env, opt_job, pp, dp,
     resources = {("us-central1-a", "a2-highgpu-4g"): 4,
                  ("us-central1-a", "n1-standard-v100-4"): 4}
     engine_solver = build_solver(opt_env, opt_job, pp=pp, dp=dp, goal=goal)
-    engine_solver.engine_min_states = 0  # force the engine on a small pool
     reference = build_solver(opt_env, opt_job, pp=pp, dp=dp, goal=goal)
     reference.config = DPSolverConfig(enable_pruning=False)
 
@@ -194,12 +180,11 @@ def test_engine_matches_exhaustive_recursion(opt_env, opt_job, pp, dp,
         assert getattr(a, field) == getattr(b, field)  # bitwise
 
 
-def test_engine_two_zone_topology(opt_env_geo, opt_job):
+def test_engine_two_zone_topology(opt_env_geo, opt_job, force_engine):
     resources = {("us-central1-a", "a2-highgpu-4g"): 2,
                  ("us-west1-a", "a2-highgpu-4g"): 2}
     engine_solver = build_solver(opt_env_geo, opt_job, pp=2, dp=2,
                                  node_types=("a2-highgpu-4g",))
-    engine_solver.engine_min_states = 0  # force the engine on a small pool
     reference = build_solver(opt_env_geo, opt_job, pp=2, dp=2,
                              node_types=("a2-highgpu-4g",))
     reference.config = DPSolverConfig(enable_pruning=False)
@@ -211,9 +196,8 @@ def test_engine_two_zone_topology(opt_env_geo, opt_job):
             [x.placements for x in b.assignments]
 
 
-def test_engine_reports_layer_states_as_nodes(opt_env, opt_job):
+def test_engine_reports_layer_states_as_nodes(opt_env, opt_job, force_engine):
     solver = build_solver(opt_env, opt_job, pp=2, dp=2)
-    solver.engine_min_states = 0  # force the engine on a small pool
     resources = {("us-central1-a", "a2-highgpu-4g"): 4}
     before = solver.stats.nodes_explored
     assert solver.solve(resources) is not None
@@ -222,9 +206,8 @@ def test_engine_reports_layer_states_as_nodes(opt_env, opt_job):
     assert solver._engine.states_computed > 0
 
 
-def test_engine_infeasible_root_returns_none(opt_env, opt_job):
+def test_engine_infeasible_root_returns_none(opt_env, opt_job, force_engine):
     solver = build_solver(opt_env, opt_job, pp=2, dp=4)
-    solver.engine_min_states = 0  # force the engine on a small pool
     # One node cannot host four replicas per stage over two stages.
     assert solver.solve({("us-central1-a", "a2-highgpu-4g"): 1}) is None
 
@@ -246,8 +229,8 @@ def test_forward_row_cols_matches_local_computation():
     assert forward.row_cols(0, 0, last=False)[0] is cols  # cached
 
 
-def test_engine_matches_exhaustive_recursion_over_random_pools(opt_env,
-                                                               opt_job):
+def test_engine_matches_exhaustive_recursion_over_random_pools(
+        opt_env, opt_job, force_engine):
     """Randomized equivalence sweep for the layered engine: over seeded
     random pools x objectives x (pp, dp) shapes, the engine (forced on
     these small pools) must return exactly the solution of the exhaustive
@@ -272,7 +255,6 @@ def test_engine_matches_exhaustive_recursion_over_random_pools(opt_env,
 
         engine_solver = build_solver(opt_env, opt_job, pp=pp, dp=dp,
                                      goal=goal)
-        engine_solver.engine_min_states = 0
         reference = build_solver(opt_env, opt_job, pp=pp, dp=dp, goal=goal)
         reference.config = DPSolverConfig(enable_pruning=False)
 
@@ -303,11 +285,10 @@ def test_backward_tie_break_is_first_minimum():
         items = tuple((root_pairs[i][0], count)
                       for i, count in enumerate(row) if count)
         entries.append([None, None, None, items, 0.0])
-    plain = codec.combo_table(entries)
     # Combos 0 and 1 score identically (the intended minimum); combo 2 is
     # strictly worse.  First-min tie-break must select combo 0.
     table = StageKernelTable(
-        entries=plain.entries, req=plain.req, pairs=plain.pairs,
+        entries=entries, req=codec.combo_req(entries),
         compute=np.array([1.0, 1.0, 2.0]),
         sync=np.array([0.25, 0.25, 0.25]),
         rate=np.array([3.0, 3.0, 3.0]))
@@ -322,11 +303,11 @@ def test_backward_tie_break_is_first_minimum():
     assert engine.value[0][root_row] == 1.0 + 1.0 * 1.0 + 0.25
 
 
-def test_engine_budget_tables_match_scalar_probes(opt_env, opt_job):
+def test_engine_budget_tables_match_scalar_probes(opt_env, opt_job,
+                                                  force_engine):
     """The whole-layer dominance vectors must agree element-for-element
     with the per-row feasible/projected_cost probes they replace."""
     solver = build_solver(opt_env, opt_job, pp=2, dp=2)
-    solver.engine_min_states = 0
     resources = {("us-central1-a", "a2-highgpu-4g"): 4,
                  ("us-central1-a", "n1-standard-v100-4"): 4}
     assert solver.solve(dict(resources)) is not None
@@ -339,13 +320,13 @@ def test_engine_budget_tables_match_scalar_probes(opt_env, opt_job):
                 assert float(cost[row]) == engine.projected_cost(stage, row)
 
 
-def test_budget_bounds_mark_infeasible_layers_infinite(opt_env, opt_job):
+def test_budget_bounds_mark_infeasible_layers_infinite(opt_env, opt_job,
+                                                      force_engine):
     """A suffix no combo chain can complete must carry +inf bounds, the
     same rows the engine's backward values mark infeasible."""
     from repro.core.resource_state import compute_budget_bounds
 
     solver = build_solver(opt_env, opt_job, pp=2, dp=2)
-    solver.engine_min_states = 0
     resources = {("us-central1-a", "a2-highgpu-4g"): 4,
                  ("us-central1-a", "n1-standard-v100-4"): 4}
     assert solver.solve(dict(resources)) is not None

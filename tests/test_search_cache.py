@@ -181,8 +181,8 @@ def test_forward_layers_do_not_outlive_their_solve(opt_env, opt_job,
         return compute_forward_layers(*args, **kwargs)
 
     monkeypatch.setattr(dp_solver, "compute_forward_layers", counting)
-    planner = SailorPlanner(opt_env, config=PlannerConfig(
-        dp_config=DPSolverConfig(engine_min_states=0)))
+    monkeypatch.setattr(dp_solver, "ENGINE_MIN_STATES", 0)
+    planner = SailorPlanner(opt_env)
     unconstrained = planner.plan(opt_job, mixed_topology,
                                  Objective.max_throughput())
     assert unconstrained.found
@@ -271,8 +271,6 @@ DP_CONFIG_PERTURBATIONS = {
     "split_fractions": (0.5,),
     "max_budget_iterations": 1,
     "enable_pruning": False,
-    "engine_min_states": 0,
-    "engine_min_states_budget": 0,
 }
 
 
