@@ -34,7 +34,7 @@
 #                                   candidates_killed_unevaluated, so a
 #                                   disarmed tail kill fails CI);
 #                                   the 256-GPU min-cost point asserts the
-#                                   dominated-family interval memo skips
+#                                   dominated-family skip drops
 #                                   whole families (nonzero
 #                                   families_skipped), and tier-1 carries
 #                                   the forced fused-combine route

@@ -54,7 +54,7 @@ _PHASES = {
     "evaluation": (("evaluator.py", "evaluate"),),
     # Candidate enumeration + bound computation: the (P, mbs, D) candidate
     # generators, the stage-combo master tables, and every admissible-floor
-    # routine (family interval memo, availability-aware tail floors).  This
+    # routine (the availability-aware candidate floors).  This
     # is the branch-and-bound overhead that the kernels above don't see --
     # when its share grows with the pool, the next wall is enumeration, not
     # scoring.
@@ -64,9 +64,6 @@ _PHASES = {
                     ("heuristics.py", "microbatch_candidates"),
                     ("search_cache.py", "stage_master_combos"),
                     ("planner.py", "_branch_specs"),
-                    ("planner.py", "_stage_floors"),
-                    ("planner.py", "_candidate_floor"),
-                    ("planner.py", "_family_floor"),
                     ("planner.py", "_availability_tables"),
                     ("planner.py", "_candidate_floor_available")),
 }

@@ -178,10 +178,10 @@ def test_bench_planner_heterogeneous_256_gpus(benchmark, job):
 def test_bench_planner_heterogeneous_256_gpus_min_cost(benchmark, job):
     """Min-cost search on the 256-GPU mixed pool.
 
-    The cost objective is where the dominated-family interval memo bites:
-    family cost floors (D x rate x time) discriminate much harder than
-    time floors, so whole (P, mbs) families are skipped before any
-    forward build.  Three rounds for a stable median.
+    The cost objective is where the dominated-family skip bites: family
+    cost floors (D x rate x time) discriminate much harder than time
+    floors, so whole (P, mbs) families are skipped before any forward
+    build.  Three rounds for a stable median.
     """
     topology = ClusterTopology.single_zone("us-central1-a", {
         "a2-highgpu-4g": 32, "n1-standard-v100-4": 32})
@@ -192,10 +192,10 @@ def test_bench_planner_heterogeneous_256_gpus_min_cost(benchmark, job):
         rounds=3, iterations=1)
     assert result.found
     # `make ci` acceptance bar (checked in the tier-1 phase, like the
-    # 256-GPU tail-kill gate above): the dominated-family interval memo
-    # must actually skip whole (P, mbs) families at this scale -- a
-    # silently-disarmed family gate (floors inf, memo keyed wrong) fails
-    # here rather than showing up only as a latency drift.
+    # 256-GPU tail-kill gate above): the dominated-family skip must
+    # actually skip whole (P, mbs) families at this scale -- a
+    # silently-disarmed family gate (floors zero or unarmed) fails here
+    # rather than showing up only as a latency drift.
     assert result.search_stats.families_skipped > 0
 
 

@@ -500,15 +500,6 @@ class DPSolver:
         self._mat_cache[(stage_index, row)] = solution
         return solution
 
-    # -- stage metrics -----------------------------------------------------------
-
-    def stage_compute_time(self, stage_index: int, node_type: str,
-                           tensor_parallel: int) -> float:
-        """Per-microbatch forward+backward time of a stage on one option."""
-        return self.context.stage_compute_time(
-            self.partitions[stage_index], self.microbatch_size, node_type,
-            tensor_parallel)
-
     # -- combo generation ---------------------------------------------------------
 
     def generate_combos(self, stage_index: int,

@@ -368,20 +368,20 @@ class SearchStats:
     #: candidate of the branch cannot beat the incumbent, so none of them
     #: was solved, built or evaluated (see ``SailorPlanner._plan_branch``).
     candidates_killed_unevaluated: int = 0
-    #: Whole (P, mbs) families skipped before any forward build: the
-    #: family's interval-memoised floor (min over its data-parallel
-    #: members) already loses to the cross-branch incumbent, so every
-    #: member was dropped wholesale (see ``SailorPlanner._plan_branch``).
+    #: Whole (P, mbs) families skipped before any DP solve: the family's
+    #: floor (the min of its members' pool-aware candidate floors) already
+    #: loses to the cross-branch incumbent, so every member was dropped
+    #: wholesale (see ``SailorPlanner._plan_branch``).
     families_skipped: int = 0
     #: Backward layer combines served by the fused workspace kernel
     #: (preallocated process-wide buffers + cached-signature einsum)
     #: instead of fresh full-size temporaries
     #: (``resource_state.FUSED_COMBINE_MIN_ELEMS`` has the dispatch band).
     combine_fused_hits: int = 0
-    #: Availability-aware tail-kill floor tables served warm from the
-    #: per-availability-signature cache instead of being rebuilt (the tail
-    #: kill in ``SailorPlanner._plan_branch``); churn replans against an
-    #: unchanged pool hit this on every branch.
+    #: Availability-aware candidate floor tables served warm from the
+    #: per-availability-signature cache instead of being rebuilt (the
+    #: branch floors of ``SailorPlanner._plan_branch``); churn replans
+    #: against an unchanged pool hit this on every branch.
     availability_floor_hits: int = 0
     #: Whole DP solves answered from the search context's solve memo
     #: (``PlannerSearchContext.solution``): a replan revisiting a pool on a

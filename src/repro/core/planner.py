@@ -62,10 +62,11 @@ from repro.hardware.topology import ClusterTopology
 from repro.models.spec import TrainingJobSpec
 
 
-#: Relative slack on the unexplored-candidate lower bounds (see
-#: ``SailorPlanner._unexplored_bound``): keeps the gap certificate
-#: admissible under float association drift between the bound arithmetic
-#: and the simulator's evaluation of the same stage times.
+#: Relative slack on the per-candidate floors
+#: (``SailorPlanner._candidate_floor_available``) that price the family
+#: skip, the tail kill and the gap certificate: keeps them admissible under
+#: float association drift between the floor arithmetic and the simulator's
+#: evaluation of the same stage times.
 _GAP_BOUND_SLACK = 1.0 - 1e-9
 
 
@@ -143,11 +144,12 @@ class _BranchOutcome:
     #: Admissible lower bound on the objective's minimised scalar over the
     #: branch's *unexplored* candidates; +inf when none could win.
     unexplored_lb: float = math.inf
-    #: Admissible availability-free floor of the whole family's minimised
-    #: scalar (the family skip in ``SailorPlanner._plan_branch``); ``None``
-    #: when the family gate was not armed for this branch (no TP options,
-    #: no DP candidates, pruning off), so the parallel driver's replay
-    #: never drops an unpriced branch.
+    #: Admissible floor of the whole family's minimised scalar: the first
+    #: of the branch's suffix-minimum candidate floors (the family skip in
+    #: ``SailorPlanner._plan_branch``); ``None`` when the family gate was
+    #: not armed for this branch (no TP options, no DP candidates, pruning
+    #: off), so the parallel driver's replay never drops an unpriced
+    #: branch.
     family_floor: float | None = None
 
 
@@ -369,61 +371,51 @@ class SailorPlanner:
             job, mbs, max_dp, maximize_throughput=maximize_throughput,
             config=heuristics)
 
-        # Dominated-family skip: price the whole family from the
-        # interval-memoised availability-free floors (``_family_floor``)
-        # and skip it wholesale -- before any forward build or DP solve --
-        # when it provably cannot *strictly* beat the cross-branch
-        # incumbent.  Value-preserving: ``Objective.better`` is strict, so
-        # no skipped member could have replaced the incumbent, and a skip
-        # removes an entire family (a within-enumeration-order cut), so no
-        # surviving branch sees different H3/H4 or tie-break state.  The
-        # floor is recorded on the outcome either way so the parallel
-        # driver can replay this exact decision from its workers' results
-        # through the same ``_family_dominated`` predicate.
-        if pruning and dp_candidates:
-            outcome.family_floor = self._family_floor(
-                job, context, partitions, tp_options, mbs, pp, dp_candidates,
-                not maximize_throughput)
+        # One admissible floor per data-parallel candidate, turned into
+        # suffix minima so ``floors[i]`` bounds every candidate from ``i``
+        # on.  The floors come from the pool-aware tables of
+        # ``_availability_tables`` (see ``_candidate_floor_available``),
+        # cached per (branch, pool) so churn replans against an unchanged
+        # pool reuse them warm.  They are simulator floors, not the DP
+        # engine's ``cost_lb`` tables: every decision below compares them
+        # against the *simulator's* incumbent value, which the DP model does
+        # not bound.  The one list prices the family skip (``floors[0]``),
+        # the tail kill (``floors[i]``) and the anytime gap certificate
+        # (``floors[cut_from]``); each covers candidates solved on this same
+        # ``resources`` pool, so a pool-aware floor is admissible for all
+        # three.  Built even with pruning off: a deadline still needs the
+        # gap certificate.
+        floors: list[float] = []
+        if dp_candidates:
+            tables = self._availability_tables(
+                context, partitions, tp_options, mbs, pp, resources)
+            max_mixed = self.config.dp_config.max_mixed_types_per_stage
+            floors = [
+                self._candidate_floor_available(job, tables, mbs, dp,
+                                                not maximize_throughput,
+                                                max_mixed)
+                for dp in dp_candidates]
+            for i in range(len(floors) - 2, -1, -1):
+                if floors[i + 1] < floors[i]:
+                    floors[i] = floors[i + 1]
+
+        # Dominated-family skip: skip the whole family -- before any DP
+        # solve -- when its best floor provably cannot *strictly* beat the
+        # cross-branch incumbent.  Value-preserving: ``Objective.better``
+        # is strict, so no skipped member could have replaced the
+        # incumbent, and a skip removes an entire family (a
+        # within-enumeration-order cut), so no surviving branch sees
+        # different H3/H4 or tie-break state.  The floor is recorded on the
+        # outcome either way so the parallel driver can replay this exact
+        # decision from its workers' results through the same
+        # ``_family_dominated`` predicate.
+        if pruning and floors:
+            outcome.family_floor = floors[0]
             if self._family_dominated(objective, outcome.family_floor,
                                       incumbent):
                 context.stats.families_skipped += 1
                 self._count_branch(context, outcome)
                 return outcome
-
-        # Tail kill: suffix minima of the per-candidate admissible floors,
-        # so one comparison at the top of the loop prices the whole
-        # unexplored tail and kills it before its DP solves once its best
-        # floor already loses to the branch incumbent.  Value-preserving
-        # because only whole tails are killed: ``Objective.better`` is
-        # strict, so no killed candidate could have replaced the incumbent,
-        # and nothing after the cut is evaluated, so the H3/H4 staleness
-        # state of a surviving candidate cannot diverge.  (Physically
-        # re-sorting the candidates by floor would *not* be: the H3/H4
-        # early stop and the first-wins tie-break are order-dependent.)
-        # Branch-local state only -- serial and parallel workers take
-        # identical kill decisions, and the incumbent gate does not perturb
-        # them (it never changes the branch incumbent's evolution).  The
-        # floors are simulator floors, not the DP engine's ``cost_lb``
-        # tables: the kill compares against the *simulator's* incumbent
-        # value, which the DP model does not bound.  They come from the
-        # pool-aware tables of ``_availability_tables`` (admissible; see
-        # ``_candidate_floor_available``), cached per (branch, pool) so
-        # churn replans against an unchanged pool reuse them warm;
-        # ``_unexplored_bound`` keeps the availability-free floors, so the
-        # gap certificates never depend on which pool priced the cut.
-        tail_floor: list[float] | None = None
-        if pruning and dp_candidates:
-            avail_tables = self._availability_tables(
-                context, partitions, tp_options, mbs, pp, resources)
-            max_mixed = self.config.dp_config.max_mixed_types_per_stage
-            tail_floor = [
-                self._candidate_floor_available(job, avail_tables, mbs, dp,
-                                                not maximize_throughput,
-                                                max_mixed)
-                for dp in dp_candidates]
-            for i in range(len(tail_floor) - 2, -1, -1):
-                if tail_floor[i + 1] < tail_floor[i]:
-                    tail_floor[i] = tail_floor[i + 1]
 
         if memo_config is not None:
             # The raw root pool exactly as the solver normalises it, so a
@@ -440,10 +432,23 @@ class SailorPlanner:
             if search_budget is not None and search_budget.expired():
                 cut_from = dp_index
                 break
-            if tail_floor is not None and outcome.evaluation is not None:
+            # Tail kill: ``floors[dp_index]`` prices the whole unexplored
+            # tail, which is killed before its DP solves once that floor
+            # already loses to the branch incumbent.  Value-preserving
+            # because only whole tails are killed: ``Objective.better`` is
+            # strict, so no killed candidate could have replaced the
+            # incumbent, and nothing after the cut is evaluated, so the
+            # H3/H4 staleness state of a surviving candidate cannot
+            # diverge.  (Physically re-sorting the candidates by floor
+            # would *not* be: the H3/H4 early stop and the first-wins
+            # tie-break are order-dependent.)  Branch-local state only --
+            # serial and parallel workers take identical kill decisions,
+            # and the incumbent gate does not perturb them (it never
+            # changes the branch incumbent's evolution).
+            if pruning and outcome.evaluation is not None:
                 incumbent = self._incumbent_value(objective,
                                                   outcome.evaluation)
-                if incumbent > 0 and tail_floor[dp_index] >= incumbent:
+                if incumbent > 0 and floors[dp_index] >= incumbent:
                     # No remaining candidate can *strictly* beat the branch
                     # incumbent (its floor is already >= the incumbent's
                     # minimised scalar, and ties keep the incumbent), so
@@ -571,9 +576,7 @@ class SailorPlanner:
                     best_score_this_branch = score
         if cut_from is not None:
             outcome.complete = False
-            outcome.unexplored_lb = self._unexplored_bound(
-                job, objective, context, partitions, tp_options, mbs,
-                dp_candidates[cut_from:])
+            outcome.unexplored_lb = floors[cut_from]
         self._count_branch(context, outcome)
         return outcome
 
@@ -584,127 +587,6 @@ class SailorPlanner:
             context.stats.branches_complete += 1
         else:
             context.stats.branches_incomplete += 1
-
-    def _unexplored_bound(self, job: TrainingJobSpec, objective: Objective,
-                          context: PlannerSearchContext, partitions,
-                          tp_options: list[dict[str, list[int]]], mbs: int,
-                          dp_candidates: list[int]) -> float:
-        """Admissible lower bound over a branch's unexplored candidates.
-
-        Modeled on ``DPSolver._prepare_bounds`` but availability-free: the
-        per-stage minima range over *every* (node type, TP) option the
-        branch admits -- a superset of what any placement could use, so the
-        bound holds for every unexplored ``(P, mbs, D)`` candidate:
-
-        * iteration time ``>= sum(best_time) + (Nb-1) * max(best_time)``
-          (pipeline ramp with zero comm/sync/update overhead);
-        * cost ``>= D * sum(best whole-node rate per replica) * time_lb``
-          (compute at the time floor, zero egress).
-
-        Both are floors of the *simulator's* evaluation, which is what the
-        incumbent values the gap compares against.  The small relative
-        slack absorbs float association drift between the bound arithmetic
-        and the simulator's.  The same stage minima price the family skip
-        (``_family_floor``).
-        """
-        floors = self._stage_floors(context, partitions, tp_options, mbs)
-        if floors is None:
-            return math.inf  # no unexplored candidate can host every stage
-        minimize_cost = objective.goal is OptimizationGoal.MIN_COST
-        best = math.inf
-        for dp in dp_candidates:
-            value = self._candidate_floor(job, floors, mbs, dp, minimize_cost)
-            if value < best:
-                best = value
-        return best
-
-    @staticmethod
-    def _stage_floors(context: PlannerSearchContext, partitions,
-                      tp_options: list[dict[str, list[int]]], mbs: int,
-                      ) -> tuple[float, float, float] | None:
-        """Availability-free per-stage minima of one (P, mbs) branch.
-
-        ``(sum of best stage times, max best stage time, sum of best
-        per-replica whole-node rates)`` over *every* (node type, TP) option
-        the branch admits -- a superset of what any placement could use --
-        or ``None`` when some stage fits on no node type at all.
-        """
-        sum_t = 0.0
-        max_t = 0.0
-        rate_sum = 0.0
-        for partition, options in zip(partitions, tp_options):
-            best_time = math.inf
-            best_rate = math.inf
-            for node_type, tps in options.items():
-                gpus = context.gpus_per_node(node_type)
-                node_rate = gpus * context.gpu_price_per_second(node_type)
-                for tp in tps:
-                    compute = context.stage_compute_time(partition, mbs,
-                                                         node_type, tp)
-                    if compute < best_time:
-                        best_time = compute
-                    rate = node_rate / max(1, gpus // tp)
-                    if rate < best_rate:
-                        best_rate = rate
-            if best_time == math.inf:
-                return None
-            sum_t += best_time
-            if best_time > max_t:
-                max_t = best_time
-            rate_sum += best_rate
-        return sum_t, max_t, rate_sum
-
-    @staticmethod
-    def _candidate_floor(job: TrainingJobSpec,
-                         floors: tuple[float, float, float], mbs: int,
-                         dp: int, minimize_cost: bool) -> float:
-        """Admissible floor of one ``(P, mbs, D)`` candidate's minimised
-        scalar (iteration time, or monetary cost per iteration), from the
-        branch's ``_stage_floors``.  Slack as in ``_unexplored_bound``;
-        applying it per candidate commutes with the min over candidates
-        (multiplication by a positive constant is monotone), so the gap
-        certificates are bit-identical to the pre-refactor arithmetic.
-        """
-        sum_t, max_t, rate_sum = floors
-        nb = job.num_microbatches(dp, mbs)
-        time_lb = sum_t + (nb - 1) * max_t
-        value = (dp * rate_sum * time_lb if minimize_cost else time_lb)
-        return value * _GAP_BOUND_SLACK
-
-    def _family_floor(self, job: TrainingJobSpec,
-                      context: PlannerSearchContext, partitions,
-                      tp_options: list[dict[str, list[int]]], mbs: int,
-                      pp: int, dp_candidates: list[int],
-                      minimize_cost: bool) -> float:
-        """Admissible floor of one (P, mbs) family's minimised scalar.
-
-        ``min`` over the family's data-parallel members of the
-        availability-free ``_candidate_floor`` -- a floor of every member,
-        hence of the family's best.  Both levels are interval-memoised in
-        the search context: the stage minima are availability-independent
-        outright, and each member floor, once computed, stays valid for
-        every later availability snapshot whose candidate list contains
-        that member (a snapshot only decides *which* members exist, never
-        what a member's floor is), so churn replans price their families
-        from warm tables.
-        """
-        tp_key = tuple(tp_options_key(options) for options in tp_options)
-        floors = context.family_stage_floors(
-            pp, mbs, tp_key,
-            lambda: self._stage_floors(context, partitions, tp_options, mbs))
-        if floors is None:
-            return math.inf
-        members = context.family_member_floors(pp, mbs, tp_key)
-        best = math.inf
-        for dp in dp_candidates:
-            value = members.get(dp)
-            if value is None:
-                value = self._candidate_floor(job, floors, mbs, dp,
-                                              minimize_cost)
-                members[dp] = value
-            if value < best:
-                best = value
-        return best
 
     @staticmethod
     def _family_dominated(objective: Objective, family_floor: float | None,
@@ -795,8 +677,12 @@ class SailorPlanner:
         DP sub-states only ever shrink capacities, so thresholding on the
         root pool keeps the admitted option set a superset of reality and
         the bound admissible.  The rate floor uses presence only
-        (threshold 1): a combo option may carry a single replica.  Slack
-        as in ``_candidate_floor``.
+        (threshold 1): a combo option may carry a single replica.  The
+        result is then the pipeline-ramp floor of the simulator's
+        evaluation -- iteration time ``>= sum(stage_t) + (Nb-1) *
+        max(stage_t)`` (zero comm/sync/update overhead); cost ``>= D *
+        sum(rate) * time_lb`` (compute at the time floor, zero egress) --
+        times ``_GAP_BOUND_SLACK``.
         """
         mixing = min(2, max(1, max_mixed))
         k = -(-dp // mixing)

@@ -36,7 +36,6 @@ stage compute time     ``(partition, mbs, node_type, tp)``
 stage parameter count  ``partition``
 stage sync time        ``(partition, dp, placements)``
 stage cost rate        ``placements``
-stage assignment       ``(partition, mbs, dp, placements)``
 stage options          ``(tp_key, resources)``
 stage master combos    ``(partition, mbs, dp, tp_key, resources, goal,
                        combo-config knobs)``
@@ -119,8 +118,8 @@ class StageOption:
 class StageAssignment:
     """Resources given to one stage: replica counts per option.
 
-    Instances are frozen and shared across DP candidates via the
-    :class:`PlannerSearchContext` assignment cache, so the whole-node
+    Instances are frozen and shared through the master-combo entries of
+    :meth:`PlannerSearchContext.stage_master_combos`, so the whole-node
     footprint is precomputed once at construction instead of on every
     ``nodes_used`` access in the recursion.  Note the footprint is a plain
     dict, so instances are *not* hashable despite ``frozen=True``.
@@ -181,25 +180,10 @@ class PlannerSearchContext:
         self._stage_params: dict[LayerPartition, int] = {}
         self._sync_time: dict[tuple, float] = {}
         self._cost_rate: dict[tuple, float] = {}
-        self._assignment: dict[tuple, StageAssignment] = {}
         self._options: dict[tuple, list[tuple[StageOption, int]]] = {}
         self._combos: dict[tuple, list[list]] = {}
-        #: Interval memo over partition counts (family floors): per
-        #: ``(pp, mbs, tp_key)`` family, the availability-free per-stage
-        #: minima triple of ``SailorPlanner._stage_floors``, plus the
-        #: per-member ``{dp: floor}`` table it induces.  The memo reuses
-        #: PR 3's interval-keyed validity-range idea one level up: each
-        #: entry is valid for *every* availability snapshot (the minima
-        #: range over every option the family admits, a superset of any
-        #: pool's), and each per-``dp`` member floor is valid for every
-        #: availability whose candidate interval contains ``dp`` -- so
-        #: churn replans reuse the whole table warm with zero
-        #: invalidation.  Unbounded by design: the key space is the
-        #: (pp, mbs) enumeration itself, a few hundred entries at most.
-        self._family_stage_floors: dict[tuple, tuple | None] = {}
-        self._family_member_floors: dict[tuple, dict[int, float]] = {}
-        #: Availability-aware tail-kill floor tables
-        #: (``SailorPlanner._availability_stage_tables``), keyed by the
+        #: Availability-aware candidate floor tables
+        #: (``SailorPlanner._availability_tables``), keyed by the
         #: full availability signature ``(pp, mbs, tp_key, resources)``.
         #: Bounded FIFO (oldest entry evicted at the cap): one entry per
         #: (branch, pool) pair, so an online controller replanning across
@@ -351,36 +335,17 @@ class PlannerSearchContext:
         self._cost_rate[placements] = total
         return total
 
-    def stage_assignment(self, partition: LayerPartition, microbatch_size: int,
-                         data_parallel: int,
-                         placements: tuple[tuple[StageOption, int], ...],
-                         nodes_used: dict[tuple[str, str], int] | None = None,
-                         ) -> StageAssignment:
-        """Fully-costed assignment of one combo, shared across candidates."""
-        key = (partition, microbatch_size, data_parallel, placements)
-        cached = self._assignment.get(key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
-        self.stats.cache_misses += 1
-        assignment = self.build_stage_assignment(
-            partition, microbatch_size, data_parallel, placements,
-            nodes_used=nodes_used)
-        self._assignment[key] = assignment
-        return assignment
-
     def build_stage_assignment(self, partition: LayerPartition,
                                microbatch_size: int, data_parallel: int,
                                placements: tuple[tuple[StageOption, int], ...],
                                nodes_used: dict[tuple[str, str], int] | None = None,
                                compute_time_s: float | None = None,
                                ) -> StageAssignment:
-        """Construct a fully-costed assignment without the keyed memo.
+        """Construct the fully-costed assignment of one combo.
 
-        The DP solver stores the assignment on its master-combo entry, which
-        already deduplicates within a planner call, so the keyed memo above
-        would only add (partition, placements)-hashing overhead on that
-        path; the component caches (compute/sync/cost) still apply.
+        Not memoised here: the DP solver stores the assignment on its
+        master-combo entry, which already deduplicates within a planner
+        call; the component caches (compute/sync/cost) still apply.
         ``compute_time_s`` lets the caller pass the stage compute time the
         master-combo ranking already established for these placements.
         """
@@ -398,41 +363,11 @@ class PlannerSearchContext:
 
     # -- enumeration-level floors -----------------------------------------------
 
-    def family_stage_floors(self, pp: int, mbs: int, tp_key: tuple, build):
-        """Availability-free stage-minima triple of one (P, mbs) family.
-
-        ``build`` runs ``SailorPlanner._stage_floors`` on a miss.  The
-        entry is availability-independent (see the attribute comment), so
-        it needs no pool in its key and survives churn untouched.
-        """
-        key = (pp, mbs, tp_key)
-        if key in self._family_stage_floors:
-            return self._family_stage_floors[key]
-        floors = build()
-        self._family_stage_floors[key] = floors
-        return floors
-
-    def family_member_floors(self, pp: int, mbs: int,
-                             tp_key: tuple) -> dict[int, float]:
-        """Mutable ``{dp: floor}`` member table of one (P, mbs) family.
-
-        Extended lazily by the planner as availability snapshots expose
-        new data-parallel members; an entry, once computed, answers every
-        later snapshot whose candidate interval contains that ``dp``
-        (the goal is context-bound, so it needs no place in the key).
-        """
-        key = (pp, mbs, tp_key)
-        table = self._family_member_floors.get(key)
-        if table is None:
-            table = {}
-            self._family_member_floors[key] = table
-        return table
-
     def availability_floors(self, signature: tuple, build):
         """Availability-aware floor tables for one (branch, pool) signature.
 
         ``build`` assembles the per-stage threshold tables
-        (``SailorPlanner._availability_stage_tables``) on a miss; hits are
+        (``SailorPlanner._availability_tables``) on a miss; hits are
         counted on ``stats.availability_floor_hits``.  Bounded FIFO; see
         the attribute comment in ``__init__``.
         """

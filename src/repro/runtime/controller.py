@@ -22,8 +22,9 @@ of increasing disruption:
    :class:`~repro.runtime.reconfiguration.ReconfigurationModel` cost.
    Replans are *incremental*: every solve runs inside one long-lived
    :class:`~repro.core.search_cache.PlannerSearchContext`, so successive
-   pools reuse forward layers, budget bounds and stage tables (the
-   cross-time analogue of the planner's cross-candidate sharing).
+   pools reuse stage tables, master combos, floor tables and whole DP
+   solves (the cross-time analogue of the planner's cross-candidate
+   sharing).
 4. ``PARK`` -- nothing fits: checkpoint-park the job (stop workers, keep
    state) and retry with exponential backoff as capacity returns.
 
@@ -103,8 +104,6 @@ class ReplanPolicy:
     amortization_horizon_s: float | None = None
     #: Try dropping data-parallel columns in place before a full replan.
     enable_shrink: bool = True
-    #: Reuse one search context across successive replans.
-    incremental: bool = True
     #: Charge the reconfiguration model's *constant* planning latency
     #: instead of the measured solver wall-clock, so the simulated timeline
     #: (iteration counts, checkpoint instants) is a pure function of the
@@ -190,13 +189,13 @@ class TrainingController:
     def replan(self, topology: ClusterTopology) -> PlannerResult:
         """Run the planner against the currently available topology.
 
-        With ``policy.incremental`` the solve runs inside one long-lived
-        search context, so forward layers, budget bounds and stage tables
-        survive across successive pools; the chosen plan is identical to a
-        from-scratch solve on the same pool (the context is
+        A :class:`SailorPlanner` solves inside one long-lived search
+        context, so stage tables, master combos, floor tables and whole DP
+        solves survive across successive pools; the chosen plan is
+        identical to a from-scratch solve on the same pool (the context is
         topology-independent).
         """
-        if self.policy.incremental and isinstance(self.planner, SailorPlanner):
+        if isinstance(self.planner, SailorPlanner):
             if self._search_context is None:
                 self._search_context = PlannerSearchContext(
                     self.env, self.job, self.objective.goal)

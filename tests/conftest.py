@@ -82,6 +82,9 @@ def disarm_prunes():
     block never fire the chosen prunes.  ``DPSolverConfig.enable_pruning``
     is the only production switch; every prune is value-preserving, so the
     equivalence tests use these fakes to compare plans with one prune off.
+    ``tail`` zeroes the branch's one candidate-floor array, so it also
+    zeroes the family floor (no family skip fires) and the anytime gap
+    bound.
     """
     @contextlib.contextmanager
     def disarm(*, gate: bool = False, tail: bool = False,

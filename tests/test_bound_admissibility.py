@@ -9,14 +9,13 @@ never exceeds the true value it claims to bound (with at most the
 documented relative slack).
 
 Covered here: ``DPSolver._prepare_bounds`` / ``DPSolver._suffix_lower_bound``
-(suffix bounds of the branch-and-bound DP), ``SailorPlanner._stage_floors``
-/ ``SailorPlanner._candidate_floor`` / ``SailorPlanner._unexplored_bound``
-(availability-free candidate floors behind the anytime gap certificate and
-the ordering tail kill, priced inside ``SailorPlanner._plan_branch``),
-``SailorPlanner._family_floor`` / ``SailorPlanner._availability_tables`` /
-``SailorPlanner._candidate_floor_available`` (the dominated-family interval
-memo and the availability-aware tail-kill floors, randomized against
-exhaustive member enumeration on small pools), and
+(suffix bounds of the branch-and-bound DP),
+``SailorPlanner._availability_tables`` /
+``SailorPlanner._candidate_floor_available`` (the pool-aware candidate
+floors behind the dominated-family skip, the ordering tail kill and the
+anytime gap certificate, all priced from one floor array inside
+``SailorPlanner._plan_branch``; randomized against exhaustive member
+enumeration on small pools), and
 ``PlanArrays.iteration_time_floor_s`` via
 ``SailorSimulator.iteration_time_floor`` (the incumbent-gate floor).
 """
@@ -37,7 +36,7 @@ from repro.core.heuristics import (
 )
 from repro.core.objectives import Objective, OptimizationGoal
 from repro.core.planner import PlannerConfig, SailorPlanner
-from repro.core.search_cache import PlannerSearchContext, tp_options_key
+from repro.core.search_cache import PlannerSearchContext
 from repro.core.simulator import SailorSimulator
 from repro.hardware.topology import ClusterTopology
 from repro.models.partition import uniform_partition
@@ -109,23 +108,26 @@ def test_prepare_bounds_rejects_infeasible_root(opt_env, opt_job):
                          ids=["throughput", "cost"])
 def test_candidate_floor_bounds_the_chosen_plans_evaluation(
         opt_env, opt_job, mixed_topology, objective):
-    """The availability-free floor of the winning (P, mbs, D) candidate
-    must not exceed the simulator's actual evaluation of the plan the
-    planner chose for it -- the exact comparison the ordering tail kill
+    """The pool-aware floor of the winning (P, mbs, D) candidate must not
+    exceed the simulator's actual evaluation of the plan the planner chose
+    for it -- the exact comparison the family skip, the ordering tail kill
     and the gap certificate rely on."""
-    result = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
+    planner = SailorPlanner(opt_env)
+    result = planner.plan(opt_job, mixed_topology, objective)
     assert result.found
     plan = result.plan
     pp = len(plan.stages)
     mbs = plan.microbatch_size
     dp = plan.data_parallel
-    _, _, context, partitions, tp_options = _branch_inputs(
+    _, resources, context, partitions, tp_options = _branch_inputs(
         opt_env, opt_job, mixed_topology, objective.goal, pp, mbs)
-    floors = SailorPlanner._stage_floors(context, partitions, tp_options, mbs)
-    assert floors is not None
+    tables = SailorPlanner._availability_tables(
+        context, partitions, tp_options, mbs, pp, resources)
     minimize_cost = objective.goal is OptimizationGoal.MIN_COST
-    floor = SailorPlanner._candidate_floor(opt_job, floors, mbs, dp,
-                                           minimize_cost)
+    floor = SailorPlanner._candidate_floor_available(
+        opt_job, tables, mbs, dp, minimize_cost,
+        planner.config.dp_config.max_mixed_types_per_stage)
+    assert floor < math.inf
     actual = SailorPlanner._incumbent_value(objective, result.evaluation)
     assert floor <= actual, (
         f"candidate floor {floor} exceeds the simulator value {actual}")
@@ -139,7 +141,7 @@ def test_unexplored_bound_certifies_the_branch_optimum(opt_env, opt_job,
     objective = Objective.max_throughput()
     pp, mbs = 2, 2
     planner = SailorPlanner(opt_env)
-    consolidated, resources, context, partitions, tp_options = _branch_inputs(
+    consolidated, resources, context, _, _ = _branch_inputs(
         opt_env, opt_job, mixed_topology, objective.goal, pp, mbs)
 
     exhausted = SearchBudget(max_ticks=1)
@@ -159,11 +161,35 @@ def test_unexplored_bound_certifies_the_branch_optimum(opt_env, opt_job,
     assert full.complete is True
     assert full.evaluation is not None
     best = SailorPlanner._incumbent_value(objective, full.evaluation)
-    # Direct check of the same arithmetic _plan_branch priced the cut with.
-    bound = planner._unexplored_bound(
-        opt_job, objective, context, partitions, tp_options, mbs, [1, 2, 4])
     assert truncated.unexplored_lb <= best * (1 + 1e-9)
-    assert bound <= best * (1 + 1e-9)
+
+
+def test_one_floor_array_prices_family_and_gap(opt_env, opt_job,
+                                               mixed_topology):
+    """The family skip and the gap certificate read the same suffix-minimum
+    floor array: a branch cut before its first candidate certifies its
+    unexplored set with exactly the family floor the uncut branch reports."""
+    pp, mbs = 2, 2
+    planner = SailorPlanner(opt_env)
+    for objective in (Objective.max_throughput(), Objective.min_cost()):
+        consolidated, resources, context, _, _ = _branch_inputs(
+            opt_env, opt_job, mixed_topology, objective.goal, pp, mbs)
+        exhausted = SearchBudget(max_ticks=1)
+        assert exhausted.expired() is False  # arms the countdown
+        exhausted.ticks = 1
+        truncated = planner._plan_branch(opt_job, objective, consolidated,
+                                         resources, pp, mbs,
+                                         PlannerSearchContext(
+                                             opt_env, opt_job,
+                                             objective.goal),
+                                         exhausted)
+        assert truncated.complete is False
+        full = planner._plan_branch(opt_job, objective, consolidated,
+                                    resources, pp, mbs, context, None)
+        assert full.complete is True
+        assert full.family_floor is not None
+        assert 0.0 < full.family_floor < math.inf
+        assert truncated.unexplored_lb == full.family_floor
 
 
 @pytest.mark.parametrize("objective", [Objective.max_throughput(),
@@ -175,10 +201,8 @@ def test_family_and_availability_floors_vs_exhaustive_enumeration(
     """Randomized pools, exhaustively enumerated: on every (P, mbs) branch
     of a small random cluster, the availability-aware candidate floor
     (``_candidate_floor_available`` over ``_availability_tables``) and the
-    family floor (``_family_floor``) must bound the simulator value of
-    *every* member the full DP + evaluation pipeline produces, and the
-    pool-aware floor must be at least as tight as the availability-free
-    ``_candidate_floor`` it replaces."""
+    family floor ``_plan_branch`` reports must bound the simulator value of
+    *every* member the full DP + evaluation pipeline produces."""
     rng = random.Random(seed)
     topology = ClusterTopology.single_zone("us-central1-a", {
         "a2-highgpu-4g": rng.randint(1, 3),
@@ -210,31 +234,18 @@ def test_family_and_availability_floors_vs_exhaustive_enumeration(
         if not dp_candidates:
             continue
 
-        family = planner._family_floor(opt_job, context, partitions,
-                                       tp_options, mbs, pp, dp_candidates,
-                                       minimize_cost)
-        # The interval memo must be value-preserving: re-pricing the family
-        # from the now-warm tables agrees bitwise with the cold pass.
-        assert planner._family_floor(opt_job, context, partitions,
-                                     tp_options, mbs, pp, dp_candidates,
-                                     minimize_cost) == family
+        family = planner._plan_branch(opt_job, objective, consolidated,
+                                      resources, pp, mbs,
+                                      context).family_floor
+        assert family is not None
         tables = SailorPlanner._availability_tables(
             context, partitions, tp_options, mbs, pp, resources)
-        floors = SailorPlanner._stage_floors(context, partitions, tp_options,
-                                             mbs)
 
         member_values = []
         for dp in dp_candidates:
             avail = SailorPlanner._candidate_floor_available(
                 opt_job, tables, mbs, dp, minimize_cost, max_mixed)
-            if floors is not None:
-                free = SailorPlanner._candidate_floor(opt_job, floors, mbs,
-                                                      dp, minimize_cost)
-                # Pool-aware floors restrict the per-stage minima to the
-                # options the pool actually offers at the capacity
-                # threshold: tighter-or-equal, never looser.
-                assert avail >= free
-                assert family <= free
+            assert family <= avail  # the min over the family's members
             solver = DPSolver(
                 env=opt_env, job=opt_job, partitions=partitions,
                 tp_options_per_stage=tp_options, microbatch_size=mbs,
@@ -265,39 +276,15 @@ def test_family_and_availability_floors_vs_exhaustive_enumeration(
     assert members_checked > 0  # the random pool really exercised the DP
 
 
-def test_floor_memo_accessors_reuse_warm_tables(opt_env, opt_job,
-                                                mixed_topology):
-    """The context accessors behind the interval memo: stage floors are
-    computed once per (P, mbs, TP-key) family (``family_stage_floors``),
-    member floors accumulate in a shared mutable table
-    (``family_member_floors``), and a repeated (branch, pool) signature
-    reuses the availability tables warm and counts the hit
-    (``availability_floors`` -> ``SearchStats.availability_floor_hits``)."""
-    objective = Objective.max_throughput()
+def test_availability_floor_tables_reuse_warm(opt_env, opt_job,
+                                              mixed_topology):
+    """A repeated (branch, pool) signature reuses the availability tables
+    warm and counts the hit (``availability_floors`` ->
+    ``SearchStats.availability_floor_hits``)."""
     pp, mbs = 2, 2
-    planner = SailorPlanner(opt_env)
     _, resources, context, partitions, tp_options = _branch_inputs(
-        opt_env, opt_job, mixed_topology, objective.goal, pp, mbs)
-
-    tp_key = tuple(tp_options_key(options) for options in tp_options)
-    builds = []
-    build = lambda: builds.append(1) or SailorPlanner._stage_floors(  # noqa: E731
-        context, partitions, tp_options, mbs)
-    first = context.family_stage_floors(pp, mbs, tp_key, build)
-    assert context.family_stage_floors(pp, mbs, tp_key, build) == first
-    assert len(builds) == 1  # second lookup never re-runs the build
-
-    members = context.family_member_floors(pp, mbs, tp_key)
-    assert members == {}
-    floor = planner._family_floor(opt_job, context, partitions, tp_options,
-                                  mbs, pp, [1, 2], False)
-    assert set(members) == {1, 2}  # same mutable table, now warm
-    assert floor == min(members.values())
-    # A later snapshot admitting D=4 extends the table without touching
-    # the still-valid earlier members (the validity-interval property).
-    planner._family_floor(opt_job, context, partitions, tp_options,
-                          mbs, pp, [2, 4], False)
-    assert set(members) == {1, 2, 4}
+        opt_env, opt_job, mixed_topology, OptimizationGoal.MAX_THROUGHPUT,
+        pp, mbs)
 
     assert context.stats.availability_floor_hits == 0
     tables = SailorPlanner._availability_tables(context, partitions,

@@ -172,7 +172,7 @@ def brute_force_value(solver, resources, stage_index=0):
     is_last = stage_index == len(solver.partitions) - 1
     best = None
     for placements in solver.generate_combos(stage_index, dict(resources)):
-        assignment = solver.context.stage_assignment(
+        assignment = solver.context.build_stage_assignment(
             solver.partitions[stage_index], solver.microbatch_size,
             solver.data_parallel, tuple(placements))
         if is_last:
@@ -317,7 +317,7 @@ def brute_force_budget_value(solver, resources, budget):
         nonlocal best
         is_last = stage == len(solver.partitions) - 1
         for placements in solver.generate_combos(stage, dict(res)):
-            assignment = solver.context.stage_assignment(
+            assignment = solver.context.build_stage_assignment(
                 solver.partitions[stage], solver.microbatch_size,
                 solver.data_parallel, tuple(placements))
             remaining = dict(res)
@@ -481,7 +481,7 @@ def enumerate_solutions(solver, resources, stage_index=0):
     is_last = stage_index == len(solver.partitions) - 1
     solutions = []
     for placements in solver.generate_combos(stage_index, dict(resources)):
-        assignment = solver.context.stage_assignment(
+        assignment = solver.context.build_stage_assignment(
             solver.partitions[stage_index], solver.microbatch_size,
             solver.data_parallel, tuple(placements))
         if is_last:

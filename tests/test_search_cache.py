@@ -149,9 +149,9 @@ def _reference_combos(solver, stage_index, resources):
                         combos.append(((opt_a, k), (opt_b, needed - k)))
 
     def combo_key(placements):
-        metric = max(solver.stage_compute_time(stage_index, opt.node_type,
-                                               opt.tensor_parallel)
-                     for opt, _ in placements)
+        metric = max(solver.context.stage_compute_time(
+            solver.partitions[stage_index], solver.microbatch_size,
+            opt.node_type, opt.tensor_parallel) for opt, _ in placements)
         # Same state-independent tiebreak as the master list, so truncation
         # keeps the same equal-metric combos regardless of resource state.
         return (metric, tuple((opt.zone, opt.node_type, opt.tensor_parallel,
