@@ -54,8 +54,8 @@ _PHASES = {
     "evaluation": (("evaluator.py", "evaluate"),),
     # Candidate enumeration + bound computation: the (P, mbs, D) candidate
     # generators, the stage-combo master tables, and every admissible-floor
-    # routine (the availability-aware candidate floors).  This
-    # is the branch-and-bound overhead that the kernels above don't see --
+    # routine (the availability-aware candidate floors with their carrier,
+    # pigeonhole and sync terms).  This is the branch-and-bound overhead that the kernels above don't see --
     # when its share grows with the pool, the next wall is enumeration, not
     # scoring.
     "enumeration": (("heuristics.py", "min_tp_per_stage"),
@@ -65,6 +65,11 @@ _PHASES = {
                     ("search_cache.py", "stage_master_combos"),
                     ("planner.py", "_branch_specs"),
                     ("planner.py", "_availability_tables"),
+                    ("planner.py", "_sync_inputs"),
+                    ("planner.py", "_knapsack_table"),
+                    ("planner.py", "_bottleneck_table"),
+                    ("planner.py", "_pipeline_time_lb"),
+                    ("planner.py", "_sync_time_lb"),
                     ("planner.py", "_candidate_floor_available")),
 }
 

@@ -34,6 +34,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import astuple, dataclass, field, replace
 from multiprocessing import shared_memory
 
+from repro.collectives import ring_allreduce_time
 from repro.core.budget import SearchBudget, SearchBudgetExhausted
 from repro.core.dp_solver import DPSolver, DPSolverConfig, DPSolution, StageOption
 from repro.core.heuristics import (
@@ -57,6 +58,7 @@ from repro.core.plan import (
 )
 from repro.core.search_cache import PlannerSearchContext, tp_options_key
 from repro.core.simulator import SailorSimulator, SimulationEnvironment
+from repro.hardware.network import LinkClass
 from repro.hardware.nodes import get_node_type
 from repro.hardware.topology import ClusterTopology
 from repro.models.spec import TrainingJobSpec
@@ -151,6 +153,33 @@ class _BranchOutcome:
     #: off), so the parallel driver's replay never drops an unpriced
     #: branch.
     family_floor: float | None = None
+
+
+@dataclass
+class _FloorTables:
+    """One ``availability_floors`` entry: a branch's candidate-floor inputs
+    on one pool (see ``SailorPlanner._availability_tables``) plus the
+    per-D floors ``SailorPlanner._candidate_floor_available`` computed
+    from them."""
+
+    #: Per stage ``(negated capacities, prefix-min times, min rate)``;
+    #: ``(None,)`` when some stage has no option on the pool.
+    carriers: tuple
+    #: GPUs of the pool's node types that some stage can use.
+    pool_gpus: int = 0
+    #: Pigeonhole tables (``_knapsack_table`` / ``_bottleneck_table``).
+    knap_tp: list[int] = field(default_factory=list)
+    knap_t: list[float] = field(default_factory=list)
+    bott_neg_tp: list[int] = field(default_factory=list)
+    bott_t: list[float] = field(default_factory=list)
+    #: Per distinct stage ``(messages, intra-zone profiles, leader
+    #: profiles)`` (``_sync_inputs``).
+    sync: tuple = ()
+    #: Most real zones (before H6 consolidation) of one region: the
+    #: widest leader ring a stage can run.
+    ring_zones: int = 1
+    #: ``(dp, minimize_cost, max_mixed)`` -> floor.
+    floors: dict = field(default_factory=dict)
 
 
 class SailorPlanner:
@@ -375,20 +404,21 @@ class SailorPlanner:
         # suffix minima so ``floors[i]`` bounds every candidate from ``i``
         # on.  The floors come from the pool-aware tables of
         # ``_availability_tables`` (see ``_candidate_floor_available``),
-        # cached per (branch, pool) so churn replans against an unchanged
-        # pool reuse them warm.  They are simulator floors, not the DP
-        # engine's ``cost_lb`` tables: every decision below compares them
-        # against the *simulator's* incumbent value, which the DP model does
-        # not bound.  The one list prices the family skip (``floors[0]``),
-        # the tail kill (``floors[i]``) and the anytime gap certificate
-        # (``floors[cut_from]``); each covers candidates solved on this same
-        # ``resources`` pool, so a pool-aware floor is admissible for all
-        # three.  Built even with pruning off: a deadline still needs the
-        # gap certificate.
+        # cached with their per-D floors per (branch, pool) so churn
+        # replans against an unchanged pool reuse them warm.  They are
+        # simulator floors, not the DP engine's ``cost_lb`` tables: every
+        # decision below compares them against the *simulator's* incumbent
+        # value, which the DP model does not bound.  The one list prices
+        # the family skip (``floors[0]``), the tail kill (``floors[i]``)
+        # and the anytime gap certificate (``floors[cut_from]``); each
+        # covers candidates solved on this same ``resources`` pool, so a
+        # pool-aware floor is admissible for all three.  Built even with
+        # pruning off: a deadline still needs the gap certificate.
         floors: list[float] = []
         if dp_candidates:
             tables = self._availability_tables(
-                context, partitions, tp_options, mbs, pp, resources)
+                context, consolidated, partitions, tp_options, mbs, pp,
+                resources)
             max_mixed = self.config.dp_config.max_mixed_types_per_stage
             floors = [
                 self._candidate_floor_available(job, tables, mbs, dp,
@@ -446,9 +476,9 @@ class SailorPlanner:
             # and the incumbent gate does not perturb them (it never
             # changes the branch incumbent's evolution).
             if pruning and outcome.evaluation is not None:
-                incumbent = self._incumbent_value(objective,
-                                                  outcome.evaluation)
-                if incumbent > 0 and floors[dp_index] >= incumbent:
+                branch_best = self._incumbent_value(objective,
+                                                    outcome.evaluation)
+                if branch_best > 0 and floors[dp_index] >= branch_best:
                     # No remaining candidate can *strictly* beat the branch
                     # incumbent (its floor is already >= the incumbent's
                     # minimised scalar, and ties keep the incumbent), so
@@ -602,34 +632,56 @@ class SailorPlanner:
         return value > 0 and family_floor >= value
 
     @staticmethod
-    def _availability_tables(context: PlannerSearchContext, partitions,
+    def _availability_tables(context: PlannerSearchContext,
+                             consolidated: ConsolidatedTopology, partitions,
                              tp_options: list[dict[str, list[int]]],
                              mbs: int, pp: int,
                              resources: dict[tuple[str, str], int],
-                             ) -> tuple:
-        """Per-stage availability-aware floor tables, cached per pool.
+                             ) -> _FloorTables:
+        """Per-branch inputs of the candidate floors, cached per pool.
 
         For each stage: every (zone, node type, TP) option the pool
         actually offers, ordered by whole-pool replica capacity
         descending, with a running prefix minimum of the stage compute
         time -- so a capacity-threshold query is a single bisect -- plus
-        the minimum per-replica rate over the present options.  A ``None``
-        stage entry marks a stage the pool cannot host at all (every
+        the minimum per-replica rate over the present options.  Carriers
+        ``(None,)`` mark a pool some stage cannot use at all (every
         candidate floor becomes +inf, vacuously admissible: the DP would
-        find nothing either).  Cached per (branch, pool) signature in the
-        search context, so churn replans against an unchanged pool reuse
-        the tables warm (``SearchStats.availability_floor_hits``).
+        find nothing either).  Across stages: the pool's usable GPUs, the
+        multiple-choice knapsack and bottleneck tables of the pigeonhole
+        pipeline term, and each distinct stage's gradient all-reduce
+        inputs (message sizes, link profiles, the real zones a leader ring
+        can span).  Cached per (branch, pool, real-zone count) signature
+        in the search context, together with the per-D floors computed
+        from them, so churn replans against an unchanged pool reuse both
+        warm (``SearchStats.availability_floor_hits``).  The real-zone
+        count enters the signature because H6 consolidation hides it: two
+        topologies with the same consolidated pool can differ in the
+        leader rings their stages may run.
         """
         resources_key = tuple(sorted(
             (key, count) for key, count in resources.items() if count > 0))
         stage_keys = tuple(tp_options_key(options) for options in tp_options)
-        signature = (pp, mbs, stage_keys, resources_key)
+        # A stage's combos stay within one region (H5), so its replicas
+        # can spread over at most the largest region's real zones.
+        zones_per_region: dict[str, int] = {}
+        for zone in sorted({zone for members in consolidated.members.values()
+                            for zone, _, count in members if count > 0}):
+            region = context.region_of(zone)
+            zones_per_region[region] = zones_per_region.get(region, 0) + 1
+        ring_zones = max(zones_per_region.values(), default=1)
+        signature = (pp, mbs, stage_keys, resources_key, ring_zones)
 
-        def build() -> tuple:
-            tables = []
+        def build() -> _FloorTables:
+            carriers = []
+            choices = []
+            sync_specs = {}
             for partition, options, tp_key in zip(partitions, tp_options,
                                                   stage_keys):
                 entries = []
+                stage_choices = set()
+                tps = set()
+                node_types = set()
                 for option, max_replicas in context.stage_options(
                         options, tp_key, resources_key):
                     gpus = context.gpus_per_node(option.node_type)
@@ -640,9 +692,11 @@ class SailorPlanner:
                         partition, mbs, option.node_type,
                         option.tensor_parallel)
                     entries.append((max_replicas, compute, rate))
+                    stage_choices.add((compute, option.tensor_parallel))
+                    tps.add(option.tensor_parallel)
+                    node_types.add(option.node_type)
                 if not entries:
-                    tables.append(None)
-                    continue
+                    return _FloorTables(carriers=(None,))
                 # Negated capacities ascending: the options with capacity
                 # >= k are exactly the prefix bisect_right(-k) selects.
                 entries.sort(key=lambda entry: -entry[0])
@@ -656,55 +710,235 @@ class SailorPlanner:
                     pref_min_t.append(best_t)
                     if rate < min_rate:
                         min_rate = rate
-                tables.append((neg_caps, pref_min_t, min_rate))
-            return tuple(tables)
+                carriers.append((neg_caps, pref_min_t, min_rate))
+                choices.append(sorted(stage_choices))
+                spec = (context.stage_params(partition), tuple(sorted(tps)),
+                        tuple(sorted(node_types)))
+                if spec not in sync_specs:
+                    sync_specs[spec] = SailorPlanner._sync_inputs(
+                        context, *spec)
+            usable = {node_type for options in tp_options
+                      for node_type in options}
+            pool_gpus = sum(count * context.gpus_per_node(node_type)
+                            for (_, node_type), count in resources_key
+                            if node_type in usable)
+            knap_tp, knap_t = SailorPlanner._knapsack_table(choices)
+            bott_neg_tp, bott_t = SailorPlanner._bottleneck_table(choices)
+            return _FloorTables(
+                carriers=tuple(carriers), pool_gpus=pool_gpus,
+                knap_tp=knap_tp, knap_t=knap_t,
+                bott_neg_tp=bott_neg_tp, bott_t=bott_t,
+                sync=tuple(sync_specs.values()), ring_zones=ring_zones)
 
         return context.availability_floors(signature, build)
 
     @staticmethod
-    def _candidate_floor_available(job: TrainingJobSpec, tables: tuple,
-                                   mbs: int, dp: int, minimize_cost: bool,
+    def _sync_inputs(context: PlannerSearchContext, params: int,
+                     tps: tuple[int, ...], node_types: tuple[str, ...],
+                     ) -> tuple:
+        """``(messages, intra-zone profiles, leader profiles)`` of one stage.
+
+        The messages are every value the simulator's all-reduce message
+        (``params / tp * 2.0`` for the least-sharded replica) can take on
+        the stage's TP degrees; the profiles are every fitted curve its
+        worst-link search can return between the stage's node types, in
+        one zone and across zones of a region.  A pair with no profile is
+        skipped: the simulator cannot evaluate a plan that needs it either.
+        """
+        messages = tuple(sorted({params / tp * 2.0 for tp in tps}))
+
+        def profiles(link_class: LinkClass) -> tuple:
+            found = {}
+            for node_a in node_types:
+                for node_b in node_types:
+                    try:
+                        profile = context.env.profiles.network_profile(
+                            node_a, node_b, link_class)
+                    except KeyError:
+                        continue
+                    found[id(profile)] = profile
+            return tuple(found.values())
+
+        return (messages, profiles(LinkClass.INTRA_ZONE),
+                profiles(LinkClass.INTER_ZONE))
+
+    @staticmethod
+    def _knapsack_table(choices: list[list[tuple[float, int]]],
+                        ) -> tuple[list[int], list[float]]:
+        """Multiple-choice knapsack over one ``(time, GPUs)`` pick per stage.
+
+        Returns the achievable GPU totals ascending and, for each, the
+        least ``sum(time)`` of any pick using at most that many GPUs (a
+        prefix minimum), so a capacity query is one bisect.  The dict DP
+        holds at most ``P * max_tp`` totals; times add in stage order, as
+        the simulator's warm-up sum does.
+        """
+        best = {0: 0.0}
+        for stage_choices in choices:
+            step: dict[int, float] = {}
+            for gpus, total in best.items():
+                for time_s, tp in stage_choices:
+                    key = gpus + tp
+                    value = total + time_s
+                    if value < step.get(key, math.inf):
+                        step[key] = value
+            best = step
+        knap_tp = sorted(best)
+        knap_t: list[float] = []
+        running = math.inf
+        for gpus in knap_tp:
+            running = min(running, best[gpus])
+            knap_t.append(running)
+        return knap_tp, knap_t
+
+    @staticmethod
+    def _bottleneck_table(choices: list[list[tuple[float, int]]],
+                          ) -> tuple[list[int], list[float]]:
+        """Least GPUs a pipeline needs to keep every stage at or under T.
+
+        For each option time T ascending, ``sum_s min{tp : t_s <= T}``
+        (stages with no option that fast make T unreachable and are left
+        out).  The sums are non-increasing in T, so they are returned
+        negated (ascending) for a bisect, beside their times.
+        """
+        times = sorted({time_s for stage_choices in choices
+                        for time_s, _ in stage_choices})
+        neg_gpus: list[int] = []
+        bott_t: list[float] = []
+        for limit in times:
+            total = 0
+            for stage_choices in choices:
+                fitting = [tp for time_s, tp in stage_choices
+                           if time_s <= limit]
+                if not fitting:
+                    break
+                total += min(fitting)
+            else:
+                neg_gpus.append(-total)
+                bott_t.append(limit)
+        return neg_gpus, bott_t
+
+    @staticmethod
+    def _pipeline_time_lb(tables: _FloorTables, dp: int,
+                          num_microbatches: int) -> float:
+        """Pigeonhole floor on the slowest pipeline's 1F1B time.
+
+        The ``dp`` pipelines share ``pool_gpus`` GPUs and a replica of TP t
+        holds at least t of them, so some pipeline holds at most
+        ``cap = pool_gpus // dp``.  That pipeline picks one present option
+        per stage with ``sum(tp) <= cap``: its warm-up sum is at least the
+        knapsack minimum at ``cap``, and its slowest stage is at least the
+        least T whose per-stage cheapest-fitting TPs sum to ``<= cap``.
+        Its 1F1B time ``sum(t) + (Nb-1) * max(t)`` (plus non-negative
+        transfers) is therefore ``>= knap + (Nb-1) * bott``, and the
+        iteration waits for its slowest pipeline.  +inf when no pick fits.
+        """
+        cap = tables.pool_gpus // dp
+        count = bisect.bisect_right(tables.knap_tp, cap)
+        index = bisect.bisect_left(tables.bott_neg_tp, -cap)
+        if count == 0 or index == len(tables.bott_t):
+            return math.inf
+        return (tables.knap_t[count - 1]
+                + (num_microbatches - 1) * tables.bott_t[index])
+
+    @staticmethod
+    def _sync_time_lb(tables: _FloorTables, dp: int) -> float:
+        """Floor on the simulator's gradient sync term ``max_s sync_s``.
+
+        A stage of ``dp`` replicas in one real zone all-reduces over a ring
+        of ``dp`` with its worst intra-zone link; spread over ``z >= 2``
+        real zones of its region, the hierarchical all-reduce is at least
+        its leader ring over ``z <= min(dp, ring_zones)`` inter-zone
+        links.
+        Either way the value is one of the finite set
+        ``ring_allreduce_time(message, n, profile)`` this takes the minimum
+        of per stage -- no monotonicity of the fitted curves is assumed.
+        """
+        if dp == 1:
+            return 0.0
+        sync = 0.0
+        for messages, intra, leaders in tables.sync:
+            stage_min = math.inf
+            for message in messages:
+                for profile in intra:
+                    stage_min = min(stage_min, ring_allreduce_time(
+                        message, dp, profile.transfer_time))
+                for zones in range(2, min(dp, tables.ring_zones) + 1):
+                    for profile in leaders:
+                        stage_min = min(stage_min, ring_allreduce_time(
+                            message, zones, profile.transfer_time))
+            if stage_min < math.inf and stage_min > sync:
+                sync = stage_min
+        return sync
+
+    @staticmethod
+    def _candidate_floor_available(job: TrainingJobSpec,
+                                   tables: _FloorTables, mbs: int, dp: int,
+                                   minimize_cost: bool,
                                    max_mixed: int) -> float:
         """Availability-aware admissible floor of one (P, mbs, D) candidate.
 
-        A stage hosts its D replicas on at most ``min(2, max_mixed)``
-        options (``stage_master_combos`` never mixes more than two per
-        stage), so some option of any feasible combo carries at least
-        ``k = ceil(D / min(2, max_mixed))`` replicas -- and only options
-        whose *root-pool* capacity reaches ``k`` can be that carrier.  The
-        stage's time is the max over its combo's options, hence >= the
-        carrier's time >= the prefix minimum at the capacity threshold.
-        DP sub-states only ever shrink capacities, so thresholding on the
-        root pool keeps the admitted option set a superset of reality and
-        the bound admissible.  The rate floor uses presence only
-        (threshold 1): a combo option may carry a single replica.  The
-        result is then the pipeline-ramp floor of the simulator's
-        evaluation -- iteration time ``>= sum(stage_t) + (Nb-1) *
-        max(stage_t)`` (zero comm/sync/update overhead); cost ``>= D *
-        sum(rate) * time_lb`` (compute at the time floor, zero egress) --
-        times ``_GAP_BOUND_SLACK``.
+        The simulator's iteration time is ``max_d T_pp_d + max_s sync_s +
+        update`` (update >= 0), and three floors bound its terms:
+
+        * *Carrier floor.*  A stage hosts its D replicas on at most
+          ``min(2, max_mixed)`` options (``stage_master_combos`` never
+          mixes more than two per stage), so some option of any feasible
+          combo carries at least ``k = ceil(D / min(2, max_mixed))``
+          replicas -- and only options whose *root-pool* capacity reaches
+          ``k`` can be that carrier.  The stage's time is the max over its
+          combo's options, hence >= the carrier's time >= the prefix
+          minimum at the capacity threshold.  DP sub-states only ever
+          shrink capacities, so thresholding on the root pool keeps the
+          admitted option set a superset of reality.  Pipeline term:
+          ``sum(stage_t) + (Nb-1) * max(stage_t)``.
+        * *Pigeonhole pipeline* (``_pipeline_time_lb``): some pipeline
+          holds at most ``pool_gpus // D`` GPUs, which bounds its stage
+          picks.  The carrier floor is stage-level and that pipeline's
+          replica may sit on a stage's minority option, so the two are
+          never mixed: the pipeline term is the max of the two whole
+          expressions.
+        * *Sync* (``_sync_time_lb``): the minimum, per stage, over the
+          exact finite set of all-reduce times the simulator's formula can
+          produce on the pool -- including the leader ring of a stage
+          spread over several real zones -- maxed over stages.
+
+        Cost is ``>= D * sum(min rate) * time_lb`` (every replica pays at
+        least its stage's cheapest present rate, zero egress).  The result
+        is times ``_GAP_BOUND_SLACK``, and memoised per D on the tables so
+        warm replans reuse it.
         """
+        key = (dp, minimize_cost, max_mixed)
+        cached = tables.floors.get(key)
+        if cached is not None:
+            return cached
         mixing = min(2, max(1, max_mixed))
         k = -(-dp // mixing)
         sum_t = 0.0
         max_t = 0.0
         rate_sum = 0.0
-        for table in tables:
+        value = math.inf
+        for table in tables.carriers:
             if table is None:
-                return math.inf
+                break
             neg_caps, pref_min_t, min_rate = table
             count = bisect.bisect_right(neg_caps, -k)
             if count == 0:
-                return math.inf
+                break
             stage_t = pref_min_t[count - 1]
             sum_t += stage_t
             if stage_t > max_t:
                 max_t = stage_t
             rate_sum += min_rate
-        nb = job.num_microbatches(dp, mbs)
-        time_lb = sum_t + (nb - 1) * max_t
-        value = (dp * rate_sum * time_lb if minimize_cost else time_lb)
-        return value * _GAP_BOUND_SLACK
+        else:
+            nb = job.num_microbatches(dp, mbs)
+            time_lb = (max(sum_t + (nb - 1) * max_t,
+                           SailorPlanner._pipeline_time_lb(tables, dp, nb))
+                       + SailorPlanner._sync_time_lb(tables, dp))
+            value = (dp * rate_sum * time_lb if minimize_cost
+                     else time_lb) * _GAP_BOUND_SLACK
+        tables.floors[key] = value
+        return value
 
     # -- helpers ------------------------------------------------------------------
 

@@ -290,9 +290,11 @@ def combine_workspace(name: str, count: int,
 
     Grow-only, and backed by one *process-wide* pool (``_COMBINE_WS``):
     at the 1024-GPU bench point forward builds are nearly 1:1 with
-    candidates (~145 distinct footprints for ~412 fused combines), so
-    per-footprint buffers were used ~3x each and arrived cache-cold every
-    time -- measured, that forfeited the whole fused-kernel win.  One
+    candidates (38 distinct of 40 forward passes, 57 fused combines per
+    cold plan), so per-footprint buffers would be used only a few times
+    each and arrive cache-cold -- measured when that plan ran ~412 fused
+    combines over ~145 footprints, it forfeited the whole fused-kernel
+    win.  One
     shared pool keeps the buffers hot across every candidate and
     footprint of the process.  Sharing is safe because the backward sweep
     runs serially per candidate within a process (parallel workers are

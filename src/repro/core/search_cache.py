@@ -53,7 +53,7 @@ per-stage tensor-parallel option dict.
 
 The resource-state engine's forward layers and budget bound tables are
 deliberately *not* cached here: candidates almost never share them (a cold
-1024-GPU plan repeats 2 of 147 forward passes), so each solve builds its
+1024-GPU plan repeats 2 of its 40 forward passes), so each solve builds its
 own and they are freed with the solver.
 
 The context also owns the :class:`~repro.core.plan.SearchStats` counters
@@ -182,9 +182,10 @@ class PlannerSearchContext:
         self._cost_rate: dict[tuple, float] = {}
         self._options: dict[tuple, list[tuple[StageOption, int]]] = {}
         self._combos: dict[tuple, list[list]] = {}
-        #: Availability-aware candidate floor tables
-        #: (``SailorPlanner._availability_tables``), keyed by the
-        #: full availability signature ``(pp, mbs, tp_key, resources)``.
+        #: Availability-aware candidate floor tables and their per-D
+        #: floors (``SailorPlanner._availability_tables``), keyed by the
+        #: full availability signature ``(pp, mbs, tp_key, resources,
+        #: real-zone count)``.
         #: Bounded FIFO (oldest entry evicted at the cap): one entry per
         #: (branch, pool) pair, so an online controller replanning across
         #: many availability snapshots cannot accumulate tables without

@@ -15,11 +15,14 @@ Covered here: ``DPSolver._prepare_bounds`` / ``DPSolver._suffix_lower_bound``
 floors behind the dominated-family skip, the ordering tail kill and the
 anytime gap certificate, all priced from one floor array inside
 ``SailorPlanner._plan_branch``; randomized against exhaustive member
-enumeration on small pools), and
+enumeration on small 1- and 2-real-zone pools) with their pigeonhole
+``SailorPlanner._pipeline_time_lb`` and gradient-sync
+``SailorPlanner._sync_time_lb`` terms, and
 ``PlanArrays.iteration_time_floor_s`` via
 ``SailorSimulator.iteration_time_floor`` (the incumbent-gate floor).
 """
 
+import bisect
 import math
 import random
 
@@ -35,11 +38,13 @@ from repro.core.heuristics import (
     tp_options_for_stage,
 )
 from repro.core.objectives import Objective, OptimizationGoal
-from repro.core.planner import PlannerConfig, SailorPlanner
+from repro.core.planner import _GAP_BOUND_SLACK, PlannerConfig, SailorPlanner
 from repro.core.search_cache import PlannerSearchContext
 from repro.core.simulator import SailorSimulator
 from repro.hardware.topology import ClusterTopology
 from repro.models.partition import uniform_partition
+
+A100, V100 = "a2-highgpu-4g", "n1-standard-v100-4"
 
 
 def _build_solver(env, job, goal, pp=2, dp=2, mbs=2,
@@ -119,10 +124,11 @@ def test_candidate_floor_bounds_the_chosen_plans_evaluation(
     pp = len(plan.stages)
     mbs = plan.microbatch_size
     dp = plan.data_parallel
-    _, resources, context, partitions, tp_options = _branch_inputs(
-        opt_env, opt_job, mixed_topology, objective.goal, pp, mbs)
+    consolidated, resources, context, partitions, tp_options = (
+        _branch_inputs(opt_env, opt_job, mixed_topology, objective.goal, pp,
+                       mbs))
     tables = SailorPlanner._availability_tables(
-        context, partitions, tp_options, mbs, pp, resources)
+        context, consolidated, partitions, tp_options, mbs, pp, resources)
     minimize_cost = objective.goal is OptimizationGoal.MIN_COST
     floor = SailorPlanner._candidate_floor_available(
         opt_job, tables, mbs, dp, minimize_cost,
@@ -239,7 +245,8 @@ def test_family_and_availability_floors_vs_exhaustive_enumeration(
                                       context).family_floor
         assert family is not None
         tables = SailorPlanner._availability_tables(
-            context, partitions, tp_options, mbs, pp, resources)
+            context, consolidated, partitions, tp_options, mbs, pp,
+            resources)
 
         member_values = []
         for dp in dp_candidates:
@@ -276,24 +283,266 @@ def test_family_and_availability_floors_vs_exhaustive_enumeration(
     assert members_checked > 0  # the random pool really exercised the DP
 
 
+def _carrier_only_floor(job, tables, mbs, dp, minimize_cost, max_mixed):
+    """The candidate floor before the pigeonhole and sync terms: the
+    carrier floor alone, recomputed from the same per-stage tables."""
+    k = -(-dp // min(2, max(1, max_mixed)))
+    sum_t = max_t = rate_sum = 0.0
+    for table in tables.carriers:
+        if table is None:
+            return math.inf
+        neg_caps, pref_min_t, min_rate = table
+        count = bisect.bisect_right(neg_caps, -k)
+        if count == 0:
+            return math.inf
+        sum_t += pref_min_t[count - 1]
+        max_t = max(max_t, pref_min_t[count - 1])
+        rate_sum += min_rate
+    time_lb = sum_t + (job.num_microbatches(dp, mbs) - 1) * max_t
+    value = dp * rate_sum * time_lb if minimize_cost else time_lb
+    return value * _GAP_BOUND_SLACK
+
+
+def _random_pool(seed, two_zones):
+    """A small random A100 + V100 pool in one real zone, or split over two
+    real zones of one region (one pseudo-zone after H6)."""
+    rng = random.Random(seed)
+    if not two_zones:
+        return ClusterTopology.single_zone("us-central1-a", {
+            A100: rng.randint(1, 3), V100: rng.randint(1, 3)})
+    return ClusterTopology(nodes={
+        "us-central1-a": {A100: rng.randint(1, 2), V100: rng.randint(0, 2)},
+        "us-central1-b": {A100: rng.randint(0, 2), V100: rng.randint(1, 2)},
+    })
+
+
+def _branches(env, job, topology, goal):
+    """Every (P, mbs) branch with data-parallel candidates, as
+    ``(planner, consolidated, resources, context, partitions, tp_options,
+    mbs, dp_candidates, tables)``."""
+    planner = SailorPlanner(env)
+    heuristics = planner.config.heuristics
+    consolidated = consolidate_zones(topology, heuristics)
+    resources = SailorPlanner._resource_map(consolidated.topology)
+    context = PlannerSearchContext(env, job, goal)
+    for pp, mbs in SailorPlanner._branch_specs(
+            job, sum(resources.values()), heuristics):
+        partitions = context.partitions(pp)
+        tp_req = min_tp_per_stage(job, partitions,
+                                  consolidated.topology.node_types(), mbs,
+                                  num_microbatches_in_flight_cap=pp,
+                                  env=env, config=heuristics)
+        if any(not per_stage for per_stage in tp_req):
+            continue
+        tp_options = [tp_options_for_stage(per_stage, heuristics)
+                      for per_stage in tp_req]
+        dp_candidates = data_parallel_candidates(
+            job, mbs, planner._max_data_parallel(resources, tp_options, pp),
+            maximize_throughput=goal is OptimizationGoal.MAX_THROUGHPUT,
+            config=heuristics)
+        if not dp_candidates:
+            continue
+        tables = SailorPlanner._availability_tables(
+            context, consolidated, partitions, tp_options, mbs, pp,
+            resources)
+        yield (planner, consolidated, resources, context, partitions,
+               tp_options, mbs, dp_candidates, tables)
+
+
+def _solve_and_evaluate(planner, env, job, goal, consolidated, resources,
+                        context, partitions, tp_options, mbs, dp):
+    """The plan and evaluation the planner would produce for one
+    candidate, or ``(None, None)`` when the DP or materialisation fails."""
+    solution = DPSolver(
+        env=env, job=job, partitions=partitions,
+        tp_options_per_stage=tp_options, microbatch_size=mbs,
+        data_parallel=dp, num_microbatches=job.num_microbatches(dp, mbs),
+        goal=goal, config=planner.config.dp_config,
+        context=context).solve(dict(resources))
+    if solution is None:
+        return None, None
+    plan = planner._build_plan(job, partitions, mbs, solution, consolidated)
+    if plan is None:
+        return None, None
+    return plan, planner.simulator.evaluate(plan)
+
+
+@pytest.mark.parametrize("objective", [Objective.max_throughput(),
+                                       Objective.min_cost()],
+                         ids=["throughput", "cost"])
+@pytest.mark.parametrize("two_zones", [False, True], ids=["1zone", "2zones"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_capacity_aware_floor_bounds_every_candidate(opt_env, opt_job,
+                                                     objective, two_zones,
+                                                     seed):
+    """On randomized 1- and 2-real-zone pools, every (P, mbs, D)
+    candidate's floor (carrier, pigeonhole and sync terms together) never
+    exceeds the simulator value of the DP solution the planner would
+    evaluate, and never drops below the carrier-only floor."""
+    minimize_cost = objective.goal is OptimizationGoal.MIN_COST
+    topology = _random_pool(seed, two_zones)
+    checked = 0
+    for (planner, consolidated, resources, context, partitions, tp_options,
+         mbs, dp_candidates, tables) in _branches(opt_env, opt_job, topology,
+                                                  objective.goal):
+        max_mixed = planner.config.dp_config.max_mixed_types_per_stage
+        for dp in dp_candidates:
+            floor = SailorPlanner._candidate_floor_available(
+                opt_job, tables, mbs, dp, minimize_cost, max_mixed)
+            assert floor >= _carrier_only_floor(
+                opt_job, tables, mbs, dp, minimize_cost, max_mixed)
+            plan, evaluation = _solve_and_evaluate(
+                planner, opt_env, opt_job, objective.goal, consolidated,
+                resources, context, partitions, tp_options, mbs, dp)
+            if evaluation is None or not evaluation.is_valid:
+                continue
+            value = SailorPlanner._incumbent_value(objective, evaluation)
+            assert floor <= value, (
+                f"P{len(partitions)}/mbs{mbs}/D{dp}: floor {floor} exceeds "
+                f"the simulator value {value}")
+            checked += 1
+    assert checked > 0
+
+
+def test_pigeonhole_term_lifts_the_floor_when_gpus_are_short(
+        opt_env, opt_job, mixed_topology):
+    """32 GPUs, P2/mbs1: at D=8 the carrier floor prices both stages at
+    full-node TP, but 8 pipelines of 4 GPUs cannot each hold two TP4
+    replicas.  ``_pipeline_time_lb`` lifts the floor, which still bounds
+    the candidate's evaluated plan; at P4/mbs4/D=8 no 4-GPU pick covers
+    the stages' minimum TPs, and the floor is +inf where the DP finds
+    nothing."""
+    goal = OptimizationGoal.MAX_THROUGHPUT
+    lifted = infeasible = 0
+    for (planner, consolidated, resources, context, partitions, tp_options,
+         mbs, dp_candidates, tables) in _branches(opt_env, opt_job,
+                                                  mixed_topology, goal):
+        pp = len(partitions)
+        if (pp, mbs) not in ((2, 1), (4, 4)):
+            continue
+        dp = 8
+        assert dp in dp_candidates
+        nb = opt_job.num_microbatches(dp, mbs)
+        pipeline_lb = SailorPlanner._pipeline_time_lb(tables, dp, nb)
+        floor = SailorPlanner._candidate_floor_available(
+            opt_job, tables, mbs, dp, False, 2)
+        carrier = _carrier_only_floor(opt_job, tables, mbs, dp, False, 2)
+        plan, evaluation = _solve_and_evaluate(
+            planner, opt_env, opt_job, goal, consolidated, resources,
+            context, partitions, tp_options, mbs, dp)
+        if pp == 2:
+            assert tables.pool_gpus // dp == 4
+            assert pipeline_lb * _GAP_BOUND_SLACK > carrier
+            assert floor >= pipeline_lb * _GAP_BOUND_SLACK
+            assert evaluation is not None and evaluation.is_valid
+            assert floor <= evaluation.iteration_time_s
+            lifted += 1
+        else:
+            assert pipeline_lb == floor == math.inf
+            assert carrier < math.inf
+            assert plan is None
+            infeasible += 1
+    assert lifted == infeasible == 1
+
+
+def test_leader_ring_sync_floor_on_two_real_zones(opt_env, opt_job):
+    """V100 nodes split over two real zones of one region consolidate to
+    the same pool as one zone, but a stage may now be spread over both
+    zones and all-reduce hierarchically, with a leader ring over the
+    inter-zone link.  ``_sync_time_lb`` must take that ring into the
+    minimum (here it is lower than any intra-zone ring of D >= 4 over the
+    NIC-capped V100 links), and the floor must still bound every plan
+    whose stages span both zones."""
+    goal = OptimizationGoal.MAX_THROUGHPUT
+    one_zone = ClusterTopology(nodes={"us-central1-a": {V100: 4}})
+    two_zones = ClusterTopology(nodes={"us-central1-a": {V100: 1},
+                                       "us-central1-b": {V100: 3}})
+    single = {(len(partitions), mbs): tables
+              for (*_, partitions, _, mbs, _, tables)
+              in _branches(opt_env, opt_job, one_zone, goal)}
+    lowered = spanning = 0
+    for (planner, consolidated, resources, context, partitions, tp_options,
+         mbs, dp_candidates, tables) in _branches(opt_env, opt_job,
+                                                  two_zones, goal):
+        assert tables.ring_zones == 2
+        assert all(leaders for _, _, leaders in tables.sync)
+        flat = single[(len(partitions), mbs)]
+        assert flat.ring_zones == 1
+        for dp in dp_candidates:
+            sync_lb = SailorPlanner._sync_time_lb(tables, dp)
+            assert sync_lb <= SailorPlanner._sync_time_lb(flat, dp)
+            if sync_lb < SailorPlanner._sync_time_lb(flat, dp):
+                lowered += 1
+            plan, evaluation = _solve_and_evaluate(
+                planner, opt_env, opt_job, goal, consolidated, resources,
+                context, partitions, tp_options, mbs, dp)
+            if evaluation is None or not evaluation.is_valid:
+                continue
+            if any(len(stage.zones) > 1 and stage.data_parallel > 1
+                   for stage in plan.stages):
+                spanning += 1
+                stage_sync = max(planner.simulator.context.timing_breakdown(
+                    plan).stage_sync_s)
+                assert sync_lb <= stage_sync
+            floor = SailorPlanner._candidate_floor_available(
+                opt_job, tables, mbs, dp, False, 2)
+            assert floor <= evaluation.iteration_time_s
+    assert lowered > 0
+    assert spanning > 0
+
+
+def test_real_zone_shape_keys_the_availability_floors(opt_env, opt_job):
+    """One zone of four V100 nodes and two zones of two each consolidate to
+    the same pool, but only the second can spread a stage over zones: the
+    two must not share an ``availability_floors`` entry."""
+    goal = OptimizationGoal.MAX_THROUGHPUT
+    pp, mbs = 2, 2
+    heuristics = HeuristicConfig()
+    one = consolidate_zones(
+        ClusterTopology(nodes={"us-central1-a": {V100: 4}}), heuristics)
+    two = consolidate_zones(
+        ClusterTopology(nodes={"us-central1-a": {V100: 2},
+                               "us-central1-b": {V100: 2}}), heuristics)
+    resources = SailorPlanner._resource_map(one.topology)
+    assert SailorPlanner._resource_map(two.topology) == resources
+    context = PlannerSearchContext(opt_env, opt_job, goal)
+    partitions = context.partitions(pp)
+    tp_req = min_tp_per_stage(opt_job, partitions, [V100], mbs,
+                              num_microbatches_in_flight_cap=pp, env=opt_env,
+                              config=heuristics)
+    tp_options = [tp_options_for_stage(per_stage, heuristics)
+                  for per_stage in tp_req]
+
+    flat = SailorPlanner._availability_tables(
+        context, one, partitions, tp_options, mbs, pp, resources)
+    split = SailorPlanner._availability_tables(
+        context, two, partitions, tp_options, mbs, pp, resources)
+    assert context.stats.availability_floor_hits == 0  # two cold builds
+    assert split is not flat
+    assert (flat.ring_zones, split.ring_zones) == (1, 2)
+    assert SailorPlanner._availability_tables(
+        context, one, partitions, tp_options, mbs, pp, resources) is flat
+    assert context.stats.availability_floor_hits == 1
+
+
 def test_availability_floor_tables_reuse_warm(opt_env, opt_job,
                                               mixed_topology):
     """A repeated (branch, pool) signature reuses the availability tables
     warm and counts the hit (``availability_floors`` ->
     ``SearchStats.availability_floor_hits``)."""
     pp, mbs = 2, 2
-    _, resources, context, partitions, tp_options = _branch_inputs(
-        opt_env, opt_job, mixed_topology, OptimizationGoal.MAX_THROUGHPUT,
-        pp, mbs)
+    consolidated, resources, context, partitions, tp_options = (
+        _branch_inputs(opt_env, opt_job, mixed_topology,
+                       OptimizationGoal.MAX_THROUGHPUT, pp, mbs))
 
     assert context.stats.availability_floor_hits == 0
-    tables = SailorPlanner._availability_tables(context, partitions,
-                                                tp_options, mbs, pp,
-                                                resources)
+    tables = SailorPlanner._availability_tables(context, consolidated,
+                                                partitions, tp_options, mbs,
+                                                pp, resources)
     assert context.stats.availability_floor_hits == 0  # cold build
-    again = SailorPlanner._availability_tables(context, partitions,
-                                               tp_options, mbs, pp,
-                                               resources)
+    again = SailorPlanner._availability_tables(context, consolidated,
+                                               partitions, tp_options, mbs,
+                                               pp, resources)
     assert again is tables  # warm reuse, not a rebuild
     assert context.stats.availability_floor_hits == 1
 

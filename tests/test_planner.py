@@ -450,9 +450,9 @@ def test_tail_kill_preserves_plans_and_bookkeeping(opt_env, opt_job,
     assert killed_total > 0
 
 
-def test_family_memo_and_availability_floors_preserve_plans(opt_env, opt_job,
-                                                            mixed_topology,
-                                                            disarm_prunes):
+def test_family_skip_and_tail_kill_preserve_plans(opt_env, opt_job,
+                                                 mixed_topology,
+                                                 disarm_prunes):
     """The dominated-family skip must be latency-only: the chosen plan
     *and* its evaluation are byte-identical with the skip on/off (composed
     with the availability-aware tail kill on/off), across objectives;
