@@ -124,12 +124,12 @@ def test_bench_planner_deadline_smoke_64_nodes(benchmark, job):
     assert result.incomplete_branches
 
 
-def test_bench_planner_crash_salvage_smoke(benchmark, job, monkeypatch,
-                                           tmp_path):
+def test_bench_planner_crash_salvage_smoke(benchmark, job,
+                                           planner_worker_fault):
     """`make ci` acceptance bar: a parallel plan whose worker is SIGKILLed
-    mid-branch must lose zero branches -- the retried call's plan and
-    candidate count match a clean serial solve, and the result is marked
-    incomplete with the affected branches listed."""
+    mid-branch must lose zero branches -- after the inline re-run the
+    call's plan and candidate count match a clean serial solve, and the
+    result is marked incomplete with the affected branches listed."""
     topology = ClusterTopology.single_zone("us-central1-a", {
         "a2-highgpu-4g": 4, "n1-standard-v100-4": 4})
     env = build_environment(job, topology, seed=7)
@@ -137,17 +137,15 @@ def test_bench_planner_crash_salvage_smoke(benchmark, job, monkeypatch,
     serial = SailorPlanner(env).plan(job, topology, objective)
     assert serial.found
 
-    monkeypatch.setenv("SAILOR_PLANNER_FAULT", "sigkill:*:*")
-    monkeypatch.setenv("SAILOR_PLANNER_FAULT_ONCE",
-                       str(tmp_path / "fault_once"))
+    planner_worker_fault("sigkill")
     result = benchmark.pedantic(
-        lambda: ParallelPlanner(env, max_workers=2).plan(
-            job, topology, objective),
+        lambda: ParallelPlanner(env, config=PlannerConfig(
+            parallel_workers=2)).plan(job, topology, objective),
         rounds=1, iterations=1)
     assert result.found
     assert not result.complete
     assert result.incomplete_branches
-    # Zero lost branches: the salvage+retry recovered the full search.
+    # Zero lost branches: the inline re-run recovered the full search.
     assert result.candidates_evaluated == serial.candidates_evaluated
     assert (result.evaluation.iteration_time_s
             == serial.evaluation.iteration_time_s)

@@ -39,7 +39,7 @@ import importlib
 import sys
 
 from repro.core.objectives import Objective
-from repro.core.planner import ParallelPlanner, PlannerConfig, SailorPlanner
+from repro.core.planner import PlannerConfig, SailorPlanner
 from repro.core.serialization import plan_from_json, plan_to_json, result_to_json
 from repro.core.simulator import SailorSimulator, build_environment
 from repro.hardware.gpus import list_gpus
@@ -85,9 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--min-throughput", type=float, default=None,
                       help="throughput floor in iterations per second")
     plan.add_argument("--workers", type=int, default=1,
-                      help="worker processes for the planner search; >1 fans "
-                           "the (pipeline, microbatch) branches out over a "
-                           "process pool (default: 1, serial)")
+                      help="worker processes for the planner search "
+                           "(PlannerConfig.parallel_workers); >1 fans the "
+                           "(pipeline, microbatch) branches out over a "
+                           "process pool and re-runs a crashed or wedged "
+                           "worker's branches inline (default: 1, serial)")
     plan.add_argument("--time-limit", type=float, default=None,
                       metavar="SECONDS",
                       help="wall deadline for the search; the anytime planner "
@@ -219,12 +221,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         objective = Objective.min_cost(
             min_throughput_iters_per_s=args.min_throughput)
 
-    config = PlannerConfig(time_limit_s=args.time_limit)
-    if args.workers > 1:
-        planner = ParallelPlanner(env, config=config, max_workers=args.workers)
-    else:
-        planner = SailorPlanner(env, config=config)
-    result = planner.plan(job, topology, objective)
+    config = PlannerConfig(time_limit_s=args.time_limit,
+                           parallel_workers=args.workers)
+    result = SailorPlanner(env, config=config).plan(job, topology, objective)
     print(f"\nsearch time: {result.search_time_s:.2f}s  "
           f"candidates: {result.candidates_evaluated}")
     print(f"search stats: {result.search_stats.describe()}")

@@ -10,7 +10,9 @@
 * **H4** When minimising cost, data-parallel degrees are explored in
   increasing order and the search stops once cost stops improving.
 * **H5** Data-parallel replicas of a stage stay within one region; only
-  pipeline-parallel traffic may cross regions.
+  pipeline-parallel traffic may cross regions.  H5 is always enforced (it
+  has no switch): ``PlannerSearchContext.stage_master_combos`` builds every
+  stage combo inside a single region.
 * **H6** Zones of the same region are consolidated into one pseudo-zone
   during the search (bandwidth within a region is roughly uniform), and the
   chosen plan is spread back over the real zones afterwards.
@@ -35,7 +37,6 @@ class HeuristicConfig:
     limit_tp_to_node: bool = True          # H1
     prune_oom_early: bool = True           # H2
     ordered_data_parallel: bool = True     # H3 / H4
-    dp_within_region: bool = True          # H5
     consolidate_zones: bool = True         # H6
     max_pipeline_parallel: int = 16
     max_microbatch_size: int = 8
@@ -47,7 +48,6 @@ class HeuristicConfig:
             "H1": self.limit_tp_to_node,
             "H2": self.prune_oom_early,
             "H3/H4": self.ordered_data_parallel,
-            "H5": self.dp_within_region,
             "H6": self.consolidate_zones,
         }
         return ", ".join(f"{k}={'on' if v else 'off'}" for k, v in flags.items())

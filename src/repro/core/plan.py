@@ -447,9 +447,9 @@ class PlannerResult:
     * ``complete`` is True only when the search ran to its natural end.  It
       is False when any (P, mbs) branch was cut by the deadline/node budget
       *or* (parallel driver) a branch had to be salvaged from a crashed or
-      wedged worker -- even when the retry recovered it, so callers can tell
-      a degraded call from a clean one.  ``incomplete_branches`` lists the
-      affected branches as ``"P<pp>/mbs<mbs>"`` labels.
+      wedged worker -- even when its inline re-run recovered it, so callers
+      can tell a degraded call from a clean one.  ``incomplete_branches``
+      lists the affected branches as ``"P<pp>/mbs<mbs>"`` labels.
     * ``optimality_gap_bound`` is an admissible relative bound on the
       remaining gap: the true optimum of the unbounded search is no better
       than ``incumbent_value * (1 - gap)`` for the minimised scalar

@@ -14,25 +14,24 @@ constraints.  The search combines:
   (:mod:`repro.core.simulator`).
 
 The search decomposes into independent ``(pipeline depth, microbatch size)``
-branches; :class:`ParallelPlanner` is an opt-in driver that fans the
-branches out over a process pool and merges the branch winners
-deterministically (same result as the serial search).
+branches; :class:`ParallelPlanner` is an opt-in driver
+(``PlannerConfig.parallel_workers > 1``) that fans the branches out over a
+process pool and merges the branch winners deterministically (same result
+as the serial search).  A branch whose worker crashes or wedges is re-run
+inline in the driver process.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import multiprocessing
 import os
 import pickle
-import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import astuple, dataclass, field, replace
-from multiprocessing import shared_memory
 
 from repro.collectives import ring_allreduce_time
 from repro.core.budget import SearchBudget, SearchBudgetExhausted
@@ -114,7 +113,7 @@ class PlannerConfig:
     max_search_nodes: int | None = None
     #: Parallel driver only: extra wall-clock grace (beyond ``time_limit_s``)
     #: a branch task may take before its worker is declared wedged and the
-    #: branch is salvaged via retry + inline re-run.  ``None`` disables
+    #: branch is salvaged by an inline re-run.  ``None`` disables
     #: wedge detection (a crashed worker is still recovered through
     #: ``BrokenProcessPool``).
     # lint: disable=cache-key -- driver-only fault-tolerance knob, never
@@ -122,7 +121,8 @@ class PlannerConfig:
     # search, so no cached value can depend on it.
     branch_timeout_s: float | None = None
     #: When > 1, ``SailorPlanner.plan`` fans the (P, mbs) branches out over
-    #: this many worker processes (see :class:`ParallelPlanner`).
+    #: this many worker processes (see :class:`ParallelPlanner`, which
+    #: falls back to ``os.cpu_count()`` when this is ``None``).
     # lint: disable=cache-key -- dispatch-only: selects the driver; each
     # worker builds its own context and the merged plan is pinned identical
     # to the serial search by the parallel-equivalence suite.
@@ -216,9 +216,8 @@ class SailorPlanner:
         objective = objective or Objective.max_throughput()
         workers = self.config.parallel_workers
         if workers is not None and workers > 1:
-            return ParallelPlanner(self.env, config=self.config,
-                                   max_workers=workers).plan(job, topology,
-                                                             objective)
+            return ParallelPlanner(self.env, config=self.config).plan(
+                job, topology, objective)
         # lint: disable=determinism -- observability (search_time_s) plus
         # the anytime deadline, which reaches the search only through
         # SearchBudget; neither branches the search directly.
@@ -1032,8 +1031,9 @@ class SailorPlanner:
 
 #: Search invariants installed once per worker process (see _init_worker);
 #: only (pp, mbs, wall_deadline) travel with each branch task.  The
-#: in-process fallback path uses a local state dict instead, so a single
-#: ParallelPlanner call in the main process never pins the environment here.
+#: in-process path and the inline re-run use a local state dict instead, so
+#: a ParallelPlanner call in the main process never pins the environment
+#: here.
 _WORKER_STATE: dict = {}
 
 
@@ -1057,82 +1057,13 @@ def _make_worker_state(env, job, objective, config, consolidated,
 def _init_worker(payload: bytes) -> None:
     """Process-pool initializer: receive the per-call invariants once.
 
-    The driver pre-serializes the invariants -- dominated by the profile
-    store inside the environment -- into one pickle blob, so the expensive
-    object-graph walk happens once per planning call instead of once per
-    worker process (initargs are re-pickled for every worker; a ``bytes``
-    payload makes that re-pickling a memcpy).  This is the fallback path
-    when the shared-memory store is unavailable; see :func:`_init_worker_shm`.
+    The driver pickles the invariants into one blob per planning call, so
+    the object-graph walk happens once rather than once per worker process
+    (a ``bytes`` initarg re-pickles as a memcpy).  The blob is small: about
+    11 KB for a 1024-GPU two-type pool, pickled in under a millisecond.
     """
     _WORKER_STATE.clear()
     _WORKER_STATE.update(_make_worker_state(*pickle.loads(payload)))
-
-
-def _init_worker_shm(name: str, size: int) -> None:
-    """Process-pool initializer: attach to the driver's shared-memory blob.
-
-    The driver writes the pre-serialized invariants into one
-    ``multiprocessing.shared_memory`` segment; each worker attaches, reads
-    the ``size`` payload bytes and unpickles locally.  Unlike the ``bytes``
-    initargs fallback the blob is never copied through the executor's task
-    pipe per worker -- only ``(name, size)`` travels -- which is what makes
-    worker startup O(1) in the profile-store size.  The driver owns the
-    segment's lifetime and unlinks it once the pool is done.  (CPython <=
-    3.12 registers the segment with the resource tracker on *attach* too;
-    under the fork start method the workers share the driver's tracker, so
-    the duplicate registrations collapse and the driver's ``unlink``
-    retires the single entry.  Under spawn a worker-owned tracker may
-    unlink the segment first -- after every branch result has already been
-    returned -- which the driver's unlink tolerates.)
-    """
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        payload = bytes(segment.buf[:size])
-    finally:
-        segment.close()
-    _init_worker(payload)
-
-
-def _maybe_inject_fault(pp: int, mbs: int) -> None:
-    """Test-only fault hook for the fault-tolerant parallel driver.
-
-    Armed via environment variables (modeled on the seeded fault scenarios
-    in :mod:`repro.runtime.faults`, but at the *planner worker* layer):
-
-    * ``SAILOR_PLANNER_FAULT="<kind>:<pp>:<mbs>[:<seconds>]"`` -- fire on
-      the matching branch (``*`` wildcards both selectors).  ``sigkill``
-      terminates the worker process uncleanly mid-branch (the
-      ``BrokenProcessPool`` salvage path); ``hang`` sleeps for ``seconds``
-      (default 30) to wedge the worker (the per-branch-timeout path).
-    * ``SAILOR_PLANNER_FAULT_ONCE=<path>`` -- fire only once across every
-      process that sees the spec, via atomic create of ``path`` (so the
-      retry pool succeeds and the salvage can be asserted lossless).
-
-    The hook only ever fires in a pool worker (never in the driver or the
-    inline re-run), so an armed fault cannot take down the planning call.
-    """
-    spec = os.environ.get("SAILOR_PLANNER_FAULT")
-    if not spec:
-        return
-    parts = spec.split(":")
-    if len(parts) < 3:
-        return
-    kind, want_pp, want_mbs = parts[0], parts[1], parts[2]
-    if want_pp not in ("*", str(pp)) or want_mbs not in ("*", str(mbs)):
-        return
-    if multiprocessing.parent_process() is None:
-        return  # never fault the driver process
-    once_path = os.environ.get("SAILOR_PLANNER_FAULT_ONCE")
-    if once_path:
-        try:
-            os.close(os.open(once_path,
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            return  # the fault already fired once
-    if kind == "sigkill":
-        os.kill(os.getpid(), signal.SIGKILL)
-    elif kind == "hang":
-        time.sleep(float(parts[3]) if len(parts) > 3 else 30.0)
 
 
 def _plan_branch_task(payload: tuple,
@@ -1150,7 +1081,6 @@ def _plan_branch_task(payload: tuple,
     pp, mbs, wall_deadline = payload
     if state is None:
         state = _WORKER_STATE
-        _maybe_inject_fault(pp, mbs)
     planner = state["planner"]
     job = state["job"]
     objective = state["objective"]
@@ -1180,27 +1110,20 @@ class ParallelPlanner:
     branch order* with the same comparison the serial search uses, so the
     chosen plan is identical to the serial planner's.
 
-    The planning invariants (dominated by the profile store inside the
-    environment) are pickled once per call and published through a
-    ``multiprocessing.shared_memory`` segment that workers attach to, so
-    worker startup cost is independent of the profile-store size; the
-    ``bytes``-initargs path remains as a fallback for platforms without
-    shared memory.
-
-    ``time_limit_s`` bounds the whole planning call: the driver fixes one
-    absolute wall-clock deadline up front and every branch task honours it,
-    so late-starting branches get only the time that remains.
+    The worker count is ``config.parallel_workers`` (``os.cpu_count()``
+    when unset); with one worker or one branch the branches run in
+    process.  ``time_limit_s`` bounds the whole planning call: the driver
+    fixes one absolute wall-clock deadline up front and every branch task
+    honours it, so late-starting branches get only the time that remains.
     """
 
     name = "sailor"
 
     def __init__(self, env: SimulationEnvironment,
-                 config: PlannerConfig | None = None,
-                 max_workers: int | None = None) -> None:
+                 config: PlannerConfig | None = None) -> None:
         self.env = env
         self.config = config or PlannerConfig()
-        self.max_workers = (max_workers or self.config.parallel_workers
-                            or os.cpu_count() or 1)
+        self.workers = self.config.parallel_workers or os.cpu_count() or 1
 
     def plan(self, job: TrainingJobSpec, topology: ClusterTopology,
              objective: Objective | None = None) -> PlannerResult:
@@ -1227,73 +1150,30 @@ class ParallelPlanner:
         invariants = (self.env, job, objective, worker_config, consolidated,
                       resources)
         payloads = [(pp, mbs, wall_deadline) for pp, mbs in specs]
+        workers = min(self.workers, max(1, len(payloads)))
 
         stats = SearchStats()
         salvaged: list[str] = []
-        if len(payloads) <= 1 or self.max_workers <= 1:
+        if workers <= 1:
             local_state = _make_worker_state(*invariants)
             results = [_plan_branch_task(payload, state=local_state)
                        for payload in payloads]
         else:
-            workers = min(self.max_workers, len(payloads))
-            # Serialize the invariants (profiles included) exactly once and
-            # publish them through a shared-memory segment the workers
-            # attach to; when shared memory is unavailable (no /dev/shm,
-            # exotic platforms) fall back to shipping the blob via initargs.
-            #
-            # Lifecycle: the single try/finally below starts *before* the
-            # segment is created, so every exit path -- a worker raising a
-            # genuine error mid-branch (re-raised by the gather), pool
-            # shutdown on KeyboardInterrupt, and even a non-OSError between
-            # creation and the pool block -- retires the segment.  (An
-            # OSError during creation/population falls back to
-            # initargs-bytes; a half-created segment from that path is
-            # retired by the same finally.)  The segment outlives the retry
-            # pool too, so retried branches reuse the same initializer.
+            # Fault-tolerant gather: a crashed (BrokenProcessPool) or
+            # wedged (per-branch timeout) worker marks its branches dead
+            # instead of killing the call.  Dead branches are re-run inline
+            # in the driver process, where a genuine error surfaces with
+            # its real traceback; the merged result lists them and is
+            # marked incomplete even when fully recovered.
             blob = pickle.dumps(invariants, protocol=pickle.HIGHEST_PROTOCOL)
-            segment = None
-            try:
-                try:
-                    segment = shared_memory.SharedMemory(create=True,
-                                                         size=max(1, len(blob)))
-                    segment.buf[:len(blob)] = blob
-                    initializer, initargs = _init_worker_shm, (segment.name,
-                                                               len(blob))
-                except OSError:
-                    initializer, initargs = _init_worker, (blob,)
-                # Fault-tolerant gather: a crashed (BrokenProcessPool) or
-                # wedged (per-branch timeout) worker marks its branches
-                # dead instead of killing the call.  Dead branches are
-                # retried once on a fresh pool, then re-run inline
-                # serially; the merged result lists them and is marked
-                # incomplete even when fully recovered.
-                results, dead = self._run_pool(payloads, workers,
-                                               initializer, initargs)
-                if dead:
-                    salvaged = [f"P{payloads[i][0]}/mbs{payloads[i][1]}"
-                                for i in dead]
-                    retry_payloads = [payloads[i] for i in dead]
-                    retried, still_dead = self._run_pool(
-                        retry_payloads, min(workers, len(dead)),
-                        initializer, initargs)
-                    for offset, index in enumerate(dead):
-                        results[index] = retried[offset]
-                    if still_dead:
-                        # Inline re-run in the driver process: the fault
-                        # hook never fires here, and a genuine error
-                        # surfaces with its real traceback.
-                        local_state = _make_worker_state(*invariants)
-                        for offset in still_dead:
-                            index = dead[offset]
-                            results[index] = _plan_branch_task(
-                                payloads[index], state=local_state)
-            finally:
-                if segment is not None:
-                    segment.close()
-                    try:
-                        segment.unlink()
-                    except FileNotFoundError:
-                        pass  # a worker's resource tracker beat us to it
+            results, dead = self._run_pool(payloads, workers, blob)
+            if dead:
+                salvaged = [f"P{payloads[i][0]}/mbs{payloads[i][1]}"
+                            for i in dead]
+                local_state = _make_worker_state(*invariants)
+                for index in dead:
+                    results[index] = _plan_branch_task(payloads[index],
+                                                       state=local_state)
 
         # Replay the serial driver's dominated-family skips (see
         # SailorPlanner._plan_branch): workers run with no cross-branch
@@ -1338,8 +1218,7 @@ class ParallelPlanner:
             incomplete = [o.label for o in outcomes
                           if not o.complete or o.label in affected]
 
-        notes = (f"parallel driver, "
-                 f"{min(self.max_workers, max(1, len(payloads)))} workers")
+        notes = f"parallel driver, {workers} workers"
         if salvaged:
             notes += f", salvaged {len(salvaged)} branch(es)"
         return PlannerResult(
@@ -1357,8 +1236,7 @@ class ParallelPlanner:
             incomplete_branches=incomplete,
         )
 
-    def _run_pool(self, payloads: list[tuple], workers: int,
-                  initializer, initargs,
+    def _run_pool(self, payloads: list[tuple], workers: int, blob: bytes,
                   ) -> tuple[list, list[int]]:
         """Run branch tasks on one pool; report dead indices, don't raise.
 
@@ -1367,7 +1245,7 @@ class ParallelPlanner:
         absorbed -- ``BrokenProcessPool`` (crash) and the per-branch
         timeout (wedge, with ``branch_timeout_s`` grace beyond the call
         deadline).  Genuine task exceptions (and ``KeyboardInterrupt``)
-        propagate exactly as under the old ``pool.map`` driver.
+        propagate.
         """
         grace = self.config.branch_timeout_s
         gather_deadline = None
@@ -1380,9 +1258,8 @@ class ParallelPlanner:
                                + (self.config.time_limit_s or 0.0))
         results: list = [None] * len(payloads)
         dead: list[int] = []
-        pool = ProcessPoolExecutor(max_workers=workers,
-                                   initializer=initializer,
-                                   initargs=initargs)
+        pool = ProcessPoolExecutor(workers, initializer=_init_worker,
+                                   initargs=(blob,))
         try:
             futures: list = []
             for payload in payloads:
@@ -1405,16 +1282,17 @@ class ParallelPlanner:
         finally:
             # A clean pool drains normally; a pool with dead branches is
             # abandoned without waiting and its workers are killed, so a
-            # wedged worker cannot pin the process (or the retry) forever.
+            # wedged worker cannot pin the process (or the inline re-run)
+            # forever.  The workers are listed before ``shutdown``, which
+            # drops the executor's process table.
+            processes = list((pool._processes or {}).values()) if dead else []
             pool.shutdown(wait=not dead, cancel_futures=bool(dead))
-            if dead:
-                processes = dict(getattr(pool, "_processes", None) or {})
-                for process in processes.values():
-                    try:
-                        process.kill()
-                    # lint: disable=swallowed-exceptions -- racing a normal
-                    # exit of a process we are killing anyway; there is
-                    # nothing to recover and nothing worth reporting.
-                    except Exception:
-                        pass
+            for process in processes:
+                try:
+                    process.kill()
+                # lint: disable=swallowed-exceptions -- racing a normal exit
+                # of a process we are killing anyway; there is nothing to
+                # recover and nothing worth reporting.
+                except Exception:
+                    pass
         return results, dead

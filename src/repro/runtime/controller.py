@@ -124,6 +124,12 @@ class ReplanDecision:
     deadline_missed: bool = False
     cache_hits: int = 0
     solve_memo_hits: int = 0
+    #: The deciding ``PlannerResult``'s anytime fields (``True``/``0.0`` for
+    #: a decision taken without a solve): a ``deadline_missed`` decision
+    #: whose search still completed overran the wall deadline, while
+    #: ``complete=False`` marks a truncated anytime search.
+    complete: bool = True
+    optimality_gap_bound: float = 0.0
 
 
 @dataclass
@@ -578,7 +584,10 @@ class TrainingController:
             replan_latency_s=result.search_time_s if result is not None else 0.0,
             deadline_missed=deadline_missed,
             cache_hits=stats.cache_hits,
-            solve_memo_hits=stats.solve_memo_hits))
+            solve_memo_hits=stats.solve_memo_hits,
+            complete=result.complete if result is not None else True,
+            optimality_gap_bound=(result.optimality_gap_bound
+                                  if result is not None else 0.0)))
 
     def _cleanup_workers(self, time_s: float) -> None:
         for worker in self.workers:

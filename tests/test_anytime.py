@@ -15,6 +15,7 @@ Covers the deadline-robustness contract end to end:
 """
 
 import math
+import multiprocessing
 import os
 
 import pytest
@@ -195,8 +196,8 @@ def test_unbounded_calls_complete_with_zero_gap(small_env, small_job,
     objective = Objective.max_throughput()
     serial = SailorPlanner(small_env).plan(small_job, small_topology,
                                            objective)
-    parallel = ParallelPlanner(small_env, max_workers=2).plan(
-        small_job, small_topology, objective)
+    parallel = ParallelPlanner(small_env, config=PlannerConfig(
+        parallel_workers=2)).plan(small_job, small_topology, objective)
     for result in (serial, parallel):
         assert result.complete
         assert result.optimality_gap_bound == 0.0
@@ -224,21 +225,18 @@ def test_anytime_fields_survive_result_json_round_trip(small_env, small_job,
 # ---------------------------------------------------------------------------
 
 def test_sigkilled_worker_loses_no_branches(small_env, small_job,
-                                            small_topology, monkeypatch,
-                                            tmp_path):
+                                            small_topology,
+                                            planner_worker_fault):
     """A worker SIGKILLed mid-branch breaks the whole pool; the driver must
-    retry the dead branches on a fresh pool and return the same plan a
-    clean solve finds, marked incomplete with the salvaged branches
-    listed."""
+    re-run the dead branches inline and return the same plan a clean solve
+    finds, marked incomplete with the salvaged branches listed."""
     objective = Objective.max_throughput()
     serial = SailorPlanner(small_env).plan(small_job, small_topology,
                                            objective)
 
-    monkeypatch.setenv("SAILOR_PLANNER_FAULT", "sigkill:*:*")
-    monkeypatch.setenv("SAILOR_PLANNER_FAULT_ONCE",
-                       str(tmp_path / "fault_once"))
-    result = ParallelPlanner(small_env, max_workers=2).plan(
-        small_job, small_topology, objective)
+    fault_once = planner_worker_fault("sigkill")
+    result = ParallelPlanner(small_env, config=PlannerConfig(
+        parallel_workers=2)).plan(small_job, small_topology, objective)
     assert result.found
     assert not result.complete
     assert result.incomplete_branches
@@ -249,23 +247,21 @@ def test_sigkilled_worker_loses_no_branches(small_env, small_job,
     assert result.search_stats.nodes_explored == \
         serial.search_stats.nodes_explored
     # The fault fired exactly once (the once-file is the proof).
-    assert os.path.exists(tmp_path / "fault_once")
+    assert os.path.exists(fault_once)
 
 
 def test_sigkill_on_one_branch_lists_that_branch(small_env, small_job,
-                                                 small_topology, monkeypatch,
-                                                 tmp_path):
-    """Targeted fault spec: only the named (pp, mbs) branch dies; it is
-    retried and the result lists it as salvaged."""
+                                                 small_topology,
+                                                 planner_worker_fault):
+    """Targeted fault: only the named (pp, mbs) branch's worker dies; the
+    branch is re-run inline and the result lists it as salvaged."""
     objective = Objective.max_throughput()
     serial = SailorPlanner(small_env).plan(small_job, small_topology,
                                            objective)
 
-    monkeypatch.setenv("SAILOR_PLANNER_FAULT", "sigkill:2:2")
-    monkeypatch.setenv("SAILOR_PLANNER_FAULT_ONCE",
-                       str(tmp_path / "fault_once"))
-    result = ParallelPlanner(small_env, max_workers=2).plan(
-        small_job, small_topology, objective)
+    planner_worker_fault("sigkill", branch=(2, 2))
+    result = ParallelPlanner(small_env, config=PlannerConfig(
+        parallel_workers=2)).plan(small_job, small_topology, objective)
     assert result.found
     assert not result.complete
     assert "P2/mbs2" in result.incomplete_branches
@@ -274,23 +270,21 @@ def test_sigkill_on_one_branch_lists_that_branch(small_env, small_job,
 
 
 def test_wedged_worker_is_abandoned_within_grace(small_env, small_job,
-                                                 small_topology, monkeypatch,
-                                                 tmp_path):
-    """A hung worker (fault hook sleeps far past the grace) must not pin
-    the call: the branch times out, is re-run, and the plan matches a
-    clean solve."""
+                                                 small_topology,
+                                                 planner_worker_fault):
+    """A hung worker (the injected fault sleeps far past the grace) must
+    not pin the call: the branch times out, its worker is killed, the
+    branch is re-run inline, and the plan matches a clean solve."""
     import time as time_mod
 
     objective = Objective.max_throughput()
     serial = SailorPlanner(small_env).plan(small_job, small_topology,
                                            objective)
 
-    monkeypatch.setenv("SAILOR_PLANNER_FAULT", "hang:*:*:60")
-    monkeypatch.setenv("SAILOR_PLANNER_FAULT_ONCE",
-                       str(tmp_path / "fault_once"))
+    planner_worker_fault("hang", seconds=60.0)
     start = time_mod.perf_counter()
     result = ParallelPlanner(small_env, config=PlannerConfig(
-        branch_timeout_s=3.0), max_workers=2).plan(
+        branch_timeout_s=3.0, parallel_workers=2)).plan(
         small_job, small_topology, objective)
     elapsed = time_mod.perf_counter() - start
     assert elapsed < 30.0  # far below the 60 s hang
@@ -298,3 +292,9 @@ def test_wedged_worker_is_abandoned_within_grace(small_env, small_job,
     assert not result.complete
     assert result.incomplete_branches
     assert plan_to_json(result.plan) == plan_to_json(serial.plan)
+    # Zero lost branches: the inline re-run recovered the full search.
+    assert result.candidates_evaluated == serial.candidates_evaluated
+    # The wedged worker was killed, not left to sleep out its hang.
+    for child in multiprocessing.active_children():
+        child.join(timeout=10.0)
+        assert not child.is_alive()

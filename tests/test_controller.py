@@ -29,19 +29,6 @@ def small_topology(nodes=2):
     return ClusterTopology.homogeneous("a2-highgpu-4g", nodes)
 
 
-def _record_results(planner):
-    """List that collects every PlannerResult ``planner.plan`` returns."""
-    results = []
-    plan = planner.plan
-
-    def recorded(*args, **kwargs):
-        results.append(plan(*args, **kwargs))
-        return results[-1]
-
-    planner.plan = recorded
-    return results
-
-
 def test_start_deploys_plan_and_workers(controller):
     event = controller.start(small_topology(4), time_s=0.0)
     assert event is not None
@@ -245,6 +232,9 @@ def test_deadline_miss_keeps_incumbent(opt_env, opt_job):
     assert controller.current_plan is plan_before
     assert controller.decisions[-1].action == "deadline_fallback"
     assert controller.decisions[-1].deadline_missed
+    # A wall-deadline miss, not a truncated search: the solve completed.
+    assert controller.decisions[-1].complete
+    assert controller.decisions[-1].optimality_gap_bound == 0.0
 
 
 def test_infeasible_pool_parks_with_backoff_and_retries(opt_env, opt_job):
@@ -316,18 +306,17 @@ def test_incomplete_result_is_degraded_even_without_deadline_miss(
 
     truncated_planner = SailorPlanner(opt_env, config=PlannerConfig(
         max_search_nodes=5))
-    results = _record_results(truncated_planner)
     controller = make_controller(opt_env, opt_job, ReplanPolicy(),
                                  planner=truncated_planner)
     controller.start(small_topology(2), time_s=0.0)
     plan_before = controller.current_plan
     event = controller.handle_availability_change(
         small_topology(6), time_s=60.0, cause="quota restored")
-    # Precondition: the node budget really truncated the replan.
-    assert results[-1].complete is False
     assert event is None
     assert controller.current_plan is plan_before
     assert controller.decisions[-1].action == "deadline_fallback"
+    # The node budget really truncated the replan, and the decision says so.
+    assert controller.decisions[-1].complete is False
 
 
 def test_incomplete_result_adopted_through_gap_gate(opt_env, opt_job):
@@ -344,9 +333,9 @@ def test_incomplete_result_adopted_through_gap_gate(opt_env, opt_job):
     event = controller.handle_availability_change(
         small_topology(6), time_s=60.0, cause="quota restored")
     assert event is not None
-    # Precondition: the node budget really truncated the replan.
-    assert event.planner_result.complete is False
     assert controller.decisions[-1].action == "switched"
+    # The node budget really truncated the replan, and the decision says so.
+    assert controller.decisions[-1].complete is False
     assert controller.decisions[-1].deadline_missed  # degraded adoption
 
 

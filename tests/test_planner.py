@@ -187,8 +187,8 @@ def test_h3_early_stop_ignores_infeasible_candidates(opt_env, opt_job,
 def test_parallel_planner_matches_serial(opt_env, opt_job, mixed_topology):
     objective = Objective.max_throughput()
     serial = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
-    parallel = ParallelPlanner(opt_env, max_workers=2).plan(
-        opt_job, mixed_topology, objective)
+    parallel = ParallelPlanner(opt_env, config=PlannerConfig(
+        parallel_workers=2)).plan(opt_job, mixed_topology, objective)
     assert parallel.found
     assert plan_to_json(parallel.plan) == plan_to_json(serial.plan)
     assert parallel.candidates_evaluated == serial.candidates_evaluated
@@ -206,73 +206,16 @@ def test_parallel_workers_config_delegates(opt_env, opt_job, mixed_topology):
     assert plan_to_json(via_config.plan) == plan_to_json(serial.plan)
 
 
-def test_shared_memory_worker_init_roundtrip(opt_env, opt_job, mixed_topology):
-    """_init_worker_shm must rebuild the exact worker state _init_worker
-    builds from the same blob (the driver's shared-memory fast path)."""
-    import pickle
-    from multiprocessing import shared_memory
-
-    from repro.core.heuristics import consolidate_zones
-    from repro.core.planner import _WORKER_STATE, _init_worker_shm
-
-    config = PlannerConfig()
-    consolidated = consolidate_zones(mixed_topology, config.heuristics)
-    resources = SailorPlanner._resource_map(consolidated.topology)
-    blob = pickle.dumps((opt_env, opt_job, Objective.max_throughput(), config,
-                         consolidated, resources),
-                        protocol=pickle.HIGHEST_PROTOCOL)
-    segment = shared_memory.SharedMemory(create=True, size=len(blob))
-    try:
-        segment.buf[:len(blob)] = blob
-        _init_worker_shm(segment.name, len(blob))
-        assert set(_WORKER_STATE) == {"planner", "job", "objective",
-                                      "consolidated", "resources", "context"}
-        assert _WORKER_STATE["resources"] == resources
-        _WORKER_STATE.clear()
-    finally:
-        segment.close()
-        segment.unlink()
-
-
-class _RecordingSharedMemory:
-    """Wraps SharedMemory construction to record create-path segments."""
-
-    def __init__(self, real_cls, created: list):
-        self._real_cls = real_cls
-        self._created = created
-
-    def __call__(self, *args, **kwargs):
-        segment = self._real_cls(*args, **kwargs)
-        if kwargs.get("create"):
-            self._created.append(segment)
-            segment.test_unlinked = False
-            real_unlink = segment.unlink
-
-            def unlink():
-                segment.test_unlinked = True
-                real_unlink()
-
-            segment.unlink = unlink
-        return segment
-
-
 @pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
-def test_failing_branch_does_not_leak_shm_segment(opt_env, opt_job,
-                                                  mixed_topology, monkeypatch,
-                                                  failure):
-    """Regression (lifecycle audit): a worker raising mid-branch -- or the
-    pool dying on KeyboardInterrupt -- must still close+unlink the driver's
-    shared-memory segment.  The pool is replaced by a stub whose futures
-    raise, standing in for the re-raised worker exception.  Genuine worker
-    exceptions are exactly the failures the fault-tolerant gather must NOT
-    absorb: they propagate, unlike a crashed or wedged worker."""
+def test_genuine_branch_error_propagates(opt_env, opt_job, mixed_topology,
+                                         monkeypatch, failure):
+    """A worker raising mid-branch -- or the pool dying on
+    KeyboardInterrupt -- must propagate out of the parallel driver.  The
+    pool is replaced by a stub whose futures raise, standing in for the
+    re-raised worker exception.  Genuine worker exceptions are exactly the
+    failures the fault-tolerant gather must NOT absorb: unlike a crashed or
+    wedged worker, they are never salvaged."""
     import repro.core.planner as planner_mod
-
-    created: list = []
-    monkeypatch.setattr(
-        planner_mod.shared_memory, "SharedMemory",
-        _RecordingSharedMemory(planner_mod.shared_memory.SharedMemory,
-                               created))
 
     class ExplodingFuture:
         def result(self, timeout=None):
@@ -289,40 +232,9 @@ def test_failing_branch_does_not_leak_shm_segment(opt_env, opt_job,
             pass
 
     monkeypatch.setattr(planner_mod, "ProcessPoolExecutor", ExplodingPool)
-    planner = ParallelPlanner(opt_env, max_workers=2)
+    planner = ParallelPlanner(opt_env, config=PlannerConfig(parallel_workers=2))
     with pytest.raises(failure):
         planner.plan(opt_job, mixed_topology, Objective.max_throughput())
-    assert created, "the shm fast path was not exercised"
-    for segment in created:
-        assert segment.test_unlinked  # closed *and* unlinked on the way out
-    # The segment is really gone from /dev/shm: re-attach must fail.
-    from multiprocessing import shared_memory as real_shared_memory
-    for segment in created:
-        with pytest.raises(FileNotFoundError):
-            real_shared_memory.SharedMemory(name=segment.name)
-
-
-def test_initargs_fallback_matches_shm_path(opt_env, opt_job, mixed_topology,
-                                            monkeypatch):
-    """The initargs-bytes fallback (no shared memory available) must produce
-    byte-identical plans and identical search work to the shm fast path."""
-    import repro.core.planner as planner_mod
-
-    objective = Objective.max_throughput()
-    via_shm = ParallelPlanner(opt_env, max_workers=2).plan(
-        opt_job, mixed_topology, objective)
-
-    def no_shm(*args, **kwargs):
-        raise OSError("shared memory unavailable")
-
-    monkeypatch.setattr(planner_mod.shared_memory, "SharedMemory", no_shm)
-    via_initargs = ParallelPlanner(opt_env, max_workers=2).plan(
-        opt_job, mixed_topology, objective)
-    assert via_initargs.found
-    assert plan_to_json(via_initargs.plan) == plan_to_json(via_shm.plan)
-    assert via_initargs.candidates_evaluated == via_shm.candidates_evaluated
-    assert via_initargs.search_stats.nodes_explored == \
-        via_shm.search_stats.nodes_explored
 
 
 def test_engine_and_batched_budget_threading_match_the_exhaustive_plan(
@@ -491,8 +403,9 @@ def test_family_skip_and_tail_kill_preserve_plans(opt_env, opt_job,
     # skip count.
     serial = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
                                          Objective.min_cost())
-    parallel = ParallelPlanner(opt_env, max_workers=2).plan(
-        opt_job, mixed_topology, Objective.min_cost())
+    parallel = ParallelPlanner(opt_env, config=PlannerConfig(
+        parallel_workers=2)).plan(opt_job, mixed_topology,
+                                  Objective.min_cost())
     assert plan_to_json(parallel.plan) == plan_to_json(serial.plan)
     assert parallel.search_stats.families_skipped == \
         serial.search_stats.families_skipped
@@ -512,7 +425,8 @@ def test_enable_pruning_false_is_the_exhaustive_oracle(opt_env, opt_job,
     config = PlannerConfig(dp_config=DPSolverConfig(enable_pruning=False))
     serial = SailorPlanner(opt_env, config=config).plan(
         opt_job, mixed_topology, objective)
-    parallel = ParallelPlanner(opt_env, config=config, max_workers=2).plan(
+    parallel = ParallelPlanner(opt_env, config=PlannerConfig(
+        dp_config=config.dp_config, parallel_workers=2)).plan(
         opt_job, mixed_topology, objective)
     pruned = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
     assert serial.found
