@@ -43,14 +43,13 @@
 #                                   when_forced), so a disarmed family
 #                                   gate or a drifting fused kernel fails
 #                                   CI; and the
-#                                   deadline/crash smokes assert the anytime
+#                                   deadline smoke asserts the anytime
 #                                   salvage path works (a 256-GPU plan at a
 #                                   50 ms deadline returns a feasible plan
-#                                   with a finite certified gap; a crash-
-#                                   injected parallel plan loses zero
-#                                   branches), so a silently-disarmed
-#                                   certificate or salvage path fails CI
-#                                   rather than just running slow.
+#                                   with a finite certified gap), so a
+#                                   silently-disarmed certificate or
+#                                   salvage path fails CI rather than just
+#                                   running slow.
 #   make profile                    cProfile one planner call (PROFILE_ARGS=...;
 #                                   add --stats to dump the SearchStats
 #                                   counters as JSON next to the profile,

@@ -1,14 +1,14 @@
-"""Rule ``swallowed-exceptions``: the drivers may not eat what they must
-surface.
+"""Rule ``swallowed-exceptions``: the planner and the controller may not
+eat what they must surface.
 
-Two modules own the planner's failure semantics: the parallel driver
-(``core/planner.py`` -- crashed/wedged workers are *salvaged*, genuine
-worker exceptions propagate) and the replanning controller
+Two modules own the planner's failure semantics: the planner
+(``core/planner.py`` -- ``_plan_branch`` turns a ``SearchBudgetExhausted``
+into a counted, priced branch cut) and the replanning controller
 (``runtime/controller.py`` -- every degradation is a recorded decision,
-never a silent ``pass``).  ``SearchBudgetExhausted`` is additionally
-load-bearing: it carries the anytime truncation signal, so a handler that
-swallows it without bookkeeping silently converts "deadline hit" into
-"search finished".  In those modules this rule flags:
+never a silent ``pass``).  ``SearchBudgetExhausted`` is load-bearing: it
+carries the anytime truncation signal, so a handler that swallows it
+without bookkeeping silently converts "deadline hit" into "search
+finished".  In those modules this rule flags:
 
 * bare ``except:`` clauses (they also swallow ``KeyboardInterrupt``);
 * ``except Exception`` / ``except BaseException`` /
@@ -57,8 +57,8 @@ def _is_silent(body: list[ast.stmt]) -> bool:
 class SwallowedExceptionsRule(Rule):
     name = "swallowed-exceptions"
     description = ("no bare except, and no silently-swallowed broad or "
-                   "SearchBudgetExhausted handlers, in the parallel driver "
-                   "and the replanning controller")
+                   "SearchBudgetExhausted handlers, in the planner and the "
+                   "replanning controller")
 
     def run(self, index: ProjectIndex) -> list[Finding]:
         findings: list[Finding] = []

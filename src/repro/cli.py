@@ -84,12 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="budget ceiling in USD per iteration")
     plan.add_argument("--min-throughput", type=float, default=None,
                       help="throughput floor in iterations per second")
-    plan.add_argument("--workers", type=int, default=1,
-                      help="worker processes for the planner search "
-                           "(PlannerConfig.parallel_workers); >1 fans the "
-                           "(pipeline, microbatch) branches out over a "
-                           "process pool and re-runs a crashed or wedged "
-                           "worker's branches inline (default: 1, serial)")
     plan.add_argument("--time-limit", type=float, default=None,
                       metavar="SECONDS",
                       help="wall deadline for the search; the anytime planner "
@@ -203,26 +197,26 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    # An unknown model or an invalid job, objective or search limit is a
+    # usage error: one line on stderr, not a traceback.
     try:
-        model = get_model(args.model)
-    except KeyError as exc:
+        job = TrainingJobSpec(model=get_model(args.model),
+                              global_batch_size=args.global_batch_size,
+                              sequence_length=args.sequence_length)
+        if args.objective == "throughput":
+            objective = Objective.max_throughput(
+                max_cost_per_iteration_usd=args.max_cost)
+        else:
+            objective = Objective.min_cost(
+                min_throughput_iters_per_s=args.min_throughput)
+        config = PlannerConfig(time_limit_s=args.time_limit)
+    except (KeyError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
-    job = TrainingJobSpec(model=model, global_batch_size=args.global_batch_size,
-                          sequence_length=args.sequence_length)
     topology = parse_nodes(args.nodes)
     print("Planning for topology:")
     print(topology.describe())
 
     env = build_environment(job, topology)
-    if args.objective == "throughput":
-        objective = Objective.max_throughput(
-            max_cost_per_iteration_usd=args.max_cost)
-    else:
-        objective = Objective.min_cost(
-            min_throughput_iters_per_s=args.min_throughput)
-
-    config = PlannerConfig(time_limit_s=args.time_limit,
-                           parallel_workers=args.workers)
     result = SailorPlanner(env, config=config).plan(job, topology, objective)
     print(f"\nsearch time: {result.search_time_s:.2f}s  "
           f"candidates: {result.candidates_evaluated}")
@@ -294,11 +288,11 @@ def cmd_churn(args: argparse.Namespace) -> int:
     from repro.runtime.replay import ChurnReplayer
 
     try:
-        model = get_model(args.model)
-    except KeyError as exc:
+        job = TrainingJobSpec(model=get_model(args.model),
+                              global_batch_size=args.global_batch_size,
+                              sequence_length=args.sequence_length)
+    except (KeyError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
-    job = TrainingJobSpec(model=model, global_batch_size=args.global_batch_size,
-                          sequence_length=args.sequence_length)
 
     if args.trace_in:
         with open(args.trace_in, encoding="utf-8") as handle:
@@ -325,19 +319,23 @@ def cmd_churn(args: argparse.Namespace) -> int:
     for (zone, node_type), count in pools.items():
         base_nodes.setdefault(zone, {})[node_type] = count
     base = ClusterTopology(nodes=base_nodes)
-    print(f"replaying {len(trace.events)} events over "
-          f"{trace.duration_s / 3600:.1f}h on:")
-    print(base.describe())
-
     env = build_environment(job, base)
     objective = (Objective.max_throughput() if args.objective == "throughput"
                  else Objective.min_cost())
-    policy = ReplanPolicy(replan_deadline_s=args.deadline,
-                          debounce_s=args.debounce)
-    replayer = ChurnReplayer(
-        env, job, objective, policy=policy,
-        checkpoint_config=CheckpointConfig(
-            interval_iterations=args.checkpoint_interval))
+    # ``--deadline`` becomes the controller planner's ``time_limit_s``,
+    # which ``PlannerConfig`` validates when the replayer is built.
+    try:
+        replayer = ChurnReplayer(
+            env, job, objective,
+            policy=ReplanPolicy(replan_deadline_s=args.deadline,
+                                debounce_s=args.debounce),
+            checkpoint_config=CheckpointConfig(
+                interval_iterations=args.checkpoint_interval))
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    print(f"replaying {len(trace.events)} events over "
+          f"{trace.duration_s / 3600:.1f}h on:")
+    print(base.describe())
     report = replayer.run(trace, base_topology=base)
     print()
     print(report.describe())

@@ -10,8 +10,7 @@ This is the paper's primary contribution:
 * :mod:`repro.core.dp_solver` -- the per-stage dynamic program (Listing 1).
 * :mod:`repro.core.search_cache` -- cross-candidate caches shared by one
   planner call.
-* :mod:`repro.core.planner` -- the Sailor planner tying it all together,
-  plus the opt-in multi-process :class:`~repro.core.planner.ParallelPlanner`.
+* :mod:`repro.core.planner` -- the Sailor planner tying it all together.
 """
 
 from repro.core.plan import (
@@ -26,7 +25,7 @@ from repro.core.plan import (
 from repro.core.objectives import Objective, Constraint, OptimizationGoal
 from repro.core.search_cache import PlannerSearchContext
 from repro.core.simulator import SailorSimulator
-from repro.core.planner import ParallelPlanner, SailorPlanner
+from repro.core.planner import SailorPlanner
 
 __all__ = [
     "StageReplica",
@@ -42,5 +41,4 @@ __all__ = [
     "PlannerSearchContext",
     "SailorSimulator",
     "SailorPlanner",
-    "ParallelPlanner",
 ]

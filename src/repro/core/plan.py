@@ -390,7 +390,7 @@ class SearchStats:
     solve_memo_hits: int = 0
 
     def merge(self, other: "SearchStats") -> None:
-        """Accumulate another stats block into this one (parallel driver)."""
+        """Accumulate another stats block into this one."""
         for name, value in other.as_dict().items():
             setattr(self, name, getattr(self, name) + value)
 
@@ -445,11 +445,9 @@ class PlannerResult:
     certificate of how much could have been missed:
 
     * ``complete`` is True only when the search ran to its natural end.  It
-      is False when any (P, mbs) branch was cut by the deadline/node budget
-      *or* (parallel driver) a branch had to be salvaged from a crashed or
-      wedged worker -- even when its inline re-run recovered it, so callers
-      can tell a degraded call from a clean one.  ``incomplete_branches``
-      lists the affected branches as ``"P<pp>/mbs<mbs>"`` labels.
+      is False when any (P, mbs) branch was cut by the deadline/node budget;
+      ``incomplete_branches`` lists the cut branches as ``"P<pp>/mbs<mbs>"``
+      labels.
     * ``optimality_gap_bound`` is an admissible relative bound on the
       remaining gap: the true optimum of the unbounded search is no better
       than ``incumbent_value * (1 - gap)`` for the minimised scalar
@@ -457,12 +455,8 @@ class PlannerResult:
       the cost goal).  It is exactly ``0.0`` when ``complete`` (unbounded
       calls are byte-identical to pre-anytime results), ``inf`` when the
       search was cut before any feasible incumbent existed, and may be
-      ``0.0`` with ``complete=False`` when the incompleteness is
-      fault-induced only (every branch value was still recovered).
-    * Degraded merges: the parallel driver salvages surviving branches when
-      a worker dies, retries dead branches once on a fresh pool, then
-      re-runs them inline; whatever could not be recovered contributes its
-      admissible lower bound to the gap instead of silently vanishing.
+      ``0.0`` with ``complete=False`` when every cut candidate provably
+      loses to the incumbent.
 
     Callers deciding whether to *adopt* such a result (e.g. the online
     replanning controller) should gate on ``found`` and
@@ -481,7 +475,8 @@ class PlannerResult:
     complete: bool = True
     #: Admissible relative optimality-gap bound; 0.0 exactly when complete.
     optimality_gap_bound: float = 0.0
-    #: Branch labels cut short or fault-salvaged, in branch order.
+    #: Branch labels cut short by the deadline or node budget, in branch
+    #: order.
     incomplete_branches: list[str] = field(default_factory=list)
 
     @property

@@ -13,25 +13,18 @@ constraints.  The search combines:
 * the Sailor simulator for the final accuracy check of each candidate
   (:mod:`repro.core.simulator`).
 
-The search decomposes into independent ``(pipeline depth, microbatch size)``
-branches; :class:`ParallelPlanner` is an opt-in driver
-(``PlannerConfig.parallel_workers > 1``) that fans the branches out over a
-process pool and merges the branch winners deterministically (same result
-as the serial search).  A branch whose worker crashes or wedges is re-run
-inline in the driver process.
+The search walks its ``(pipeline depth, microbatch size)`` branches in
+order, carrying the best plan so far across branches: that incumbent is
+what lets the dominated-family skip drop whole branches before any DP
+solve.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 
 from repro.collectives import ring_allreduce_time
 from repro.core.budget import SearchBudget, SearchBudgetExhausted
@@ -51,7 +44,6 @@ from repro.core.plan import (
     ParallelizationPlan,
     PlanEvaluation,
     PlannerResult,
-    SearchStats,
     StageConfig,
     StageReplica,
 )
@@ -107,26 +99,22 @@ class PlannerConfig:
     #: Optional deterministic node budget: the search halts after this many
     #: cooperative cancellation ticks (DP nodes, engine layers, forward
     #: chunks...).  Gives tests a wall-clock-free way to exercise the
-    #: anytime path; each parallel worker counts its own ticks.
+    #: anytime path.
     # lint: disable=cache-key -- same contract as time_limit_s: enters the
     # search only through SearchBudget, which unwinds before cache writes.
     max_search_nodes: int | None = None
-    #: Parallel driver only: extra wall-clock grace (beyond ``time_limit_s``)
-    #: a branch task may take before its worker is declared wedged and the
-    #: branch is salvaged by an inline re-run.  ``None`` disables
-    #: wedge detection (a crashed worker is still recovered through
-    #: ``BrokenProcessPool``).
-    # lint: disable=cache-key -- driver-only fault-tolerance knob, never
-    # read inside a solve; a salvaged branch re-runs the same deterministic
-    # search, so no cached value can depend on it.
-    branch_timeout_s: float | None = None
-    #: When > 1, ``SailorPlanner.plan`` fans the (P, mbs) branches out over
-    #: this many worker processes (see :class:`ParallelPlanner`, which
-    #: falls back to ``os.cpu_count()`` when this is ``None``).
-    # lint: disable=cache-key -- dispatch-only: selects the driver; each
-    # worker builds its own context and the merged plan is pinned identical
-    # to the serial search by the parallel-equivalence suite.
-    parallel_workers: int | None = None
+
+    def __post_init__(self) -> None:
+        # A NaN deadline never trips (``now >= nan`` is always False) and a
+        # past one cuts every branch before its first solve, so both would
+        # silently mis-plan rather than fail.
+        if self.time_limit_s is not None and not (
+                math.isfinite(self.time_limit_s) and self.time_limit_s > 0):
+            raise ValueError("time_limit_s must be None or a finite number "
+                             f"> 0, got {self.time_limit_s}")
+        if self.max_search_nodes is not None and self.max_search_nodes < 1:
+            raise ValueError("max_search_nodes must be None or >= 1, got "
+                             f"{self.max_search_nodes}")
 
 
 @dataclass
@@ -150,8 +138,7 @@ class _BranchOutcome:
     #: of the branch's suffix-minimum candidate floors (the family skip in
     #: ``SailorPlanner._plan_branch``); ``None`` when the family gate was
     #: not armed for this branch (no TP options, no DP candidates, pruning
-    #: off), so the parallel driver's replay never drops an unpriced
-    #: branch.
+    #: off).
     family_floor: float | None = None
 
 
@@ -210,14 +197,8 @@ class SailorPlanner:
         solves across calls with zero invalidation, and the chosen plan
         stays identical to a from-scratch solve on the same pool.  The reported
         ``search_stats`` are always the *delta* this call contributed.
-        The parallel driver builds per-worker contexts and ignores an
-        external one.
         """
         objective = objective or Objective.max_throughput()
-        workers = self.config.parallel_workers
-        if workers is not None and workers > 1:
-            return ParallelPlanner(self.env, config=self.config).plan(
-                job, topology, objective)
         # lint: disable=determinism -- observability (search_time_s) plus
         # the anytime deadline, which reaches the search only through
         # SearchBudget; neither branches the search directly.
@@ -248,24 +229,25 @@ class SailorPlanner:
         # branch skips its DP solves and only prices its unexplored
         # candidates (a bounded epilogue), which is what makes the reported
         # optimality gap admissible over the *whole* candidate space.
-        # The running cross-branch incumbent exists solely to arm the
-        # dominated-family gate; the final winner is still picked by
-        # ``_merge_outcomes`` with the identical comparison, so threading
-        # it cannot change the chosen plan.
+        # The running cross-branch incumbent is both the winner (the first
+        # strictly better branch best, in branch order) and what arms the
+        # dominated-family gate of later branches.
         outcomes: list[_BranchOutcome] = []
-        incumbent_eval: PlanEvaluation | None = None
+        best_plan: ParallelizationPlan | None = None
+        best_eval: PlanEvaluation | None = None
+        candidates = 0
+        ooms = 0
         for pp, mbs in self._branch_specs(job, total_nodes, heuristics):
             outcome = self._plan_branch(job, objective, consolidated,
                                         resources, pp, mbs, context,
-                                        search_budget,
-                                        incumbent=incumbent_eval,
+                                        search_budget, incumbent=best_eval,
                                         memo_config=memo_config)
             outcomes.append(outcome)
+            candidates += outcome.candidates_evaluated
+            ooms += outcome.oom_plans_generated
             if (outcome.evaluation is not None
-                    and objective.better(outcome.evaluation, incumbent_eval)):
-                incumbent_eval = outcome.evaluation
-        best_plan, best_eval, candidates, ooms = self._merge_outcomes(
-            objective, outcomes)
+                    and objective.better(outcome.evaluation, best_eval)):
+                best_plan, best_eval = outcome.plan, outcome.evaluation
         complete, gap, incomplete = self._anytime_summary(
             objective, outcomes, best_eval)
 
@@ -284,28 +266,6 @@ class SailorPlanner:
         )
 
     # -- branch search -----------------------------------------------------------
-
-    @staticmethod
-    def _merge_outcomes(objective: Objective,
-                        outcomes: list[_BranchOutcome],
-                        ) -> tuple[ParallelizationPlan | None,
-                                   PlanEvaluation | None, int, int]:
-        """Pick the overall winner among branch outcomes, in branch order.
-
-        Shared by the serial and parallel drivers so their incumbent
-        comparison (and therefore the chosen plan) cannot diverge.
-        """
-        best_plan: ParallelizationPlan | None = None
-        best_eval: PlanEvaluation | None = None
-        candidates = 0
-        ooms = 0
-        for outcome in outcomes:
-            candidates += outcome.candidates_evaluated
-            ooms += outcome.oom_plans_generated
-            if (outcome.evaluation is not None
-                    and objective.better(outcome.evaluation, best_eval)):
-                best_plan, best_eval = outcome.plan, outcome.evaluation
-        return best_plan, best_eval, candidates, ooms
 
     @staticmethod
     def _incumbent_value(objective: Objective,
@@ -342,8 +302,8 @@ class SailorPlanner:
     @staticmethod
     def _branch_specs(job: TrainingJobSpec, total_nodes: int,
                       heuristics: HeuristicConfig) -> list[tuple[int, int]]:
-        """Independent (pipeline depth, microbatch size) branches, in the
-        order the serial search explores them."""
+        """The (pipeline depth, microbatch size) branches, in the order the
+        search explores them."""
         return [(pp, mbs)
                 for pp in pipeline_parallel_candidates(job, total_nodes,
                                                        heuristics)
@@ -362,7 +322,7 @@ class SailorPlanner:
         With a ``search_budget``, expiry between candidates (or a
         :class:`~repro.core.budget.SearchBudgetExhausted` raised inside a
         solve) keeps the branch incumbent found so far and prices the
-        unexplored candidates with an admissible lower bound, so the merged
+        unexplored candidates with an admissible lower bound, so the
         result can certify its remaining optimality gap.
 
         ``memo_config`` (``astuple`` of the solver config) turns on the
@@ -434,10 +394,7 @@ class SailorPlanner:
         # is strict, so no skipped member could have replaced the
         # incumbent, and a skip removes an entire family (a
         # within-enumeration-order cut), so no surviving branch sees
-        # different H3/H4 or tie-break state.  The floor is recorded on the
-        # outcome either way so the parallel driver can replay this exact
-        # decision from its workers' results through the same
-        # ``_family_dominated`` predicate.
+        # different H3/H4 or tie-break state.
         if pruning and floors:
             outcome.family_floor = floors[0]
             if self._family_dominated(objective, outcome.family_floor,
@@ -470,9 +427,8 @@ class SailorPlanner:
             # H3/H4 staleness state of a surviving candidate cannot
             # diverge.  (Physically re-sorting the candidates by floor
             # would *not* be: the H3/H4 early stop and the first-wins
-            # tie-break are order-dependent.)  Branch-local state only --
-            # serial and parallel workers take identical kill decisions,
-            # and the incumbent gate does not perturb them (it never
+            # tie-break are order-dependent.)  Branch-local state only: the
+            # incumbent gate does not perturb the kill decisions (it never
             # changes the branch incumbent's evolution).
             if pruning and outcome.evaluation is not None:
                 branch_best = self._incumbent_value(objective,
@@ -620,11 +576,10 @@ class SailorPlanner:
     @staticmethod
     def _family_dominated(objective: Objective, family_floor: float | None,
                           incumbent: PlanEvaluation | None) -> bool:
-        """The family-skip predicate, shared verbatim by the serial gate
-        and the parallel driver's replay so the two can never diverge.
-        ``None`` floor means the gate was not armed for the branch (never
-        skip); otherwise skip exactly when no member could *strictly* beat
-        the incumbent's minimised scalar."""
+        """The family-skip predicate of ``_plan_branch``.  ``None`` floor
+        means the gate was not armed for the branch (never skip); otherwise
+        skip exactly when no member could *strictly* beat the incumbent's
+        minimised scalar."""
         if family_floor is None or incumbent is None:
             return False
         value = SailorPlanner._incumbent_value(objective, incumbent)
@@ -1023,276 +978,3 @@ class SailorPlanner:
                                          zone=open_zone))
             open_slots -= option.tensor_parallel
         return replicas
-
-
-# ---------------------------------------------------------------------------
-# Parallel search driver
-# ---------------------------------------------------------------------------
-
-#: Search invariants installed once per worker process (see _init_worker);
-#: only (pp, mbs, wall_deadline) travel with each branch task.  The
-#: in-process path and the inline re-run use a local state dict instead, so
-#: a ParallelPlanner call in the main process never pins the environment
-#: here.
-_WORKER_STATE: dict = {}
-
-
-def _make_worker_state(env, job, objective, config, consolidated,
-                       resources) -> dict:
-    """Bundle one planning call's invariants, including the worker's shared
-    search context (reused across every branch the worker executes, so the
-    cross-candidate caches -- compute/sync/cost, master combos and floor
-    tables -- are shared by every (P, mbs, D) candidate the worker sees,
-    exactly as in the serial driver)."""
-    return {
-        "planner": SailorPlanner(env, config=config),
-        "job": job,
-        "objective": objective,
-        "consolidated": consolidated,
-        "resources": resources,
-        "context": PlannerSearchContext(env, job, objective.goal),
-    }
-
-
-def _init_worker(payload: bytes) -> None:
-    """Process-pool initializer: receive the per-call invariants once.
-
-    The driver pickles the invariants into one blob per planning call, so
-    the object-graph walk happens once rather than once per worker process
-    (a ``bytes`` initarg re-pickles as a memcpy).  The blob is small: about
-    11 KB for a 1024-GPU two-type pool, pickled in under a millisecond.
-    """
-    _WORKER_STATE.clear()
-    _WORKER_STATE.update(_make_worker_state(*pickle.loads(payload)))
-
-
-def _plan_branch_task(payload: tuple,
-                      state: dict | None = None,
-                      ) -> tuple[_BranchOutcome, SearchStats]:
-    """Worker entry point: search one (P, mbs) branch.
-
-    ``wall_deadline`` is an absolute ``time.time()`` instant shared by every
-    branch task, so ``time_limit_s`` bounds the whole planning call rather
-    than restarting per branch; it is converted to this process's
-    ``perf_counter`` timeline on entry.  The worker's search context is
-    shared across its branches, so the returned stats are the *delta* this
-    branch contributed (summing deltas across tasks equals the total work).
-    """
-    pp, mbs, wall_deadline = payload
-    if state is None:
-        state = _WORKER_STATE
-    planner = state["planner"]
-    job = state["job"]
-    objective = state["objective"]
-    context = state["context"]
-    before = context.stats.copy()
-    # lint: disable=determinism -- rebases the shared wall-clock deadline
-    # onto this worker's perf_counter epoch; the clock reaches the search
-    # only through the SearchBudget built from it.
-    deadline = (None if wall_deadline is None
-                else time.perf_counter() + (wall_deadline - time.time()))
-    search_budget = SearchBudget.maybe(deadline,
-                                       planner.config.max_search_nodes)
-    outcome = planner._plan_branch(job, objective, state["consolidated"],
-                                   state["resources"], pp, mbs, context,
-                                   search_budget)
-    return outcome, context.stats.diff(before)
-
-
-class ParallelPlanner:
-    """Opt-in multi-process driver for the Sailor planner search.
-
-    The (pipeline depth, microbatch size) branches of the search are
-    independent -- they share no incumbent and no early-stop state -- so
-    they can run in separate worker processes.  Each worker builds its own
-    :class:`~repro.core.search_cache.PlannerSearchContext`, returns its
-    branch's best scored plan, and the driver merges the branch winners *in
-    branch order* with the same comparison the serial search uses, so the
-    chosen plan is identical to the serial planner's.
-
-    The worker count is ``config.parallel_workers`` (``os.cpu_count()``
-    when unset); with one worker or one branch the branches run in
-    process.  ``time_limit_s`` bounds the whole planning call: the driver
-    fixes one absolute wall-clock deadline up front and every branch task
-    honours it, so late-starting branches get only the time that remains.
-    """
-
-    name = "sailor"
-
-    def __init__(self, env: SimulationEnvironment,
-                 config: PlannerConfig | None = None) -> None:
-        self.env = env
-        self.config = config or PlannerConfig()
-        self.workers = self.config.parallel_workers or os.cpu_count() or 1
-
-    def plan(self, job: TrainingJobSpec, topology: ClusterTopology,
-             objective: Objective | None = None) -> PlannerResult:
-        """Search for the best plan, fanning branches out over processes."""
-        objective = objective or Objective.max_throughput()
-        # lint: disable=determinism -- observability (search_time_s) only.
-        start = time.perf_counter()
-        heuristics = self.config.heuristics
-
-        consolidated = consolidate_zones(topology, heuristics)
-        resources = SailorPlanner._resource_map(consolidated.topology)
-        total_nodes = sum(resources.values())
-        specs = SailorPlanner._branch_specs(job, total_nodes, heuristics)
-
-        # Workers must not recurse into the parallel driver themselves.
-        worker_config = replace(self.config, parallel_workers=None)
-        # One absolute deadline for the whole call, on the wall clock so it
-        # is meaningful in every worker process.
-        # lint: disable=determinism -- the cross-process anytime deadline;
-        # each worker rebases it into a SearchBudget, the sole gate through
-        # which it can truncate (never reorder) the search.
-        wall_deadline = (None if self.config.time_limit_s is None
-                         else time.time() + self.config.time_limit_s)
-        invariants = (self.env, job, objective, worker_config, consolidated,
-                      resources)
-        payloads = [(pp, mbs, wall_deadline) for pp, mbs in specs]
-        workers = min(self.workers, max(1, len(payloads)))
-
-        stats = SearchStats()
-        salvaged: list[str] = []
-        if workers <= 1:
-            local_state = _make_worker_state(*invariants)
-            results = [_plan_branch_task(payload, state=local_state)
-                       for payload in payloads]
-        else:
-            # Fault-tolerant gather: a crashed (BrokenProcessPool) or
-            # wedged (per-branch timeout) worker marks its branches dead
-            # instead of killing the call.  Dead branches are re-run inline
-            # in the driver process, where a genuine error surfaces with
-            # its real traceback; the merged result lists them and is
-            # marked incomplete even when fully recovered.
-            blob = pickle.dumps(invariants, protocol=pickle.HIGHEST_PROTOCOL)
-            results, dead = self._run_pool(payloads, workers, blob)
-            if dead:
-                salvaged = [f"P{payloads[i][0]}/mbs{payloads[i][1]}"
-                            for i in dead]
-                local_state = _make_worker_state(*invariants)
-                for index in dead:
-                    results[index] = _plan_branch_task(payloads[index],
-                                                       state=local_state)
-
-        # Replay the serial driver's dominated-family skips (see
-        # SailorPlanner._plan_branch): workers run with no cross-branch
-        # incumbent -- they only *price* their family -- so the driver
-        # re-takes the serial skip decisions in branch order from the
-        # reported floors, through the same shared predicate (an unpruned
-        # branch reports ``family_floor=None`` and is never dropped).  A
-        # dropped branch is replaced by exactly what a serial skip
-        # produces: an empty complete outcome plus a stats delta of one
-        # skipped family (zero DP solves, zero evaluations), which keeps
-        # the chosen plan, candidates_evaluated and nodes_explored
-        # byte-identical to the serial search.  A dropped branch cannot
-        # have carried the winner: its best evaluation is >= its family
-        # floor >= the incumbent's minimised scalar, and
-        # ``Objective.better`` is strict.
-        incumbent_eval = None
-        for index, (outcome, _) in enumerate(results):
-            if SailorPlanner._family_dominated(
-                    objective, outcome.family_floor, incumbent_eval):
-                results[index] = (
-                    _BranchOutcome(label=outcome.label,
-                                   family_floor=outcome.family_floor),
-                    SearchStats(families_skipped=1, branches_complete=1))
-            elif (outcome.evaluation is not None
-                  and objective.better(outcome.evaluation,
-                                       incumbent_eval)):
-                incumbent_eval = outcome.evaluation
-
-        for _, branch_stats in results:
-            stats.merge(branch_stats)
-        outcomes = [outcome for outcome, _ in results]
-        best_plan, best_eval, candidates, ooms = SailorPlanner._merge_outcomes(
-            objective, outcomes)
-        complete, gap, incomplete = SailorPlanner._anytime_summary(
-            objective, outcomes, best_eval)
-        if salvaged:
-            # Fault-degraded: even a lossless salvage is reported as
-            # incomplete so callers can tell a degraded call from a clean
-            # one (the gap still certifies the recovered values).
-            complete = False
-            affected = set(salvaged)
-            incomplete = [o.label for o in outcomes
-                          if not o.complete or o.label in affected]
-
-        notes = f"parallel driver, {workers} workers"
-        if salvaged:
-            notes += f", salvaged {len(salvaged)} branch(es)"
-        return PlannerResult(
-            plan=best_plan,
-            evaluation=best_eval,
-            # lint: disable=determinism -- reporting only, not plan-affecting.
-            search_time_s=time.perf_counter() - start,
-            planner_name=self.name,
-            candidates_evaluated=candidates,
-            oom_plans_generated=ooms,
-            notes=notes,
-            search_stats=stats,
-            complete=complete,
-            optimality_gap_bound=gap,
-            incomplete_branches=incomplete,
-        )
-
-    def _run_pool(self, payloads: list[tuple], workers: int, blob: bytes,
-                  ) -> tuple[list, list[int]]:
-        """Run branch tasks on one pool; report dead indices, don't raise.
-
-        Returns ``(results, dead)`` where ``results[i]`` is the task result
-        or None for every index in ``dead``.  Only worker *death* is
-        absorbed -- ``BrokenProcessPool`` (crash) and the per-branch
-        timeout (wedge, with ``branch_timeout_s`` grace beyond the call
-        deadline).  Genuine task exceptions (and ``KeyboardInterrupt``)
-        propagate.
-        """
-        grace = self.config.branch_timeout_s
-        gather_deadline = None
-        if grace is not None:
-            # lint: disable=determinism -- wedge detection in the
-            # fault-tolerant gather: decides when to *salvage* a branch,
-            # and a salvaged branch re-runs the same deterministic search,
-            # so the chosen plan cannot depend on this clock.
-            gather_deadline = (time.monotonic() + grace
-                               + (self.config.time_limit_s or 0.0))
-        results: list = [None] * len(payloads)
-        dead: list[int] = []
-        pool = ProcessPoolExecutor(workers, initializer=_init_worker,
-                                   initargs=(blob,))
-        try:
-            futures: list = []
-            for payload in payloads:
-                try:
-                    futures.append(pool.submit(_plan_branch_task, payload))
-                except BrokenProcessPool:
-                    futures.append(None)  # pool died mid-submit
-            for index, future in enumerate(futures):
-                if future is None:
-                    dead.append(index)
-                    continue
-                # lint: disable=determinism -- same wedge-detection clock as
-                # gather_deadline above; affects recovery timing only.
-                timeout = (None if gather_deadline is None
-                           else max(0.0, gather_deadline - time.monotonic()))
-                try:
-                    results[index] = future.result(timeout=timeout)
-                except (BrokenProcessPool, _FuturesTimeout):
-                    dead.append(index)
-        finally:
-            # A clean pool drains normally; a pool with dead branches is
-            # abandoned without waiting and its workers are killed, so a
-            # wedged worker cannot pin the process (or the inline re-run)
-            # forever.  The workers are listed before ``shutdown``, which
-            # drops the executor's process table.
-            processes = list((pool._processes or {}).values()) if dead else []
-            pool.shutdown(wait=not dead, cancel_futures=bool(dead))
-            for process in processes:
-                try:
-                    process.kill()
-                # lint: disable=swallowed-exceptions -- racing a normal exit
-                # of a process we are killing anyway; there is nothing to
-                # recover and nothing worth reporting.
-                except Exception:
-                    pass
-        return results, dead

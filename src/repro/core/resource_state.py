@@ -297,11 +297,11 @@ def combine_workspace(name: str, count: int,
     win.  One
     shared pool keeps the buffers hot across every candidate and
     footprint of the process.  Sharing is safe because the backward sweep
-    runs serially per candidate within a process (parallel workers are
-    separate processes), the workspace is write-before-read within one
-    ``_solve_layer`` call, and every *persisted* layer output is a fresh
-    array (argmin gathers / ``np.where`` results), so no workspace view
-    is ever live once :meth:`ResourceStateEngine._solve_layer` returns.
+    runs serially per candidate within a process, the workspace is
+    write-before-read within one ``_solve_layer`` call, and every
+    *persisted* layer output is a fresh array (argmin gathers /
+    ``np.where`` results), so no workspace view is ever live once
+    :meth:`ResourceStateEngine._solve_layer` returns.
     Returned sliced to exactly ``count`` (contiguous, reshapeable).
     """
     buf = _COMBINE_WS.get(name)

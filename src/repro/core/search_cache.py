@@ -10,7 +10,7 @@ only on a *subset* of those knobs, so recomputing them inside every
 :class:`~repro.core.dp_solver.DPSolver` wastes the bulk of the planner's
 time.  :class:`PlannerSearchContext` hoists those caches out of the solver
 so they are filled once per planner call and shared by every candidate
-(and, in the serial driver, by every ``(P, mbs)`` branch).
+of every ``(P, mbs)`` branch.
 
 Cache keys and invalidation rules
 ---------------------------------
@@ -165,8 +165,7 @@ class PlannerSearchContext:
 
     See the module docstring for the exact cache keys and the (absence of)
     invalidation rules.  One context serves every DP candidate of one
-    ``SailorPlanner.plan`` call; the parallel driver builds one per worker
-    process and merges the stats afterwards.
+    ``SailorPlanner.plan`` call.
     """
 
     def __init__(self, env: "SimulationEnvironment", job: "TrainingJobSpec",

@@ -1,4 +1,4 @@
-"""Golden plan digests: 13 planner scenarios x 3 solver configs.
+"""Golden plan digests: 12 planner scenarios x 3 solver configs.
 
 Every scenario's chosen plan is pinned by the SHA-256 of its
 ``plan_to_json`` encoding in ``plan_digests.json``.  The digests were
@@ -42,7 +42,7 @@ DIGESTS_PATH = pathlib.Path(__file__).with_name("plan_digests.json")
 SCENARIO_NAMES = (
     "mixed-maxthr", "mixed-mincost", "mixed-budget", "mixed-floor",
     "mixed-maxgpus", "a100-maxthr", "geo-maxthr", "geo-mincost",
-    "geo-budget", "neo-maxthr", "mixed-parallel", "mixed-engine",
+    "geo-budget", "neo-maxthr", "mixed-engine",
     "bigmixed-maxthr",
 )
 
@@ -58,7 +58,7 @@ CASES = [(scenario, config)
 
 
 def build_scenarios() -> dict[str, tuple]:
-    """``name -> (env, job, topology, objective, PlannerConfig kwargs)``.
+    """``name -> (env, job, topology, objective, engine forced)``.
 
     Budgets are 0.6x the unconstrained optimum's cost, computed under the
     default config, so every config solves the identical objective.
@@ -90,29 +90,28 @@ def build_scenarios() -> dict[str, tuple]:
 
     scenarios = {
         "mixed-maxthr": (opt_env, opt_job, mixed,
-                         Objective.max_throughput(), {}),
-        "mixed-mincost": (opt_env, opt_job, mixed, Objective.min_cost(), {}),
+                         Objective.max_throughput(), False),
+        "mixed-mincost": (opt_env, opt_job, mixed, Objective.min_cost(),
+                          False),
         "mixed-budget": (opt_env, opt_job, mixed, Objective.max_throughput(
-            max_cost_per_iteration_usd=budget), {}),
+            max_cost_per_iteration_usd=budget), False),
         "mixed-floor": (opt_env, opt_job, mixed, Objective.min_cost(
-            min_throughput_iters_per_s=0.05), {}),
+            min_throughput_iters_per_s=0.05), False),
         "mixed-maxgpus": (opt_env, opt_job, mixed,
-                          Objective.max_throughput(max_gpus=8), {}),
+                          Objective.max_throughput(max_gpus=8), False),
         "a100-maxthr": (opt_env, opt_job, a100_only,
-                        Objective.max_throughput(), {}),
-        "geo-maxthr": (geo_env, opt_job, geo, Objective.max_throughput(), {}),
-        "geo-mincost": (geo_env, opt_job, geo, Objective.min_cost(), {}),
+                        Objective.max_throughput(), False),
+        "geo-maxthr": (geo_env, opt_job, geo, Objective.max_throughput(),
+                       False),
+        "geo-mincost": (geo_env, opt_job, geo, Objective.min_cost(), False),
         "geo-budget": (geo_env, opt_job, geo, Objective.max_throughput(
-            max_cost_per_iteration_usd=budget_geo), {}),
+            max_cost_per_iteration_usd=budget_geo), False),
         "neo-maxthr": (neo_env, neo_job, mixed, Objective.max_throughput(),
-                       {}),
-        "mixed-parallel": (opt_env, opt_job, mixed,
-                           Objective.max_throughput(),
-                           {"parallel_workers": 2}),
+                       False),
         "mixed-engine": (opt_env, opt_job, mixed, Objective.max_throughput(),
-                         {"engine_forced": True}),
+                         True),
         "bigmixed-maxthr": (opt_env, opt_job, big_mixed,
-                            Objective.max_throughput(), {}),
+                            Objective.max_throughput(), False),
     }
     assert tuple(scenarios) == SCENARIO_NAMES
     return scenarios
@@ -125,12 +124,10 @@ def plan_digest(scenario: tuple, config: tuple[DPSolverConfig, bool],
     The ``mixed-engine`` scenario forces the engine on top of whichever
     config runs it.
     """
-    env, job, topology, objective, extra = scenario
+    env, job, topology, objective, scenario_engine = scenario
     dp_config, engine_forced = config
-    extra = dict(extra)
-    engine_forced = extra.pop("engine_forced", False) or engine_forced
-    planner = SailorPlanner(env, config=PlannerConfig(dp_config=dp_config,
-                                                      **extra))
+    engine_forced = engine_forced or scenario_engine
+    planner = SailorPlanner(env, config=PlannerConfig(dp_config=dp_config))
     with pytest.MonkeyPatch.context() as mp:
         if engine_forced:
             mp.setattr(dp_solver, "ENGINE_MIN_STATES", 0)

@@ -8,22 +8,17 @@ Covers the deadline-robustness contract end to end:
   ``optimality_gap_bound`` -- verified against exhaustive search on
   randomized small pools;
 * unbounded calls stay ``complete=True`` with an exact 0.0 gap, and the
-  anytime fields survive the result JSON round trip;
-* the fault-tolerant parallel driver salvages a SIGKILLed or wedged
-  worker: the plan comes back, zero branches are lost, and the result is
-  marked incomplete with the affected branches listed.
+  anytime fields survive the result JSON round trip.
 """
 
 import math
-import multiprocessing
-import os
 
 import pytest
 
 from repro.core.budget import SearchBudget, SearchBudgetExhausted
 from repro.core.objectives import Objective, OptimizationGoal
-from repro.core.planner import ParallelPlanner, PlannerConfig, SailorPlanner
-from repro.core.serialization import plan_to_json, result_from_json, result_to_json
+from repro.core.planner import PlannerConfig, SailorPlanner
+from repro.core.serialization import result_from_json, result_to_json
 from repro.core.simulator import build_environment
 from repro.hardware.topology import ClusterTopology
 from repro.models.catalog import get_model
@@ -192,19 +187,15 @@ def test_gap_bound_admissible_vs_exhaustive_on_randomized_small_pools(seed):
 def test_unbounded_calls_complete_with_zero_gap(small_env, small_job,
                                                 small_topology):
     """No deadline, no node budget: the anytime fields must be inert
-    (complete, exact 0.0 gap, no cut branches) on both drivers."""
-    objective = Objective.max_throughput()
-    serial = SailorPlanner(small_env).plan(small_job, small_topology,
-                                           objective)
-    parallel = ParallelPlanner(small_env, config=PlannerConfig(
-        parallel_workers=2)).plan(small_job, small_topology, objective)
-    for result in (serial, parallel):
-        assert result.complete
-        assert result.optimality_gap_bound == 0.0
-        assert result.incomplete_branches == []
-        assert result.search_stats.budget_interrupts == 0
-        assert result.search_stats.branches_incomplete == 0
-        assert result.search_stats.branches_complete > 0
+    (complete, exact 0.0 gap, no cut branches)."""
+    result = SailorPlanner(small_env).plan(small_job, small_topology,
+                                           Objective.max_throughput())
+    assert result.complete
+    assert result.optimality_gap_bound == 0.0
+    assert result.incomplete_branches == []
+    assert result.search_stats.budget_interrupts == 0
+    assert result.search_stats.branches_incomplete == 0
+    assert result.search_stats.branches_complete > 0
 
 
 def test_anytime_fields_survive_result_json_round_trip(small_env, small_job,
@@ -218,83 +209,3 @@ def test_anytime_fields_survive_result_json_round_trip(small_env, small_job,
     assert decoded.incomplete_branches == truncated.incomplete_branches
     assert decoded.search_stats.budget_interrupts == \
         truncated.search_stats.budget_interrupts
-
-
-# ---------------------------------------------------------------------------
-# Fault-tolerant parallel driver
-# ---------------------------------------------------------------------------
-
-def test_sigkilled_worker_loses_no_branches(small_env, small_job,
-                                            small_topology,
-                                            planner_worker_fault):
-    """A worker SIGKILLed mid-branch breaks the whole pool; the driver must
-    re-run the dead branches inline and return the same plan a clean solve
-    finds, marked incomplete with the salvaged branches listed."""
-    objective = Objective.max_throughput()
-    serial = SailorPlanner(small_env).plan(small_job, small_topology,
-                                           objective)
-
-    fault_once = planner_worker_fault("sigkill")
-    result = ParallelPlanner(small_env, config=PlannerConfig(
-        parallel_workers=2)).plan(small_job, small_topology, objective)
-    assert result.found
-    assert not result.complete
-    assert result.incomplete_branches
-    assert "salvaged" in result.notes
-    # Zero lost branches: the same optimum and the same amount of search.
-    assert plan_to_json(result.plan) == plan_to_json(serial.plan)
-    assert result.candidates_evaluated == serial.candidates_evaluated
-    assert result.search_stats.nodes_explored == \
-        serial.search_stats.nodes_explored
-    # The fault fired exactly once (the once-file is the proof).
-    assert os.path.exists(fault_once)
-
-
-def test_sigkill_on_one_branch_lists_that_branch(small_env, small_job,
-                                                 small_topology,
-                                                 planner_worker_fault):
-    """Targeted fault: only the named (pp, mbs) branch's worker dies; the
-    branch is re-run inline and the result lists it as salvaged."""
-    objective = Objective.max_throughput()
-    serial = SailorPlanner(small_env).plan(small_job, small_topology,
-                                           objective)
-
-    planner_worker_fault("sigkill", branch=(2, 2))
-    result = ParallelPlanner(small_env, config=PlannerConfig(
-        parallel_workers=2)).plan(small_job, small_topology, objective)
-    assert result.found
-    assert not result.complete
-    assert "P2/mbs2" in result.incomplete_branches
-    assert plan_to_json(result.plan) == plan_to_json(serial.plan)
-    assert result.candidates_evaluated == serial.candidates_evaluated
-
-
-def test_wedged_worker_is_abandoned_within_grace(small_env, small_job,
-                                                 small_topology,
-                                                 planner_worker_fault):
-    """A hung worker (the injected fault sleeps far past the grace) must
-    not pin the call: the branch times out, its worker is killed, the
-    branch is re-run inline, and the plan matches a clean solve."""
-    import time as time_mod
-
-    objective = Objective.max_throughput()
-    serial = SailorPlanner(small_env).plan(small_job, small_topology,
-                                           objective)
-
-    planner_worker_fault("hang", seconds=60.0)
-    start = time_mod.perf_counter()
-    result = ParallelPlanner(small_env, config=PlannerConfig(
-        branch_timeout_s=3.0, parallel_workers=2)).plan(
-        small_job, small_topology, objective)
-    elapsed = time_mod.perf_counter() - start
-    assert elapsed < 30.0  # far below the 60 s hang
-    assert result.found
-    assert not result.complete
-    assert result.incomplete_branches
-    assert plan_to_json(result.plan) == plan_to_json(serial.plan)
-    # Zero lost branches: the inline re-run recovered the full search.
-    assert result.candidates_evaluated == serial.candidates_evaluated
-    # The wedged worker was killed, not left to sleep out its hang.
-    for child in multiprocessing.active_children():
-        child.join(timeout=10.0)
-        assert not child.is_alive()

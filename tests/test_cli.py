@@ -69,16 +69,16 @@ def test_plan_reports_search_stats(capsys):
     assert "nodes=" in out
 
 
-def test_plan_accepts_workers_flag(tmp_path, capsys):
+def test_plan_result_output_carries_search_stats(tmp_path, capsys):
     result_path = tmp_path / "result.json"
     code = main([
         "plan", "--model", "OPT-350M", "--global-batch-size", "256",
         "--nodes", "us-central1-a:a2-highgpu-4g:2",
-        "--workers", "2", "--result-output", str(result_path),
+        "--result-output", str(result_path),
     ])
     assert code == 0
     document = json.loads(result_path.read_text())
-    assert "parallel" in document["notes"]
+    assert document["complete"] is True
     assert document["search_stats"]["nodes_explored"] > 0
 
 
@@ -90,6 +90,30 @@ def test_plan_with_impossible_constraint_fails(capsys):
     ])
     assert code == 1
     assert "no valid plan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--time-limit", "nan"],
+    ["plan", "--time-limit", "-1"],
+    ["plan", "--time-limit", "0"],
+    ["plan", "--time-limit", "inf"],
+    ["plan", "--max-cost", "-5"],
+    ["plan", "--global-batch-size", "0"],
+    ["churn", "--deadline", "nan", "--events", "2"],
+    ["churn", "--deadline", "-1", "--events", "2"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_bad_limits_exit_with_one_line_message(argv):
+    """A NaN or non-positive search limit, or an invalid job or objective,
+    exits non-zero with a one-line message instead of mis-planning or
+    dying with a traceback: ``SystemExit`` with a string code prints it
+    to stderr and exits 1."""
+    if argv[0] == "plan":
+        argv = argv + ["--nodes", "us-central1-a:a2-highgpu-4g:1"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    message = excinfo.value.code
+    assert isinstance(message, str) and message
+    assert "\n" not in message
 
 
 def test_unknown_model_rejected():

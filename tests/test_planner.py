@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.heuristics import HeuristicConfig
 from repro.core.objectives import Objective
-from repro.core.planner import ParallelPlanner, PlannerConfig, SailorPlanner
+from repro.core.planner import PlannerConfig, SailorPlanner
 from repro.core.serialization import plan_to_json
 from repro.core.simulator import MemoryEstimator, SailorSimulator
 from repro.hardware.topology import ClusterTopology
@@ -141,7 +141,7 @@ def test_budget_search_stats_report_suffix_certificates(planner, opt_job,
     """The straggler-certificate win must be observable, not inferred from
     wall time: a binding budget search reports both the suffix resolutions
     it performed and the ones its certificates avoided, and the counters
-    survive the stats round trip (parallel-driver merge path)."""
+    survive the stats round trip."""
     from repro.core.plan import SearchStats
 
     unconstrained = planner.plan(opt_job, mixed_topology,
@@ -184,59 +184,6 @@ def test_h3_early_stop_ignores_infeasible_candidates(opt_env, opt_job,
             exhaustive.evaluation.throughput_iters_per_s, rel=1e-9)
 
 
-def test_parallel_planner_matches_serial(opt_env, opt_job, mixed_topology):
-    objective = Objective.max_throughput()
-    serial = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
-    parallel = ParallelPlanner(opt_env, config=PlannerConfig(
-        parallel_workers=2)).plan(opt_job, mixed_topology, objective)
-    assert parallel.found
-    assert plan_to_json(parallel.plan) == plan_to_json(serial.plan)
-    assert parallel.candidates_evaluated == serial.candidates_evaluated
-    assert parallel.search_stats.nodes_explored == \
-        serial.search_stats.nodes_explored
-    assert "parallel" in parallel.notes
-
-
-def test_parallel_workers_config_delegates(opt_env, opt_job, mixed_topology):
-    objective = Objective.max_throughput()
-    serial = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
-    via_config = SailorPlanner(opt_env, config=PlannerConfig(
-        parallel_workers=2)).plan(opt_job, mixed_topology, objective)
-    assert via_config.found
-    assert plan_to_json(via_config.plan) == plan_to_json(serial.plan)
-
-
-@pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
-def test_genuine_branch_error_propagates(opt_env, opt_job, mixed_topology,
-                                         monkeypatch, failure):
-    """A worker raising mid-branch -- or the pool dying on
-    KeyboardInterrupt -- must propagate out of the parallel driver.  The
-    pool is replaced by a stub whose futures raise, standing in for the
-    re-raised worker exception.  Genuine worker exceptions are exactly the
-    failures the fault-tolerant gather must NOT absorb: unlike a crashed or
-    wedged worker, they are never salvaged."""
-    import repro.core.planner as planner_mod
-
-    class ExplodingFuture:
-        def result(self, timeout=None):
-            raise failure("branch failed")
-
-    class ExplodingPool:
-        def __init__(self, *args, **kwargs):
-            pass
-
-        def submit(self, *args, **kwargs):
-            return ExplodingFuture()
-
-        def shutdown(self, *args, **kwargs):
-            pass
-
-    monkeypatch.setattr(planner_mod, "ProcessPoolExecutor", ExplodingPool)
-    planner = ParallelPlanner(opt_env, config=PlannerConfig(parallel_workers=2))
-    with pytest.raises(failure):
-        planner.plan(opt_job, mixed_topology, Objective.max_throughput())
-
-
 def test_engine_and_batched_budget_threading_match_the_exhaustive_plan(
         opt_env, opt_job, mixed_topology, engine_thresholds):
     """End-to-end guarantee behind the engine's speedups: the layered
@@ -269,16 +216,6 @@ def test_engine_and_batched_budget_threading_match_the_exhaustive_plan(
                 reference = encoded
             else:
                 assert encoded == reference
-
-
-def test_parallel_time_limit_is_global(opt_env, opt_job, mixed_topology):
-    """time_limit_s bounds the whole parallel call, not each branch."""
-    config = PlannerConfig(time_limit_s=0.05, parallel_workers=2)
-    result = SailorPlanner(opt_env, config=config).plan(
-        opt_job, mixed_topology, Objective.max_throughput())
-    # Generous ceiling: far below branches x limit, which a per-branch
-    # deadline reset would allow.
-    assert result.search_time_s < 5.0
 
 
 def test_solver_rejects_mismatched_context_goal(opt_env, opt_job):
@@ -367,9 +304,8 @@ def test_family_skip_and_tail_kill_preserve_plans(opt_env, opt_job,
                                                  disarm_prunes):
     """The dominated-family skip must be latency-only: the chosen plan
     *and* its evaluation are byte-identical with the skip on/off (composed
-    with the availability-aware tail kill on/off), across objectives;
-    family skips actually fire when armed, and the parallel driver's
-    replay takes the exact skip decisions the serial loop takes."""
+    with the availability-aware tail kill on/off), across objectives; and
+    family skips actually fire when armed."""
     unconstrained = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
                                                 Objective.max_throughput())
     budget = unconstrained.evaluation.cost_per_iteration_usd * 0.6
@@ -398,17 +334,6 @@ def test_family_skip_and_tail_kill_preserve_plans(opt_env, opt_job,
                 else:
                     assert skipped == 0
     assert skipped_total > 0
-    # The parallel driver replays the serial skip decisions from worker
-    # outcomes (workers price families but never skip): same plan, same
-    # skip count.
-    serial = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
-                                         Objective.min_cost())
-    parallel = ParallelPlanner(opt_env, config=PlannerConfig(
-        parallel_workers=2)).plan(opt_job, mixed_topology,
-                                  Objective.min_cost())
-    assert plan_to_json(parallel.plan) == plan_to_json(serial.plan)
-    assert parallel.search_stats.families_skipped == \
-        serial.search_stats.families_skipped
 
 
 @pytest.mark.parametrize("objective", [Objective.max_throughput(),
@@ -418,26 +343,20 @@ def test_enable_pruning_false_is_the_exhaustive_oracle(opt_env, opt_job,
                                                        mixed_topology,
                                                        objective):
     """``DPSolverConfig.enable_pruning=False`` is the one switch that turns
-    every prune off: no gate skip, tail kill or family skip fires on
-    either driver, and both drivers return the pruned search's plan."""
+    every prune off: no gate skip, tail kill or family skip fires, and the
+    exhaustive search returns the pruned search's plan."""
     from repro.core.dp_solver import DPSolverConfig
 
     config = PlannerConfig(dp_config=DPSolverConfig(enable_pruning=False))
-    serial = SailorPlanner(opt_env, config=config).plan(
-        opt_job, mixed_topology, objective)
-    parallel = ParallelPlanner(opt_env, config=PlannerConfig(
-        dp_config=config.dp_config, parallel_workers=2)).plan(
+    exhaustive = SailorPlanner(opt_env, config=config).plan(
         opt_job, mixed_topology, objective)
     pruned = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
-    assert serial.found
-    assert plan_to_json(parallel.plan) == plan_to_json(serial.plan)
-    assert plan_to_json(pruned.plan) == plan_to_json(serial.plan)
-    assert parallel.candidates_evaluated == serial.candidates_evaluated
-    for result in (serial, parallel):
-        stats = result.search_stats
-        assert stats.gate_skips == 0
-        assert stats.candidates_killed_unevaluated == 0
-        assert stats.families_skipped == 0
+    assert exhaustive.found
+    assert plan_to_json(pruned.plan) == plan_to_json(exhaustive.plan)
+    stats = exhaustive.search_stats
+    assert stats.gate_skips == 0
+    assert stats.candidates_killed_unevaluated == 0
+    assert stats.families_skipped == 0
 
 
 def test_fused_combine_preserves_plans_when_forced(opt_env, opt_job,
@@ -487,3 +406,18 @@ def test_disabling_h2_can_generate_oom_candidates(neo_env, neo_job,
     assert default_result.oom_plans_generated == 0
     # Without H2 the planner may propose plans that the simulator then rejects.
     assert result.oom_plans_generated >= default_result.oom_plans_generated
+
+
+@pytest.mark.parametrize("field, value", [
+    ("time_limit_s", float("nan")),
+    ("time_limit_s", -1.0),
+    ("time_limit_s", 0.0),
+    ("time_limit_s", float("inf")),
+    ("max_search_nodes", 0),
+], ids=["nan", "negative", "zero", "inf", "zero-nodes"])
+def test_planner_config_rejects_bad_search_limits(field, value):
+    """A NaN deadline never trips and a past one cuts every branch before
+    its first solve, so a bad limit must fail at construction rather than
+    mis-plan."""
+    with pytest.raises(ValueError, match=field):
+        PlannerConfig(**{field: value})
