@@ -40,7 +40,6 @@ from repro.hardware import (
     ClusterTopology,
     GPUSpec,
     NodeSpec,
-    QuotaSet,
     get_gpu,
     get_node_type,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "ClusterTopology",
     "GPUSpec",
     "NodeSpec",
-    "QuotaSet",
     "get_gpu",
     "get_node_type",
     "TrainingJobSpec",

@@ -16,12 +16,13 @@ The contract, per config field:
    name in ``{"key", "signature", "sig", "cache_key"}`` and (b) the first
    argument of ``context.solution(...)`` (the whole-solve memo).
    Reaching is resolved through one level of local aliasing
-   (``limit = self.config.max_combos_per_stage`` then ``limit`` in the
-   key) and through function parameters (``max_mixed`` in
-   ``stage_master_combos``'s key, bound to
-   ``self.config.max_mixed_types_per_stage`` at its call site).  A
-   composite config passed through ``astuple(...)`` folds in every leaf
-   field (the whole-solve memo keys ``astuple(self.config.dp_config)``).
+   (``limit = self.config.max_states`` then ``limit`` in the key, as in
+   the ``cache_key_*`` fixtures) and through function parameters (a
+   callee's parameter in its key, bound to a ``self.config`` field at the
+   call site).  A composite config passed through ``astuple(...)`` folds
+   in every leaf field: the whole-solve memo keys
+   ``astuple(self.config.dp_config)``, which is how
+   ``DPSolverConfig.enable_pruning`` is keyed.
 2. **Declared value-preserving** -- the field's ``#:`` doc comment
    contains one of the :data:`~repro.analysis.core.VALUE_PRESERVING_MARKERS`
    phrases ("bit-identical", "off only for equivalence testing", ...),

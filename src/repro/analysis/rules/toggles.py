@@ -1,9 +1,9 @@
 """Rule ``toggle-coverage``: every boolean config toggle is exercised by
 the equivalence tests.
 
-The golden plan digests (``tests/golden/``: 13 scenarios, plans
-byte-identical across the default, engine-forced and exhaustive solver
-configs) and the equivalence suites are what let value-preserving boolean
+The golden plan digests (``tests/golden/``: 12 scenarios x 3 solver
+configs, plans byte-identical across the default, engine-forced and
+exhaustive configs) and the equivalence suites are what let value-preserving boolean
 fields exist at all.  A toggle the tests never mention is a toggle whose
 off-path can rot unnoticed -- so every ``bool`` field of
 ``DPSolverConfig`` / ``PlannerConfig`` must appear somewhere in

@@ -295,8 +295,12 @@ def cmd_churn(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc)) from None
 
     if args.trace_in:
-        with open(args.trace_in, encoding="utf-8") as handle:
-            trace = FaultTrace.from_json(handle.read())
+        try:
+            with open(args.trace_in, encoding="utf-8") as handle:
+                trace = FaultTrace.from_json(handle.read())
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"cannot read trace {args.trace_in}: {exc}") \
+                from None
         pools = {pool: max((e.available_nodes for e in trace.events
                             if (e.zone, e.node_type) == pool), default=0)
                  for pool in trace.pools}
@@ -308,8 +312,11 @@ def cmd_churn(args: argparse.Namespace) -> int:
                  for zone, per_type in topology.nodes.items()
                  for node_type, count in per_type.items()}
         generator = FaultScenarioGenerator(seed=args.seed)
-        trace = generator.churn_trace(pools, duration_s=args.duration,
-                                      num_events=args.events)
+        try:
+            trace = generator.churn_trace(pools, duration_s=args.duration,
+                                          num_events=args.events)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as handle:
             handle.write(trace.to_json())

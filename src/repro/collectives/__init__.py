@@ -13,7 +13,6 @@ from repro.collectives.models import (
     ring_allreduce_time,
     ring_allgather_time,
     ring_reduce_scatter_time,
-    broadcast_time,
     p2p_time,
     hierarchical_allreduce_time,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "ring_allreduce_time",
     "ring_allgather_time",
     "ring_reduce_scatter_time",
-    "broadcast_time",
     "p2p_time",
     "hierarchical_allreduce_time",
 ]

@@ -60,16 +60,6 @@ def ring_allgather_time(message_bytes: float, participants: int,
     return (participants - 1) * transfer_time(chunk)
 
 
-def broadcast_time(message_bytes: float, participants: int,
-                   transfer_time: TransferTimeFn) -> float:
-    """Pipelined binomial-tree broadcast (log2(n) transfers of full size)."""
-    _validate(message_bytes, participants)
-    if participants == 1 or message_bytes == 0:
-        return 0.0
-    hops = max(1, (participants - 1).bit_length())
-    return hops * transfer_time(message_bytes)
-
-
 def hierarchical_allreduce_time(message_bytes: float,
                                 groups: list[int],
                                 intra_transfer_time: TransferTimeFn,

@@ -177,32 +177,12 @@ class DPSolution:
 
 @dataclass
 class DPSolverConfig:
-    """Knobs bounding the DP search."""
+    """Configuration of the DP search (its limits are module constants)."""
 
-    max_combos_per_stage: int = 16
-    max_mixed_types_per_stage: int = 2
-    split_fractions: tuple[float, ...] = (0.25, 0.5, 0.75)
-    #: Cap on the budget-split refinement loop of the budget-constrained
-    #: search (an approximation knob: more iterations can only refine the
-    #: split, never invalidate one).
-    max_budget_iterations: int = 4
     #: Branch-and-bound pruning of DP branches that provably cannot beat the
     #: incumbent.  Value-preserving; off only as the exhaustive reference
     #: the equivalence suites and ``tests/golden/`` compare against.
     enable_pruning: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_combos_per_stage < 1:
-            raise ValueError("max_combos_per_stage must be >= 1")
-        if self.max_mixed_types_per_stage < 1:
-            raise ValueError("max_mixed_types_per_stage must be >= 1")
-        if self.max_budget_iterations < 1:
-            # The straggler-approximation loop must run at least once, or
-            # budget-constrained solves would fall through with no result.
-            raise ValueError("max_budget_iterations must be >= 1")
-        for fraction in self.split_fractions:
-            if not 0.0 < fraction < 1.0:
-                raise ValueError("split_fractions must lie strictly in (0, 1)")
 
 
 #: Layered-engine dispatch thresholds on ``prod(root count + 1)``, an upper
@@ -227,6 +207,15 @@ class DPSolverConfig:
 ENGINE_MIN_STATES = 100
 ENGINE_MIN_STATES_BUDGET = 32
 
+#: Combos each stage keeps per resource state, best-ranked first (the
+#: stage's master list truncated; see :meth:`DPSolver.generate_combos`).
+MAX_COMBOS_PER_STAGE = 16
+
+#: Iteration cap of the straggler-approximation loop of the budgeted
+#: search: more iterations can only refine the budget split, never
+#: invalidate one.
+MAX_BUDGET_ITERATIONS = 4
+
 
 #: Relative slack applied to cost-mode lower bounds: the cost bound divides
 #: where the real cost rate ceils, so the two can differ by a rounding ulp.
@@ -236,7 +225,7 @@ _COST_BOUND_SLACK = 1.0 - 1e-12
 #: purely absolute 1e-12 is below one float64 ulp once iteration times reach
 #: hundreds of seconds (spacing at 512 s is ~1.1e-13 per ulp but compound
 #: rounding across the combine easily exceeds 1e-12) -- the loop would then
-#: burn its full ``max_budget_iterations`` re-solving on float noise.
+#: burn its full ``MAX_BUDGET_ITERATIONS`` re-solving on float noise.
 _STRAGGLER_ABS_TOL = 1e-12
 _STRAGGLER_REL_TOL = 1e-12
 
@@ -456,7 +445,7 @@ class DPSolver:
         self._tables = tables
         forward = compute_forward_layers(
             [table.req for table in tables], self._caps_vec,
-            self._clamp_active, self.config.max_combos_per_stage, root_state,
+            self._clamp_active, MAX_COMBOS_PER_STAGE, root_state,
             search_budget=self.search_budget)
         engine = ResourceStateEngine(
             self._codec, tables, forward,
@@ -509,14 +498,13 @@ class DPSolver:
 
         Honours H5 (one region per stage); ranked by implied stage compute
         time (cost rate under the cost objective) and truncated to
-        ``max_combos_per_stage``.  Cached on the shared context.
+        :data:`MAX_COMBOS_PER_STAGE`.  Cached on the shared context.
         """
         if isinstance(resources, dict):
             resources = tuple(sorted((key, count)
                               for key, count in resources.items() if count > 0))
         master = self._master_combos(stage_index, resources)
-        limit = self.config.max_combos_per_stage
-        return [entry[0] for entry in master[:limit]]
+        return [entry[0] for entry in master[:MAX_COMBOS_PER_STAGE]]
 
     def _master_combos(self, stage_index: int,
                        resources: ResourceKey) -> list:
@@ -525,9 +513,7 @@ class DPSolver:
             self.partitions[stage_index], self.microbatch_size,
             self.data_parallel, self.tp_options_per_stage[stage_index],
             self._tp_keys[stage_index],
-            self._clamp(resources, self._stage_clamp[stage_index]),
-            self.config.max_mixed_types_per_stage,
-            self.config.split_fractions)
+            self._clamp(resources, self._stage_clamp[stage_index]))
 
     def _combos_for_state(self, stage_index: int, state: tuple) -> list:
         """Combos of the root master list that fit one resource state.
@@ -535,7 +521,7 @@ class DPSolver:
         A combo generated from a resource subset is exactly a root combo
         whose whole-node footprint fits the subset, so a fit scan over the
         stage's root master list (already in ranking order) truncated at
-        ``max_combos_per_stage`` reproduces the per-state enumeration.
+        :data:`MAX_COMBOS_PER_STAGE` reproduces the per-state enumeration.
         Returns ``[(entry, ((slot, used), ...)), ...]``: *references* to
         the stage's shared footprint pairs, so no per-state allocation
         survives the scan (allocation churn here shows up as whole-solve
@@ -551,7 +537,6 @@ class DPSolver:
             pairs = self._codec.combo_pairs(
                 self._master_combos(stage_index, self._root))
             self._pairs[stage_index] = pairs
-        limit = self.config.max_combos_per_stage
         fitting = []
         found = 0
         for pair in pairs:
@@ -561,7 +546,7 @@ class DPSolver:
             else:
                 fitting.append(pair)
                 found += 1
-                if found >= limit:
+                if found >= MAX_COMBOS_PER_STAGE:
                     break
         cache[state] = fitting
         return fitting
@@ -1067,7 +1052,7 @@ class DPSolver:
         arrays to plain Python floats once and reused by every budget the
         straggler search proposes for the row.  (A per-node NumPy variant
         was measured *slower*: the combo rows are capped at
-        ``max_combos_per_stage``, far too short to amortise array-op
+        ``MAX_COMBOS_PER_STAGE``, far too short to amortise array-op
         overhead per node, while this gather-once + scalar-thread layout
         cuts the recursion's per-combo call machinery outright.)
         """
@@ -1157,7 +1142,6 @@ class DPSolver:
         best: DPSolution | None = None
         best_value = math.inf
         best_idx = -1  # winning *resolved* combo, materialised after the scan
-        max_iterations = self.config.max_budget_iterations
         sum_after = self._sfx_sum[next_stage]
         max_after = self._sfx_max[next_stage]
         rate_after = self._sfx_rate[next_stage]
@@ -1225,7 +1209,7 @@ class DPSolver:
                 cost_v = rate_t * time_v
                 if cost_v > budget:
                     continue  # combined busts the budget: combo infeasible
-                if max_iterations == 1 or straggler_converged(max_t, t_s):
+                if straggler_converged(max_t, t_s):
                     resolved = True
                 else:
                     # Iteration 2 re-assumes the discovered straggler; when
@@ -1391,7 +1375,7 @@ class DPSolver:
         rate_a = assignment.cost_rate_usd_per_s
 
         cost_lb = None
-        iterations = self.config.max_budget_iterations
+        iterations = MAX_BUDGET_ITERATIONS
         combined: DPSolution | None = None
         prev_suffix: DPSolution | None = None
         assumed_straggler = t_a
@@ -1434,8 +1418,7 @@ class DPSolver:
                     if combined.projected_cost(nb) > budget:
                         return None
                     actual = combined.max_stage_time_s
-                    if (iterations == 1
-                            or straggler_converged(actual, t_a)):
+                    if straggler_converged(actual, t_a):
                         return combined
                     rb2 = budget - rate_a * nb * actual
                     if rb2 <= 0:

@@ -131,15 +131,6 @@ class ResourceAllocation:
             out[spec.gpu.name] = out.get(spec.gpu.name, 0) + count * spec.gpus_per_node
         return out
 
-    def gpus_by_zone_and_type(self) -> dict[tuple[str, str], int]:
-        """Allocated GPUs keyed by (zone, GPU type)."""
-        out: dict[tuple[str, str], int] = {}
-        for (zone, node_type), count in self.nodes.items():
-            spec = get_node_type(node_type)
-            key = (zone, spec.gpu.name)
-            out[key] = out.get(key, 0) + count * spec.gpus_per_node
-        return out
-
     def zones(self) -> list[str]:
         """Zones with at least one allocated node."""
         return sorted({zone for (zone, _), count in self.nodes.items() if count > 0})
@@ -318,11 +309,6 @@ class PlanEvaluation:
     update_time_s: float = 0.0
     straggler_stage: int = 0
 
-    @property
-    def samples_per_s(self) -> float:
-        """Sequences per second implied by the iteration time (informational)."""
-        return self.throughput_iters_per_s
-
 
 @dataclass
 class SearchStats:
@@ -469,7 +455,6 @@ class PlannerResult:
     planner_name: str = "sailor"
     candidates_evaluated: int = 0
     oom_plans_generated: int = 0
-    notes: str = ""
     search_stats: SearchStats = field(default_factory=SearchStats)
     #: Whether the search ran to completion (see anytime semantics above).
     complete: bool = True

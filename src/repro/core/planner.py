@@ -47,7 +47,11 @@ from repro.core.plan import (
     StageConfig,
     StageReplica,
 )
-from repro.core.search_cache import PlannerSearchContext, tp_options_key
+from repro.core.search_cache import (
+    MAX_MIXED_TYPES_PER_STAGE,
+    PlannerSearchContext,
+    tp_options_key,
+)
 from repro.core.simulator import SailorSimulator, SimulationEnvironment
 from repro.hardware.network import LinkClass
 from repro.hardware.nodes import get_node_type
@@ -61,6 +65,10 @@ from repro.models.spec import TrainingJobSpec
 #: float association drift between the floor arithmetic and the simulator's
 #: evaluation of the same stage times.
 _GAP_BOUND_SLACK = 1.0 - 1e-9
+
+#: Stop exploring further data-parallel degrees of a branch after this many
+#: consecutive non-improving candidates (H3/H4 early stop).
+DP_PATIENCE = 1
 
 
 @dataclass
@@ -80,11 +88,6 @@ class PlannerConfig:
     # fields are linted individually (the solve memo keys them all through
     # ``astuple``), and the composite itself is never hashed.
     dp_config: DPSolverConfig = field(default_factory=DPSolverConfig)
-    #: Stop exploring further data-parallel degrees after this many
-    #: consecutive non-improving candidates (H3/H4 early stop).
-    # lint: disable=cache-key -- early-stop knob: changes which candidates
-    # are explored, never the value any (partition, mbs, ...) key maps to.
-    dp_patience: int = 1
     #: Optional wall-clock limit for one planning call, in seconds.  With
     #: the cooperative cancellation budget threaded through the DP hot
     #: loops, the search halts within a bounded number of inner iterations
@@ -165,7 +168,7 @@ class _FloorTables:
     #: Most real zones (before H6 consolidation) of one region: the
     #: widest leader ring a stage can run.
     ring_zones: int = 1
-    #: ``(dp, minimize_cost, max_mixed)`` -> floor.
+    #: ``(dp, minimize_cost)`` -> floor.
     floors: dict = field(default_factory=dict)
 
 
@@ -378,11 +381,9 @@ class SailorPlanner:
             tables = self._availability_tables(
                 context, consolidated, partitions, tp_options, mbs, pp,
                 resources)
-            max_mixed = self.config.dp_config.max_mixed_types_per_stage
             floors = [
                 self._candidate_floor_available(job, tables, mbs, dp,
-                                                not maximize_throughput,
-                                                max_mixed)
+                                                not maximize_throughput)
                 for dp in dp_candidates]
             for i in range(len(floors) - 2, -1, -1):
                 if floors[i + 1] < floors[i]:
@@ -528,7 +529,7 @@ class SailorPlanner:
                                  or plan.total_gpus <= constraint.max_gpus)
                         if heuristics.ordered_data_parallel and meets:
                             stale += 1
-                            if stale > self.config.dp_patience:
+                            if stale > DP_PATIENCE:
                                 break
                         continue
 
@@ -553,7 +554,7 @@ class SailorPlanner:
                 if (best_score_this_branch is not None
                         and score <= best_score_this_branch + 1e-12):
                     stale += 1
-                    if stale > self.config.dp_patience:
+                    if stale > DP_PATIENCE:
                         break
                 else:
                     stale = 0
@@ -828,19 +829,17 @@ class SailorPlanner:
     @staticmethod
     def _candidate_floor_available(job: TrainingJobSpec,
                                    tables: _FloorTables, mbs: int, dp: int,
-                                   minimize_cost: bool,
-                                   max_mixed: int) -> float:
+                                   minimize_cost: bool) -> float:
         """Availability-aware admissible floor of one (P, mbs, D) candidate.
 
         The simulator's iteration time is ``max_d T_pp_d + max_s sync_s +
         update`` (update >= 0), and three floors bound its terms:
 
         * *Carrier floor.*  A stage hosts its D replicas on at most
-          ``min(2, max_mixed)`` options (``stage_master_combos`` never
-          mixes more than two per stage), so some option of any feasible
-          combo carries at least ``k = ceil(D / min(2, max_mixed))``
-          replicas -- and only options whose *root-pool* capacity reaches
-          ``k`` can be that carrier.  The stage's time is the max over its
+          ``MAX_MIXED_TYPES_PER_STAGE`` (two) options, so some option of
+          any feasible combo carries at least ``k = ceil(D / 2)`` replicas
+          -- and only options whose *root-pool* capacity reaches ``k`` can
+          be that carrier.  The stage's time is the max over its
           combo's options, hence >= the carrier's time >= the prefix
           minimum at the capacity threshold.  DP sub-states only ever
           shrink capacities, so thresholding on the root pool keeps the
@@ -862,12 +861,11 @@ class SailorPlanner:
         is times ``_GAP_BOUND_SLACK``, and memoised per D on the tables so
         warm replans reuse it.
         """
-        key = (dp, minimize_cost, max_mixed)
+        key = (dp, minimize_cost)
         cached = tables.floors.get(key)
         if cached is not None:
             return cached
-        mixing = min(2, max(1, max_mixed))
-        k = -(-dp // mixing)
+        k = -(-dp // MAX_MIXED_TYPES_PER_STAGE)
         sum_t = 0.0
         max_t = 0.0
         rate_sum = 0.0

@@ -37,8 +37,7 @@ stage parameter count  ``partition``
 stage sync time        ``(partition, dp, placements)``
 stage cost rate        ``placements``
 stage options          ``(tp_key, resources)``
-stage master combos    ``(partition, mbs, dp, tp_key, resources, goal,
-                       combo-config knobs)``
+stage master combos    ``(partition, mbs, dp, tp_key, resources, goal)``
 link class             ``(zone_a, zone_b)``
 node specs / prices    ``node_type``
 DP solve memo          ``(pp, mbs, dp, per-stage tp_keys, raw root pool,
@@ -90,6 +89,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (environment -> plan)
 
 #: Canonical resource state: sorted ``(((zone, node_type), count), ...)``.
 ResourceKey = tuple[tuple[tuple[str, str], int], ...]
+
+#: Most (zone, node type, TP) options one stage's replicas are spread over:
+#: :meth:`PlannerSearchContext.stage_master_combos` builds single- and
+#: two-option combos only.
+MAX_MIXED_TYPES_PER_STAGE = 2
+
+#: Where a two-option combo splits the stage's ``D`` replicas (besides
+#: ``1`` and ``D - 1``), as fractions of ``D``.
+SPLIT_FRACTIONS = (0.25, 0.5, 0.75)
 
 
 @dataclass(frozen=True, slots=True)
@@ -430,11 +438,11 @@ class PlannerSearchContext:
     def stage_master_combos(self, partition: LayerPartition,
                             microbatch_size: int, data_parallel: int,
                             tp_options: dict[str, list[int]], tp_key: tuple,
-                            resources: ResourceKey, max_mixed: int,
-                            split_fractions: tuple[float, ...]) -> list[list]:
+                            resources: ResourceKey) -> list[list]:
         """Every resource combo able to host the stage's ``D`` replicas.
 
-        Honours H5: every combo stays within a single region.  Combos are
+        Honours H5: every combo stays within a single region, and mixes at
+        most :data:`MAX_MIXED_TYPES_PER_STAGE` options.  Combos are
         ranked by the stage compute time they imply (cost rate for the cost
         objective) and returned *untruncated* as mutable ``[placements,
         whole-node footprint, lazily-built StageAssignment, frozen
@@ -445,7 +453,7 @@ class PlannerSearchContext:
         enumeration plus sort per DP node with one linear scan.
         """
         key = (partition, microbatch_size, data_parallel, tp_key, resources,
-               self.goal, max_mixed, split_fractions)
+               self.goal)
         cached = self._combos.get(key)
         if cached is not None:
             self.stats.cache_hits += 1
@@ -466,12 +474,12 @@ class PlannerSearchContext:
                 if max_replicas >= needed:
                     combos.append(((option, needed),))
             # Two-option combos (heterogeneous stage or two zones).
-            if max_mixed >= 2 and needed >= 2:
+            if needed >= 2:
                 for (opt_a, max_a), (opt_b, max_b) in itertools.combinations(
                         region_options, 2):
                     if opt_a.zone == opt_b.zone and opt_a.node_type == opt_b.node_type:
                         continue
-                    for k in _split_counts(needed, split_fractions):
+                    for k in _split_counts(needed):
                         if k <= max_a and (needed - k) <= max_b:
                             combos.append(((opt_a, k), (opt_b, needed - k)))
 
@@ -520,12 +528,12 @@ class PlannerSearchContext:
         return entries
 
 
-def _split_counts(total: int, fractions: tuple[float, ...]) -> list[int]:
+def _split_counts(total: int) -> list[int]:
     """Coarse split points for mixing two options within one stage."""
     if total < 2:
         return []
     points = {1, total - 1}
-    for fraction in fractions:
+    for fraction in SPLIT_FRACTIONS:
         k = int(round(total * fraction))
         if 1 <= k <= total - 1:
             points.add(k)

@@ -104,7 +104,6 @@ def result_to_dict(result: PlannerResult) -> dict[str, Any]:
         "search_time_s": result.search_time_s,
         "candidates_evaluated": result.candidates_evaluated,
         "oom_plans_generated": result.oom_plans_generated,
-        "notes": result.notes,
         "complete": result.complete,
         "optimality_gap_bound": result.optimality_gap_bound,
         "incomplete_branches": list(result.incomplete_branches),
@@ -216,7 +215,6 @@ def result_from_dict(data: dict[str, Any]) -> PlannerResult:
         planner_name=data.get("planner_name", "unknown"),
         candidates_evaluated=int(data.get("candidates_evaluated", 0)),
         oom_plans_generated=int(data.get("oom_plans_generated", 0)),
-        notes=data.get("notes", ""),
         search_stats=SearchStats.from_dict(data.get("search_stats", {})),
         complete=bool(data.get("complete", True)),
         optimality_gap_bound=float(data.get("optimality_gap_bound", 0.0)),

@@ -125,8 +125,3 @@ class CostEstimator:
             communication_usd=comm_usd,
             egress_bytes_by_link=bytes_by_link,
         )
-
-    def cost_per_iteration(self, plan: ParallelizationPlan,
-                           iteration_time_s: float) -> float:
-        """USD per iteration."""
-        return self.breakdown(plan, iteration_time_s).total_usd

@@ -108,10 +108,6 @@ class NetworkModel:
 
     links: dict[LinkClass, LinkSpec] = field(default_factory=lambda: dict(DEFAULT_LINKS))
 
-    def link_for(self, link_class: LinkClass) -> LinkSpec:
-        """Return the :class:`LinkSpec` for a link class."""
-        return self.links[link_class]
-
     def classify(self, zone_a: str, zone_b: str, *, same_node: bool = False,
                  zone_to_region: dict[str, str] | None = None) -> LinkClass:
         """Determine the link class between two endpoints.
@@ -169,8 +165,3 @@ def _region_of(zone: str, zone_to_region: dict[str, str] | None) -> str:
     if len(parts) == 2 and len(parts[1]) <= 2:
         return parts[0]
     return zone
-
-
-def default_network_model() -> NetworkModel:
-    """Return a :class:`NetworkModel` with the default link parameters."""
-    return NetworkModel()

@@ -89,14 +89,6 @@ def list_node_types() -> list[NodeSpec]:
     return [spec for _, spec in sorted(_REGISTRY.items())]
 
 
-def node_type_for_gpu(gpu_name: str, gpus_per_node: int) -> NodeSpec:
-    """Find a registered node type with the given GPU and GPU count."""
-    for spec in _REGISTRY.values():
-        if spec.gpu.name == gpu_name and spec.gpus_per_node == gpus_per_node:
-            return spec
-    raise KeyError(f"no registered node type with {gpus_per_node}x {gpu_name}")
-
-
 # ---------------------------------------------------------------------------
 # Built-in catalog mirroring the paper's evaluation machines.
 # ---------------------------------------------------------------------------

@@ -15,17 +15,6 @@ from repro.hardware.nodes import NodeSpec, get_node_type
 
 
 @dataclass(frozen=True)
-class Zone:
-    """One availability zone within a cloud region."""
-
-    name: str
-    region: str
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
-
-
-@dataclass(frozen=True)
 class Region:
     """One cloud region with its availability zones."""
 

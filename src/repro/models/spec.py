@@ -106,11 +106,6 @@ class TransformerModelSpec:
         """Backward FLOPs of one block (standard 2x the forward cost)."""
         return 2.0 * self.layer_forward_flops(microbatch_size, sequence_length)
 
-    def embedding_forward_flops(self, microbatch_size: int, sequence_length: int) -> float:
-        """Forward FLOPs of the embedding lookup (negligible, bandwidth bound)."""
-        self._check_batch(microbatch_size, sequence_length)
-        return float(2 * microbatch_size * sequence_length * self.hidden_size)
-
     def lm_head_forward_flops(self, microbatch_size: int, sequence_length: int) -> float:
         """Forward FLOPs of the final vocabulary projection."""
         self._check_batch(microbatch_size, sequence_length)

@@ -290,6 +290,11 @@ class FaultScenarioGenerator:
         """
         if not pools:
             raise ValueError("churn_trace needs at least one pool")
+        if not duration_s > 0:
+            # Scenario start times scale with the duration, so a zero one
+            # drops every event but the initial ones and the loop below
+            # would spin until its safety valve.
+            raise ValueError(f"duration_s must be > 0, got {duration_s}")
         if num_events < len(pools):
             raise ValueError("num_events must cover the initial events")
         weights = dict(kind_weights or {"preemption_burst": 0.35,

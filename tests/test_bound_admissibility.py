@@ -39,7 +39,10 @@ from repro.core.heuristics import (
 )
 from repro.core.objectives import Objective, OptimizationGoal
 from repro.core.planner import _GAP_BOUND_SLACK, PlannerConfig, SailorPlanner
-from repro.core.search_cache import PlannerSearchContext
+from repro.core.search_cache import (
+    MAX_MIXED_TYPES_PER_STAGE,
+    PlannerSearchContext,
+)
 from repro.core.simulator import SailorSimulator
 from repro.hardware.topology import ClusterTopology
 from repro.models.partition import uniform_partition
@@ -131,8 +134,7 @@ def test_candidate_floor_bounds_the_chosen_plans_evaluation(
         context, consolidated, partitions, tp_options, mbs, pp, resources)
     minimize_cost = objective.goal is OptimizationGoal.MIN_COST
     floor = SailorPlanner._candidate_floor_available(
-        opt_job, tables, mbs, dp, minimize_cost,
-        planner.config.dp_config.max_mixed_types_per_stage)
+        opt_job, tables, mbs, dp, minimize_cost)
     assert floor < math.inf
     actual = SailorPlanner._incumbent_value(objective, result.evaluation)
     assert floor <= actual, (
@@ -220,7 +222,6 @@ def test_family_and_availability_floors_vs_exhaustive_enumeration(
     resources = SailorPlanner._resource_map(consolidated.topology)
     context = PlannerSearchContext(opt_env, opt_job, objective.goal)
     minimize_cost = objective.goal is OptimizationGoal.MIN_COST
-    max_mixed = planner.config.dp_config.max_mixed_types_per_stage
     members_checked = 0
     for pp, mbs in SailorPlanner._branch_specs(
             opt_job, sum(resources.values()), heuristics):
@@ -251,7 +252,7 @@ def test_family_and_availability_floors_vs_exhaustive_enumeration(
         member_values = []
         for dp in dp_candidates:
             avail = SailorPlanner._candidate_floor_available(
-                opt_job, tables, mbs, dp, minimize_cost, max_mixed)
+                opt_job, tables, mbs, dp, minimize_cost)
             assert family <= avail  # the min over the family's members
             solver = DPSolver(
                 env=opt_env, job=opt_job, partitions=partitions,
@@ -283,10 +284,10 @@ def test_family_and_availability_floors_vs_exhaustive_enumeration(
     assert members_checked > 0  # the random pool really exercised the DP
 
 
-def _carrier_only_floor(job, tables, mbs, dp, minimize_cost, max_mixed):
+def _carrier_only_floor(job, tables, mbs, dp, minimize_cost):
     """The candidate floor before the pigeonhole and sync terms: the
     carrier floor alone, recomputed from the same per-stage tables."""
-    k = -(-dp // min(2, max(1, max_mixed)))
+    k = -(-dp // MAX_MIXED_TYPES_PER_STAGE)
     sum_t = max_t = rate_sum = 0.0
     for table in tables.carriers:
         if table is None:
@@ -385,12 +386,11 @@ def test_capacity_aware_floor_bounds_every_candidate(opt_env, opt_job,
     for (planner, consolidated, resources, context, partitions, tp_options,
          mbs, dp_candidates, tables) in _branches(opt_env, opt_job, topology,
                                                   objective.goal):
-        max_mixed = planner.config.dp_config.max_mixed_types_per_stage
         for dp in dp_candidates:
             floor = SailorPlanner._candidate_floor_available(
-                opt_job, tables, mbs, dp, minimize_cost, max_mixed)
+                opt_job, tables, mbs, dp, minimize_cost)
             assert floor >= _carrier_only_floor(
-                opt_job, tables, mbs, dp, minimize_cost, max_mixed)
+                opt_job, tables, mbs, dp, minimize_cost)
             plan, evaluation = _solve_and_evaluate(
                 planner, opt_env, opt_job, objective.goal, consolidated,
                 resources, context, partitions, tp_options, mbs, dp)
@@ -425,8 +425,8 @@ def test_pigeonhole_term_lifts_the_floor_when_gpus_are_short(
         nb = opt_job.num_microbatches(dp, mbs)
         pipeline_lb = SailorPlanner._pipeline_time_lb(tables, dp, nb)
         floor = SailorPlanner._candidate_floor_available(
-            opt_job, tables, mbs, dp, False, 2)
-        carrier = _carrier_only_floor(opt_job, tables, mbs, dp, False, 2)
+            opt_job, tables, mbs, dp, False)
+        carrier = _carrier_only_floor(opt_job, tables, mbs, dp, False)
         plan, evaluation = _solve_and_evaluate(
             planner, opt_env, opt_job, goal, consolidated, resources,
             context, partitions, tp_options, mbs, dp)
@@ -485,7 +485,7 @@ def test_leader_ring_sync_floor_on_two_real_zones(opt_env, opt_job):
                     plan).stage_sync_s)
                 assert sync_lb <= stage_sync
             floor = SailorPlanner._candidate_floor_available(
-                opt_job, tables, mbs, dp, False, 2)
+                opt_job, tables, mbs, dp, False)
             assert floor <= evaluation.iteration_time_s
     assert lowered > 0
     assert spanning > 0

@@ -101,6 +101,10 @@ def test_plan_with_impossible_constraint_fails(capsys):
     ["plan", "--global-batch-size", "0"],
     ["churn", "--deadline", "nan", "--events", "2"],
     ["churn", "--deadline", "-1", "--events", "2"],
+    ["churn", "--events", "1"],
+    ["churn", "--duration", "0"],
+    ["churn", "--duration", "-5"],
+    ["churn", "--trace-in", "no-such-dir/trace.json"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_bad_limits_exit_with_one_line_message(argv):
     """A NaN or non-positive search limit, or an invalid job or objective,

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collectives import (
-    broadcast_time,
     hierarchical_allreduce_time,
     p2p_time,
     ring_allgather_time,
@@ -22,7 +21,6 @@ def test_single_participant_costs_nothing():
     assert ring_allreduce_time(1e9, 1, LINK.transfer_time) == 0.0
     assert ring_allgather_time(1e9, 1, LINK.transfer_time) == 0.0
     assert ring_reduce_scatter_time(1e9, 1, LINK.transfer_time) == 0.0
-    assert broadcast_time(1e9, 1, LINK.transfer_time) == 0.0
 
 
 def test_zero_bytes_costs_nothing():
@@ -58,12 +56,6 @@ def test_allreduce_equals_reduce_scatter_plus_allgather():
 def test_slower_link_takes_longer():
     assert ring_allreduce_time(1e8, 4, SLOW.transfer_time) > \
         ring_allreduce_time(1e8, 4, LINK.transfer_time)
-
-
-def test_broadcast_scales_logarithmically():
-    two = broadcast_time(1e8, 2, LINK.transfer_time)
-    sixteen = broadcast_time(1e8, 16, LINK.transfer_time)
-    assert sixteen == pytest.approx(4 * two)
 
 
 def test_hierarchical_reduces_to_flat_ring_for_one_group():

@@ -7,7 +7,6 @@ from repro.hardware.network import (
     LinkClass,
     LinkSpec,
     NetworkModel,
-    default_network_model,
 )
 from repro.hardware.nodes import get_node_type
 
@@ -45,7 +44,7 @@ def test_default_link_classes_ordered_by_bandwidth():
 
 
 def test_classify_zones():
-    model = default_network_model()
+    model = NetworkModel()
     assert model.classify("us-central1-a", "us-central1-a") is LinkClass.INTRA_ZONE
     assert model.classify("us-central1-a", "us-central1-b") is LinkClass.INTER_ZONE
     assert model.classify("us-central1-a", "us-west1-a") is LinkClass.INTER_REGION
@@ -54,14 +53,14 @@ def test_classify_zones():
 
 
 def test_classify_with_explicit_region_map():
-    model = default_network_model()
+    model = NetworkModel()
     mapping = {"zoneA": "region1", "zoneB": "region1", "zoneC": "region2"}
     assert model.classify("zoneA", "zoneB", zone_to_region=mapping) is LinkClass.INTER_ZONE
     assert model.classify("zoneA", "zoneC", zone_to_region=mapping) is LinkClass.INTER_REGION
 
 
 def test_pair_link_capped_by_nic():
-    model = default_network_model()
+    model = NetworkModel()
     a100 = get_node_type("a2-highgpu-4g")     # 100 Gbit NIC
     v100 = get_node_type("n1-standard-v100-4")  # 32 Gbit NIC
     link = model.pair_link(a100, v100, LinkClass.INTRA_ZONE)
@@ -71,7 +70,7 @@ def test_pair_link_capped_by_nic():
 
 
 def test_intra_node_link_capped_by_gpu_interconnect():
-    model = default_network_model()
+    model = NetworkModel()
     a100 = get_node_type("a2-highgpu-4g")
     link = model.pair_link(a100, a100, LinkClass.INTRA_NODE)
     # 300 GB/s NVLink -> 2400 Gbit/s equals the default intra-node cap.
@@ -79,7 +78,7 @@ def test_intra_node_link_capped_by_gpu_interconnect():
 
 
 def test_p2p_time_and_bandwidth_curve():
-    model = default_network_model()
+    model = NetworkModel()
     a100 = get_node_type("a2-highgpu-4g")
     sizes = [2 ** i for i in range(12, 30, 2)]
     curve = model.bandwidth_curve(a100, a100, LinkClass.INTRA_ZONE, sizes)

@@ -7,7 +7,6 @@ from repro.hardware.nodes import (
     NodeSpec,
     get_node_type,
     list_node_types,
-    node_type_for_gpu,
     register_node_type,
 )
 
@@ -38,13 +37,6 @@ def test_invalid_node_specs_rejected():
     with pytest.raises(ValueError):
         NodeSpec(name="bad", gpu=get_gpu("A100-40"), gpus_per_node=4,
                  nic_bw_gbps=0)
-
-
-def test_node_type_for_gpu_lookup():
-    node = node_type_for_gpu("A100-40", 4)
-    assert node.name == "a2-highgpu-4g"
-    with pytest.raises(KeyError):
-        node_type_for_gpu("A100-40", 16)
 
 
 def test_register_node_type_conflict():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware.gpus import get_gpu
-from repro.hardware.network import LinkClass, default_network_model
+from repro.hardware.network import LinkClass, NetworkModel
 from repro.hardware.nodes import get_node_type
 from repro.models.catalog import get_model
 from repro.models.spec import TrainingJobSpec
@@ -101,7 +101,7 @@ def test_fit_bandwidth_polynomial_validation():
 
 
 def test_network_profile_fit_matches_ground_truth():
-    network = default_network_model()
+    network = NetworkModel()
     profiler = NetworkProfiler(network)
     a100 = get_node_type("a2-highgpu-4g")
     profile = profiler.profile_pair(a100, a100, LinkClass.INTRA_ZONE)
@@ -118,7 +118,7 @@ def test_network_profile_fit_matches_ground_truth():
 
 
 def test_profile_all_pairs_populates_store():
-    network = default_network_model()
+    network = NetworkModel()
     profiler = NetworkProfiler(network)
     nodes = [get_node_type("a2-highgpu-4g"), get_node_type("n1-standard-v100-4")]
     store = profiler.profile_all_pairs(nodes)
@@ -136,7 +136,7 @@ def test_profile_all_pairs_populates_store():
 
 
 def test_inter_region_slower_than_intra_zone_in_fitted_profiles():
-    network = default_network_model()
+    network = NetworkModel()
     profiler = NetworkProfiler(network)
     a100 = get_node_type("a2-highgpu-4g")
     intra = profiler.profile_pair(a100, a100, LinkClass.INTRA_ZONE)

@@ -7,7 +7,12 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.core.budget import SearchBudgetExhausted
-from repro.core.dp_solver import DPSolver, DPSolverConfig, StageOption
+from repro.core.dp_solver import (
+    MAX_COMBOS_PER_STAGE,
+    DPSolver,
+    DPSolverConfig,
+    StageOption,
+)
 from repro.core.heuristics import (
     HeuristicConfig,
     min_tp_per_stage,
@@ -17,6 +22,7 @@ from repro.core.objectives import Objective, OptimizationGoal
 from repro.core.plan import SearchStats
 from repro.core.planner import PlannerConfig, SailorPlanner
 from repro.core.search_cache import (
+    SPLIT_FRACTIONS,
     PlannerSearchContext,
     StageAssignment,
     tp_options_key,
@@ -113,7 +119,6 @@ def test_generate_combos_matches_reference_enumeration(opt_env, opt_job):
 def _reference_combos(solver, stage_index, resources):
     """Seed-style per-state combo enumeration (sorted, truncated)."""
     needed = solver.data_parallel
-    config = solver.config
     tp_options = solver.tp_options_per_stage[stage_index]
     options = []
     for (zone, node_type), count in resources.items():
@@ -134,13 +139,13 @@ def _reference_combos(solver, stage_index, resources):
         for option, max_replicas in region_options:
             if max_replicas >= needed:
                 combos.append(((option, needed),))
-        if config.max_mixed_types_per_stage >= 2 and needed >= 2:
+        if needed >= 2:
             for (opt_a, max_a), (opt_b, max_b) in itertools.combinations(
                     region_options, 2):
                 if opt_a.zone == opt_b.zone and opt_a.node_type == opt_b.node_type:
                     continue
                 points = {1, needed - 1}
-                for fraction in config.split_fractions:
+                for fraction in SPLIT_FRACTIONS:
                     k = int(round(needed * fraction))
                     if 1 <= k <= needed - 1:
                         points.add(k)
@@ -158,7 +163,7 @@ def _reference_combos(solver, stage_index, resources):
                                count) for opt, count in placements))
 
     combos.sort(key=combo_key)
-    return combos[:config.max_combos_per_stage]
+    return combos[:MAX_COMBOS_PER_STAGE]
 
 
 def test_forward_layers_do_not_outlive_their_solve(opt_env, opt_job,
@@ -266,10 +271,6 @@ def test_interrupted_solve_is_never_memoised(opt_env, opt_job):
 #: every field of the dataclass, so a new field fails the key-completeness
 #: test below until it is given a perturbation here.
 DP_CONFIG_PERTURBATIONS = {
-    "max_combos_per_stage": 1,
-    "max_mixed_types_per_stage": 1,
-    "split_fractions": (0.5,),
-    "max_budget_iterations": 1,
     "enable_pruning": False,
 }
 

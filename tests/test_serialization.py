@@ -88,13 +88,23 @@ def test_evaluation_roundtrip(opt_env, opt_job):
 def test_planner_result_roundtrip(opt_env, opt_job, a100_topology):
     result = SailorPlanner(opt_env).plan(opt_job, a100_topology,
                                          Objective.max_throughput())
-    restored = result_from_json(result_to_json(result))
+    text = result_to_json(result)
+    restored = result_from_json(text)
     assert restored.found
     assert restored.planner_name == result.planner_name
     assert restored.search_time_s == pytest.approx(result.search_time_s)
     assert restored.plan.total_gpus == result.plan.total_gpus
     assert restored.evaluation.throughput_iters_per_s == pytest.approx(
         result.evaluation.throughput_iters_per_s)
+
+    # The retired free-text ``notes`` field is no longer written, and
+    # documents that still carry it decode to the same result.
+    document = json.loads(text)
+    assert "notes" not in document
+    document["notes"] = "written by an older planner"
+    older = result_from_json(json.dumps(document))
+    assert plan_to_json(older.plan) == plan_to_json(restored.plan)
+    assert older.search_stats == restored.search_stats
 
 
 def test_planner_result_search_stats_roundtrip(opt_env, opt_job, a100_topology):

@@ -1,9 +1,8 @@
-"""Unit tests for cluster topologies and quotas."""
+"""Unit tests for cluster topologies."""
 
 import pytest
 
 from repro.hardware.network import LinkClass
-from repro.hardware.quotas import QuotaSet, ResourceQuota
 from repro.hardware.topology import ClusterTopology
 
 
@@ -74,34 +73,3 @@ def test_describe_mentions_every_zone():
     for zone in topo.zones:
         assert zone in text
     assert ClusterTopology().describe() == "(empty topology)"
-
-
-# -- quotas -------------------------------------------------------------------
-
-def test_quota_basicproperties():
-    quota = ResourceQuota("us-central1-a", "a2-highgpu-4g", 4)
-    assert quota.max_gpus == 16
-    with pytest.raises(ValueError):
-        ResourceQuota("us-central1-a", "a2-highgpu-4g", -1)
-
-
-def test_quota_set_totals_and_clamp():
-    quotas = QuotaSet().add("us-central1-a", "a2-highgpu-4g", 8) \
-                       .add("us-central1-b", "a2-highgpu-4g", 8)
-    assert quotas.total_gpus() == 64
-    assert quotas.zones == ["us-central1-a", "us-central1-b"]
-
-    available = ClusterTopology(nodes={
-        "us-central1-a": {"a2-highgpu-4g": 3},
-        "us-central1-b": {"a2-highgpu-4g": 20},
-    })
-    clamped = quotas.clamp(available)
-    assert clamped.node_count("us-central1-a", "a2-highgpu-4g") == 3
-    assert clamped.node_count("us-central1-b", "a2-highgpu-4g") == 8
-
-
-def test_quota_set_roundtrip_with_topology():
-    topo = make_topology()
-    quotas = QuotaSet.from_topology(topo)
-    assert quotas.to_topology().gpus_by_type() == topo.gpus_by_type()
-    assert quotas.max_nodes("us-central1-a", "a2-highgpu-4g") == 4
