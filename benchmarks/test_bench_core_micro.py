@@ -316,10 +316,9 @@ def test_bench_planner_budget_constrained_64_gpus(benchmark, job, topology, env)
     assert result.evaluation.cost_per_iteration_usd <= 0.031
     # `make ci` acceptance bar (this point is in the smoke subset): the
     # straggler convergence certificates must actually fire on a binding
-    # budget.  Above the budget dispatch threshold
-    # (``dp_solver.ENGINE_MIN_STATES_BUDGET``) this pool (~81 root states)
-    # runs on the engine path -- measured faster than the tuple recursion
-    # here, see the dp_solver dispatch decision table.
+    # budget.  Every budgeted solve runs on the engine path (see the
+    # dp_solver dispatch table), so this pool's budget nodes use the
+    # engine's batched scan and certificates.
     assert result.search_stats.suffix_certified > 0
     assert result.search_stats.suffix_iterations > 0
 

@@ -2,12 +2,13 @@
 a cache key (or declared value-preserving, or suppressed with a reason).
 
 The failure mode this guards against is the silent cache fork: a new
-``DPSolverConfig`` / ``PlannerConfig`` field changes what a solve
-produces, but the keyed caches (the search context's ``key = (...)``
-tuples and the whole-solve memo) never learned about it -- so a shared
-or long-lived context serves results computed under a *different*
-configuration.  PRs 1-8 avoided this by hand; this rule machine-checks
-it.
+``PlannerConfig`` field changes what a solve produces, but the keyed
+caches (the search context's ``key = (...)`` tuples and the whole-solve
+memo) never learned about it -- so a shared or long-lived context serves
+results computed under a *different* configuration.  The rule also reads
+a ``DPSolverConfig`` class in ``dp_solver.py`` and a composite field
+nesting it; the live solver has no config class, but the ``cache_key_*``
+fixtures (and any solver config added later) use them.
 
 The contract, per config field:
 
@@ -20,9 +21,9 @@ The contract, per config field:
    the ``cache_key_*`` fixtures) and through function parameters (a
    callee's parameter in its key, bound to a ``self.config`` field at the
    call site).  A composite config passed through ``astuple(...)`` folds
-   in every leaf field: the whole-solve memo keys
-   ``astuple(self.config.dp_config)``, which is how
-   ``DPSolverConfig.enable_pruning`` is keyed.
+   in every leaf field (e.g. a memo key holding
+   ``astuple(self.config.dp_config)`` keys every ``DPSolverConfig``
+   field).
 2. **Declared value-preserving** -- the field's ``#:`` doc comment
    contains one of the :data:`~repro.analysis.core.VALUE_PRESERVING_MARKERS`
    phrases ("bit-identical", "off only for equivalence testing", ...),
@@ -129,8 +130,8 @@ class CacheKeyRule(Rule):
         if not config_fields:
             return []
         field_names = {f.name for f in config_fields}
-        # Composite fields (a config class nested in another, like
-        # ``PlannerConfig.dp_config``) -> that class's leaf fields.
+        # Composite fields (a config class nested in another, like a
+        # ``dp_config: DPSolverConfig`` field) -> that class's leaf fields.
         composites = {
             f.name: {g.name for g in config_fields
                      if g.cls_name == f.annotation}

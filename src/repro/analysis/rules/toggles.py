@@ -3,13 +3,15 @@ the equivalence tests.
 
 The golden plan digests (``tests/golden/``: 12 scenarios x 3 solver
 configs, plans byte-identical across the default, engine-forced and
-exhaustive configs) and the equivalence suites are what let value-preserving boolean
-fields exist at all.  A toggle the tests never mention is a toggle whose
-off-path can rot unnoticed -- so every ``bool`` field of
-``DPSolverConfig`` / ``PlannerConfig`` must appear somewhere in
+exhaustive configs) and the equivalence suites are what let
+value-preserving boolean fields exist at all.  A toggle the tests never
+mention is a toggle whose off-path can rot unnoticed -- so every ``bool``
+field of ``DPSolverConfig`` / ``PlannerConfig`` must appear somewhere in
 ``tests/`` (as a keyword argument, attribute, identifier or string --
 comments do not count), or carry a justified suppression on its
-definition line.
+definition line.  The live tree has no such field left (the solver has
+no config class, and ``PlannerConfig`` holds no ``bool``), so the rule
+guards against new ones; ``toggle_*`` fixtures keep it exercised.
 """
 
 from __future__ import annotations

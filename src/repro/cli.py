@@ -298,7 +298,8 @@ def cmd_churn(args: argparse.Namespace) -> int:
         try:
             with open(args.trace_in, encoding="utf-8") as handle:
                 trace = FaultTrace.from_json(handle.read())
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, TypeError) as exc:
+            # TypeError: a trace field of the wrong type (e.g. a null count).
             raise SystemExit(f"cannot read trace {args.trace_in}: {exc}") \
                 from None
         pools = {pool: max((e.available_nodes for e in trace.events

@@ -4,8 +4,8 @@ A planning call that must honour a wall-clock deadline (or a deterministic
 node budget, for tests) cannot rely on checks *between* candidates alone:
 one deep budget suffix solve can blow past any deadline.  This module
 provides the cheap cooperative check that the DP hot loops
-(:meth:`~repro.core.dp_solver.DPSolver._solve`, ``_solve_suffix``,
-``_solve_budget_batched``) and the :class:`~repro.core.resource_state
+(:meth:`~repro.core.dp_solver.DPSolver._solve`, ``_solve_budget``,
+``_solve_suffix``, ``_solve_budget_batched``) and the :class:`~repro.core.resource_state
 .ResourceStateEngine` layer sweeps call once per inner step:
 
 * :class:`SearchBudget` -- a shared countdown over wall-clock time and/or an

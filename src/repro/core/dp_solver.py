@@ -15,6 +15,16 @@ iteration time
 are memoised on ``(stage, remaining resources)`` -- plus a *budget
 interval* when a budget constraint is active (see below).
 
+A solve runs in one of two regimes, each with one job:
+
+==============  ====================  ======================================
+objective       state space           regime
+==============  ====================  ======================================
+unconstrained   < ENGINE_MIN_STATES   tuple recursion, branch-and-bound
+unconstrained   >= ENGINE_MIN_STATES  layered engine, root row materialised
+budget          any                   layered engine, batched budget nodes
+==============  ====================  ======================================
+
 Three things keep the search fast (the planner's latency is what the
 paper's Tables 1-3 hinge on):
 
@@ -28,53 +38,52 @@ paper's Tables 1-3 hinge on):
   count vectors, one slot per root (zone, node type) pair) whose encoding
   is a bijection with the canonical tuple-of-tuples form -- memo keys
   collapse exactly the same states, so plans are byte-identical to the
-  tuple encoding.  On wide pools, unconstrained solves skip the recursion
-  entirely: a :class:`~repro.core.resource_state.ResourceStateEngine`
-  computes the same table bottom-up, one whole stage layer of states per
+  tuple encoding.  Every budgeted solve and every unconstrained solve on
+  a wide pool builds a
+  :class:`~repro.core.resource_state.ResourceStateEngine`, which computes
+  the unconstrained table bottom-up, one whole stage layer of states per
   batched kernel call (see its docstring for the forward/backward passes
   and the bit-equivalence argument).  Each solve runs its own *forward*
   pass (reachability) and, on budget solves, its own bound pass; both are
   freed with the solver.  They are not kept for other candidates: the
   per-stage footprints differ between ``mbs`` variants, so a cold
   1024-GPU plan repeats only 2 of its 40 forward passes, while keeping them
-  would dominate the planner's peak memory.  Tiny pools (below
-  :data:`ENGINE_MIN_STATES`, where NumPy call overhead cannot amortise)
-  and ``enable_pruning=False`` run the recursion instead, over plain int
-  tuple states that are their own memo keys; each state's fitting combos
-  come from one scalar scan in master order, cached per state.  An
-  engine-backed solve never enters the recursion: its budget nodes run
-  batched over the engine layers (below).
-* **Branch-and-bound.**  Before recursing on a combo the solver computes an
-  admissible lower bound on the objective of any completed solution through
-  that combo (best achievable compute time / cost rate of the remaining
-  stages, from the cheapest options available at the root).  Branches that
-  cannot beat the incumbent -- threaded down the recursion as an upper
-  bound -- are pruned.  Bounds are admissible (they never exceed the true
-  value, including under floating-point rounding, because IEEE-754 add/mul
-  are monotone), so pruning never changes the value of the returned
-  solution; ``DPSolverConfig.enable_pruning=False`` turns it off for the
-  equivalence tests.
+  would dominate the planner's peak memory.
+* **The pruned tuple recursion.**  Unconstrained solves on tiny pools
+  (below :data:`ENGINE_MIN_STATES`, where NumPy call overhead cannot
+  amortise) recurse over plain int tuple states that are their own memo
+  keys; each state's fitting combos come from one scalar scan in master
+  order, cached per state.  Before recursing on a combo the solver
+  computes an admissible lower bound on the objective of any completed
+  solution through that combo (best achievable compute time / cost rate
+  of the remaining stages, from the cheapest options available at the
+  root).  Branches that cannot beat the incumbent -- threaded down the
+  recursion as an upper bound -- are pruned.  Bounds are admissible (they
+  never exceed the true value, including under floating-point rounding,
+  because IEEE-754 add/mul are monotone), so pruning never changes the
+  value of the returned solution; the unpruned exhaustive reference the
+  equivalence tests compare against lives in ``tests/``.
 
 When a budget constraint is present, the solver follows the paper's
 straggler-approximation loop: it first assumes the current stage is the
 pipeline straggler to estimate the budget left for the remaining stages,
 solves them, and re-iterates with the discovered straggler when the
 assumption was wrong (section 4.2.3).  This is what makes budget-constrained
-searches slower (Table 3).  On engine-covered states the whole combo scan of
-a budget node runs *batched* over the engine's per-layer arrays
+searches slower (Table 3).  Every budget node runs on the engine: its
+whole combo scan runs *batched* over the engine's per-layer arrays
 (:meth:`DPSolver._solve_budget_batched`: dominance-answered straggler
-iterations resolve in elementwise kernels, bit-identical to the tuple
-recursion's per-combo loop, which ``enable_pruning=False`` keeps as the
-equivalence-test reference).  Two further mechanisms answer most queries
-without a fresh search:
+iterations resolve in elementwise kernels, bit-identical to a per-combo
+loop), and admissible straggler/cost bound tables certify infeasible
+suffixes without solving them.  Two further mechanisms answer most
+queries without a fresh search:
 
 * A *budget-dominance* shortcut: whenever the unconstrained optimum of a
   subproblem fits the remaining budget it is also the budgeted optimum, so
   only genuinely binding budgets enter the straggler loop.  Unlike
-  branch-and-bound this shortcut is part of the algorithm (it is *not*
-  disabled by ``enable_pruning=False``; it can only return equal-or-better
-  solutions than the straggler approximation) and is covered by its own
-  dominance property tests.
+  branch-and-bound this shortcut is part of the algorithm (the exhaustive
+  reference keeps it too; it can only return equal-or-better solutions
+  than the straggler approximation) and is covered by its own dominance
+  property tests.
 * **Interval-keyed budget memoisation.**  A suffix optimum found under
   budget ``b`` with cost ``c <= b`` is provably optimal for *every* budget
   in ``[c, b]``: a smaller budget ``b'`` in that range still admits the
@@ -136,7 +145,6 @@ ResourceMap = dict[tuple[str, str], int]
 __all__ = [
     "DPSolution",
     "DPSolver",
-    "DPSolverConfig",
     "ResourceMap",
     "SearchBudget",
     "SearchBudgetExhausted",
@@ -165,50 +173,28 @@ class DPSolution:
         """Cost estimate (compute only) the DP uses under budget constraints."""
         return self.cost_rate_usd_per_s * self.projected_iteration_time(num_microbatches)
 
-    @property
-    def straggler_stage(self) -> int:
-        """Index (within the suffix) of the slowest stage."""
-        best = 0
-        for i, assignment in enumerate(self.assignments):
-            if assignment.compute_time_s > self.assignments[best].compute_time_s:
-                best = i
-        return best
 
-
-@dataclass
-class DPSolverConfig:
-    """Configuration of the DP search (its limits are module constants)."""
-
-    #: Branch-and-bound pruning of DP branches that provably cannot beat the
-    #: incumbent.  Value-preserving; off only as the exhaustive reference
-    #: the equivalence suites and ``tests/golden/`` compare against.
-    enable_pruning: bool = True
-
-
-#: Layered-engine dispatch thresholds on ``prod(root count + 1)``, an upper
-#: bound on any state layer's size.  The engine's batched kernels amortise
-#: their fixed NumPy cost only on wide layers; below the threshold the tuple
-#: recursion is faster.  A budget makes the engine pay off much earlier
-#: (its dominance tables and certificates answer most straggler-loop work
-#: in O(1)), so budgeted solves dispatch at the min of the two.  Measured
-#: on the bench scenarios:
+#: Layered-engine dispatch threshold of *unconstrained* solves, on
+#: ``prod(root count + 1)``, an upper bound on any state layer's size.  The
+#: engine's batched kernels amortise their fixed NumPy cost only on wide
+#: layers; below the threshold the tuple recursion is faster.  A budgeted
+#: solve always runs on the engine, whatever the pool size: the budget
+#: straggler loop has one implementation.  Measured on the bench scenarios:
 #:
 #: ==============  ===========  =========  =================================
 #: objective       state space  dispatch   why
 #: ==============  ===========  =========  =================================
 #: unconstrained   < 100        recursion  NumPy call overhead dominates
 #: unconstrained   >= 100       engine     batched layers win
-#: budget          < 32         recursion  engine forced: 1.3-1.8x slower
-#: budget          >= 32        engine     0.52 s vs 0.68 s, 81-state point
+#: budget          any          engine     one budget implementation
 #: ==============  ===========  =========  =================================
 #:
-#: Both regimes return byte-identical plans (``tests/golden/``), so these
-#: are pure latency policy; tests monkeypatch them to 0 to force the engine.
+#: Both regimes return byte-identical plans (``tests/golden/``), so this is
+#: pure latency policy; tests monkeypatch it to 0 to force the engine.
 ENGINE_MIN_STATES = 100
-ENGINE_MIN_STATES_BUDGET = 32
 
 #: Combos each stage keeps per resource state, best-ranked first (the
-#: stage's master list truncated; see :meth:`DPSolver.generate_combos`).
+#: stage's master list truncated; see :meth:`DPSolver._combos_for_state`).
 MAX_COMBOS_PER_STAGE = 16
 
 #: Iteration cap of the straggler-approximation loop of the budgeted
@@ -249,7 +235,6 @@ class DPSolver:
                  microbatch_size: int, data_parallel: int,
                  num_microbatches: int,
                  goal: OptimizationGoal = OptimizationGoal.MAX_THROUGHPUT,
-                 config: DPSolverConfig | None = None,
                  context: PlannerSearchContext | None = None,
                  search_budget: SearchBudget | None = None) -> None:
         self.env = env
@@ -264,7 +249,6 @@ class DPSolver:
         self.data_parallel = data_parallel
         self.num_microbatches = num_microbatches
         self.goal = goal
-        self.config = config or DPSolverConfig()
         if context is not None and context.goal is not goal:
             # Combo ranking/truncation lives on the context; a mismatched
             # goal would silently rank by the wrong metric.
@@ -277,9 +261,9 @@ class DPSolver:
         # tables or the recursion's per-stage footprint pairs, per-state
         # fitting combo lists, clamp vectors, admissible per-suffix bounds,
         # and the memos.  Memos are one dict per stage, keyed on the state
-        # itself (an int tuple in the recursion, its raw bytes on engine
-        # solves); budgeted entries live in ``_budget_memo`` as interval
-        # lists (see the module docstring).
+        # itself: ``_memo`` on the recursion's int tuples, ``_budget_memo``
+        # (interval lists, see the module docstring) on the engine's raw
+        # state bytes.
         self._root: ResourceKey = ()
         self._codec: ResourceStateCodec | None = None
         self._tables: list[StageKernelTable] = []
@@ -287,18 +271,14 @@ class DPSolver:
         self._engine: ResourceStateEngine | None = None
         self._mat_cache: dict[tuple[int, int], DPSolution] = {}
         self._budget_row_cache: dict[tuple[int, int], tuple] = {}
-        #: Straggler/cost lower-bound tables (budget certificates): the
-        #: engine-layer tables on engine solves, a per-(stage, state) memo
-        #: for the recursion.  Built lazily on the first budget node of a
-        #: solve, and only with ``enable_pruning`` (the pristine reference
-        #: runs without certificates).
+        #: Straggler/cost lower-bound tables over the engine layers (budget
+        #: certificates), built lazily on the first budget node of a solve.
         self._bounds: BudgetBoundTables | None = None
-        self._scalar_bound_memo: list[dict] = [{} for _ in partitions]
         self._caps_list: list[tuple[int, ...]] = []
-        self._memo: list[dict[tuple | bytes,
+        self._memo: list[dict[tuple,
                               tuple[DPSolution | None, bool, float]]] = \
             [{} for _ in partitions]
-        self._budget_memo: list[dict[tuple | bytes, list[list]]] = \
+        self._budget_memo: list[dict[bytes, list[list]]] = \
             [{} for _ in partitions]
         self._combo_cache: list[dict[tuple, list]] = [{} for _ in partitions]
         self._clamp_active: list[bool] = [True] * len(partitions)
@@ -356,11 +336,46 @@ class DPSolver:
     def _solve_root(self, resources: ResourceMap,
                     budget_per_iteration: float | None = None,
                     ) -> DPSolution | None:
+        state = self._prepare_root(resources)
+        if state is None:
+            return None  # some stage can be hosted by no available option
+        # Dispatch (module docstring): tiny unconstrained pools, where the
+        # batched kernels cannot amortise their fixed NumPy cost, run the
+        # recursion over int tuple states; every other solve runs on the
+        # layered engine -- same fit order, byte-identical plans.
+        self._engine = None
+        self._mat_cache = {}
+        self._budget_row_cache = {}
+        if budget_per_iteration is None:
+            state_space = 1
+            for count in self._codec.root_state.tolist():
+                state_space *= count + 1
+            if state_space < ENGINE_MIN_STATES:
+                return self._solve(0, tuple(state.tolist()), math.inf)
+        engine = self._build_engine(state)
+        # Every engine state counts as an explored node, and the forward
+        # pass's deduplicated children as memo hits.
+        self.stats.nodes_explored += engine.states_computed
+        self.stats.memo_hits += engine.dedup_hits
+        self._engine = engine
+        if budget_per_iteration is None:
+            if not engine.feasible(0, 0):
+                return None
+            return self._materialize(0, 0)
+        return self._solve_budget(0, state.tobytes(), budget_per_iteration,
+                                  math.inf)
+
+    def _prepare_root(self, resources: ResourceMap) -> np.ndarray | None:
+        """Reset the per-solve state for ``resources``; the clamped root.
+
+        Builds the codec, the clamp vectors and the admissible per-suffix
+        bounds, and returns the root state clamped at stage 0's caps --
+        ``None`` when some stage can be hosted by no available option.
+        """
         num_stages = len(self.partitions)
         self._memo = [{} for _ in range(num_stages)]
         self._budget_memo = [{} for _ in range(num_stages)]
         self._combo_cache = [{} for _ in range(num_stages)]
-        self._scalar_bound_memo = [{} for _ in range(num_stages)]
         self._bounds = None
         root = tuple(sorted((key, count) for key, count in resources.items()
                             if count > 0))
@@ -380,43 +395,13 @@ class DPSolver:
         # Suffix clamps as per-slot cap vectors aligned with the slot order.
         self._caps_vec = [codec.caps_vector(caps)
                           for caps in self._suffix_clamp]
+        self._caps_list = [tuple(caps.tolist()) for caps in self._caps_vec]
         if not self._prepare_bounds(root):
-            return None  # some stage can be hosted by no available option
+            return None
         state = codec.root_state
         if self._clamp_active[0]:
             state = codec.clamp(state, self._caps_vec[0])
-        # Dispatch on the (upper bound of the) reachable state space.  Wide
-        # pools: the layered engine answers unconstrained solves outright
-        # and runs budget nodes batched over its layers.  Tiny pools, where
-        # the batched kernels cannot amortise their fixed NumPy cost, and
-        # ``enable_pruning=False`` (the exhaustive reference the
-        # equivalence tests compare against) run the recursion over int
-        # tuple states -- same fit order, byte-identical plans.
-        self._engine = None
-        self._mat_cache = {}
-        self._budget_row_cache = {}
-        state_space = 1
-        for count in codec.root_state.tolist():
-            state_space *= count + 1
-        threshold = ENGINE_MIN_STATES
-        if budget_per_iteration is not None:
-            threshold = min(threshold, ENGINE_MIN_STATES_BUDGET)
-        if not self.config.enable_pruning or state_space < threshold:
-            self._caps_list = [tuple(caps.tolist()) for caps in self._caps_vec]
-            return self._solve(0, tuple(state.tolist()),
-                               budget_per_iteration, math.inf)
-        engine = self._build_engine(state)
-        # Every engine state counts as an explored node, and the forward
-        # pass's deduplicated children as memo hits.
-        self.stats.nodes_explored += engine.states_computed
-        self.stats.memo_hits += engine.dedup_hits
-        self._engine = engine
-        if budget_per_iteration is None:
-            if not engine.feasible(0, 0):
-                return None
-            return self._materialize(0, 0)
-        return self._solve(0, state.tobytes(), budget_per_iteration,
-                           math.inf)
+        return state
 
     def _build_engine(self, root_state: np.ndarray) -> ResourceStateEngine:
         """Assemble the per-stage kernel tables and the layered engine.
@@ -490,21 +475,6 @@ class DPSolver:
         return solution
 
     # -- combo generation ---------------------------------------------------------
-
-    def generate_combos(self, stage_index: int,
-                        resources: ResourceMap | ResourceKey,
-                        ) -> list[tuple[tuple[StageOption, int], ...]]:
-        """Resource combos able to host the stage's ``D`` replicas.
-
-        Honours H5 (one region per stage); ranked by implied stage compute
-        time (cost rate under the cost objective) and truncated to
-        :data:`MAX_COMBOS_PER_STAGE`.  Cached on the shared context.
-        """
-        if isinstance(resources, dict):
-            resources = tuple(sorted((key, count)
-                              for key, count in resources.items() if count > 0))
-        master = self._master_combos(stage_index, resources)
-        return [entry[0] for entry in master[:MAX_COMBOS_PER_STAGE]]
 
     def _master_combos(self, stage_index: int,
                        resources: ResourceKey) -> list:
@@ -675,7 +645,7 @@ class DPSolver:
 
     # -- budget interval memo ------------------------------------------------------
 
-    def _budget_lookup(self, stage_index: int, key: tuple | bytes,
+    def _budget_lookup(self, stage_index: int, key: bytes,
                        budget: float, upper_bound: float) -> tuple | None:
         """Interval entry answering ``budget`` under the caller's bound.
 
@@ -693,7 +663,7 @@ class DPSolver:
                 return entry
         return None
 
-    def _budget_store(self, stage_index: int, key: tuple | bytes, lo: float,
+    def _budget_store(self, stage_index: int, key: bytes, lo: float,
                       hi: float, solution: DPSolution | None, exact: bool,
                       bound: float) -> None:
         """Record one interval entry, widening an existing compatible one.
@@ -733,170 +703,28 @@ class DPSolver:
                 search_budget=self.search_budget)
         return self._bounds
 
-    def _scalar_bound(self, stage_index: int, state: tuple) -> tuple:
-        """Scalar bound recursion: ``(straggler_lb, decomposable cost,
-        rate_lb, sum_lb, sync_lb, cost_lb)`` of one tuple state, memoized.
-
-        The tiny-pool counterpart of ``compute_budget_bounds`` -- same five
-        admissible quantities, same sync-folded product/decomposable cost
-        bound (see that function's docstring for the admissibility
-        argument, including why sync folds in and egress must not), same
-        slack -- computed over the recursion's own per-state combo cache
-        (one memoized pass over the unconstrained reachable space, which a
-        binding budget search walks anyway).  All-``inf`` marks an
-        infeasible suffix.
-        """
-        memo = self._scalar_bound_memo[stage_index]
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        if self.search_budget is not None:
-            self.search_budget.tick()
-        nb = self.num_microbatches
-        combos = self._combos_for_state(stage_index, state)
-        is_last = stage_index == len(self.partitions) - 1
-        next_stage = stage_index + 1
-        caps = None
-        if not is_last and self._clamp_active[next_stage]:
-            caps = self._caps_list[next_stage]
-        context = self.context
-        partition = self.partitions[stage_index]
-        dp = self.data_parallel
-        best_s = best_d = best_r = best_u = best_m = math.inf
-        for entry, pairs in combos:
-            t_c = entry[4]
-            rate = context.stage_cost_rate(entry[0])
-            sync = context.stage_sync_time(partition, dp, entry[0])
-            if is_last:
-                s, d, r, u, m = t_c, rate * (nb * t_c), rate, t_c, sync
-            else:
-                child = list(state)
-                for slot, used in pairs:
-                    child[slot] -= used
-                if caps is not None:
-                    child = [count if count <= cap else cap
-                             for count, cap in zip(child, caps)]
-                c_s, c_d, c_r, c_u, c_m, _ = self._scalar_bound(
-                    next_stage, tuple(child))
-                if c_s == math.inf:
-                    continue
-                s = t_c if t_c >= c_s else c_s
-                d = rate * (nb * t_c) + c_d
-                r = rate + c_r
-                u = t_c + c_u
-                m = sync if sync >= c_m else c_m
-            if s < best_s:
-                best_s = s
-            if d < best_d:
-                best_d = d
-            if r < best_r:
-                best_r = r
-            if u < best_u:
-                best_u = u
-            if m < best_m:
-                best_m = m
-        if best_s == math.inf:
-            result = (math.inf, math.inf, math.inf, math.inf, math.inf,
-                      math.inf)
-        else:
-            product = best_r * (best_u + (nb - 1) * best_s + best_m)
-            decomposable = best_d + best_r * best_m
-            cost = ((decomposable if decomposable >= product else product)
-                    * _COST_BOUND_SLACK)
-            result = (best_s, best_d, best_r, best_u, best_m, cost)
-        memo[state] = result
-        return result
-
     # -- recursion ------------------------------------------------------------------
 
-    def _solve(self, stage_index: int, state: tuple | bytes,
-               budget: float | None, upper_bound: float) -> DPSolution | None:
-        """Best assignment of stages ``stage_index..P-1`` from ``state``.
+    def _solve(self, stage_index: int, state: tuple,
+               upper_bound: float) -> DPSolution | None:
+        """Best unconstrained assignment of stages ``stage_index..P-1``.
 
-        ``state`` is a resource state already clamped at this stage's caps
-        (the root is clamped by :meth:`solve`, children by the combo loop)
-        and is its own memo key: an int tuple in the recursion, the raw
-        state bytes on an engine-backed solve, which only reaches here
-        for budget nodes and answers them from the engine layers.
+        The tiny-pool recursion: ``state`` is an int tuple resource state
+        already clamped at this stage's caps (the root by :meth:`solve`,
+        children by the combo loop) and is its own memo key.
         """
-        nb = self.num_microbatches
-        if budget is None:
-            entry = self._memo[stage_index].get(state)
-            if entry is not None:
-                solution, exact, bound = entry
-                # A bound-limited entry only proves "nothing beats `bound`";
-                # it can be reused when the caller's bound is at least as
-                # strict.
-                if exact or upper_bound <= bound:
-                    self.stats.memo_hits += 1
-                    return solution
-        else:
-            hit = self._budget_lookup(stage_index, state, budget, upper_bound)
-            if hit is not None:
+        entry = self._memo[stage_index].get(state)
+        if entry is not None:
+            solution, exact, bound = entry
+            # A bound-limited entry only proves "nothing beats `bound`"; it
+            # can be reused when the caller's bound is at least as strict.
+            if exact or upper_bound <= bound:
                 self.stats.memo_hits += 1
-                return hit[2]
+                return solution
         self.stats.nodes_explored += 1
         guard = self.search_budget
         if guard is not None:
             guard.tick()
-
-        pruning = self.config.enable_pruning
-        if budget is not None:
-            # Budget dominance: the unconstrained optimum of this subproblem
-            # is shared by every budget the straggler loop proposes.  When
-            # it fits the remaining budget it is also the budgeted optimum
-            # (the constraint is inactive at the optimum), valid for every
-            # budget down to its own cost -- the interval [cost, +inf).
-            # When the subproblem is infeasible outright, so is every
-            # budgeted variant: (-inf, +inf).  Only genuinely binding
-            # budgets fall through to the budget-threaded search.  The
-            # layered engine answers the probe in O(1) from its
-            # already-computed table (including the projected cost, so
-            # binding probes materialise nothing).
-            engine = self._engine
-            if engine is not None:
-                row = engine.row_for_key(stage_index, state)
-                if not engine.feasible(stage_index, row):
-                    self._budget_store(stage_index, state, -math.inf,
-                                       math.inf, None, True, math.inf)
-                    return None
-                cost = engine.projected_cost(stage_index, row)
-                if cost <= budget:
-                    unconstrained = self._materialize(stage_index, row)
-                    self._budget_store(stage_index, state, cost, math.inf,
-                                       unconstrained, True, math.inf)
-                    return unconstrained
-                if self._engine_bounds().cost_lb[stage_index][row] > budget:
-                    # Certificate: every solution in this node's search
-                    # space costs more than the budget (a budgeted scan
-                    # only ever returns budget-respecting solutions, so
-                    # it would come back empty) -- true infeasibility,
-                    # valid for every budget at or below this one.
-                    self.stats.suffix_certified += 1
-                    self._budget_store(stage_index, state, -math.inf, budget,
-                                       None, True, math.inf)
-                    return None
-                # Genuinely binding budget on an engine-covered state: scan
-                # the whole combo row threaded through the engine layers.
-                return self._solve_budget_batched(stage_index, state, row,
-                                                  budget, upper_bound)
-            unconstrained = self._solve(stage_index, state, None, math.inf)
-            if unconstrained is None:
-                self._budget_store(stage_index, state, -math.inf, math.inf,
-                                   None, True, math.inf)
-                return None
-            cost = unconstrained.projected_cost(nb)
-            if cost <= budget:
-                self._budget_store(stage_index, state, cost, math.inf,
-                                   unconstrained, True, math.inf)
-                return unconstrained
-            if pruning and self._scalar_bound(stage_index, state)[5] > budget:
-                # Recursion-side node certificate (tiny pools): same true
-                # infeasibility proof as the engine-layer bound above.
-                self.stats.suffix_certified += 1
-                self._budget_store(stage_index, state, -math.inf, budget,
-                                   None, True, math.inf)
-                return None
 
         stats = self.stats
         context = self.context
@@ -914,7 +742,7 @@ class DPSolver:
         # the inlined, allocation-free forms of _suffix_lower_bound /
         # _combine + _value -- the exact same floating-point operations in
         # the same order, minus the per-combo call and DPSolution overhead.
-        nb1 = nb - 1
+        nb1 = self.num_microbatches - 1
         is_cost = self.goal is OptimizationGoal.MIN_COST
         sum_after = self._sfx_sum[next_stage]
         max_after = self._sfx_max[next_stage]
@@ -931,11 +759,8 @@ class DPSolver:
             sync_a = assignment.sync_time_s
             if is_last:
                 time_v = t_a + nb1 * t_a + sync_a
-                if is_cost or budget is not None:
-                    cost_v = assignment.cost_rate_usd_per_s * time_v
-                if budget is not None and cost_v > budget:
-                    continue
-                value = cost_v if is_cost else time_v
+                value = (assignment.cost_rate_usd_per_s * time_v if is_cost
+                         else time_v)
                 if value < best_value:
                     best = DPSolution(
                         assignments=[assignment],
@@ -948,26 +773,25 @@ class DPSolver:
                 continue
 
             cutoff = upper_bound if upper_bound < best_value else best_value
-            if pruning:
-                sum_lb = t_a + sum_after
-                max_lb = t_a if t_a >= max_after else max_after
-                base_lb = sum_lb + nb1 * max_lb
-                if is_cost:
-                    bound = ((assignment.cost_rate_usd_per_s + rate_after)
-                             * (base_lb + sync_a) * _COST_BOUND_SLACK)
-                    if bound >= cutoff:
-                        stats.pruned_branches += 1
-                        continue
-                elif base_lb >= cutoff:
-                    # Combos are sorted by stage compute time, and the
-                    # sync-free bound is monotone in it (IEEE-754 add/mul
-                    # are monotone), so every remaining combo's individual
-                    # bound check would also prune: cut the whole tail.
-                    stats.pruned_branches += len(combos) - combo_index
-                    break
-                elif base_lb + sync_a >= cutoff:
+            sum_lb = t_a + sum_after
+            max_lb = t_a if t_a >= max_after else max_after
+            base_lb = sum_lb + nb1 * max_lb
+            if is_cost:
+                bound = ((assignment.cost_rate_usd_per_s + rate_after)
+                         * (base_lb + sync_a) * _COST_BOUND_SLACK)
+                if bound >= cutoff:
                     stats.pruned_branches += 1
                     continue
+            elif base_lb >= cutoff:
+                # Combos are sorted by stage compute time, and the sync-free
+                # bound is monotone in it (IEEE-754 add/mul are monotone),
+                # so every remaining combo's individual bound check would
+                # also prune: cut the whole tail.
+                stats.pruned_branches += len(combos) - combo_index
+                break
+            elif base_lb + sync_a >= cutoff:
+                stats.pruned_branches += 1
+                continue
 
             child = list(state)
             for slot, used in footprint:
@@ -977,71 +801,104 @@ class DPSolver:
                          for count, cap in zip(child, child_caps)]
             child_state = tuple(child)
 
-            if budget is None:
-                # Inlined fast path: memo probe on the child state without
-                # the call overhead of _solve (the overwhelmingly common hit
-                # case); the bound matches _child_bound exactly.
-                if not pruning or cutoff == math.inf:
-                    child_bound = math.inf
-                elif is_cost:
-                    child_bound = cutoff
-                else:
-                    child_bound = (cutoff - t_a) * (1.0 + 1e-12)
-                child_entry = child_memo.get(child_state)
-                if child_entry is not None and (
-                        child_entry[1] or child_bound <= child_entry[2]):
-                    stats.memo_hits += 1
-                    suffix = child_entry[0]
-                else:
-                    suffix = self._solve(next_stage, child_state, None,
-                                         child_bound)
-                if suffix is None:
-                    continue
-                sum_t = t_a + suffix.sum_stage_time_s
-                s_max = suffix.max_stage_time_s
-                max_t = t_a if t_a >= s_max else s_max
-                s_sync = suffix.max_sync_time_s
-                sync_t = sync_a if sync_a >= s_sync else s_sync
-                time_v = sum_t + nb1 * max_t + sync_t
-                if is_cost:
-                    value = (assignment.cost_rate_usd_per_s
-                             + suffix.cost_rate_usd_per_s) * time_v
-                else:
-                    value = time_v
-                if value < best_value:
-                    best = DPSolution(
-                        assignments=[assignment] + suffix.assignments,
-                        max_stage_time_s=max_t,
-                        sum_stage_time_s=sum_t,
-                        max_sync_time_s=sync_t,
-                        cost_rate_usd_per_s=(assignment.cost_rate_usd_per_s
-                                             + suffix.cost_rate_usd_per_s),
-                    )
-                    best_value = value
+            # Inlined fast path: memo probe on the child state without the
+            # call overhead of _solve (the overwhelmingly common hit case);
+            # the bound matches _child_bound exactly.
+            if cutoff == math.inf:
+                child_bound = math.inf
+            elif is_cost:
+                child_bound = cutoff
+            else:
+                child_bound = (cutoff - t_a) * (1.0 + 1e-12)
+            child_entry = child_memo.get(child_state)
+            if child_entry is not None and (
+                    child_entry[1] or child_bound <= child_entry[2]):
+                stats.memo_hits += 1
+                suffix = child_entry[0]
+            else:
+                suffix = self._solve(next_stage, child_state, child_bound)
+            if suffix is None:
                 continue
-
-            candidate = self._solve_suffix(
-                stage_index, assignment, child_state, budget,
-                cutoff if pruning else math.inf)
-            if candidate is None:
-                continue
-            value = self._value(candidate)
+            sum_t = t_a + suffix.sum_stage_time_s
+            s_max = suffix.max_stage_time_s
+            max_t = t_a if t_a >= s_max else s_max
+            s_sync = suffix.max_sync_time_s
+            sync_t = sync_a if sync_a >= s_sync else s_sync
+            time_v = sum_t + nb1 * max_t + sync_t
+            if is_cost:
+                value = (assignment.cost_rate_usd_per_s
+                         + suffix.cost_rate_usd_per_s) * time_v
+            else:
+                value = time_v
             if value < best_value:
-                best, best_value = candidate, value
+                best = DPSolution(
+                    assignments=[assignment] + suffix.assignments,
+                    max_stage_time_s=max_t,
+                    sum_stage_time_s=sum_t,
+                    max_sync_time_s=sync_t,
+                    cost_rate_usd_per_s=(assignment.cost_rate_usd_per_s
+                                         + suffix.cost_rate_usd_per_s),
+                )
+                best_value = value
 
         # best_value < upper_bound proves optimality: every pruned branch had
         # a lower bound >= min(upper_bound, incumbent-at-the-time) and the
         # incumbent only improves, so nothing better was discarded.
         exact = best_value < upper_bound or upper_bound == math.inf
-        if budget is None:
-            self._memo[stage_index][state] = (best, exact, upper_bound)
-        else:
-            # The found optimum answers every budget down to its own cost;
-            # an infeasible result, every budget below the one that failed.
-            lo = best.projected_cost(nb) if best is not None else -math.inf
-            self._budget_store(stage_index, state, lo, budget, best, exact,
-                               upper_bound)
+        self._memo[stage_index][state] = (best, exact, upper_bound)
         return best
+
+    def _solve_budget(self, stage_index: int, key: bytes, budget: float,
+                      upper_bound: float) -> DPSolution | None:
+        """Best assignment of stages ``stage_index..P-1`` under ``budget``.
+
+        One budget node of an engine-backed solve: ``key`` is the raw
+        bytes of an engine-layer state (already clamped at this stage's
+        caps) and the node's budgeted memo key.  Dominance and the cost
+        certificate answer it from the engine layers in O(1); only a
+        genuinely binding budget scans the node's combos
+        (:meth:`_solve_budget_batched`).
+        """
+        hit = self._budget_lookup(stage_index, key, budget, upper_bound)
+        if hit is not None:
+            self.stats.memo_hits += 1
+            return hit[2]
+        self.stats.nodes_explored += 1
+        if self.search_budget is not None:
+            self.search_budget.tick()
+        # Budget dominance: the unconstrained optimum of this subproblem is
+        # shared by every budget the straggler loop proposes.  When it fits
+        # the remaining budget it is also the budgeted optimum (the
+        # constraint is inactive at the optimum), valid for every budget
+        # down to its own cost -- the interval [cost, +inf).  When the
+        # subproblem is infeasible outright, so is every budgeted variant:
+        # (-inf, +inf).  The engine answers the probe from its table
+        # (including the projected cost, so binding probes materialise
+        # nothing).
+        engine = self._engine
+        row = engine.row_for_key(stage_index, key)
+        if not engine.feasible(stage_index, row):
+            self._budget_store(stage_index, key, -math.inf, math.inf, None,
+                               True, math.inf)
+            return None
+        cost = engine.projected_cost(stage_index, row)
+        if cost <= budget:
+            unconstrained = self._materialize(stage_index, row)
+            self._budget_store(stage_index, key, cost, math.inf,
+                               unconstrained, True, math.inf)
+            return unconstrained
+        if self._engine_bounds().cost_lb[stage_index][row] > budget:
+            # Certificate: every solution in this node's search space costs
+            # more than the budget (a budgeted scan only ever returns
+            # budget-respecting solutions, so it would come back empty) --
+            # true infeasibility, valid for every budget at or below this
+            # one.
+            self.stats.suffix_certified += 1
+            self._budget_store(stage_index, key, -math.inf, budget, None,
+                               True, math.inf)
+            return None
+        return self._solve_budget_batched(stage_index, key, row, budget,
+                                          upper_bound)
 
     def _budget_row(self, stage_index: int, row: int, is_last: bool) -> tuple:
         """Per-(stage, row) scalars the batched budget scan threads through.
@@ -1054,7 +911,7 @@ class DPSolver:
         was measured *slower*: the combo rows are capped at
         ``MAX_COMBOS_PER_STAGE``, far too short to amortise array-op
         overhead per node, while this gather-once + scalar-thread layout
-        cuts the recursion's per-combo call machinery outright.)
+        needs no per-combo call machinery.)
         """
         cached = self._budget_row_cache.get((stage_index, row))
         if cached is not None:
@@ -1094,17 +951,15 @@ class DPSolver:
                               upper_bound: float) -> DPSolution | None:
         """One budget node's combo scan threaded through the engine layers.
 
-        The engine-side counterpart of :meth:`_solve`'s per-combo loop:
-        every budget node of an engine-backed solve runs here, never in
-        the tuple recursion.  The straggler-approximation loop's suffix
-        solves are, in the overwhelmingly common case, answered by budget
-        dominance (the suffix's unconstrained optimum fits the remaining
-        budget) -- and the engine's backward arrays already hold every
-        child's unconstrained ``(sum, max, sync, rate)`` quadruple and
-        projected cost (gathered once per row by :meth:`_budget_row`), so
-        those combos resolve inline without the recursion's per-combo
-        ``_solve`` call, memo probes, suffix materialisation or
-        ``_combine`` allocation:
+        Every binding budget node runs here.  The straggler-approximation
+        loop's suffix solves are, in the overwhelmingly common case,
+        answered by budget dominance (the suffix's unconstrained optimum
+        fits the remaining budget) -- and the engine's backward arrays
+        already hold every child's unconstrained ``(sum, max, sync, rate)``
+        quadruple and projected cost (gathered once per row by
+        :meth:`_budget_row`), so those combos resolve inline without a
+        per-combo :meth:`_solve_budget` call, memo probes, suffix
+        materialisation or ``_combine`` allocation:
 
         * iteration 1 assumes the stage is the straggler (``rb1 = budget -
           rate * Nb * t``); children whose unconstrained cost fits ``rb1``
@@ -1115,18 +970,16 @@ class DPSolver:
         * a combo whose discovered straggler exceeds the assumption
           re-tests dominance at the tightened budget (``rb2``); when it
           still holds the suffix is unchanged, so the loop's fixpoint is
-          reached with the same combined solution the per-combo loop
-          returns;
+          reached with the same combined solution a per-combo straggler
+          loop returns;
         * only combos with a genuinely binding suffix budget run the
           straggler loop (:meth:`_solve_suffix`, whose suffix solves land
-          back here one stage down), threaded with the same
-          running-incumbent cutoff the per-combo loop uses -- and the same
-          B&B bound checks (including the sorted-combo tail cut) guard
-          every combo first, exactly as in :meth:`_solve`.
+          back here one stage down), threaded with the running-incumbent
+          cutoff -- and the B&B bound checks of :meth:`_solve` (including
+          the sorted-combo tail cut) guard every combo first.
 
         Only the winning combo ever materialises ``StageAssignment`` /
-        ``DPSolution`` objects.  The engine is only built with pruning on,
-        so the B&B checks are unconditional here.
+        ``DPSolution`` objects.
         """
         nb = self.num_microbatches
         nb1 = nb - 1
@@ -1188,7 +1041,7 @@ class DPSolver:
                 continue
 
             if not feasible_list[n]:
-                continue  # infeasible suffix: the recursion returns None
+                continue  # infeasible suffix: no budget can fit it
             rb1 = budget - rate_s * nb * t_s
             if rb1 <= 0:
                 continue
@@ -1223,9 +1076,9 @@ class DPSolver:
                         resolved = True
                     elif clb_list[n] > rb2:
                         # Certificate: at the tightened budget every
-                        # suffix solution costs more, so the recursion's
-                        # iteration 2 would come back empty and the combo
-                        # contributes nothing.
+                        # suffix solution costs more, so the straggler
+                        # loop's iteration 2 would come back empty and the
+                        # combo contributes nothing.
                         stats.suffix_certified += 1
                         continue
                     else:
@@ -1312,7 +1165,7 @@ class DPSolver:
         return (cutoff - assignment.compute_time_s) * (1.0 + 1e-12)
 
     def _solve_suffix(self, stage_index: int, assignment: StageAssignment,
-                      remaining: tuple | bytes, budget: float, cutoff: float,
+                      remaining: bytes, budget: float, cutoff: float,
                       seed_suffix: DPSolution | None = None,
                       ) -> DPSolution | None:
         """Combine one stage assignment with the best budgeted suffix.
@@ -1320,10 +1173,8 @@ class DPSolver:
         Implements the straggler-approximation loop of section 4.2.3: assume
         the current stage is the straggler, compute the remaining budget,
         solve the suffix, and retry with the discovered straggler when the
-        assumption turns out wrong.  (The unbudgeted case is handled by the
-        inlined fast path in :meth:`_solve`.)  ``remaining`` is the suffix
-        state in :meth:`_solve`'s form: an int tuple, or raw bytes on an
-        engine-backed solve.
+        assumption turns out wrong.  ``remaining`` is the suffix state's raw
+        engine-layer bytes, the key of :meth:`_solve_budget`.
 
         ``seed_suffix`` is the batched scan's continuation handoff: the
         caller already resolved (and counted) iteration 1 inline -- the
@@ -1374,72 +1225,68 @@ class DPSolver:
         t_a = assignment.compute_time_s
         rate_a = assignment.cost_rate_usd_per_s
 
-        cost_lb = None
         iterations = MAX_BUDGET_ITERATIONS
         combined: DPSolution | None = None
         prev_suffix: DPSolution | None = None
         assumed_straggler = t_a
         engine = self._engine
-        if engine is not None:
-            row = engine.row_for_key(next_stage, remaining)
-            cost_vec, feas_vec = engine.budget_tables(next_stage)
-            if not feas_vec[row]:
-                # Iteration 1's solve would find the suffix state
-                # infeasible outright.
-                stats.suffix_certified += 1
+        row = engine.row_for_key(next_stage, remaining)
+        cost_vec, feas_vec = engine.budget_tables(next_stage)
+        if not feas_vec[row]:
+            # Iteration 1's solve would find the suffix state infeasible
+            # outright.
+            stats.suffix_certified += 1
+            return None
+        cost_lb = self._engine_bounds().cost_lb[next_stage][row]
+        if seed_suffix is not None:
+            # Batched-scan continuation: the caller already ran --
+            # and counted -- iteration 1 inline (dominance at the
+            # assumed straggler, combined under budget, not
+            # converged, re-tested budget positive but binding),
+            # so enter the loop at iteration 2 directly.
+            combined = self._combine(assignment, seed_suffix)
+            # Replicate iteration 1's dominance store so later
+            # probes of this suffix state hit.
+            self._budget_store(next_stage, remaining,
+                               float(cost_vec[row]), math.inf,
+                               seed_suffix, True, math.inf)
+            prev_suffix = seed_suffix
+            assumed_straggler = combined.max_stage_time_s
+            iterations -= 1
+        else:
+            rb1 = budget - rate_a * nb * t_a
+            if rb1 <= 0:
                 return None
-            cost_lb = self._engine_bounds().cost_lb[next_stage][row]
-            if seed_suffix is not None:
-                # Batched-scan continuation: the caller already ran --
-                # and counted -- iteration 1 inline (dominance at the
-                # assumed straggler, combined under budget, not
-                # converged, re-tested budget positive but binding),
-                # so enter the loop at iteration 2 directly.
-                combined = self._combine(assignment, seed_suffix)
-                # Replicate iteration 1's dominance store so later
-                # probes of this suffix state hit.
-                self._budget_store(next_stage, remaining,
-                                   float(cost_vec[row]), math.inf,
-                                   seed_suffix, True, math.inf)
-                prev_suffix = seed_suffix
-                assumed_straggler = combined.max_stage_time_s
-                iterations -= 1
-            else:
-                rb1 = budget - rate_a * nb * t_a
-                if rb1 <= 0:
+            cost_unc = cost_vec[row]
+            if cost_unc <= rb1:
+                # Iteration 1 resolves by dominance; seed the
+                # loop at its discovered straggler.
+                stats.suffix_iterations += 1
+                suffix = self._materialize(next_stage, row)
+                combined = self._combine(assignment, suffix)
+                if combined.projected_cost(nb) > budget:
                     return None
-                cost_unc = cost_vec[row]
-                if cost_unc <= rb1:
-                    # Iteration 1 resolves by dominance; seed the
-                    # loop at its discovered straggler.
-                    stats.suffix_iterations += 1
-                    suffix = self._materialize(next_stage, row)
-                    combined = self._combine(assignment, suffix)
-                    if combined.projected_cost(nb) > budget:
-                        return None
-                    actual = combined.max_stage_time_s
-                    if straggler_converged(actual, t_a):
-                        return combined
-                    rb2 = budget - rate_a * nb * actual
-                    if rb2 <= 0:
-                        return None
-                    # Replicate iteration 1's dominance store so
-                    # later probes of this suffix state hit.
-                    self._budget_store(next_stage, remaining,
-                                       float(cost_unc), math.inf,
-                                       suffix, True, math.inf)
-                    if cost_unc <= rb2:
-                        # Iteration 2 re-probes the same dominance
-                        # entry: the fixpoint is certified.
-                        stats.suffix_certified += 1
-                        return combined
-                    # Genuinely binding at the discovered straggler:
-                    # continue from iteration 2.
-                    iterations -= 1
-                    prev_suffix = suffix
-                    assumed_straggler = actual
-        elif self.config.enable_pruning:
-            cost_lb = self._scalar_bound(next_stage, remaining)[5]
+                actual = combined.max_stage_time_s
+                if straggler_converged(actual, t_a):
+                    return combined
+                rb2 = budget - rate_a * nb * actual
+                if rb2 <= 0:
+                    return None
+                # Replicate iteration 1's dominance store so
+                # later probes of this suffix state hit.
+                self._budget_store(next_stage, remaining,
+                                   float(cost_unc), math.inf,
+                                   suffix, True, math.inf)
+                if cost_unc <= rb2:
+                    # Iteration 2 re-probes the same dominance
+                    # entry: the fixpoint is certified.
+                    stats.suffix_certified += 1
+                    return combined
+                # Genuinely binding at the discovered straggler:
+                # continue from iteration 2.
+                iterations -= 1
+                prev_suffix = suffix
+                assumed_straggler = actual
 
         guard = self.search_budget
         for _ in range(iterations):
@@ -1449,7 +1296,7 @@ class DPSolver:
             remaining_budget = budget - stage_cost
             if remaining_budget <= 0:
                 return None
-            if cost_lb is not None and cost_lb > remaining_budget:
+            if cost_lb > remaining_budget:
                 # Certified: this (and so every later) iteration's suffix
                 # solve returns None.
                 stats.suffix_certified += 1
@@ -1472,8 +1319,8 @@ class DPSolver:
                     # straggler matches the assumption exactly.
                     return combined
             else:
-                suffix = self._solve(next_stage, remaining,
-                                     remaining_budget, child_bound)
+                suffix = self._solve_budget(next_stage, remaining,
+                                            remaining_budget, child_bound)
             if suffix is None:
                 return None
             prev_suffix = suffix

@@ -24,11 +24,11 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.collectives import ring_allreduce_time
 from repro.core.budget import SearchBudget, SearchBudgetExhausted
-from repro.core.dp_solver import DPSolver, DPSolverConfig, DPSolution, StageOption
+from repro.core.dp_solver import DPSolver, DPSolution, StageOption
 from repro.core.heuristics import (
     ConsolidatedTopology,
     HeuristicConfig,
@@ -80,14 +80,6 @@ class PlannerConfig:
     # node type, TP, resources) tuple it describes, so changing the
     # heuristics reroutes lookups rather than forking cached values.
     heuristics: HeuristicConfig = field(default_factory=HeuristicConfig)
-    #: ``dp_config.enable_pruning`` is the search's one pruning switch: it
-    #: also arms the planner's incumbent gate, tail kill and family skip
-    #: (see ``SailorPlanner._plan_branch``); ``False`` is the exhaustive
-    #: oracle.
-    # lint: disable=cache-key -- composite handed to DPSolver; its leaf
-    # fields are linted individually (the solve memo keys them all through
-    # ``astuple``), and the composite itself is never hashed.
-    dp_config: DPSolverConfig = field(default_factory=DPSolverConfig)
     #: Optional wall-clock limit for one planning call, in seconds.  With
     #: the cooperative cancellation budget threaded through the DP hot
     #: loops, the search halts within a bounded number of inner iterations
@@ -100,9 +92,12 @@ class PlannerConfig:
     # (pinned by the anytime/churn suites).
     time_limit_s: float | None = None
     #: Optional deterministic node budget: the search halts after this many
-    #: cooperative cancellation ticks (DP nodes, engine layers, forward
-    #: chunks...).  Gives tests a wall-clock-free way to exercise the
-    #: anytime path.
+    #: cooperative cancellation ticks.  One tick is one recursion node, one
+    #: budget-scan combo, one straggler iteration -- or one whole engine
+    #: layer or forward chunk, however many states it holds.  So the unit
+    #: is not ``SearchStats.nodes_explored``, which counts every engine
+    #: state: the full 128-GPU search takes 924 ticks for 30,417 nodes.
+    #: Gives tests a wall-clock-free way to exercise the anytime path.
     # lint: disable=cache-key -- same contract as time_limit_s: enters the
     # search only through SearchBudget, which unwinds before cache writes.
     max_search_nodes: int | None = None
@@ -140,8 +135,7 @@ class _BranchOutcome:
     #: Admissible floor of the whole family's minimised scalar: the first
     #: of the branch's suffix-minimum candidate floors (the family skip in
     #: ``SailorPlanner._plan_branch``); ``None`` when the family gate was
-    #: not armed for this branch (no TP options, no DP candidates, pruning
-    #: off).
+    #: not armed for this branch (no TP options, no DP candidates).
     family_floor: float | None = None
 
 
@@ -224,9 +218,7 @@ class SailorPlanner:
         # The solve memo is skipped under a deterministic node budget: a
         # hit spends no ticks, so warm and cold runs would cut at
         # different candidates.
-        memo_config = (astuple(self.config.dp_config)
-                       if search_budget is None
-                       or search_budget.max_ticks is None else None)
+        memo = search_budget is None or search_budget.max_ticks is None
 
         # Every branch is visited even after the budget trips: an expired
         # branch skips its DP solves and only prices its unexplored
@@ -244,7 +236,7 @@ class SailorPlanner:
             outcome = self._plan_branch(job, objective, consolidated,
                                         resources, pp, mbs, context,
                                         search_budget, incumbent=best_eval,
-                                        memo_config=memo_config)
+                                        memo=memo)
             outcomes.append(outcome)
             candidates += outcome.candidates_evaluated
             ooms += outcome.oom_plans_generated
@@ -318,7 +310,7 @@ class SailorPlanner:
                      pp: int, mbs: int, context: PlannerSearchContext,
                      search_budget: SearchBudget | None = None,
                      incumbent: PlanEvaluation | None = None,
-                     memo_config: tuple | None = None,
+                     memo: bool = False,
                      ) -> _BranchOutcome:
         """Search every data-parallel candidate of one (P, mbs) branch.
 
@@ -328,9 +320,9 @@ class SailorPlanner:
         unexplored candidates with an admissible lower bound, so the
         result can certify its remaining optimality gap.
 
-        ``memo_config`` (``astuple`` of the solver config) turns on the
-        context's whole-solve memo (:meth:`PlannerSearchContext.solution`);
-        ``None`` solves every candidate afresh.
+        ``memo`` turns on the context's whole-solve memo
+        (:meth:`PlannerSearchContext.solution`); ``False`` solves every
+        candidate afresh.
         """
         heuristics = self.config.heuristics
         outcome = _BranchOutcome(label=f"P{pp}/mbs{mbs}")
@@ -338,11 +330,6 @@ class SailorPlanner:
         constraint = objective.constraint
         budget = constraint.max_cost_per_iteration_usd
         min_throughput = constraint.min_throughput_iters_per_s
-        # The one pruning switch: the incumbent gate, the family skip and
-        # the tail kill below are all armed by it.  Without the pruned DP
-        # there is no bound machinery to trust, so ``False`` is the plain
-        # exhaustive per-candidate loop.
-        pruning = self.config.dp_config.enable_pruning
 
         partitions = context.partitions(pp)
         tp_req = min_tp_per_stage(
@@ -374,8 +361,7 @@ class SailorPlanner:
         # the family skip (``floors[0]``), the tail kill (``floors[i]``)
         # and the anytime gap certificate (``floors[cut_from]``); each
         # covers candidates solved on this same ``resources`` pool, so a
-        # pool-aware floor is admissible for all three.  Built even with
-        # pruning off: a deadline still needs the gap certificate.
+        # pool-aware floor is admissible for all three.
         floors: list[float] = []
         if dp_candidates:
             tables = self._availability_tables(
@@ -396,7 +382,7 @@ class SailorPlanner:
         # incumbent, and a skip removes an entire family (a
         # within-enumeration-order cut), so no surviving branch sees
         # different H3/H4 or tie-break state.
-        if pruning and floors:
+        if floors:
             outcome.family_floor = floors[0]
             if self._family_dominated(objective, outcome.family_floor,
                                       incumbent):
@@ -404,7 +390,7 @@ class SailorPlanner:
                 self._count_branch(context, outcome)
                 return outcome
 
-        if memo_config is not None:
+        if memo:
             # The raw root pool exactly as the solver normalises it, so a
             # memo hit is exact by construction.
             memo_pool = tuple(sorted((key, count)
@@ -431,7 +417,7 @@ class SailorPlanner:
             # tie-break are order-dependent.)  Branch-local state only: the
             # incumbent gate does not perturb the kill decisions (it never
             # changes the branch incumbent's evolution).
-            if pruning and outcome.evaluation is not None:
+            if outcome.evaluation is not None:
                 branch_best = self._incumbent_value(objective,
                                                     outcome.evaluation)
                 if branch_best > 0 and floors[dp_index] >= branch_best:
@@ -449,17 +435,16 @@ class SailorPlanner:
                     tp_options_per_stage=tp_options, microbatch_size=mbs,
                     data_parallel=dp,
                     num_microbatches=job.num_microbatches(dp, mbs),
-                    goal=objective.goal, config=self.config.dp_config,
-                    context=context, search_budget=search_budget)
+                    goal=objective.goal, context=context,
+                    search_budget=search_budget)
                 return solver.solve(resources, budget_per_iteration=budget)
 
             try:
-                if memo_config is None:
-                    solution = solve()
-                else:
-                    key = (pp, mbs, dp, memo_tp, memo_pool, budget,
-                           memo_config)
+                if memo:
+                    key = (pp, mbs, dp, memo_tp, memo_pool, budget)
                     solution = context.solution(key, solve)
+                else:
+                    solution = solve()
             except SearchBudgetExhausted:
                 # Salvage: the pre-deadline incumbent in ``outcome`` stands;
                 # the aborted candidate joins the unexplored set below.
@@ -496,42 +481,41 @@ class SailorPlanner:
             #    rule stays dormant unless rule 1 fired -- ``meets`` is
             #    never guessed; undecidable candidates take the full
             #    evaluation.
-            if pruning:
-                if budget is not None or min_throughput is not None:
-                    violated = False
-                    if budget is not None:
-                        violated = self.simulator.cost_floor(plan) > budget
-                    if not violated and min_throughput is not None:
-                        floor = self.simulator.iteration_time_floor(plan)
-                        if floor > 0:
-                            violated = 1.0 / floor < min_throughput
-                    if violated:
-                        context.stats.gate_skips += 1
-                        outcome.candidates_evaluated += 1
-                        if self.simulator.oom_stages(plan):
-                            outcome.oom_plans_generated += 1
-                        continue
-                elif outcome.evaluation is not None:
+            if budget is not None or min_throughput is not None:
+                violated = False
+                if budget is not None:
+                    violated = self.simulator.cost_floor(plan) > budget
+                if not violated and min_throughput is not None:
                     floor = self.simulator.iteration_time_floor(plan)
-                    if maximize_throughput:
-                        beaten = floor >= outcome.evaluation.iteration_time_s
-                    else:
-                        cost_floor = self.simulator.cost_floor(plan)
-                        beaten = (cost_floor
-                                  >= outcome.evaluation.cost_per_iteration_usd)
-                    if beaten:
-                        context.stats.gate_skips += 1
-                        outcome.candidates_evaluated += 1
-                        if self.simulator.oom_stages(plan):
-                            outcome.oom_plans_generated += 1
-                            continue
-                        meets = (constraint.max_gpus is None
-                                 or plan.total_gpus <= constraint.max_gpus)
-                        if heuristics.ordered_data_parallel and meets:
-                            stale += 1
-                            if stale > DP_PATIENCE:
-                                break
+                    if floor > 0:
+                        violated = 1.0 / floor < min_throughput
+                if violated:
+                    context.stats.gate_skips += 1
+                    outcome.candidates_evaluated += 1
+                    if self.simulator.oom_stages(plan):
+                        outcome.oom_plans_generated += 1
+                    continue
+            elif outcome.evaluation is not None:
+                floor = self.simulator.iteration_time_floor(plan)
+                if maximize_throughput:
+                    beaten = floor >= outcome.evaluation.iteration_time_s
+                else:
+                    cost_floor = self.simulator.cost_floor(plan)
+                    beaten = (cost_floor
+                              >= outcome.evaluation.cost_per_iteration_usd)
+                if beaten:
+                    context.stats.gate_skips += 1
+                    outcome.candidates_evaluated += 1
+                    if self.simulator.oom_stages(plan):
+                        outcome.oom_plans_generated += 1
                         continue
+                    meets = (constraint.max_gpus is None
+                             or plan.total_gpus <= constraint.max_gpus)
+                    if heuristics.ordered_data_parallel and meets:
+                        stale += 1
+                        if stale > DP_PATIENCE:
+                            break
+                    continue
 
             evaluation = self.simulator.evaluate(plan)
             outcome.candidates_evaluated += 1

@@ -41,8 +41,8 @@ stage master combos    ``(partition, mbs, dp, tp_key, resources, goal)``
 link class             ``(zone_a, zone_b)``
 node specs / prices    ``node_type``
 DP solve memo          ``(pp, mbs, dp, per-stage tp_keys, raw root pool,
-                       budget, astuple(DPSolverConfig))`` -- consulted
-                       only without a deterministic node budget
+                       budget)`` -- consulted only without a
+                       deterministic node budget
 =====================  ====================================================
 
 ``placements`` is the canonical tuple ``((StageOption, count), ...)`` and
@@ -203,8 +203,7 @@ class PlannerSearchContext:
         self._availability_floors_max = 256
         #: Whole-solve memo: the ``DPSolver.solve`` result (a DPSolution
         #: or None) keyed by every solve input -- ``(pp, mbs, dp,
-        #: per-stage TP keys, raw root pool, budget, astuple(DPSolverConfig))``
-        #: -- so a churn replan that revisits a pool answers its solves
+        #: per-stage TP keys, raw root pool, budget)`` -- so a churn replan that revisits a pool answers its solves
         #: without even building the solver.  Cold single calls never hit
         #: (each candidate is solved once per call).  Bounded FIFO; the cap
         #: holds about a hundred churn replans' worth of solves (the

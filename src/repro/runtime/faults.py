@@ -54,6 +54,19 @@ FAULT_KINDS = (
     "price_move",
 )
 
+#: Fields every serialized fault event carries.
+_EVENT_FIELDS = ("time_s", "kind", "zone", "node_type", "available_nodes")
+
+
+def _require_fields(data, what: str, names: tuple[str, ...]) -> None:
+    """``ValueError`` unless ``data`` is a JSON object holding ``names``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} is a JSON object, got "
+                         f"{type(data).__name__}")
+    for name in names:
+        if name not in data:
+            raise ValueError(f"{what} has no {name!r} field")
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -102,7 +115,9 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultEvent":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; ``ValueError`` names what a document
+        that is not an event lacks."""
+        _require_fields(data, "fault event", _EVENT_FIELDS)
         multiplier = data.get("price_multiplier")
         return cls(time_s=float(data["time_s"]), kind=data["kind"],
                    zone=data["zone"], node_type=data["node_type"],
@@ -159,14 +174,19 @@ class FaultTrace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultTrace":
-        """Inverse of :meth:`to_dict` (exact round-trip)."""
+        """Inverse of :meth:`to_dict` (exact round-trip).
+
+        A document that is not a trace raises ``ValueError`` naming what
+        it lacks, rather than replaying as an empty trace.
+        """
+        _require_fields(data, "fault trace", ())
         version = data.get("format_version", FORMAT_VERSION)
         if version > FORMAT_VERSION:
             raise ValueError(f"fault trace format {version} is newer than "
                              f"supported ({FORMAT_VERSION})")
-        return cls(events=[FaultEvent.from_dict(e)
-                           for e in data.get("events", [])],
-                   duration_s=float(data.get("duration_s", 8 * 3600.0)))
+        _require_fields(data, "fault trace", ("events", "duration_s"))
+        return cls(events=[FaultEvent.from_dict(e) for e in data["events"]],
+                   duration_s=float(data["duration_s"]))
 
     def to_json(self, *, indent: int | None = 2) -> str:
         """JSON encoding of the trace."""

@@ -11,9 +11,9 @@ import contextlib
 
 import pytest
 
+import exhaustive_oracle
 from repro.core import dp_solver
-from repro.core.planner import SailorPlanner
-from repro.core.simulator import SailorSimulator, build_environment
+from repro.core.simulator import build_environment
 from repro.hardware.topology import ClusterTopology
 from repro.models.catalog import get_model
 from repro.models.spec import TrainingJobSpec
@@ -76,52 +76,26 @@ def neo_env(neo_job, mixed_topology):
 
 @pytest.fixture
 def disarm_prunes():
-    """Switch single planner prunes off with test-side fakes.
-
-    ``with disarm_prunes(gate=..., tail=..., family=...):`` plans inside the
-    block never fire the chosen prunes.  ``DPSolverConfig.enable_pruning``
-    is the only production switch; every prune is value-preserving, so the
-    equivalence tests use these fakes to compare plans with one prune off.
-    ``tail`` zeroes the branch's one candidate-floor array, so it also
-    zeroes the family floor (no family skip fires) and the anytime gap
-    bound.
-    """
-    @contextlib.contextmanager
-    def disarm(*, gate: bool = False, tail: bool = False,
-               family: bool = False):
-        with pytest.MonkeyPatch.context() as mp:
-            if gate:  # zero floors decide no constraint, beat no incumbent
-                mp.setattr(SailorSimulator, "iteration_time_floor",
-                           lambda self, plan: 0.0)
-                mp.setattr(SailorSimulator, "cost_floor",
-                           lambda self, plan: 0.0)
-            if tail:  # a zero tail floor never reaches the incumbent
-                mp.setattr(SailorPlanner, "_candidate_floor_available",
-                           staticmethod(lambda *args: 0.0))
-            if family:
-                mp.setattr(SailorPlanner, "_family_dominated",
-                           staticmethod(lambda *args: False))
-            yield
-    return disarm
+    """``with disarm_prunes(gate=..., tail=..., family=...):`` plans inside
+    the block never fire the chosen prunes (``exhaustive_oracle``).  Every
+    prune is value-preserving, so the equivalence tests compare plans with
+    one prune off."""
+    return exhaustive_oracle.disarm_prunes
 
 
 @pytest.fixture
 def engine_thresholds():
-    """Move the DP solver's engine dispatch thresholds inside a block.
+    """Move the DP solver's unconstrained engine dispatch threshold.
 
-    ``with engine_thresholds(unconstrained, budget):`` sets
-    ``ENGINE_MIN_STATES`` / ``ENGINE_MIN_STATES_BUDGET``; ``0`` forces the
-    layered engine on every pool, ``None`` keeps the module default.  The
-    thresholds are pure latency policy, so tests move them to compare
-    regimes on the same pool.
+    ``with engine_thresholds(threshold):`` sets ``ENGINE_MIN_STATES``;
+    ``0`` (the default) forces the layered engine on every pool.  Budgeted
+    solves always run on the engine.  The threshold is pure latency
+    policy, so tests move it to compare regimes on the same pool.
     """
     @contextlib.contextmanager
-    def thresholds(unconstrained: int | None = 0, budget: int | None = 0):
+    def thresholds(threshold: int = 0):
         with pytest.MonkeyPatch.context() as mp:
-            if unconstrained is not None:
-                mp.setattr(dp_solver, "ENGINE_MIN_STATES", unconstrained)
-            if budget is not None:
-                mp.setattr(dp_solver, "ENGINE_MIN_STATES_BUDGET", budget)
+            mp.setattr(dp_solver, "ENGINE_MIN_STATES", threshold)
             yield
     return thresholds
 

@@ -6,10 +6,11 @@ captured under the default config, and every config below must reproduce
 them byte for byte:
 
 * ``default`` -- adaptive recursion/engine dispatch;
-* ``engine`` -- the layered engine forced in both regimes (the
-  ``ENGINE_MIN_STATES`` / ``ENGINE_MIN_STATES_BUDGET`` dispatch
-  thresholds monkeypatched to 0);
-* ``exhaustive`` -- ``enable_pruning=False``, the plain exhaustive
+* ``engine`` -- the layered engine forced on every solve (the
+  ``ENGINE_MIN_STATES`` dispatch threshold monkeypatched to 0; budgeted
+  solves run on the engine anyway);
+* ``exhaustive`` -- ``exhaustive_oracle.exhaustive_planning``: every
+  planner prune off and every DP solve answered by the plain exhaustive
   recursion every production path is checked against.
 
 This is the safety contract for deleting solver paths: a change that keeps
@@ -21,6 +22,7 @@ change that is *meant* to alter plans::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import pathlib
@@ -28,9 +30,8 @@ import pathlib
 import pytest
 
 from repro.core import dp_solver
-from repro.core.dp_solver import DPSolverConfig
 from repro.core.objectives import Objective
-from repro.core.planner import PlannerConfig, SailorPlanner
+from repro.core.planner import SailorPlanner
 from repro.core.serialization import plan_to_json
 from repro.core.simulator import build_environment
 from repro.hardware.topology import ClusterTopology
@@ -46,11 +47,19 @@ SCENARIO_NAMES = (
     "bigmixed-maxthr",
 )
 
-#: ``name -> (DPSolverConfig, engine forced)``.
+
+def _exhaustive():
+    # Imported on use: the oracle lives in tests/, which pytest puts on
+    # sys.path but a plain ``python tests/golden/...`` capture does not.
+    from exhaustive_oracle import exhaustive_planning
+    return exhaustive_planning()
+
+
+#: ``name -> (context manager factory, engine forced)``.
 CONFIGS = {
-    "default": (DPSolverConfig(), False),
-    "engine": (DPSolverConfig(), True),
-    "exhaustive": (DPSolverConfig(enable_pruning=False), False),
+    "default": (contextlib.nullcontext, False),
+    "engine": (contextlib.nullcontext, True),
+    "exhaustive": (_exhaustive, False),
 }
 
 CASES = [(scenario, config)
@@ -117,21 +126,19 @@ def build_scenarios() -> dict[str, tuple]:
     return scenarios
 
 
-def plan_digest(scenario: tuple, config: tuple[DPSolverConfig, bool],
-                ) -> str | None:
+def plan_digest(scenario: tuple, config: tuple) -> str | None:
     """SHA-256 of the chosen plan's JSON; ``None`` when no plan is found.
 
     The ``mixed-engine`` scenario forces the engine on top of whichever
     config runs it.
     """
     env, job, topology, objective, scenario_engine = scenario
-    dp_config, engine_forced = config
+    regime, engine_forced = config
     engine_forced = engine_forced or scenario_engine
-    planner = SailorPlanner(env, config=PlannerConfig(dp_config=dp_config))
-    with pytest.MonkeyPatch.context() as mp:
+    planner = SailorPlanner(env)
+    with pytest.MonkeyPatch.context() as mp, regime():
         if engine_forced:
             mp.setattr(dp_solver, "ENGINE_MIN_STATES", 0)
-            mp.setattr(dp_solver, "ENGINE_MIN_STATES_BUDGET", 0)
         result = planner.plan(job, topology, objective)
     if not result.found:
         return None

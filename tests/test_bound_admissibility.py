@@ -259,8 +259,7 @@ def test_family_and_availability_floors_vs_exhaustive_enumeration(
                 tp_options_per_stage=tp_options, microbatch_size=mbs,
                 data_parallel=dp,
                 num_microbatches=opt_job.num_microbatches(dp, mbs),
-                goal=objective.goal, config=planner.config.dp_config,
-                context=context)
+                goal=objective.goal, context=context)
             solution = solver.solve(dict(resources))
             if solution is None:
                 continue
@@ -358,8 +357,7 @@ def _solve_and_evaluate(planner, env, job, goal, consolidated, resources,
         env=env, job=job, partitions=partitions,
         tp_options_per_stage=tp_options, microbatch_size=mbs,
         data_parallel=dp, num_microbatches=job.num_microbatches(dp, mbs),
-        goal=goal, config=planner.config.dp_config,
-        context=context).solve(dict(resources))
+        goal=goal, context=context).solve(dict(resources))
     if solution is None:
         return None, None
     plan = planner._build_plan(job, partitions, mbs, solution, consolidated)

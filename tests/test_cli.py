@@ -92,6 +92,22 @@ def test_plan_with_impossible_constraint_fails(capsys):
     assert "no valid plan" in capsys.readouterr().out
 
 
+#: ``--trace-in`` documents that are valid JSON but not traces, written to
+#: a file when an argv names them as ``@<name>``.
+NOT_TRACES = {
+    "object-without-fields": {"x": 1},
+    "list": [],
+    "event-without-zone": {
+        "format_version": 1, "duration_s": 60.0,
+        "events": [{"time_s": 0.0, "kind": "initial",
+                    "node_type": "a2-highgpu-4g", "available_nodes": 4}]},
+    "event-with-null-count": {
+        "format_version": 1, "duration_s": 60.0,
+        "events": [{"time_s": 0.0, "kind": "initial", "zone": "us-central1-a",
+                    "node_type": "a2-highgpu-4g", "available_nodes": None}]},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["plan", "--time-limit", "nan"],
     ["plan", "--time-limit", "-1"],
@@ -105,14 +121,23 @@ def test_plan_with_impossible_constraint_fails(capsys):
     ["churn", "--duration", "0"],
     ["churn", "--duration", "-5"],
     ["churn", "--trace-in", "no-such-dir/trace.json"],
+    ["churn", "--trace-in", "@object-without-fields"],
+    ["churn", "--trace-in", "@list"],
+    ["churn", "--trace-in", "@event-without-zone"],
+    ["churn", "--trace-in", "@event-with-null-count"],
 ], ids=lambda argv: " ".join(argv[:3]))
-def test_bad_limits_exit_with_one_line_message(argv):
-    """A NaN or non-positive search limit, or an invalid job or objective,
-    exits non-zero with a one-line message instead of mis-planning or
-    dying with a traceback: ``SystemExit`` with a string code prints it
-    to stderr and exits 1."""
+def test_bad_limits_exit_with_one_line_message(argv, tmp_path):
+    """A NaN or non-positive search limit, an invalid job or objective, or
+    a trace file that is not a trace exits non-zero with a one-line
+    message instead of mis-planning (an empty replay) or dying with a
+    traceback: ``SystemExit`` with a string code prints it to stderr and
+    exits 1."""
     if argv[0] == "plan":
         argv = argv + ["--nodes", "us-central1-a:a2-highgpu-4g:1"]
+    if argv[-1].startswith("@"):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(NOT_TRACES[argv[-1][1:]]))
+        argv = argv[:-1] + [str(path)]
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     message = excinfo.value.code

@@ -2,9 +2,11 @@
 
 import pytest
 
+from exhaustive_oracle import ExhaustiveSolver
+from repro.core import dp_solver
 from repro.core.dp_solver import (
+    MAX_COMBOS_PER_STAGE,
     DPSolver,
-    DPSolverConfig,
     StageOption,
     straggler_converged,
 )
@@ -26,6 +28,27 @@ def build_solver(env, job, pp=2, dp=2, mbs=2,
                     tp_options_per_stage=tp_options, microbatch_size=mbs,
                     data_parallel=dp,
                     num_microbatches=job.num_microbatches(dp, mbs), goal=goal)
+
+
+def truncated_combos(solver, stage_index, resources):
+    """The combos a stage may take from ``resources``: its master list
+    (ranked, H5 region-bound) truncated at ``MAX_COMBOS_PER_STAGE``."""
+    key = tuple(sorted((key, count) for key, count in resources.items()
+                       if count > 0))
+    master = solver._master_combos(stage_index, key)
+    return [entry[0] for entry in master[:MAX_COMBOS_PER_STAGE]]
+
+
+def assert_same_solution(a, b):
+    """Same placements and bitwise-equal objective fields (or both None)."""
+    assert (a is None) == (b is None)
+    if a is None:
+        return
+    assert [x.placements for x in a.assignments] == \
+        [x.placements for x in b.assignments]
+    for field in ("max_stage_time_s", "sum_stage_time_s", "max_sync_time_s",
+                  "cost_rate_usd_per_s"):
+        assert getattr(a, field) == getattr(b, field)  # bitwise
 
 
 def test_stage_option_packing():
@@ -103,7 +126,7 @@ def test_generate_combos_respects_region_boundary(opt_env_geo, opt_job):
                           node_types=("a2-highgpu-4g",))
     resources = {("us-central1-a", "a2-highgpu-4g"): 2,
                  ("us-west1-a", "a2-highgpu-4g"): 2}
-    combos = solver.generate_combos(0, resources)
+    combos = truncated_combos(solver, 0, resources)
     assert combos
     for placements in combos:
         regions = {solver.env.region_of(opt.zone) for opt, _ in placements}
@@ -136,7 +159,7 @@ def brute_force_value(solver, resources, stage_index=0):
 
     is_last = stage_index == len(solver.partitions) - 1
     best = None
-    for placements in solver.generate_combos(stage_index, dict(resources)):
+    for placements in truncated_combos(solver, stage_index, resources):
         assignment = solver.context.build_stage_assignment(
             solver.partitions[stage_index], solver.microbatch_size,
             solver.data_parallel, tuple(placements))
@@ -203,9 +226,8 @@ def test_pruning_on_off_equivalence(opt_env, opt_job, pp, dp, budget):
     resources = {("us-central1-a", "a2-highgpu-4g"): 4,
                  ("us-central1-a", "n1-standard-v100-4"): 4}
     pruned = build_solver(opt_env, opt_job, pp=pp, dp=dp)
-    pruned.config = DPSolverConfig(enable_pruning=True)
-    exhaustive = build_solver(opt_env, opt_job, pp=pp, dp=dp)
-    exhaustive.config = DPSolverConfig(enable_pruning=False)
+    exhaustive = ExhaustiveSolver(build_solver(opt_env, opt_job, pp=pp,
+                                               dp=dp))
 
     a = pruned.solve(dict(resources), budget_per_iteration=budget)
     b = exhaustive.solve(dict(resources), budget_per_iteration=budget)
@@ -218,12 +240,12 @@ def test_pruning_on_off_equivalence(opt_env, opt_job, pp, dp, budget):
     assert a.projected_cost(nb) == pytest.approx(
         b.projected_cost(nb), rel=1e-12)
     assert pruned.stats.pruned_branches >= 0
-    assert exhaustive.stats.pruned_branches == 0
+    assert exhaustive.solver.stats.pruned_branches == 0
 
 
 def test_budget_dominance_properties(opt_env, opt_job):
     """Independent checks on the budget-dominance shortcut (which is part of
-    the algorithm, not toggled by enable_pruning):
+    the algorithm, not a prune: the exhaustive oracle keeps it too):
 
     * a budget at or above the unconstrained optimum's cost returns exactly
       the unconstrained optimum,
@@ -281,7 +303,7 @@ def brute_force_budget_value(solver, resources, budget):
     def rec(stage, res, chain):
         nonlocal best
         is_last = stage == len(solver.partitions) - 1
-        for placements in solver.generate_combos(stage, dict(res)):
+        for placements in truncated_combos(solver, stage, res):
             assignment = solver.context.build_stage_assignment(
                 solver.partitions[stage], solver.microbatch_size,
                 solver.data_parallel, tuple(placements))
@@ -364,20 +386,19 @@ def test_interval_memo_entry_count_drops_vs_per_budget_forking(opt_env,
     suffix state; interval entries must collapse them."""
     resources = {("us-central1-a", "a2-highgpu-4g"): 4,
                  ("us-central1-a", "n1-standard-v100-4"): 4}
-    solver = build_solver(opt_env, opt_job, pp=2, dp=4)
-    solver.config = DPSolverConfig(enable_pruning=False)
-    nb = solver.num_microbatches
-    base_cost = solver.solve(dict(resources)).projected_cost(nb)
+    oracle = ExhaustiveSolver(build_solver(opt_env, opt_job, pp=2, dp=4))
+    nb = oracle.solver.num_microbatches
+    base_cost = oracle.solve(dict(resources)).projected_cost(nb)
 
-    solution = solver.solve(dict(resources),
+    solution = oracle.solve(dict(resources),
                             budget_per_iteration=base_cost * 0.7)
     assert solution is not None
-    entries = solver.budget_memo_entries()
+    entries = oracle.budget_memo_entries()
     assert entries > 0
     # Without certificates every straggler iteration is one budgeted suffix
     # query, so per-budget keying would have stored (at least) one entry
     # per iteration; intervals store fewer.
-    assert entries < solver.stats.suffix_iterations
+    assert entries < oracle.solver.stats.suffix_iterations
 
 
 def test_straggler_convergence_tolerance_is_relative_plus_absolute():
@@ -400,12 +421,10 @@ def test_straggler_convergence_tolerance_is_relative_plus_absolute():
 
 @pytest.mark.parametrize("pp,dp", [(1, 2), (2, 2), (2, 4), (3, 1)])
 def test_batched_budget_threading_matches_scalar_recursion(opt_env, opt_job,
-                                                           pp, dp,
-                                                           engine_thresholds):
-    """The per-layer batched straggler kernel (engine forced on) must
-    return bitwise-identical solutions to the exhaustive scalar per-combo
-    recursion (``enable_pruning=False``) across binding and non-binding
-    budgets."""
+                                                           pp, dp):
+    """The per-layer batched straggler kernel must return
+    bitwise-identical solutions to the exhaustive oracle's scalar
+    per-combo straggler loop across binding and non-binding budgets."""
     resources = {("us-central1-a", "a2-highgpu-4g"): 4,
                  ("us-central1-a", "n1-standard-v100-4"): 4}
     probe = build_solver(opt_env, opt_job, pp=pp, dp=dp)
@@ -418,19 +437,11 @@ def test_batched_budget_threading_matches_scalar_recursion(opt_env, opt_job,
     for fraction in BUDGET_FRACTIONS:
         budget = base_cost * fraction
         batched = build_solver(opt_env, opt_job, pp=pp, dp=dp)
-        scalar = build_solver(opt_env, opt_job, pp=pp, dp=dp)
-        scalar.config = DPSolverConfig(enable_pruning=False)
-        with engine_thresholds():
-            a = batched.solve(dict(resources), budget_per_iteration=budget)
+        scalar = ExhaustiveSolver(build_solver(opt_env, opt_job, pp=pp,
+                                               dp=dp))
+        a = batched.solve(dict(resources), budget_per_iteration=budget)
         b = scalar.solve(dict(resources), budget_per_iteration=budget)
-        assert (a is None) == (b is None)
-        if a is None:
-            continue
-        assert [x.placements for x in a.assignments] == \
-            [x.placements for x in b.assignments]
-        for field in ("max_stage_time_s", "sum_stage_time_s",
-                      "max_sync_time_s", "cost_rate_usd_per_s"):
-            assert getattr(a, field) == getattr(b, field)  # bitwise
+        assert_same_solution(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +456,7 @@ def enumerate_solutions(solver, resources, stage_index=0):
 
     is_last = stage_index == len(solver.partitions) - 1
     solutions = []
-    for placements in solver.generate_combos(stage_index, dict(resources)):
+    for placements in truncated_combos(solver, stage_index, resources):
         assignment = solver.context.build_stage_assignment(
             solver.partitions[stage_index], solver.microbatch_size,
             solver.data_parallel, tuple(placements))
@@ -482,11 +493,11 @@ def _solver_root_state(solver):
 
 def test_budget_bounds_are_true_lower_bounds_over_random_pools(
         opt_env, opt_job, engine_thresholds):
-    """Property (hypothesis-style randomized sweep): the straggler and cost
-    lower bounds never exceed *any* solution in the search space -- in
-    particular not the minimum -- in both the engine-layer and the
-    scalar-recursion bound implementations.  Admissibility is what makes
-    certificate-answered budget solves outcome-identical to real ones."""
+    """Property (hypothesis-style randomized sweep): the engine-layer
+    straggler and cost lower bounds never exceed *any* solution in the
+    search space -- in particular not the minimum.  Admissibility is what
+    makes certificate-answered budget solves outcome-identical to real
+    ones."""
     import math
     import random
 
@@ -525,20 +536,6 @@ def test_budget_bounds_are_true_lower_bounds_over_random_pools(
                 assert clb <= solution.projected_cost(nb)
                 checked += 1
 
-        scalar_solver = build_solver(opt_env, opt_job, pp=pp, dp=dp)
-        assert scalar_solver.solve(dict(resources)) is not None or \
-            unconstrained is None
-        if scalar_solver._engine is None:
-            root = tuple(_solver_root_state(scalar_solver).tolist())
-            s_slb, _, _, _, s_mlb, s_clb = scalar_solver._scalar_bound(0, root)
-            if not solutions:
-                assert math.isinf(s_slb) and math.isinf(s_clb)
-                assert math.isinf(s_mlb)
-            for solution in solutions:
-                assert s_slb <= solution.max_stage_time_s
-                assert s_mlb <= solution.max_sync_time_s
-                assert s_clb <= solution.projected_cost(nb)
-                checked += 1
     assert checked > 0  # the sweep must have exercised real pools
 
 
@@ -548,13 +545,13 @@ def test_certificates_match_uncertified_recursion(opt_env, opt_job, pp, dp,
                                                   engine_forced,
                                                   engine_thresholds):
     """Certificates (straggler/cost bounds, engine seeding, batched-layer
-    resolve) must return bitwise-identical solutions to the uncertified
-    exhaustive straggler recursion (``enable_pruning=False``) across
-    binding and non-binding budgets, in both the engine and the tiny-pool
-    (scalar) dispatch regimes."""
+    resolve) must return bitwise-identical solutions to the oracle's
+    uncertified straggler loop across binding and non-binding budgets,
+    with the unconstrained dispatch threshold at 0 (engine forced) and far
+    above the pool: a budgeted solve runs on the engine either way."""
     resources = {("us-central1-a", "a2-highgpu-4g"): 4,
                  ("us-central1-a", "n1-standard-v100-4"): 4}
-    engine_min = 0 if engine_forced else 10**9
+    threshold = 0 if engine_forced else 10**9
     probe = build_solver(opt_env, opt_job, pp=pp, dp=dp)
     nb = probe.num_microbatches
     unconstrained = probe.solve(dict(resources))
@@ -565,20 +562,14 @@ def test_certificates_match_uncertified_recursion(opt_env, opt_job, pp, dp,
     for fraction in BUDGET_FRACTIONS:
         budget = base_cost * fraction
         certified = build_solver(opt_env, opt_job, pp=pp, dp=dp)
-        plain = build_solver(opt_env, opt_job, pp=pp, dp=dp)
-        plain.config = DPSolverConfig(enable_pruning=False)
-        with engine_thresholds(engine_min, engine_min):
+        plain = ExhaustiveSolver(build_solver(opt_env, opt_job, pp=pp,
+                                              dp=dp))
+        with engine_thresholds(threshold):
             a = certified.solve(dict(resources), budget_per_iteration=budget)
+        assert certified._engine is not None
         b = plain.solve(dict(resources), budget_per_iteration=budget)
-        assert (a is None) == (b is None)
-        assert plain.stats.suffix_certified == 0
-        if a is None:
-            continue
-        assert [x.placements for x in a.assignments] == \
-            [x.placements for x in b.assignments]
-        for field in ("max_stage_time_s", "sum_stage_time_s",
-                      "max_sync_time_s", "cost_rate_usd_per_s"):
-            assert getattr(a, field) == getattr(b, field)  # bitwise
+        assert plain.solver.stats.suffix_certified == 0
+        assert_same_solution(a, b)
 
 
 def test_certificates_fire_and_are_counted(opt_env, opt_job):
@@ -595,30 +586,63 @@ def test_certificates_fire_and_are_counted(opt_env, opt_job):
     assert certified.stats.suffix_certified > 0
     assert certified.stats.suffix_iterations > 0
 
-    plain = build_solver(opt_env, opt_job, pp=2, dp=4)
-    plain.config = DPSolverConfig(enable_pruning=False)
+    plain = ExhaustiveSolver(build_solver(opt_env, opt_job, pp=2, dp=4))
     assert plain.solve(dict(resources), budget_per_iteration=budget) \
         is not None
-    assert plain.stats.suffix_certified == 0
-    assert plain.stats.suffix_iterations > certified.stats.suffix_iterations
+    assert plain.solver.stats.suffix_certified == 0
+    assert plain.solver.stats.suffix_iterations > \
+        certified.stats.suffix_iterations
 
 
 def test_engine_backed_budget_solve_never_enters_the_recursion(
-        opt_env, opt_job, engine_thresholds):
-    """With the engine forced, a binding-budget solve answers every node
-    from the engine layers (batched scan, certificates, dominance): the
-    tuple recursion's per-state combo caches stay empty."""
+        opt_env, opt_job):
+    """A binding-budget solve answers every node from the engine layers
+    (batched scan, certificates, dominance): the tuple recursion's
+    per-state combo caches and memo stay empty."""
     resources = {("us-central1-a", "a2-highgpu-4g"): 4,
                  ("us-central1-a", "n1-standard-v100-4"): 4}
     solver = build_solver(opt_env, opt_job, pp=2, dp=4)
     nb = solver.num_microbatches
     budget = solver.solve(dict(resources)).projected_cost(nb) * 0.55
-    with engine_thresholds():
-        assert solver.solve(dict(resources), budget_per_iteration=budget) \
-            is not None
+    assert solver.solve(dict(resources), budget_per_iteration=budget) \
+        is not None
     assert solver._engine is not None
     assert all(not cache for cache in solver._combo_cache)
+    assert all(not memo for memo in solver._memo)
     assert solver.stats.suffix_certified > 0
+
+
+#: The 4+4 pool: ``(4 + 1) * (4 + 1) = 25`` states, below the engine's
+#: unconstrained dispatch threshold.
+TINY_POOL = {("us-central1-a", "a2-highgpu-4g"): 4,
+             ("us-central1-a", "n1-standard-v100-4"): 4}
+
+
+def test_budgeted_solve_on_a_tiny_pool_builds_the_engine(opt_env, opt_job):
+    """Every budgeted solve runs on the engine, even on a pool the
+    unconstrained dispatch gives to the recursion, and matches the
+    oracle bitwise."""
+    assert 5 * 5 < dp_solver.ENGINE_MIN_STATES
+    solver = build_solver(opt_env, opt_job, pp=2, dp=4)
+    nb = solver.num_microbatches
+    budget = solver.solve(dict(TINY_POOL)).projected_cost(nb) * 0.7
+    solution = solver.solve(dict(TINY_POOL), budget_per_iteration=budget)
+    assert solver._engine is not None
+    assert solver.stats.suffix_iterations > 0  # the budget really binds
+    oracle = ExhaustiveSolver(build_solver(opt_env, opt_job, pp=2, dp=4))
+    assert_same_solution(solution, oracle.solve(dict(TINY_POOL), budget))
+
+
+def test_unconstrained_solve_on_a_tiny_pool_takes_the_recursion(opt_env,
+                                                                opt_job):
+    """Below ``ENGINE_MIN_STATES`` an unconstrained solve builds no engine:
+    the pruned tuple recursion answers it, equal to the oracle."""
+    solver = build_solver(opt_env, opt_job, pp=2, dp=4)
+    solution = solver.solve(dict(TINY_POOL))
+    assert solver._engine is None
+    assert solver._memo[0]  # the recursion memoised its root
+    oracle = ExhaustiveSolver(build_solver(opt_env, opt_job, pp=2, dp=4))
+    assert_same_solution(solution, oracle.solve(dict(TINY_POOL)))
 
 
 def test_interval_memo_repeat_solves_are_deterministic(opt_env, opt_job):
@@ -640,9 +664,8 @@ def test_pruning_on_off_equivalence_two_zone(opt_env_geo, opt_job):
                  ("us-west1-a", "a2-highgpu-4g"): 2}
     pruned = build_solver(opt_env_geo, opt_job, pp=2, dp=2,
                           node_types=("a2-highgpu-4g",))
-    exhaustive = build_solver(opt_env_geo, opt_job, pp=2, dp=2,
-                              node_types=("a2-highgpu-4g",))
-    exhaustive.config = DPSolverConfig(enable_pruning=False)
+    exhaustive = ExhaustiveSolver(build_solver(
+        opt_env_geo, opt_job, pp=2, dp=2, node_types=("a2-highgpu-4g",)))
     a = pruned.solve(dict(resources))
     b = exhaustive.solve(dict(resources))
     assert (a is None) == (b is None)

@@ -1,7 +1,10 @@
 """Integration tests for the Sailor planner."""
 
+import contextlib
+
 import pytest
 
+from exhaustive_oracle import exhaustive_planning
 from repro.core.heuristics import HeuristicConfig
 from repro.core.objectives import Objective
 from repro.core.planner import PlannerConfig, SailorPlanner
@@ -121,18 +124,20 @@ def test_search_stats_are_populated(planner, opt_job, mixed_topology):
 
 
 def test_budget_search_stats_report_pruning(planner, opt_job, mixed_topology):
-    """Binding budgets run the straggler-approximation recursion, which is
-    where branch-and-bound still operates (unconstrained solves are answered
-    by the layered resource-state engine, which has nothing to prune)."""
+    """Binding budgets run the engine's batched budget scan, which applies
+    the branch-and-bound checks before every straggler loop.  The budget is
+    0.8x the unconstrained cost: at 0.6x the cost certificates settle all
+    but one straggler iteration, so the scan has nothing left to prune."""
     unconstrained = planner.plan(opt_job, mixed_topology,
                                  Objective.max_throughput())
-    budget = unconstrained.evaluation.cost_per_iteration_usd * 0.6
+    budget = unconstrained.evaluation.cost_per_iteration_usd * 0.8
     result = planner.plan(
         opt_job, mixed_topology,
         Objective.max_throughput(max_cost_per_iteration_usd=budget))
     stats = result.search_stats
     assert stats.nodes_explored > 0
     assert stats.memo_hits > 0
+    assert stats.suffix_iterations > 0  # the straggler loop really runs
     assert stats.pruned_branches > 0  # B&B must actually cut budget branches
 
 
@@ -188,10 +193,8 @@ def test_engine_and_batched_budget_threading_match_the_exhaustive_plan(
         opt_env, opt_job, mixed_topology, engine_thresholds):
     """End-to-end guarantee behind the engine's speedups: the layered
     engine and the batched budget threading return byte-identical plans
-    to the exhaustive recursion (engine forced on so both paths actually
-    run)."""
-    from repro.core.dp_solver import DPSolverConfig
-
+    to the exhaustive oracle, with the engine forced on every solve and
+    under the adaptive dispatch."""
     unconstrained = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
                                                 Objective.max_throughput())
     budget = unconstrained.evaluation.cost_per_iteration_usd * 0.6
@@ -200,16 +203,12 @@ def test_engine_and_batched_budget_threading_match_the_exhaustive_plan(
                           max_cost_per_iteration_usd=budget),
                       Objective.min_cost()):
         reference = None
-        for dp_config, thresholds in (
-                (DPSolverConfig(), (0, None)),  # engine forced
-                (DPSolverConfig(), (None, 0)),  # budget -> engine
-                (DPSolverConfig(), (None, None)),  # adaptive dispatch
-                (DPSolverConfig(enable_pruning=False), (None, None)),
-        ):
-            with engine_thresholds(*thresholds):
-                result = SailorPlanner(opt_env, config=PlannerConfig(
-                    dp_config=dp_config)).plan(opt_job, mixed_topology,
-                                               objective)
+        for regime in (engine_thresholds(),  # engine forced
+                       contextlib.nullcontext(),  # adaptive dispatch
+                       exhaustive_planning()):
+            with regime:
+                result = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
+                                                     objective)
             assert result.found
             encoded = plan_to_json(result.plan)
             if reference is None:
@@ -237,13 +236,11 @@ def test_pruning_does_not_change_the_chosen_plan(opt_env, opt_job,
                                                  mixed_topology):
     """End-to-end guarantee behind the benchmark claim: branch-and-bound
     returns a byte-identical plan."""
-    from repro.core.dp_solver import DPSolverConfig
-
     objective = Objective.max_throughput()
     pruned = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
-    exhaustive = SailorPlanner(opt_env, config=PlannerConfig(
-        dp_config=DPSolverConfig(enable_pruning=False)),
-    ).plan(opt_job, mixed_topology, objective)
+    with exhaustive_planning():
+        exhaustive = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
+                                                 objective)
     assert pruned.found and exhaustive.found
     assert plan_to_json(pruned.plan) == plan_to_json(exhaustive.plan)
     assert exhaustive.search_stats.pruned_branches == 0
@@ -339,17 +336,14 @@ def test_family_skip_and_tail_kill_preserve_plans(opt_env, opt_job,
 @pytest.mark.parametrize("objective", [Objective.max_throughput(),
                                        Objective.min_cost()],
                          ids=["throughput", "cost"])
-def test_enable_pruning_false_is_the_exhaustive_oracle(opt_env, opt_job,
-                                                       mixed_topology,
-                                                       objective):
-    """``DPSolverConfig.enable_pruning=False`` is the one switch that turns
-    every prune off: no gate skip, tail kill or family skip fires, and the
-    exhaustive search returns the pruned search's plan."""
-    from repro.core.dp_solver import DPSolverConfig
-
-    config = PlannerConfig(dp_config=DPSolverConfig(enable_pruning=False))
-    exhaustive = SailorPlanner(opt_env, config=config).plan(
-        opt_job, mixed_topology, objective)
+def test_exhaustive_planning_turns_every_prune_off(opt_env, opt_job,
+                                                   mixed_topology, objective):
+    """``exhaustive_planning`` turns every prune off: no gate skip, tail
+    kill, family skip or DP branch prune fires, and the exhaustive search
+    returns the pruned search's plan."""
+    with exhaustive_planning():
+        exhaustive = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
+                                                 objective)
     pruned = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
     assert exhaustive.found
     assert plan_to_json(pruned.plan) == plan_to_json(exhaustive.plan)
@@ -357,6 +351,7 @@ def test_enable_pruning_false_is_the_exhaustive_oracle(opt_env, opt_job,
     assert stats.gate_skips == 0
     assert stats.candidates_killed_unevaluated == 0
     assert stats.families_skipped == 0
+    assert stats.pruned_branches == 0
 
 
 def test_fused_combine_preserves_plans_when_forced(opt_env, opt_job,

@@ -3,14 +3,15 @@
 The codec's bijection contract (module docstring of
 ``repro.core.resource_state``) is what keeps plans byte-identical across
 the tuple -> array encoding change, so it is tested directly here; the
-layered engine's end-to-end equivalence with the exhaustive recursion is
-covered both here (small cases) and by the solver property suites.
+layered engine's end-to-end equivalence with the exhaustive oracle
+(``exhaustive_oracle``) is covered both here (small cases) and by the
+solver property suites.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.dp_solver import DPSolverConfig
+from exhaustive_oracle import ExhaustiveSolver
 from repro.core.resource_state import (
     STATE_DTYPE,
     ResourceStateCodec,
@@ -21,7 +22,7 @@ from repro.core.resource_state import (
     layer_pack_weights,
 )
 
-from test_dp_solver import build_solver
+from test_dp_solver import assert_same_solution, build_solver
 
 
 @pytest.fixture
@@ -156,8 +157,8 @@ def test_forward_clamps_children_at_next_stage_caps():
 @pytest.mark.parametrize("goal_cost", [False, True])
 def test_engine_matches_exhaustive_recursion(opt_env, opt_job, pp, dp,
                                              goal_cost, force_engine):
-    """The layered engine (enable_pruning=True) and the exhaustive
-    recursion (enable_pruning=False) must choose identical assignments."""
+    """The layered engine and the exhaustive oracle must choose identical
+    assignments."""
     from repro.core.objectives import OptimizationGoal
 
     goal = (OptimizationGoal.MIN_COST if goal_cost
@@ -165,19 +166,10 @@ def test_engine_matches_exhaustive_recursion(opt_env, opt_job, pp, dp,
     resources = {("us-central1-a", "a2-highgpu-4g"): 4,
                  ("us-central1-a", "n1-standard-v100-4"): 4}
     engine_solver = build_solver(opt_env, opt_job, pp=pp, dp=dp, goal=goal)
-    reference = build_solver(opt_env, opt_job, pp=pp, dp=dp, goal=goal)
-    reference.config = DPSolverConfig(enable_pruning=False)
-
-    a = engine_solver.solve(dict(resources))
-    b = reference.solve(dict(resources))
-    assert (a is None) == (b is None)
-    if a is None:
-        return
-    assert [x.placements for x in a.assignments] == \
-        [x.placements for x in b.assignments]
-    for field in ("max_stage_time_s", "sum_stage_time_s", "max_sync_time_s",
-                  "cost_rate_usd_per_s"):
-        assert getattr(a, field) == getattr(b, field)  # bitwise
+    reference = ExhaustiveSolver(build_solver(opt_env, opt_job, pp=pp, dp=dp,
+                                              goal=goal))
+    assert_same_solution(engine_solver.solve(dict(resources)),
+                         reference.solve(dict(resources)))
 
 
 def test_engine_two_zone_topology(opt_env_geo, opt_job, force_engine):
@@ -185,15 +177,10 @@ def test_engine_two_zone_topology(opt_env_geo, opt_job, force_engine):
                  ("us-west1-a", "a2-highgpu-4g"): 2}
     engine_solver = build_solver(opt_env_geo, opt_job, pp=2, dp=2,
                                  node_types=("a2-highgpu-4g",))
-    reference = build_solver(opt_env_geo, opt_job, pp=2, dp=2,
-                             node_types=("a2-highgpu-4g",))
-    reference.config = DPSolverConfig(enable_pruning=False)
-    a = engine_solver.solve(dict(resources))
-    b = reference.solve(dict(resources))
-    assert (a is None) == (b is None)
-    if a is not None:
-        assert [x.placements for x in a.assignments] == \
-            [x.placements for x in b.assignments]
+    reference = ExhaustiveSolver(build_solver(
+        opt_env_geo, opt_job, pp=2, dp=2, node_types=("a2-highgpu-4g",)))
+    assert_same_solution(engine_solver.solve(dict(resources)),
+                         reference.solve(dict(resources)))
 
 
 def test_engine_reports_layer_states_as_nodes(opt_env, opt_job, force_engine):
@@ -234,8 +221,7 @@ def test_engine_matches_exhaustive_recursion_over_random_pools(
     """Randomized equivalence sweep for the layered engine: over seeded
     random pools x objectives x (pp, dp) shapes, the engine (forced on
     these small pools) must return exactly the solution of the exhaustive
-    recursion (``enable_pruning=False``) -- same placements, bitwise-equal
-    objective fields."""
+    oracle -- same placements, bitwise-equal objective fields."""
     import random
 
     from repro.core.objectives import OptimizationGoal
@@ -255,21 +241,16 @@ def test_engine_matches_exhaustive_recursion_over_random_pools(
 
         engine_solver = build_solver(opt_env, opt_job, pp=pp, dp=dp,
                                      goal=goal)
-        reference = build_solver(opt_env, opt_job, pp=pp, dp=dp, goal=goal)
-        reference.config = DPSolverConfig(enable_pruning=False)
+        reference = ExhaustiveSolver(build_solver(opt_env, opt_job, pp=pp,
+                                                  dp=dp, goal=goal))
 
         a = engine_solver.solve(dict(resources))
         b = reference.solve(dict(resources))
         assert engine_solver._engine is not None
-        assert reference._engine is None
-        assert (a is None) == (b is None)
+        assert reference.solver._engine is None
+        assert_same_solution(a, b)
         if a is None:
             continue
-        assert [x.placements for x in a.assignments] == \
-            [x.placements for x in b.assignments]
-        for field in ("max_stage_time_s", "sum_stage_time_s",
-                      "max_sync_time_s", "cost_rate_usd_per_s"):
-            assert getattr(a, field) == getattr(b, field)  # bitwise
         compared += 1
     assert compared >= 6
 
