@@ -326,11 +326,11 @@ def test_bench_planner_budget_constrained_64_gpus(benchmark, job, topology, env)
 def test_bench_planner_budget_constrained_128_gpus(benchmark, job):
     """Budget-constrained search at engine scale (128 GPUs, ~70% budget).
 
-    The scenario the straggler convergence certificates target: at this
-    scale the engine and batched budget threading engage, and before the
-    certificates ~1.8M scalar ``_solve_suffix`` iterations per call --
-    almost all proving suffix budgets infeasible one solve at a time --
-    dominated the profile.  Three rounds; the gate reads the median.
+    The scenario the engine's cost-bound certificates target: at this
+    scale the batched budget scan engages, and the certificates prove most
+    suffix budgets infeasible in-layer instead of one solve at a time (one
+    call makes about 148K straggler-loop iterations and 187K
+    certifications).  Three rounds; the gate reads the median.
     """
     topology = ClusterTopology.single_zone("us-central1-a", {
         "a2-highgpu-4g": 16, "n1-standard-v100-4": 16})

@@ -69,12 +69,14 @@ straggler-approximation loop: it first assumes the current stage is the
 pipeline straggler to estimate the budget left for the remaining stages,
 solves them, and re-iterates with the discovered straggler when the
 assumption was wrong (section 4.2.3).  This is what makes budget-constrained
-searches slower (Table 3).  Every budget node runs on the engine: its
-whole combo scan runs *batched* over the engine's per-layer arrays
-(:meth:`DPSolver._solve_budget_batched`: dominance-answered straggler
-iterations resolve in elementwise kernels, bit-identical to a per-combo
-loop), and admissible straggler/cost bound tables certify infeasible
-suffixes without solving them.  Two further mechanisms answer most
+searches slower (Table 3).  Every budget node runs on the engine, keyed by
+its row in the engine layer, and its whole combo scan threads the loop's
+first iteration through the engine's per-layer arrays
+(:meth:`DPSolver._solve_budget_batched`: dominance-answered iterations
+resolve inline, bit-identical to a per-combo loop, and an admissible cost
+lower-bound table certifies infeasible suffixes without solving them).
+Only combos whose suffix budget genuinely binds run the rest of the loop
+(:meth:`DPSolver._solve_suffix`).  Two further mechanisms answer most
 queries without a fresh search:
 
 * A *budget-dominance* shortcut: whenever the unconstrained optimum of a
@@ -260,10 +262,9 @@ class DPSolver:
         # codec (array encoding of the root's states), the engine's kernel
         # tables or the recursion's per-stage footprint pairs, per-state
         # fitting combo lists, clamp vectors, admissible per-suffix bounds,
-        # and the memos.  Memos are one dict per stage, keyed on the state
-        # itself: ``_memo`` on the recursion's int tuples, ``_budget_memo``
-        # (interval lists, see the module docstring) on the engine's raw
-        # state bytes.
+        # and the memos.  Memos are one dict per stage: ``_memo`` keyed on
+        # the recursion's int tuple states, ``_budget_memo`` (interval
+        # lists, see the module docstring) on the engine's layer rows.
         self._root: ResourceKey = ()
         self._codec: ResourceStateCodec | None = None
         self._tables: list[StageKernelTable] = []
@@ -278,7 +279,7 @@ class DPSolver:
         self._memo: list[dict[tuple,
                               tuple[DPSolution | None, bool, float]]] = \
             [{} for _ in partitions]
-        self._budget_memo: list[dict[bytes, list[list]]] = \
+        self._budget_memo: list[dict[int, list[list]]] = \
             [{} for _ in partitions]
         self._combo_cache: list[dict[tuple, list]] = [{} for _ in partitions]
         self._clamp_active: list[bool] = [True] * len(partitions)
@@ -362,8 +363,7 @@ class DPSolver:
             if not engine.feasible(0, 0):
                 return None
             return self._materialize(0, 0)
-        return self._solve_budget(0, state.tobytes(), budget_per_iteration,
-                                  math.inf)
+        return self._solve_budget(0, 0, budget_per_iteration, math.inf)
 
     def _prepare_root(self, resources: ResourceMap) -> np.ndarray | None:
         """Reset the per-solve state for ``resources``; the clamped root.
@@ -645,7 +645,7 @@ class DPSolver:
 
     # -- budget interval memo ------------------------------------------------------
 
-    def _budget_lookup(self, stage_index: int, key: bytes,
+    def _budget_lookup(self, stage_index: int, row: int,
                        budget: float, upper_bound: float) -> tuple | None:
         """Interval entry answering ``budget`` under the caller's bound.
 
@@ -654,7 +654,7 @@ class DPSolver:
         entry additionally requires the caller's bound to be at least as
         strict, exactly like the unbudgeted memo.
         """
-        entries = self._budget_memo[stage_index].get(key)
+        entries = self._budget_memo[stage_index].get(row)
         if entries is None:
             return None
         for entry in entries:
@@ -663,7 +663,7 @@ class DPSolver:
                 return entry
         return None
 
-    def _budget_store(self, stage_index: int, key: bytes, lo: float,
+    def _budget_store(self, stage_index: int, row: int, lo: float,
                       hi: float, solution: DPSolution | None, exact: bool,
                       bound: float) -> None:
         """Record one interval entry, widening an existing compatible one.
@@ -677,9 +677,9 @@ class DPSolver:
         if exact:
             bound = math.inf  # lookups ignore the bound on exact entries
         memo = self._budget_memo[stage_index]
-        entries = memo.get(key)
+        entries = memo.get(row)
         if entries is None:
-            memo[key] = [[lo, hi, solution, exact, bound]]
+            memo[row] = [[lo, hi, solution, exact, bound]]
             return
         for entry in entries:
             if (entry[2] is solution and entry[3] == exact
@@ -848,18 +848,18 @@ class DPSolver:
         self._memo[stage_index][state] = (best, exact, upper_bound)
         return best
 
-    def _solve_budget(self, stage_index: int, key: bytes, budget: float,
+    def _solve_budget(self, stage_index: int, row: int, budget: float,
                       upper_bound: float) -> DPSolution | None:
         """Best assignment of stages ``stage_index..P-1`` under ``budget``.
 
-        One budget node of an engine-backed solve: ``key`` is the raw
-        bytes of an engine-layer state (already clamped at this stage's
-        caps) and the node's budgeted memo key.  Dominance and the cost
-        certificate answer it from the engine layers in O(1); only a
-        genuinely binding budget scans the node's combos
-        (:meth:`_solve_budget_batched`).
+        One budget node of an engine-backed solve: ``row`` is the node's
+        state in the engine layer of ``stage_index`` (rows and states are a
+        bijection within one solve; the root is row 0) and its budgeted
+        memo key.  Dominance and the cost certificate answer it from the
+        engine layers in O(1); only a genuinely binding budget scans the
+        node's combos (:meth:`_solve_budget_batched`).
         """
-        hit = self._budget_lookup(stage_index, key, budget, upper_bound)
+        hit = self._budget_lookup(stage_index, row, budget, upper_bound)
         if hit is not None:
             self.stats.memo_hits += 1
             return hit[2]
@@ -876,15 +876,14 @@ class DPSolver:
         # (including the projected cost, so binding probes materialise
         # nothing).
         engine = self._engine
-        row = engine.row_for_key(stage_index, key)
         if not engine.feasible(stage_index, row):
-            self._budget_store(stage_index, key, -math.inf, math.inf, None,
+            self._budget_store(stage_index, row, -math.inf, math.inf, None,
                                True, math.inf)
             return None
         cost = engine.projected_cost(stage_index, row)
         if cost <= budget:
             unconstrained = self._materialize(stage_index, row)
-            self._budget_store(stage_index, key, cost, math.inf,
+            self._budget_store(stage_index, row, cost, math.inf,
                                unconstrained, True, math.inf)
             return unconstrained
         if self._engine_bounds().cost_lb[stage_index][row] > budget:
@@ -894,33 +893,30 @@ class DPSolver:
             # true infeasibility, valid for every budget at or below this
             # one.
             self.stats.suffix_certified += 1
-            self._budget_store(stage_index, key, -math.inf, budget, None,
+            self._budget_store(stage_index, row, -math.inf, budget, None,
                                True, math.inf)
             return None
-        return self._solve_budget_batched(stage_index, key, row, budget,
+        return self._solve_budget_batched(stage_index, row, budget,
                                           upper_bound)
 
     def _budget_row(self, stage_index: int, row: int, is_last: bool) -> tuple:
         """Per-(stage, row) scalars the batched budget scan threads through.
 
         One gather per engine row -- the combo columns plus this stage's
-        ``(t, sync, rate)`` and the children's unconstrained ``(sum, max,
-        sync, rate, cost, feasible)`` -- converted from the engine's layer
-        arrays to plain Python floats once and reused by every budget the
-        straggler search proposes for the row.  (A per-node NumPy variant
-        was measured *slower*: the combo rows are capped at
-        ``MAX_COMBOS_PER_STAGE``, far too short to amortise array-op
-        overhead per node, while this gather-once + scalar-thread layout
-        needs no per-combo call machinery.)
+        ``(t, sync, rate)`` and the children's rows, unconstrained ``(sum,
+        max, sync, rate, cost, feasible)`` and cost lower bound --
+        converted from the engine's layer arrays to plain Python floats
+        once and reused by every budget the straggler search proposes for
+        the row.  (A per-node NumPy variant was measured *slower*: the
+        combo rows are capped at ``MAX_COMBOS_PER_STAGE``, far too short to
+        amortise array-op overhead per node, while this gather-once +
+        scalar-thread layout needs no per-combo call machinery.)
         """
         cached = self._budget_row_cache.get((stage_index, row))
         if cached is not None:
             return cached
         engine = self._engine
         table = self._tables[stage_index]
-        # The column/child indices are forward-only, so the forward layers
-        # cache them; only the scalar gathers below read the candidate's
-        # tables.
         cols, child = engine.forward.row_cols(stage_index, row, is_last)
         if is_last:
             entry = (cols.tolist(), table.compute[cols].tolist(),
@@ -946,40 +942,34 @@ class DPSolver:
         return entry
 
     @hot_path
-    def _solve_budget_batched(self, stage_index: int, key: bytes, row: int,
+    def _solve_budget_batched(self, stage_index: int, row: int,
                               budget: float,
                               upper_bound: float) -> DPSolution | None:
         """One budget node's combo scan threaded through the engine layers.
 
-        Every binding budget node runs here.  The straggler-approximation
-        loop's suffix solves are, in the overwhelmingly common case,
-        answered by budget dominance (the suffix's unconstrained optimum
-        fits the remaining budget) -- and the engine's backward arrays
-        already hold every child's unconstrained ``(sum, max, sync, rate)``
-        quadruple and projected cost (gathered once per row by
-        :meth:`_budget_row`), so those combos resolve inline without a
-        per-combo :meth:`_solve_budget` call, memo probes, suffix
-        materialisation or ``_combine`` allocation:
+        Every binding budget node runs here, and each combo's straggler
+        loop starts here with iteration 1 -- assume this stage is the
+        straggler, so the suffix gets ``rb1 = budget - rate * Nb * t`` --
+        answered from the row's gathered engine scalars
+        (:meth:`_budget_row`) without a per-combo call:
 
-        * iteration 1 assumes the stage is the straggler (``rb1 = budget -
-          rate * Nb * t``); children whose unconstrained cost fits ``rb1``
-          take their engine optimum as the suffix, and the combined
+        * a child whose unconstrained cost fits ``rb1`` takes its engine
+          optimum as the suffix (budget dominance).  The combined
           quadruple/value is computed with the exact op order of
           ``_combine`` / ``_value`` (bit-identical floats, same first-min
-          tie-break);
-        * a combo whose discovered straggler exceeds the assumption
-          re-tests dominance at the tightened budget (``rb2``); when it
-          still holds the suffix is unchanged, so the loop's fixpoint is
-          reached with the same combined solution a per-combo straggler
-          loop returns;
-        * only combos with a genuinely binding suffix budget run the
-          straggler loop (:meth:`_solve_suffix`, whose suffix solves land
-          back here one stage down), threaded with the running-incumbent
-          cutoff -- and the B&B bound checks of :meth:`_solve` (including
-          the sorted-combo tail cut) guard every combo first.
+          tie-break), and a combination within ``budget`` is the loop's
+          answer: if its straggler exceeds the assumption, the suffix
+          still fits the tightened budget (see :meth:`_solve_suffix`), so
+          iteration 2 returns the same suffix;
+        * a child whose cost lower bound exceeds ``rb1`` is certified
+          budget-infeasible: iteration 1 would return ``None``;
+        * only a genuinely binding suffix budget runs the loop
+          (:meth:`_solve_suffix`, whose suffix solves land back here one
+          stage down), threaded with the running-incumbent cutoff.
 
-        Only the winning combo ever materialises ``StageAssignment`` /
-        ``DPSolution`` objects.
+        The B&B bound checks of :meth:`_solve` (including the sorted-combo
+        tail cut) guard every combo first.  Only the winning combo ever
+        materialises ``StageAssignment`` / ``DPSolution`` objects.
         """
         nb = self.num_microbatches
         nb1 = nb - 1
@@ -999,8 +989,6 @@ class DPSolver:
         max_after = self._sfx_max[next_stage]
         rate_after = self._sfx_rate[next_stage]
         num_combos = len(cols)
-        forward_states = (None if is_last
-                          else self._engine.forward.states[next_stage])
 
         guard = self.search_budget
         for n in range(num_combos):
@@ -1045,8 +1033,6 @@ class DPSolver:
             rb1 = budget - rate_s * nb * t_s
             if rb1 <= 0:
                 continue
-            resolved = False
-            iter1_done = False
             if cost_unc_list[n] <= rb1:
                 # Dominance at the assumed straggler: the suffix is the
                 # child's unconstrained engine optimum.  Combine inline
@@ -1062,39 +1048,17 @@ class DPSolver:
                 cost_v = rate_t * time_v
                 if cost_v > budget:
                     continue  # combined busts the budget: combo infeasible
-                if straggler_converged(max_t, t_s):
-                    resolved = True
-                else:
-                    # Iteration 2 re-assumes the discovered straggler; when
-                    # dominance survives the tightened budget the suffix --
-                    # and so the combined solution -- is unchanged, which
-                    # *is* the loop's fixpoint.
-                    rb2 = budget - rate_s * nb * max_t
-                    if rb2 <= 0:
-                        continue
-                    if cost_unc_list[n] <= rb2:
-                        resolved = True
-                    elif clb_list[n] > rb2:
-                        # Certificate: at the tightened budget every
-                        # suffix solution costs more, so the straggler
-                        # loop's iteration 2 would come back empty and the
-                        # combo contributes nothing.
-                        stats.suffix_certified += 1
-                        continue
-                    else:
-                        iter1_done = True
-            elif clb_list[n] > rb1:
-                # Certificate: the suffix is budget-infeasible even with
-                # this stage assumed the straggler -- the straggler loop's
-                # iteration 1 would return None.  Resolved in-layer.
-                stats.suffix_certified += 1
-                continue
-            if resolved:
                 value = cost_v if is_cost else time_v
                 if value < best_value:
                     best_value = value
                     best_idx = n
                     best = None
+                continue
+            if clb_list[n] > rb1:
+                # Certificate: the suffix is budget-infeasible even with
+                # this stage assumed the straggler -- the straggler loop's
+                # iteration 1 would return None.  Resolved in-layer.
+                stats.suffix_certified += 1
                 continue
 
             # Genuinely binding suffix budget: the straggler loop.
@@ -1106,14 +1070,8 @@ class DPSolver:
                     self.data_parallel, entry[0], nodes_used=entry[1],
                     compute_time_s=entry[4])
                 entry[2] = assignment
-            # Hand an inline iteration-1 result over so the loop enters at
-            # iteration 2 instead of re-deriving it.
-            seed = (self._materialize(next_stage, child_list[n])
-                    if iter1_done else None)
-            candidate = self._solve_suffix(
-                stage_index, assignment,
-                forward_states[child_list[n]].tobytes(), budget, cutoff,
-                seed_suffix=seed)
+            candidate = self._solve_suffix(stage_index, assignment,
+                                           child_list[n], budget, cutoff)
             if candidate is None:
                 continue
             value = self._value(candidate)
@@ -1146,7 +1104,7 @@ class DPSolver:
 
         exact = best_value < upper_bound or upper_bound == math.inf
         lo = best.projected_cost(nb) if best is not None else -math.inf
-        self._budget_store(stage_index, key, lo, budget, best, exact,
+        self._budget_store(stage_index, row, lo, budget, best, exact,
                            upper_bound)
         return best
 
@@ -1165,161 +1123,52 @@ class DPSolver:
         return (cutoff - assignment.compute_time_s) * (1.0 + 1e-12)
 
     def _solve_suffix(self, stage_index: int, assignment: StageAssignment,
-                      remaining: bytes, budget: float, cutoff: float,
-                      seed_suffix: DPSolution | None = None,
-                      ) -> DPSolution | None:
+                      row: int, budget: float,
+                      cutoff: float) -> DPSolution | None:
         """Combine one stage assignment with the best budgeted suffix.
 
-        Implements the straggler-approximation loop of section 4.2.3: assume
-        the current stage is the straggler, compute the remaining budget,
-        solve the suffix, and retry with the discovered straggler when the
-        assumption turns out wrong.  ``remaining`` is the suffix state's raw
-        engine-layer bytes, the key of :meth:`_solve_budget`.
+        The straggler-approximation loop of section 4.2.3: assume the
+        current stage is the straggler, compute the remaining budget, solve
+        the suffix (``row`` is its state in the next stage's engine layer),
+        and retry with the discovered straggler when the assumption turns
+        out wrong.  The batched scan calls it only for a genuinely binding
+        iteration 1: the suffix is feasible, and its unconstrained cost
+        exceeds the iteration-1 budget while its cost lower bound does not.
 
-        ``seed_suffix`` is the batched scan's continuation handoff: the
-        caller already resolved (and counted) iteration 1 inline -- the
-        suffix is the child's unconstrained engine optimum, dominance held
-        at the assumed straggler, the combined solution passed the budget
-        check, convergence failed, and the re-tested budget is positive
-        but binding -- so the loop starts at iteration 2 instead of
-        re-deriving all of that.
-
-        Three certificates resolve the loop without suffix solves, each
-        outcome-identical to running it (the reduction is what
-        ``SearchStats.suffix_iterations`` / ``suffix_certified`` observe):
-
-        * **Engine-seeded straggler**: when
-          the child's unconstrained engine optimum fits the remaining
-          budget even at the straggler the *combined* solution discovers
-          (its ``max_t`` is known from the engine layer), the loop's
-          fixpoint is that combination: iteration 1 takes it via budget
-          dominance and iteration 2's re-probe at the tightened budget
-          returns it unchanged.  Equivalence does not depend on the memo's
-          content -- with dominance in force, any interval entry covering
-          the iteration-1 budget must *be* the dominance entry (a binding
-          or infeasible entry stored at a budget at or above the
-          unconstrained cost would contradict the dominance shortcut that
-          guards every store).
-        * **Cost lower bound**: a monotone
-          per-(stage, state) lower bound on the cost of *every* suffix
-          solution in the truncated search space.  ``cost_lb > remaining
-          budget`` proves the iteration's suffix solve returns ``None``
-          (a budgeted solve only returns budget-respecting solutions), so
-          the loop dies without probing or solving.  Because the assumed
-          straggler only grows, the remaining budget only shrinks -- once
-          any iteration is certified dead, so is the rest of the loop.
-        * **Fixpoint identity**: when an iteration's interval-memo probe
-          returns the same suffix object as the previous iteration, the
-          recombined solution is field-identical, its budget check passed
-          last iteration, and the discovered straggler equals the assumed
-          one exactly -- converged, no recombination needed.
+        Iterations 2+ need no budget certificate.  A combination within
+        ``budget`` costs at least ``rate_a * Nb * max_t`` plus its suffix's
+        cost, because the combined time is at least ``Nb * max_t`` and at
+        least the suffix's time; so the suffix still fits the next
+        iteration's budget ``budget - rate_a * Nb * max_t``.  That budget
+        can still pick a different suffix from the interval memo, so the
+        loop runs on.  When an iteration's memo probe returns the same
+        suffix object as the previous iteration, the recombined solution is
+        field-identical and the discovered straggler equals the assumed one
+        exactly: converged, no recombination needed.
         """
         nb = self.num_microbatches
         child_bound = self._child_bound(cutoff, assignment)
         next_stage = stage_index + 1
-        # Inlined interval-memo probe for the loop's suffix queries (the
-        # overwhelmingly common hit case): same lookup rule as
-        # _budget_lookup, minus the per-iteration call overhead.
-        budget_memo = self._budget_memo[next_stage]
         stats = self.stats
-        t_a = assignment.compute_time_s
         rate_a = assignment.cost_rate_usd_per_s
-
-        iterations = MAX_BUDGET_ITERATIONS
         combined: DPSolution | None = None
         prev_suffix: DPSolution | None = None
-        assumed_straggler = t_a
-        engine = self._engine
-        row = engine.row_for_key(next_stage, remaining)
-        cost_vec, feas_vec = engine.budget_tables(next_stage)
-        if not feas_vec[row]:
-            # Iteration 1's solve would find the suffix state infeasible
-            # outright.
-            stats.suffix_certified += 1
-            return None
-        cost_lb = self._engine_bounds().cost_lb[next_stage][row]
-        if seed_suffix is not None:
-            # Batched-scan continuation: the caller already ran --
-            # and counted -- iteration 1 inline (dominance at the
-            # assumed straggler, combined under budget, not
-            # converged, re-tested budget positive but binding),
-            # so enter the loop at iteration 2 directly.
-            combined = self._combine(assignment, seed_suffix)
-            # Replicate iteration 1's dominance store so later
-            # probes of this suffix state hit.
-            self._budget_store(next_stage, remaining,
-                               float(cost_vec[row]), math.inf,
-                               seed_suffix, True, math.inf)
-            prev_suffix = seed_suffix
-            assumed_straggler = combined.max_stage_time_s
-            iterations -= 1
-        else:
-            rb1 = budget - rate_a * nb * t_a
-            if rb1 <= 0:
-                return None
-            cost_unc = cost_vec[row]
-            if cost_unc <= rb1:
-                # Iteration 1 resolves by dominance; seed the
-                # loop at its discovered straggler.
-                stats.suffix_iterations += 1
-                suffix = self._materialize(next_stage, row)
-                combined = self._combine(assignment, suffix)
-                if combined.projected_cost(nb) > budget:
-                    return None
-                actual = combined.max_stage_time_s
-                if straggler_converged(actual, t_a):
-                    return combined
-                rb2 = budget - rate_a * nb * actual
-                if rb2 <= 0:
-                    return None
-                # Replicate iteration 1's dominance store so
-                # later probes of this suffix state hit.
-                self._budget_store(next_stage, remaining,
-                                   float(cost_unc), math.inf,
-                                   suffix, True, math.inf)
-                if cost_unc <= rb2:
-                    # Iteration 2 re-probes the same dominance
-                    # entry: the fixpoint is certified.
-                    stats.suffix_certified += 1
-                    return combined
-                # Genuinely binding at the discovered straggler:
-                # continue from iteration 2.
-                iterations -= 1
-                prev_suffix = suffix
-                assumed_straggler = actual
-
+        assumed_straggler = assignment.compute_time_s
         guard = self.search_budget
-        for _ in range(iterations):
+        for _ in range(MAX_BUDGET_ITERATIONS):
             if guard is not None:
                 guard.tick()
-            stage_cost = rate_a * nb * assumed_straggler
-            remaining_budget = budget - stage_cost
-            if remaining_budget <= 0:
-                return None
-            if cost_lb > remaining_budget:
-                # Certified: this (and so every later) iteration's suffix
-                # solve returns None.
-                stats.suffix_certified += 1
-                return None
+            remaining_budget = budget - rate_a * nb * assumed_straggler
             stats.suffix_iterations += 1
-            hit = None
-            entries = budget_memo.get(remaining)
-            if entries is not None:
-                for entry in entries:
-                    if (entry[0] <= remaining_budget <= entry[1]
-                            and (entry[3] or child_bound <= entry[4])):
-                        hit = entry
-                        break
+            hit = self._budget_lookup(next_stage, row, remaining_budget,
+                                      child_bound)
             if hit is not None:
                 stats.memo_hits += 1
                 suffix = hit[2]
                 if suffix is prev_suffix and suffix is not None:
-                    # Fixpoint identity: recombining is field-identical,
-                    # the budget check passed last iteration, and the
-                    # straggler matches the assumption exactly.
                     return combined
             else:
-                suffix = self._solve_budget(next_stage, remaining,
+                suffix = self._solve_budget(next_stage, row,
                                             remaining_budget, child_bound)
             if suffix is None:
                 return None

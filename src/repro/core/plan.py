@@ -331,14 +331,13 @@ class SearchStats:
     #: Straggler-loop suffix resolutions actually performed under a budget
     #: constraint: scalar straggler-loop iterations that probe or solve a
     #: suffix, plus each budget combo the batched scan resolves inline via
-    #: engine dominance.  This is the count the straggler convergence
-    #: certificates attack (the observable behind the "fewer iterations,
-    #: not cheaper iterations" claim).
+    #: engine dominance.  This is the count the cost-bound certificates
+    #: attack (the observable behind the "fewer iterations, not cheaper
+    #: iterations" claim).
     suffix_iterations: int = 0
-    #: Suffix resolutions avoided by a convergence/infeasibility
-    #: certificate (straggler or cost lower bound, or the engine-seeded
-    #: dominance pre-check): the loop's answer was proven without probing
-    #: or re-solving the suffix.
+    #: Suffix resolutions avoided by the engine's cost lower bound: a budget
+    #: node, or a combo's straggler-loop iteration 1, proven infeasible
+    #: without probing or solving the suffix.
     suffix_certified: int = 0
     #: Per-branch completeness of an anytime search: (P, mbs) branches whose
     #: candidate enumeration ran to its natural end versus branches cut by

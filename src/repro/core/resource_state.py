@@ -30,10 +30,10 @@ canonical tuple form:
 * a pair the canonical form dropped (count exhausted) is exactly a zero
   slot in the vector form, so ``decode(encode(t)) == t`` and
   ``encode(decode(v)) == v`` for every reachable state;
-* therefore :meth:`ResourceStateCodec.state_key` (the raw bytes of the
-  int64 count vector) collapses exactly the same states the canonical
-  tuple did -- memo and combo-cache keys are unchanged *as sets*, only
-  cheaper to build and hash.
+* therefore deduplicating count vectors (one engine layer row per
+  distinct vector) collapses exactly the same states the canonical tuple
+  did -- memo keys, whether the recursion's int tuples or the engine's
+  layer rows, are unchanged *as sets*, only cheaper to build and hash.
 
 That bijection is what keeps plans byte-identical across the tuple ->
 array refactor: the DP explores the same states in the same order; only
@@ -71,8 +71,7 @@ from repro.core.hotpath import hot_path
 #: an import cycle).
 ResourceKey = tuple[tuple[tuple[str, str], int], ...]
 
-#: dtype of every encoded state; fixed so ``state_key`` widths never vary
-#: within one codec.
+#: dtype of every encoded state and combo footprint.
 STATE_DTYPE = np.int64
 
 
@@ -112,15 +111,6 @@ class ResourceStateCodec:
         return tuple((key, count)
                      for key, count in zip(self.keys, state.tolist())
                      if count)
-
-    @staticmethod
-    def state_key(state: np.ndarray) -> bytes:
-        """Hashable memo key: the raw bytes of the count vector.
-
-        Fixed dtype + fixed width make this injective over one codec's
-        states, i.e. exactly as discriminating as the canonical tuple.
-        """
-        return state.tobytes()
 
     # -- kernels -------------------------------------------------------------
 
@@ -324,7 +314,7 @@ class ForwardLayers:
     """
 
     __slots__ = ("states", "child_row", "last_sel", "states_computed",
-                 "dedup_hits", "row_of", "_row_cols")
+                 "dedup_hits")
 
     def __init__(self, states: list[np.ndarray],
                  child_row: list[np.ndarray | None],
@@ -335,47 +325,20 @@ class ForwardLayers:
         self.last_sel = last_sel
         self.states_computed = states_computed
         self.dedup_hits = dedup_hits
-        #: bytes -> row maps, built lazily per stage (budget probes only).
-        self.row_of: list[dict[bytes, int] | None] = [None] * len(states)
-        #: Per-(stage, row) fitting-combo columns and child rows for the
-        #: budget search's row gathers.  Only the rows the budget search
-        #: actually touches are ever built (tiny per-row arrays --
-        #: retaining whole (rows, combos) gather matrices here instead was
-        #: measured ~1.4x *slower* at the 1024-GPU point: hundreds of MB of
-        #: retained intermediates turn every backward temp allocation into
-        #: fresh-page traffic).
-        self._row_cols: dict[tuple[int, int], tuple] = {}
-
-    def row_for_key(self, stage_index: int, key: bytes) -> int | None:
-        """Row index of an encoded state in one layer, if reachable."""
-        table = self.row_of[stage_index]
-        if table is None:
-            states = self.states[stage_index]
-            blob = states.tobytes()
-            width = states.shape[1] * states.itemsize
-            table = {blob[r * width:(r + 1) * width]: r
-                     for r in range(states.shape[0])}
-            self.row_of[stage_index] = table
-        return table.get(key)
 
     def row_cols(self, stage_index: int, row: int,
                  last: bool) -> tuple[np.ndarray, np.ndarray | None]:
         """``(fitting combo columns, child rows)`` of one (stage, row).
 
         The column/child index pair the budget search gathers per engine
-        row; ``child`` is ``None`` on the last stage.  Built on first use
-        and kept for the rest of the solve.
+        row (and caches per solve, see ``DPSolver._budget_row``); ``child``
+        is ``None`` on the last stage.
         """
-        cached = self._row_cols.get((stage_index, row))
-        if cached is None:
-            if last:
-                cached = (self.last_sel[row].nonzero()[0], None)
-            else:
-                crow = self.child_row[stage_index][row]
-                cols = (crow >= 0).nonzero()[0]
-                cached = (cols, crow[cols])
-            self._row_cols[(stage_index, row)] = cached
-        return cached
+        if last:
+            return self.last_sel[row].nonzero()[0], None
+        crow = self.child_row[stage_index][row]
+        cols = (crow >= 0).nonzero()[0]
+        return cols, crow[cols]
 
 @hot_path
 def compute_forward_layers(reqs: list[np.ndarray], caps_vec: list[np.ndarray],
@@ -492,29 +455,24 @@ class BudgetBoundTables:
     ``straggler_lb[j][row]`` bounds from below the *max stage compute time*
     of every solution the truncated search space admits for the pipeline
     suffix ``j..P-1`` starting from layer row ``row``; ``cost_lb[j][row]``
-    bounds its *projected cost* the same way.  Both are monotone in the
-    budget (they hold for every budget, binding or not), which is what
-    makes them usable as straggler-loop convergence/infeasibility
-    certificates (see ``DPSolver._solve_suffix``):
-
-    * any suffix the straggler loop can discover has
-      ``max_stage_time >= straggler_lb``, so the remaining budgets of
-      iterations 2+ never exceed
-      ``budget - rate * Nb * max(t_a, straggler_lb)``;
-    * ``cost_lb > remaining_budget`` proves the budgeted suffix solve
-      returns ``None`` -- every solution in the space costs more -- without
-      running it (a budgeted solve only ever returns solutions that
-      respect its budget, so certified infeasibility is outcome-identical
-      to solving).
+    bounds its *projected cost* the same way.  Both hold for every
+    budget, binding or not.  ``cost_lb`` is the budget search's
+    infeasibility certificate: ``cost_lb > budget`` proves the budgeted
+    suffix solve returns ``None`` -- every solution in the space costs
+    more -- without running it (a budgeted solve only ever returns
+    solutions that respect its budget, so certified infeasibility is
+    outcome-identical to solving).  ``DPSolver._solve_budget`` applies it
+    to a node's own budget and ``DPSolver._solve_budget_batched`` to each
+    child's straggler-loop iteration-1 budget.
 
     ``+inf`` rows are infeasible suffixes (no combo chain completes), the
     same rows the engine's backward values mark infeasible.
 
     ``sync_lb[j][row]`` bounds the *max sync time* of every solution the
     same way (min over combo chains of the max sync along the chain; exact
-    min/max arithmetic, like ``straggler_lb``).  It is folded into
-    ``cost_lb`` -- the sync floor the bound previously dropped -- and kept
-    here for the admissibility property suite.
+    min/max arithmetic, like ``straggler_lb``).  ``straggler_lb`` and
+    ``sync_lb`` certify nothing themselves: both are folded into
+    ``cost_lb`` and kept here for the admissibility property suite.
     """
 
     straggler_lb: list[np.ndarray]
@@ -817,8 +775,10 @@ class ResourceStateEngine:
         else:
             child_row = forward.child_row[j]
             # Transient gather: retaining these (rows, combos)
-            # intermediates on the forward layers was measured slower
-            # at scale (see ForwardLayers._row_cols).
+            # intermediates on the forward layers was measured ~1.4x
+            # slower at the 1024-GPU point (hundreds of MB of retained
+            # intermediates turn every backward temp allocation into
+            # fresh-page traffic).
             # Every elementwise step below reuses its gather buffer
             # in place (same operand association as the expression form,
             # so results stay bit-identical) -- at scale these (rows,
@@ -936,10 +896,6 @@ class ResourceStateEngine:
         return sum_c, max_c, sync_c, rate_c, time_v, invalid
 
     # -- lookups -------------------------------------------------------------
-
-    def row_for_key(self, stage_index: int, key: bytes) -> int | None:
-        """Row index of an encoded state in one layer, if reachable."""
-        return self.forward.row_for_key(stage_index, key)
 
     def feasible(self, stage_index: int, row: int) -> bool:
         return not math.isinf(self.value[stage_index][row])

@@ -36,6 +36,7 @@ cause, tier and deadline verdict for observability.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -110,6 +111,33 @@ class ReplanPolicy:
     #: trace.  Off by default: the measured latency is the honest section
     #: 5.5 accounting.
     deterministic_timing: bool = False
+
+    def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it: a NaN debounce or
+        # hysteresis compares false everywhere and would silently act as
+        # "off" instead of failing.
+        if not (math.isfinite(self.debounce_s) and self.debounce_s >= 0):
+            raise ValueError("debounce_s must be a finite number >= 0, got "
+                             f"{self.debounce_s}")
+        if not 0 <= self.hysteresis_fraction < 1:
+            raise ValueError("hysteresis_fraction must be in [0, 1), got "
+                             f"{self.hysteresis_fraction}")
+        if not self.retry_backoff_s > 0:
+            raise ValueError("retry_backoff_s must be > 0, got "
+                             f"{self.retry_backoff_s}")
+        if not self.max_retry_backoff_s >= self.retry_backoff_s:
+            raise ValueError("max_retry_backoff_s must be >= retry_backoff_s "
+                             f"({self.retry_backoff_s}), got "
+                             f"{self.max_retry_backoff_s}")
+        if not self.retry_backoff_factor >= 1:
+            raise ValueError("retry_backoff_factor must be >= 1, got "
+                             f"{self.retry_backoff_factor}")
+        for name in ("max_adopt_gap", "amortization_horizon_s"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value)
+                                          and value >= 0):
+                raise ValueError(f"{name} must be None or a finite number "
+                                 f">= 0, got {value}")
 
 
 @dataclass(frozen=True)

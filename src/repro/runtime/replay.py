@@ -21,6 +21,7 @@ trace, same decisions, same plans, same iteration counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.objectives import Objective
@@ -144,11 +145,12 @@ class ChurnReport:
         return self.replans_warm / self.replans
 
     def _percentile(self, q: float) -> float:
+        """Nearest-rank percentile: the smallest sample with at least a
+        ``q`` fraction of the samples at or below it."""
         if not self.replan_latencies_s:
             return 0.0
         ordered = sorted(self.replan_latencies_s)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
+        return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
     def describe(self) -> str:
         """Multi-line human-readable summary (used by the CLI)."""

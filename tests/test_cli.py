@@ -120,6 +120,9 @@ NOT_TRACES = {
     ["churn", "--events", "1"],
     ["churn", "--duration", "0"],
     ["churn", "--duration", "-5"],
+    ["churn", "--debounce", "nan", "--events", "2"],
+    ["churn", "--debounce", "-5", "--events", "2"],
+    ["churn", "--debounce", "inf", "--events", "2"],
     ["churn", "--trace-in", "no-such-dir/trace.json"],
     ["churn", "--trace-in", "@object-without-fields"],
     ["churn", "--trace-in", "@list"],

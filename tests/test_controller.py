@@ -29,6 +29,37 @@ def small_topology(nodes=2):
     return ClusterTopology.homogeneous("a2-highgpu-4g", nodes)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("debounce_s", float("nan")),
+    ("debounce_s", -5.0),
+    ("debounce_s", float("inf")),
+    ("hysteresis_fraction", -0.1),
+    ("hysteresis_fraction", 1.0),
+    ("hysteresis_fraction", float("nan")),
+    ("retry_backoff_s", 0.0),
+    ("retry_backoff_s", float("nan")),
+    ("max_retry_backoff_s", 30.0),
+    ("retry_backoff_factor", 0.5),
+    ("retry_backoff_factor", float("nan")),
+    ("max_adopt_gap", -1.0),
+    ("max_adopt_gap", float("nan")),
+    ("amortization_horizon_s", float("inf")),
+    ("amortization_horizon_s", -1.0),
+])
+def test_replan_policy_rejects_bad_values(field, value):
+    """A NaN, negative or out-of-range knob raises instead of silently
+    acting as "off"."""
+    with pytest.raises(ValueError, match=field):
+        ReplanPolicy(**{field: value})
+
+
+def test_replan_policy_accepts_boundary_values():
+    ReplanPolicy(debounce_s=0.0, hysteresis_fraction=0.0,
+                 retry_backoff_s=1.0, max_retry_backoff_s=1.0,
+                 retry_backoff_factor=1.0, max_adopt_gap=0.0,
+                 amortization_horizon_s=0.0)
+
+
 def test_start_deploys_plan_and_workers(controller):
     event = controller.start(small_topology(4), time_s=0.0)
     assert event is not None

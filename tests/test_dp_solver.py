@@ -482,15 +482,6 @@ def enumerate_solutions(solver, resources, stage_index=0):
     return solutions
 
 
-def _solver_root_state(solver):
-    """The clamped root state exactly as ``solve`` derives it."""
-    codec = solver._codec
-    state = codec.root_state
-    if solver._clamp_active[0]:
-        state = codec.clamp(state, solver._caps_vec[0])
-    return state
-
-
 def test_budget_bounds_are_true_lower_bounds_over_random_pools(
         opt_env, opt_job, engine_thresholds):
     """Property (hypothesis-style randomized sweep): the engine-layer
@@ -520,12 +511,9 @@ def test_budget_bounds_are_true_lower_bounds_over_random_pools(
 
         if engine_solver._engine is not None:
             bounds = engine_solver._engine_bounds()
-            state = _solver_root_state(engine_solver)
-            row = engine_solver._engine.row_for_key(0, state.tobytes())
-            assert row is not None
-            slb = bounds.straggler_lb[0][row]
-            clb = bounds.cost_lb[0][row]
-            mlb = bounds.sync_lb[0][row]
+            slb = bounds.straggler_lb[0][0]  # the root is row 0
+            clb = bounds.cost_lb[0][0]
+            mlb = bounds.sync_lb[0][0]
             if not solutions:
                 assert unconstrained is None
                 assert math.isinf(slb) and math.isinf(clb)
@@ -537,6 +525,53 @@ def test_budget_bounds_are_true_lower_bounds_over_random_pools(
                 checked += 1
 
     assert checked > 0  # the sweep must have exercised real pools
+
+
+def test_combined_cost_covers_the_stage_straggler_plus_the_suffix(
+        opt_env, opt_job):
+    """Property (seeded sweep over random pools) behind the straggler
+    loop's lack of iteration-2+ certificates (``DPSolver._solve_suffix``):
+    prepending assignment ``a`` to an engine suffix ``S`` costs at least
+    ``rate_a * Nb * max(t_a, S.max)`` plus ``S``'s own cost, in floats.
+    So a combination within the budget leaves its suffix inside the next
+    iteration's budget ``budget - rate_a * Nb * max_t``."""
+    import math
+    import random
+
+    rng = random.Random(20261019)
+    checked = 0
+    for _ in range(16):
+        resources = {("us-central1-a", "a2-highgpu-4g"): rng.randint(1, 4),
+                     ("us-central1-a", "n1-standard-v100-4"): rng.randint(0, 4)}
+        resources = {key: count for key, count in resources.items() if count}
+        pp = rng.choice([2, 3])
+        solver = build_solver(opt_env, opt_job, pp=pp,
+                              dp=rng.choice([1, 2, 4]), mbs=rng.choice([1, 2]))
+        if solver.solve(dict(resources), budget_per_iteration=math.inf) \
+                is None:
+            continue
+        engine = solver._engine
+        nb = solver.num_microbatches
+        for stage in range(1, pp):
+            above = [solver.context.build_stage_assignment(
+                         solver.partitions[stage - 1], solver.microbatch_size,
+                         solver.data_parallel, entry[0], nodes_used=entry[1],
+                         compute_time_s=entry[4])
+                     for entry in solver._tables[stage - 1].entries]
+            for row in range(engine.states[stage].shape[0]):
+                if not engine.feasible(stage, row):
+                    continue
+                suffix = solver._materialize(stage, row)
+                for assignment in above:
+                    combined = solver._combine(assignment, suffix)
+                    max_t = max(assignment.compute_time_s,
+                                suffix.max_stage_time_s)
+                    assert combined.projected_cost(nb) >= (
+                        assignment.cost_rate_usd_per_s * nb * max_t
+                        + suffix.projected_cost(nb))
+                    checked += 1
+
+    assert checked > 0  # the sweep must have exercised real suffixes
 
 
 @pytest.mark.parametrize("pp,dp", [(1, 2), (2, 2), (2, 4), (3, 1)])

@@ -16,7 +16,7 @@ from repro.runtime.controller import (
     TrainingController,
 )
 from repro.runtime.faults import FaultEvent, FaultScenarioGenerator, FaultTrace
-from repro.runtime.replay import ChurnReplayer
+from repro.runtime.replay import ChurnReplayer, ChurnReport
 
 POOLS = {("us-central1-a", "a2-highgpu-4g"): 4,
          ("us-central1-a", "n1-standard-v100-4"): 4}
@@ -323,3 +323,18 @@ def test_price_move_without_revert_leaves_scaled_price(opt_job, mixed_base):
     assert env.prices.gpu_hourly_usd[moved] \
         == pytest.approx(base_prices[moved] * 2.0)
     assert env.prices.gpu_hourly_usd[untouched] == base_prices[untouched]
+
+
+@pytest.mark.parametrize("samples,p50,p99", [
+    ([2.0, 1.0], 1.0, 2.0),
+    ([3.0], 3.0, 3.0),
+    ([5.0, 1.0, 3.0], 3.0, 5.0),
+    ([float(i) for i in range(100, 0, -1)], 50.0, 99.0),
+    ([], 0.0, 0.0),
+])
+def test_replan_latency_percentiles_are_nearest_rank(samples, p50, p99):
+    """``ordered[ceil(q * n) - 1]``: the p50 of two samples is the lower
+    one, and the p99 of 100 samples is the 99th, not the maximum."""
+    report = ChurnReport(replan_latencies_s=samples)
+    assert report.p50_replan_latency_s == p50
+    assert report.p99_replan_latency_s == p99
