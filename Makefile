@@ -30,7 +30,10 @@
 #                                   SearchStats.suffix_certified); the
 #                                   128-GPU budget and 256-GPU points --
 #                                   run once in the tier-1 phase -- assert
-#                                   the tail kills fire (nonzero
+#                                   the tail kills fire (a branch tail
+#                                   whose floor reaches min(branch best,
+#                                   cross-branch incumbent) is dropped
+#                                   unsolved; nonzero
 #                                   candidates_killed_unevaluated, so a
 #                                   disarmed tail kill fails CI);
 #                                   the 256-GPU min-cost point asserts the

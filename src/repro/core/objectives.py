@@ -10,6 +10,7 @@ these datatypes.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from repro.core.plan import PlanEvaluation
@@ -41,12 +42,15 @@ class Constraint:
     max_gpus: int | None = None
 
     def __post_init__(self) -> None:
-        if (self.max_cost_per_iteration_usd is not None
-                and self.max_cost_per_iteration_usd <= 0):
-            raise ValueError("max_cost_per_iteration_usd must be positive")
-        if (self.min_throughput_iters_per_s is not None
-                and self.min_throughput_iters_per_s <= 0):
-            raise ValueError("min_throughput_iters_per_s must be positive")
+        # ``nan <= 0`` is False, so a bare sign check would let a NaN limit
+        # through, and ``satisfied_by`` never trips on it: the search would
+        # silently plan as if unconstrained.
+        for name in ("max_cost_per_iteration_usd",
+                     "min_throughput_iters_per_s"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be None or a finite number "
+                                 f"> 0, got {value}")
         if self.max_gpus is not None and self.max_gpus < 1:
             raise ValueError("max_gpus must be >= 1")
 

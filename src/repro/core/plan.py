@@ -349,8 +349,9 @@ class SearchStats:
     #: inside a DP hot loop and salvaged by the branch search.
     budget_interrupts: int = 0
     #: Candidates dropped by the bound-ordered tail cut before their DP
-    #: solve ran: an admissible evaluation floor proved every remaining
-    #: candidate of the branch cannot beat the incumbent, so none of them
+    #: solve ran: an admissible evaluation floor reached
+    #: ``min(branch best, cross-branch incumbent)``, proving no remaining
+    #: candidate of the branch can strictly beat either, so none of them
     #: was solved, built or evaluated (see ``SailorPlanner._plan_branch``).
     candidates_killed_unevaluated: int = 0
     #: Whole (P, mbs) families skipped before any DP solve: the family's

@@ -15,8 +15,8 @@ constraints.  The search combines:
 
 The search walks its ``(pipeline depth, microbatch size)`` branches in
 order, carrying the best plan so far across branches: that incumbent is
-what lets the dominated-family skip drop whole branches before any DP
-solve.
+what lets the dominated-family skip drop whole branches, and the tail
+kill drop the rest of a branch, before their DP solves.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class PlannerConfig:
     #: budget-scan combo, one straggler iteration -- or one whole engine
     #: layer or forward chunk, however many states it holds.  So the unit
     #: is not ``SearchStats.nodes_explored``, which counts every engine
-    #: state: the full 128-GPU search takes 924 ticks for 30,417 nodes.
+    #: state: the full 128-GPU search takes 552 ticks for 15,711 nodes.
     #: Gives tests a wall-clock-free way to exercise the anytime path.
     # lint: disable=cache-key -- same contract as time_limit_s: enters the
     # search only through SearchBudget, which unwinds before cache writes.
@@ -398,6 +398,8 @@ class SailorPlanner:
                                      if count > 0))
             memo_tp = tuple(tp_options_key(opts) for opts in tp_options)
 
+        incumbent_value = (None if incumbent is None
+                           else self._incumbent_value(objective, incumbent))
         stale = 0
         best_score_this_branch: float | None = None
         cut_from: int | None = None
@@ -407,27 +409,29 @@ class SailorPlanner:
                 break
             # Tail kill: ``floors[dp_index]`` prices the whole unexplored
             # tail, which is killed before its DP solves once that floor
-            # already loses to the branch incumbent.  Value-preserving
-            # because only whole tails are killed: ``Objective.better`` is
-            # strict, so no killed candidate could have replaced the
-            # incumbent, and nothing after the cut is evaluated, so the
-            # H3/H4 staleness state of a surviving candidate cannot
-            # diverge.  (Physically re-sorting the candidates by floor
-            # would *not* be: the H3/H4 early stop and the first-wins
-            # tie-break are order-dependent.)  Branch-local state only: the
-            # incumbent gate does not perturb the kill decisions (it never
-            # changes the branch incumbent's evolution).
+            # reaches ``min(branch best, cross-branch incumbent)``.
+            # Value-preserving because ``Objective.better`` is strict: a
+            # tail whose floor reaches the branch best cannot replace it,
+            # and one whose floor reaches the cross-branch incumbent cannot
+            # win the search, since a winner must strictly beat that
+            # incumbent.  Only whole tails are killed, so the H3/H4
+            # staleness and tie-break state of every surviving candidate
+            # is unchanged.  (Physically re-sorting the candidates by
+            # floor would *not* be: the H3/H4 early stop and the
+            # first-wins tie-break are order-dependent.)  The incumbent
+            # gate does not perturb the kill decisions: it never changes
+            # which candidate becomes a branch best, so neither threshold
+            # moves with it.
+            kill_at = incumbent_value
             if outcome.evaluation is not None:
                 branch_best = self._incumbent_value(objective,
                                                     outcome.evaluation)
-                if branch_best > 0 and floors[dp_index] >= branch_best:
-                    # No remaining candidate can *strictly* beat the branch
-                    # incumbent (its floor is already >= the incumbent's
-                    # minimised scalar, and ties keep the incumbent), so
-                    # the whole tail is killed before its DP solves.
-                    context.stats.candidates_killed_unevaluated += (
-                        len(dp_candidates) - dp_index)
-                    break
+                if kill_at is None or branch_best < kill_at:
+                    kill_at = branch_best
+            if kill_at is not None and 0 < kill_at <= floors[dp_index]:
+                context.stats.candidates_killed_unevaluated += (
+                    len(dp_candidates) - dp_index)
+                break
 
             def solve() -> DPSolution | None:
                 solver = DPSolver(

@@ -114,6 +114,9 @@ NOT_TRACES = {
     ["plan", "--time-limit", "0"],
     ["plan", "--time-limit", "inf"],
     ["plan", "--max-cost", "-5"],
+    ["plan", "--max-cost", "nan"],
+    ["plan", "--max-cost", "inf"],
+    ["plan", "--objective", "cost", "--min-throughput", "nan"],
     ["plan", "--global-batch-size", "0"],
     ["churn", "--deadline", "nan", "--events", "2"],
     ["churn", "--deadline", "-1", "--events", "2"],

@@ -1,5 +1,7 @@
 """Unit tests for objectives and constraints."""
 
+import math
+
 import pytest
 
 from repro.core.objectives import Constraint, Objective, OptimizationGoal
@@ -21,6 +23,11 @@ def test_constraint_validation():
         Constraint(max_cost_per_iteration_usd=0)
     with pytest.raises(ValueError):
         Constraint(min_throughput_iters_per_s=-1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite number > 0"):
+            Constraint(max_cost_per_iteration_usd=bad)
+        with pytest.raises(ValueError, match="finite number > 0"):
+            Constraint(min_throughput_iters_per_s=bad)
     with pytest.raises(ValueError):
         Constraint(max_gpus=0)
     assert Constraint().is_unconstrained

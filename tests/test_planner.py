@@ -5,9 +5,10 @@ import contextlib
 import pytest
 
 from exhaustive_oracle import exhaustive_planning
-from repro.core.heuristics import HeuristicConfig
+from repro.core.heuristics import HeuristicConfig, consolidate_zones
 from repro.core.objectives import Objective
 from repro.core.planner import PlannerConfig, SailorPlanner
+from repro.core.search_cache import PlannerSearchContext
 from repro.core.serialization import plan_to_json
 from repro.core.simulator import MemoryEstimator, SailorSimulator
 from repro.hardware.topology import ClusterTopology
@@ -248,18 +249,44 @@ def test_pruning_does_not_change_the_chosen_plan(opt_env, opt_job,
         exhaustive.search_stats.nodes_explored
 
 
+@contextlib.contextmanager
+def _recording_branch_kills():
+    """Record ``(tail candidates killed, branch ended with no best)`` for
+    every ``_plan_branch`` call inside the block.  A kill in a branch that
+    never had a best of its own can only have fired against the
+    cross-branch incumbent."""
+    branch = SailorPlanner._plan_branch
+    records: list[tuple[int, bool]] = []
+
+    def recording(self, job, objective, consolidated, resources, pp, mbs,
+                  context, *args, **kwargs):
+        before = context.stats.candidates_killed_unevaluated
+        outcome = branch(self, job, objective, consolidated, resources, pp,
+                         mbs, context, *args, **kwargs)
+        records.append((context.stats.candidates_killed_unevaluated - before,
+                        outcome.evaluation is None))
+        return outcome
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SailorPlanner, "_plan_branch", recording)
+        yield records
+
+
 def test_tail_kill_preserves_plans_and_bookkeeping(opt_env, opt_job,
                                                    mixed_topology,
                                                    disarm_prunes):
-    """Cost-bound-driven tail kills must be observability-only: the chosen
+    """Floor-driven tail kills must be observability-only: the chosen
     plan *and* its evaluation are byte-identical with the tail kill on/off,
     composed with the incumbent gate on/off, across objectives; the kill
     decision is gate-independent (surviving candidates' bookkeeping
-    replays exactly), and kills actually fire when armed."""
+    replays exactly), and kills actually fire when armed -- including
+    against the cross-branch incumbent, in branches with no best of their
+    own, which this pool reaches."""
     unconstrained = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
                                                 Objective.max_throughput())
     budget = unconstrained.evaluation.cost_per_iteration_usd * 0.6
     killed_total = 0
+    cross_branch_kills = 0
     for objective in (Objective.max_throughput(),
                       Objective.min_cost(),
                       Objective.max_throughput(
@@ -268,7 +295,8 @@ def test_tail_kill_preserves_plans_and_bookkeeping(opt_env, opt_job,
         evaluated = {}
         for tail in (True, False):
             for gate in (True, False):
-                with disarm_prunes(tail=not tail, gate=not gate):
+                with disarm_prunes(tail=not tail, gate=not gate), \
+                        _recording_branch_kills() as branches:
                     result = SailorPlanner(opt_env).plan(
                         opt_job, mixed_topology, objective)
                 assert result.found
@@ -284,16 +312,50 @@ def test_tail_kill_preserves_plans_and_bookkeeping(opt_env, opt_job,
                 killed = result.search_stats.candidates_killed_unevaluated
                 if tail:
                     killed_total += killed
+                    cross_branch_kills += sum(k for k, no_best in branches
+                                              if no_best)
                 else:
                     assert killed == 0
                 if not gate:
                     assert result.search_stats.gate_skips == 0
-        # Tail kills depend only on the branch incumbent's evolution, which
-        # the gate never perturbs -- so the surviving candidate count is
-        # identical gate on/off (within one tail setting).
+        # The kill threshold is min(branch best, cross-branch incumbent).
+        # The gate never changes which candidate becomes a branch best, so
+        # neither threshold moves with it, and the surviving candidate
+        # count is identical gate on/off (within one tail setting).
         assert evaluated[(True, True)] == evaluated[(True, False)]
         assert evaluated[(False, True)] == evaluated[(False, False)]
     assert killed_total > 0
+    assert cross_branch_kills > 0
+
+
+def test_tail_kill_fires_against_the_cross_branch_incumbent(
+        opt_env, opt_job, mixed_topology):
+    """On a branch whose own best never reaches its tail floors, the
+    cross-branch incumbent kills the tail: more candidates die unsolved
+    and fewer DP nodes are explored than without it, and the branch still
+    cannot beat that incumbent."""
+    objective = Objective.max_throughput()
+    planner = SailorPlanner(opt_env)
+    final = planner.plan(opt_job, mixed_topology, objective)
+    assert final.found
+    consolidated = consolidate_zones(mixed_topology, planner.config.heuristics)
+    resources = SailorPlanner._resource_map(consolidated.topology)
+    runs = []
+    for incumbent in (None, final.evaluation):
+        context = PlannerSearchContext(opt_env, opt_job, objective.goal)
+        outcome = planner._plan_branch(opt_job, objective, consolidated,
+                                       resources, 2, 1, context,
+                                       incumbent=incumbent)
+        assert outcome.complete
+        runs.append((context.stats, outcome))
+    (alone, _), (against, outcome) = runs
+    assert alone.families_skipped == against.families_skipped == 0
+    assert alone.candidates_killed_unevaluated == 0
+    assert (against.candidates_killed_unevaluated
+            > alone.candidates_killed_unevaluated)
+    assert against.nodes_explored < alone.nodes_explored
+    assert outcome.evaluation is None or not objective.better(
+        outcome.evaluation, final.evaluation)
 
 
 def test_family_skip_and_tail_kill_preserve_plans(opt_env, opt_job,
