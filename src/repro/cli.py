@@ -81,9 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--objective", choices=["throughput", "cost"],
                       default="throughput")
     plan.add_argument("--max-cost", type=float, default=None,
-                      help="budget ceiling in USD per iteration")
+                      help="budget ceiling in USD per iteration "
+                           "(--objective throughput only)")
     plan.add_argument("--min-throughput", type=float, default=None,
-                      help="throughput floor in iterations per second")
+                      help="throughput floor in iterations per second "
+                           "(--objective cost only)")
     plan.add_argument("--time-limit", type=float, default=None,
                       metavar="SECONDS",
                       help="wall deadline for the search; the anytime planner "
@@ -204,9 +206,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
                               global_batch_size=args.global_batch_size,
                               sequence_length=args.sequence_length)
         if args.objective == "throughput":
+            if args.min_throughput is not None:
+                raise ValueError("--min-throughput needs --objective cost; "
+                                 "the throughput objective takes --max-cost")
             objective = Objective.max_throughput(
                 max_cost_per_iteration_usd=args.max_cost)
         else:
+            if args.max_cost is not None:
+                raise ValueError("--max-cost needs --objective throughput; "
+                                 "the cost objective takes --min-throughput")
             objective = Objective.min_cost(
                 min_throughput_iters_per_s=args.min_throughput)
         config = PlannerConfig(time_limit_s=args.time_limit)

@@ -47,7 +47,7 @@ paper's Tables 1-3 hinge on):
   pass (reachability) and, on budget solves, its own bound pass; both are
   freed with the solver.  They are not kept for other candidates: the
   per-stage footprints differ between ``mbs`` variants, so a cold
-  1024-GPU plan repeats only 2 of its 40 forward passes, while keeping them
+  1024-GPU plan repeats only 2 of its 27 forward passes, while keeping them
   would dominate the planner's peak memory.
 * **The pruned tuple recursion.**  Unconstrained solves on tiny pools
   (below :data:`ENGINE_MIN_STATES`, where NumPy call overhead cannot

@@ -49,12 +49,16 @@ The layered engine runs in two passes per solve: *forward reachability*
 the root state and each stage's combo footprint matrix, while *backward
 scoring* (:meth:`ResourceStateEngine.run_backward`) reads the candidate's
 compute/sync/cost scalars.  Both belong to one solve and are freed with
-its solver.  The forward pass chunks its fit-test broadcast along the
-state axis (peak memory ``O(chunk x combos)``) and deduplicates children
-through an injective mixed-radix int64 packing
-(:func:`layer_pack_weights`) instead of the row-wise ``np.unique`` sort --
-both pure implementation knobs that leave the reachable state sets, and
-therefore plans, bit-identical.
+its solver.  The forward pass works in packed coordinates: every
+reachable state is one int64 mixed-radix key (:func:`layer_pack_weights`),
+each layer's children are built, clamped and keyed slot by slot over dense
+(state, combo) blocks chunked along the state axis (peak memory ``O(chunk
+x combos)``), deduplicated as 1-D keys (:func:`dedup_keys`) and decoded
+only once per distinct state (:func:`unpack_states`).  Packing is
+injective over reachable states and ascending keys are lexicographic row
+order, so the layers -- row order included -- are exactly those of
+gathering every child row and deduplicating rows with ``np.unique``
+(``tests/forward_oracle.py``); plans are bit-identical.
 """
 
 from __future__ import annotations
@@ -169,11 +173,13 @@ class StageKernelTable:
     rate: np.ndarray     # (M,)
 
 
-#: Element budget of one forward fit-test block: the (chunk, M, S) broadcast
-#: compare is chunked along the state axis so its peak intermediate stays
-#: ``O(chunk x M x S)`` bytes (~32 MB of bool at the default) no matter how
-#: wide a layer grows.  1024-GPU pools reach ~1.7e4 states per layer today;
-#: the chunking is what keeps the engine's memory flat beyond that.
+#: Element budget of one forward block: a layer is processed in chunks of
+#: ``chunk_elems // (M x S)`` states (M combos, S slots), so each chunk's
+#: dense ``(chunk, M)`` intermediates -- the per-slot difference, the
+#: packed keys, the fit mask -- hold at most ``chunk_elems / S`` elements
+#: no matter how wide a layer grows.  1024-GPU pools reach ~1.7e4 states
+#: per layer today; the chunking is what keeps the engine's memory flat
+#: beyond that.
 FORWARD_CHUNK_ELEMS = 1 << 25
 
 #: Combine block sizes (``rows * combos``) routed through the fused
@@ -205,13 +211,18 @@ FUSED_COMBINE_MAX_ELEMS = 1 << 21
 #: the band first fires.
 _COMBINE_WS: dict[str, np.ndarray] = {}
 
-#: Packed-value ceiling below which :func:`dedup_states` uses the counting
-#: (bincount) dedup instead of the sort-based ``np.unique``.  The bound
-#: caps the side tables at a few MB; pools whose packed range exceeds it
-#: (beyond ~4M distinct states) fall back to the sort.  4096-GPU pools
-#: pack to ~513^2 values, so every current bench point stays on the
-#: counting path.
+#: Packed-key ceiling below which :func:`dedup_keys` may count (bincount)
+#: instead of sorting (``np.unique``).  The bound caps the side tables at a
+#: few MB; pools whose packed range exceeds it (beyond ~4M distinct states)
+#: always sort.  4096-GPU pools pack to ~513^2 values.
 DEDUP_BINCOUNT_RANGE = 1 << 22
+
+#: Counting pays for its side tables in O(key range) however few keys a
+#: layer has, so a layer whose range exceeds this many bins per key sorts
+#: instead.  Over the 560 deduplicated layers of a 4096-GPU cold plan
+#: (2-vCPU Xeon) counting alone took 0.43 s and this rule 0.25 s; 4 and 16
+#: bins per key measured 0.26 and 0.27 s.
+DEDUP_MAX_BINS_PER_KEY = 8
 
 
 def layer_pack_weights(root_state: np.ndarray) -> np.ndarray | None:
@@ -219,10 +230,13 @@ def layer_pack_weights(root_state: np.ndarray) -> np.ndarray | None:
 
     Every state the forward pass can produce satisfies ``0 <= state[i] <=
     root_state[i]`` per slot (subtract and clamp only shrink counts), so
-    packing with radix ``root_state[i] + 1`` per slot is *injective* -- a
-    perfect hash, not a probabilistic one -- whenever the radix product fits
-    in an int64.  Returns ``None`` when it does not (the caller falls back
-    to row-wise ``np.unique``); at 1024 GPUs the product is ~1.7e4, so the
+    the key ``state @ weights`` with radix ``root_state[i] + 1`` per slot
+    is *injective* -- a perfect hash, not a probabilistic one -- whenever
+    the radix product fits in an int64.  The first slot is the most
+    significant digit, so ascending keys are the states in lexicographic
+    row order, and :func:`unpack_states` recovers the rows.  Returns
+    ``None`` when the product does not fit (the forward pass then
+    deduplicates whole rows); at 1024 GPUs the product is ~1.7e4, so that
     fallback is reserved for pools far beyond current benches.
     """
     weights = []
@@ -236,42 +250,35 @@ def layer_pack_weights(root_state: np.ndarray) -> np.ndarray | None:
     return np.array(weights, dtype=np.int64)
 
 
-def dedup_states(children: np.ndarray,
-                 weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Deduplicate state rows; returns ``(unique rows, inverse index map)``.
+def unpack_states(keys: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Packed keys -> ``(len(keys), slots)`` state rows (the inverse of
+    ``rows @ weights`` over reachable states)."""
+    states = np.empty((keys.shape[0], weights.shape[0]), dtype=STATE_DTYPE)
+    rest = keys
+    for slot, weight in enumerate(weights.tolist()):
+        states[:, slot], rest = np.divmod(rest, weight)
+    return states
 
-    With pack weights the rows collapse to one int64 each and the dedup is
-    a scalar sort (`np.unique` on a 1-D array) instead of the row-wise
-    void-dtype sort ``np.unique(axis=0)`` performs -- the packing is
-    injective (see :func:`layer_pack_weights`), so the unique *set* and the
-    inverse map are exactly the row-wise dedup's; only the order of the
-    unique rows differs, which nothing downstream observes (the backward
-    pass reduces per row, and backpointers index rows consistently).
+
+def dedup_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of 1-D non-negative keys, ascending, and the
+    inverse index map (``unique[inverse] == keys``).
+
+    A dense enough key set (see :data:`DEDUP_BINCOUNT_RANGE` and
+    :data:`DEDUP_MAX_BINS_PER_KEY`) takes a counting dedup, O(n + range)
+    instead of the O(n log n) sort ``np.unique`` performs: the distinct
+    values are the nonzero bins in ascending order and each key's index is
+    the running count of nonzero bins below it.  Both paths return the
+    same values; the counting path's inverse is int32, like the child-row
+    maps it fills.
     """
-    if weights is not None:
-        packed = children @ weights
-        if packed.shape[0] and int(packed.max()) < DEDUP_BINCOUNT_RANGE:
-            # Counting dedup: O(n + range) instead of the O(n log n)
-            # argsort `np.unique` performs -- the dominant forward-pass
-            # cost at the 1024-GPU point.  Output-identical to the sort
-            # path: unique values ascend (cumsum ranks ascend with the
-            # packed value), the inverse maps through those ranks, and the
-            # representative row per value is bitwise arbitrary-free --
-            # packing is injective, so every row sharing a packed value is
-            # the same row.
-            counts = np.bincount(packed)
-            present = counts > 0
-            rank = np.cumsum(present, dtype=np.int64) - 1
-            inverse = rank[packed]
-            representative = np.empty(counts.shape[0], dtype=np.int64)
-            representative[packed] = np.arange(packed.shape[0],
-                                               dtype=np.int64)
-            return children[representative[present]], inverse
-        _, first, inverse = np.unique(packed, return_index=True,
-                                      return_inverse=True)
-        return children[first], inverse
-    uniq, inverse = np.unique(children, axis=0, return_inverse=True)
-    return uniq, inverse
+    count = keys.shape[0]
+    if count and int(keys.max()) < min(DEDUP_BINCOUNT_RANGE,
+                                       count * DEDUP_MAX_BINS_PER_KEY):
+        present = np.bincount(keys) > 0
+        rank = np.cumsum(present, dtype=np.int32) - 1
+        return present.nonzero()[0], rank[keys]
+    return np.unique(keys, return_inverse=True)
 
 
 def combine_workspace(name: str, count: int,
@@ -280,7 +287,7 @@ def combine_workspace(name: str, count: int,
 
     Grow-only, and backed by one *process-wide* pool (``_COMBINE_WS``):
     at the 1024-GPU bench point forward builds are nearly 1:1 with
-    candidates (38 distinct of 40 forward passes, 57 fused combines per
+    candidates (25 distinct of 27 forward passes, 31 fused combines per
     cold plan), so per-footprint buffers would be used only a few times
     each and arrive cache-cold -- measured when that plan ran ~412 fused
     combines over ~145 footprints, it forfeited the whole fused-kernel
@@ -340,21 +347,32 @@ class ForwardLayers:
         cols = (crow >= 0).nonzero()[0]
         return cols, crow[cols]
 
+
 @hot_path
 def compute_forward_layers(reqs: list[np.ndarray], caps_vec: list[np.ndarray],
                            clamp_active: list[bool], limit: int,
                            root_state: np.ndarray,
                            chunk_elems: int = FORWARD_CHUNK_ELEMS,
                            search_budget=None) -> ForwardLayers:
-    """Forward reachability, one whole stage layer at a time.
+    """Forward reachability, one whole stage layer at a time, in packed
+    coordinates.
 
-    Starting from the (clamped) root, each layer's fitting combos are found
-    with a broadcast compare chunked along the state axis (honouring the
-    per-state ``limit`` truncation in master ranking order via a running
-    count), every (state, combo) child is produced by one subtraction,
-    clamped at the next stage's caps, and deduplicated through the packed
-    int64 hash (:func:`dedup_states`).  Deduplicated children are exactly
-    the states the recursion's memo would collapse.
+    Starting from the (clamped) root, each layer works on dense ``(chunk,
+    M)`` blocks of (state, combo) pairs, chunked along the state axis.  Per
+    slot, one difference ``state - footprint`` gives the fit test (``>=
+    0``, AND-ed across slots), the child's count after the clamp at the
+    next stage's caps, and that count's digit of the child's mixed-radix
+    key (:func:`layer_pack_weights`).  The fitting pairs -- the first
+    ``limit`` per state in master ranking order, via a running count --
+    keep their keys, which :func:`dedup_keys` collapses; the next layer is
+    the distinct keys decoded in ascending order (:func:`unpack_states`).
+    No per-child count row is ever gathered.  Packing is injective over
+    reachable states, so the distinct keys are exactly the states the
+    recursion's memo would collapse, in lexicographic row order.  When the
+    radix product overflows an int64 (no weights), the children's clamped
+    count rows are the dedup keys instead, through the row-wise
+    ``np.unique``, which yields the same order.  The root has at least one
+    slot: the solver builds no engine for an empty pool.
 
     ``search_budget`` (any object with a ``tick()`` cancellation point, see
     :class:`~repro.core.budget.SearchBudget`) is ticked once per chunk so a
@@ -376,26 +394,46 @@ def compute_forward_layers(reqs: list[np.ndarray], caps_vec: list[np.ndarray],
         req = reqs[j]
         num_states, num_combos = states.shape[0], req.shape[0]
         last = j == num_stages - 1
+        caps = caps_vec[j + 1] if not last and clamp_active[j + 1] else None
         chunk = max(1, chunk_elems // max(1, num_combos * num_slots))
         sel_full = np.empty((num_states, num_combos), dtype=bool)
-        child_chunks: list[np.ndarray] = []
+        key_chunks: list[np.ndarray] = []
         reqT = np.ascontiguousarray(req.T)
         for start in range(0, num_states, chunk):
             if search_budget is not None:
                 search_budget.tick()
             block = states[start:start + chunk]
-            # (chunk, M): which master combos fit which states, truncated to
-            # the first `limit` fitting per state in master (ranking) order.
-            # Accumulated slot by slot: each step is one contiguous 2-D
-            # compare-and-AND, which beats materialising the (chunk, M,
-            # slots) cube and reducing along its strided last axis.  The
-            # boolean result is identical to `(req <= block).all(axis=2)`.
-            if num_slots:
-                fits = block[:, 0:1] >= reqT[0]
-                for slot in range(1, num_slots):
-                    fits &= block[:, slot:slot + 1] >= reqT[slot]
-            else:
-                fits = np.ones((block.shape[0], num_combos), dtype=bool)
+            # (chunk, M): which master combos fit which states, and (unless
+            # this is the last stage) each child's packed key.  Slot by
+            # slot, every step is one contiguous 2-D pass; the fit mask is
+            # identical to `(req <= block).all(axis=2)`.
+            fits = packed = None
+            columns: list[np.ndarray] = []
+            for slot in range(num_slots):
+                if last:
+                    fit = block[:, slot:slot + 1] >= reqT[slot]
+                else:
+                    diff = block[:, slot:slot + 1] - reqT[slot]
+                    fit = diff >= 0
+                    if caps is not None:
+                        np.minimum(diff, caps[slot], out=diff)
+                    if weights is None:
+                        columns.append(diff)
+                    else:
+                        # Entries of non-fitting pairs are never read, so
+                        # wrapping there is harmless; fitting keys stay
+                        # below the radix product.
+                        weight = weights[slot]
+                        if weight != 1:
+                            np.multiply(diff, weight, out=diff)
+                        if packed is None:
+                            packed = diff
+                        else:
+                            packed += diff
+                if fits is None:
+                    fits = fit
+                else:
+                    fits &= fit
             if (limit < num_combos
                     and int(fits.sum(axis=1).max(initial=0)) > limit):
                 # Only pay the cumsum when some state actually has more
@@ -410,30 +448,36 @@ def compute_forward_layers(reqs: list[np.ndarray], caps_vec: list[np.ndarray],
             sel_full[start:start + chunk] = sel
             if last:
                 continue
-            rows, cols = sel.nonzero()
-            children = block[rows] - req[cols]
-            if clamp_active[j + 1]:
-                children = np.minimum(children, caps_vec[j + 1])
-            child_chunks.append(children)
+            # Boolean extraction is row-major, the order of sel.nonzero().
+            if weights is None:
+                key_chunks.append(np.stack([column[sel] for column in columns],
+                                           axis=1))
+            else:
+                key_chunks.append(packed[sel])
         if last:
             last_sel = sel_full
             break
-        if child_chunks:
-            children = (child_chunks[0] if len(child_chunks) == 1
-                        else np.concatenate(child_chunks))
+        if len(key_chunks) == 1:
+            keys = key_chunks[0]
+        elif key_chunks:
+            keys = np.concatenate(key_chunks)
+        else:  # an empty layer has no children
+            keys = np.empty((0, num_slots) if weights is None else 0,
+                            dtype=STATE_DTYPE)
+        if weights is None:
+            states, inverse = np.unique(keys, axis=0, return_inverse=True)
         else:
-            children = np.zeros((0, num_slots), dtype=STATE_DTYPE)
-        uniq, inverse = dedup_states(children, weights)
-        dedup_hits += children.shape[0] - uniq.shape[0]
+            unique_keys, inverse = dedup_keys(keys)
+            states = unpack_states(unique_keys, weights)
+        dedup_hits += keys.shape[0] - states.shape[0]
         # int32: child rows index the next layer (~1e4-1e5 states, nowhere
         # near 2**31), and this (N, M) map is the single biggest operand of
         # both the masked assignment below and every backward gather --
         # halving it halves that traffic with identical index semantics.
         child_row = np.full((num_states, num_combos), -1, dtype=np.int32)
-        # Row-major assignment order matches the chunk-concatenated children.
+        # Row-major assignment order matches the chunk-concatenated keys.
         child_row[sel_full] = inverse
         child_rows[j] = child_row
-        states = uniq
     return ForwardLayers(states=layers, child_row=child_rows,
                          last_sel=last_sel, states_computed=states_computed,
                          dedup_hits=dedup_hits)

@@ -52,7 +52,7 @@ per-stage tensor-parallel option dict.
 
 The resource-state engine's forward layers and budget bound tables are
 deliberately *not* cached here: candidates almost never share them (a cold
-1024-GPU plan repeats 2 of its 40 forward passes), so each solve builds its
+1024-GPU plan repeats 2 of its 27 forward passes), so each solve builds its
 own and they are freed with the solver.
 
 The context also owns the :class:`~repro.core.plan.SearchStats` counters

@@ -117,6 +117,8 @@ NOT_TRACES = {
     ["plan", "--max-cost", "nan"],
     ["plan", "--max-cost", "inf"],
     ["plan", "--objective", "cost", "--min-throughput", "nan"],
+    ["plan", "--min-throughput", "1000"],
+    ["plan", "--max-cost", "0.000001", "--objective", "cost"],
     ["plan", "--global-batch-size", "0"],
     ["churn", "--deadline", "nan", "--events", "2"],
     ["churn", "--deadline", "-1", "--events", "2"],

@@ -17,9 +17,11 @@ from repro.core.resource_state import (
     ResourceStateCodec,
     ResourceStateEngine,
     StageKernelTable,
+    DEDUP_BINCOUNT_RANGE,
     compute_forward_layers,
-    dedup_states,
+    dedup_keys,
     layer_pack_weights,
+    unpack_states,
 )
 
 from test_dp_solver import assert_same_solution, build_solver
@@ -68,13 +70,15 @@ def test_layer_pack_weights_are_injective_over_reachable_states():
     root = np.array([4, 2, 3], dtype=STATE_DTYPE)
     weights = layer_pack_weights(root)
     assert weights is not None
-    seen = set()
-    for a in range(5):
-        for b in range(3):
-            for c in range(4):
-                packed = int(np.array([a, b, c], dtype=STATE_DTYPE) @ weights)
-                assert packed not in seen
-                seen.add(packed)
+    rows = np.array([[a, b, c] for a in range(5) for b in range(3)
+                     for c in range(4)], dtype=STATE_DTYPE)
+    keys = rows @ weights
+    # Distinct, and ascending in lexicographic row order ...
+    assert (np.diff(keys) > 0).all()
+    # ... and the rows unpack back from their keys.
+    unpacked = unpack_states(keys, weights)
+    assert unpacked.dtype == STATE_DTYPE
+    assert np.array_equal(unpacked, rows)
 
 
 def test_layer_pack_weights_overflow_falls_back_to_none():
@@ -85,20 +89,18 @@ def test_layer_pack_weights_overflow_falls_back_to_none():
     assert layer_pack_weights(small) is not None
 
 
-def test_dedup_states_matches_rowwise_unique():
-    rng = np.random.default_rng(7)
-    root = np.array([6, 3, 5, 2], dtype=STATE_DTYPE)
-    # Reachable states stay within the root's per-slot counts, which is
-    # what makes the radix packing injective.
-    children = rng.integers(0, root + 1, size=(200, 4)).astype(STATE_DTYPE)
-    weights = layer_pack_weights(root)
-    packed_uniq, packed_inv = dedup_states(children, weights)
-    row_uniq, row_inv = dedup_states(children, None)
-    # Same unique *set* (order may differ) and a consistent inverse map.
-    assert {tuple(r) for r in packed_uniq.tolist()} == \
-        {tuple(r) for r in row_uniq.tolist()}
-    assert np.array_equal(packed_uniq[packed_inv], children)
-    assert np.array_equal(row_uniq[row_inv], children)
+@pytest.mark.parametrize("high", [50, 2000, DEDUP_BINCOUNT_RANGE + 5])
+def test_dedup_keys_matches_unique(high):
+    """Counting and sorting dedups agree with np.unique, from dense keys
+    (counting) through sparse ones (sorting) to keys past the counting
+    range."""
+    keys = np.random.default_rng(7).integers(0, high, size=200)
+    unique, inverse = dedup_keys(keys)
+    expected, expected_inverse = np.unique(keys, return_inverse=True)
+    assert np.array_equal(unique, expected)
+    assert np.array_equal(inverse, expected_inverse)
+    empty, empty_inverse = dedup_keys(keys[:0])
+    assert empty.shape == empty_inverse.shape == (0,)
 
 
 def _toy_forward_inputs():
