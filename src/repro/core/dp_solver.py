@@ -177,22 +177,14 @@ class DPSolution:
 
 
 #: Layered-engine dispatch threshold of *unconstrained* solves, on
-#: ``prod(root count + 1)``, an upper bound on any state layer's size.  The
-#: engine's batched kernels amortise their fixed NumPy cost only on wide
-#: layers; below the threshold the tuple recursion is faster.  A budgeted
-#: solve always runs on the engine, whatever the pool size: the budget
-#: straggler loop has one implementation.  Measured on the bench scenarios:
-#:
-#: ==============  ===========  =========  =================================
-#: objective       state space  dispatch   why
-#: ==============  ===========  =========  =================================
-#: unconstrained   < 100        recursion  NumPy call overhead dominates
-#: unconstrained   >= 100       engine     batched layers win
-#: budget          any          engine     one budget implementation
-#: ==============  ===========  =========  =================================
-#:
-#: Both regimes return byte-identical plans (``tests/golden/``), so this is
-#: pure latency policy; tests monkeypatch it to 0 to force the engine.
+#: ``prod(root count + 1)``, an upper bound on any state layer's size (the
+#: module docstring has the dispatch table).  Measured on the bench
+#: scenarios: below the threshold NumPy call overhead dominates and the
+#: tuple recursion is faster; at or above it the engine's batched layers
+#: win.  A budgeted solve always runs on the engine, whatever the pool
+#: size: the budget straggler loop has one implementation.  Both regimes
+#: return byte-identical plans (``tests/golden/``), so this is pure
+#: latency policy; tests monkeypatch it to 0 to force the engine.
 ENGINE_MIN_STATES = 100
 
 #: Combos each stage keeps per resource state, best-ranked first (the
@@ -356,8 +348,8 @@ class DPSolver:
         engine = self._build_engine(state)
         # Every engine state counts as an explored node, and the forward
         # pass's deduplicated children as memo hits.
-        self.stats.nodes_explored += engine.states_computed
-        self.stats.memo_hits += engine.dedup_hits
+        self.stats.nodes_explored += engine.forward.states_computed
+        self.stats.memo_hits += engine.forward.dedup_hits
         self._engine = engine
         if budget_per_iteration is None:
             if not engine.feasible(0, 0):

@@ -359,9 +359,8 @@ class SearchStats:
     #: loses to the cross-branch incumbent, so every member was dropped
     #: wholesale (see ``SailorPlanner._plan_branch``).
     families_skipped: int = 0
-    #: Backward layer combines served by the fused workspace kernel
-    #: (preallocated process-wide buffers + cached-signature einsum)
-    #: instead of fresh full-size temporaries
+    #: Backward layer combines whose blocks landed in the preallocated
+    #: process-wide workspace buffers instead of fresh full-size arrays
     #: (``resource_state.FUSED_COMBINE_MIN_ELEMS`` has the dispatch band).
     combine_fused_hits: int = 0
     #: Availability-aware candidate floor tables served warm from the

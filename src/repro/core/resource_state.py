@@ -59,6 +59,23 @@ injective over reachable states and ascending keys are lexicographic row
 order, so the layers -- row order included -- are exactly those of
 gathering every child row and deduplicating rows with ``np.unique``
 (``tests/forward_oracle.py``); plans are bit-identical.
+
+Sentinel normal form
+--------------------
+The forward pass writes ``-1`` for a combo with no child row (it does not
+fit, or the truncation dropped it).  Every backward per-layer array -- the
+engine's ``value``/``time_value``/``sum_t``/``max_t``/``sync_t``/``rate``
+and the bound pass's ``slb``/``dec``/``rlb``/``sum_lb``/``mslb`` -- carries
+one trailing *sentinel* entry, and a ``-1`` child row wraps straight onto it
+(``np.take(..., mode="wrap")``).  Infeasible rows are written in the
+sentinel's normal form: ``sum``, ``rate`` and ``value``/``time_value`` are
+``+inf``, ``max`` and ``sync`` are 0, and every bound is ``+inf``.  So a
+(state, combo) entry whose child is missing or infeasible scores ``+inf`` by
+arithmetic alone -- no index clamp, no mask.  The zeros are what keep that
+arithmetic NaN-free: ``(Nb-1) * max`` stays finite when ``Nb == 1``, and
+``rate = +inf`` keeps ``rate * time`` off ``0 * inf`` even for a zero-priced
+GPU.  An empty layer is just its sentinel.  Only the last layer, which has
+no child, masks its non-fitting combos (``ForwardLayers.last_sel``).
 """
 
 from __future__ import annotations
@@ -182,29 +199,29 @@ class StageKernelTable:
 #: beyond that.
 FORWARD_CHUNK_ELEMS = 1 << 25
 
-#: Combine block sizes (``rows * combos``) routed through the fused
-#: workspace kernel (:meth:`ResourceStateEngine._combine_dense_fused`) --
-#: a *band*, not a floor.  Below the minimum the reference expression
-#: chain wins: the fused path's gain is skipping full-size temporary
-#: allocations, which is noise for blocks that fit comfortably in cache,
-#: while its ``np.take``/workspace indirection has a fixed per-call
-#: overhead.  Above the maximum the reference wins again: once the
-#: workspace set (seven full-size buffers) blows far past the last-level
-#: cache, rewriting the same resident pages measures ~10-20% *slower* on
-#: this box than the allocator's fresh pages (isolated kernel bench,
-#: 2026-08; 16384x128 fused 1.98x faster, 16384x256 0.80x).  Measured
-#: crossovers: fused wins ~1.5-2x from ~16K up to and including 2M
-#: elements, loses at 4M+ -- re-measure both ends before porting to other
-#: hardware.  In situ the win hinges on gathering straight through
-#: ``child_row`` with ``mode="clip"``: an explicit clamped-index buffer
-#: cost more L2 traffic than every elementwise saving combined (per-op
-#: timing, 1024-GPU point).  Both paths are bit-identical (the
-#: equivalence suite forces each in turn), so the dispatch is a pure
-#: latency policy.
+#: Combine block sizes (``rows * combos``) whose blocks land in the
+#: process-wide workspace (:func:`combine_workspace`) instead of fresh
+#: arrays -- a *band*, not a floor.  :meth:`ResourceStateEngine._combine`
+#: is one body either way; only its ``out=`` buffers differ.  Below the
+#: minimum fresh arrays win: the workspace's gain is skipping full-size
+#: temporary allocations, which is noise for blocks that fit comfortably in
+#: cache, while its lookup has a fixed per-call overhead.  Above the
+#: maximum fresh arrays win again: once the workspace set (six full-size
+#: buffers) blows far past the last-level cache, rewriting the same
+#: resident pages measured ~10-20% *slower* than the allocator's fresh
+#: pages (isolated kernel bench, 2026-08; 16384x128 fused 1.98x faster,
+#: 16384x256 0.80x).  Measured crossovers: fused wins ~1.5-2x from ~16K up
+#: to and including 2M elements, loses at 4M+ -- re-measure both ends
+#: before porting to other hardware.  In situ the win hinges on gathering
+#: straight through ``child_row`` with ``np.take(..., mode=...)``: an
+#: explicit clamped-index buffer cost more L2 traffic than every
+#: elementwise saving combined (per-op timing, 1024-GPU point).  Both
+#: routes are bit-identical (the equivalence suite forces each in turn), so
+#: the dispatch is a pure latency policy.
 FUSED_COMBINE_MIN_ELEMS = 16384
 FUSED_COMBINE_MAX_ELEMS = 1 << 21
 
-#: Process-wide fused-combine scratch pool (see :func:`combine_workspace`
+#: Process-wide combine scratch pool (see :func:`combine_workspace`
 #: for the sharing/safety argument).  Grow-only per name; the dispatch
 #: band caps every buffer at ``FUSED_COMBINE_MAX_ELEMS`` elements, so the
 #: pool's resident ceiling is a few hundred MB at full scale and zero until
@@ -281,6 +298,16 @@ def dedup_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(keys, return_inverse=True)
 
 
+def _with_sentinel(values: np.ndarray, fill: float,
+                   keep: np.ndarray | bool = True) -> np.ndarray:
+    """``values`` plus one trailing sentinel entry ``fill``; entries where
+    ``keep`` is false become ``fill`` too (the infeasible-row normal
+    form, see the module docstring)."""
+    out = np.full(values.shape[0] + 1, fill)
+    np.copyto(out[:-1], values, where=keep)
+    return out
+
+
 def combine_workspace(name: str, count: int,
                       dtype=np.float64) -> np.ndarray:
     """Flat scratch buffer of at least ``count`` elements, by name.
@@ -296,9 +323,9 @@ def combine_workspace(name: str, count: int,
     footprint of the process.  Sharing is safe because the backward sweep
     runs serially per candidate within a process, the workspace is
     write-before-read within one ``_solve_layer`` call, and every
-    *persisted* layer output is a fresh array (argmin gathers /
-    ``np.where`` results), so no workspace view is ever live once
-    :meth:`ResourceStateEngine._solve_layer` returns.
+    *persisted* layer output is a fresh row-sized array (the argmin
+    gathers, copied into sentinel-extended rows), so no workspace view is
+    ever live once :meth:`ResourceStateEngine._solve_layer` returns.
     Returned sliced to exactly ``count`` (contiguous, reshapeable).
     """
     buf = _COMBINE_WS.get(name)
@@ -313,7 +340,8 @@ class ForwardLayers:
 
     Holds everything the forward pass produces -- per-stage unique state
     layers, the ``(N, M)`` child-row maps (``-1`` where a combo does not fit
-    or was truncated) and the last layer's fit mask -- and *nothing* that
+    or was truncated; the backward gathers wrap it onto the child layer's
+    sentinel entry) and the last layer's fit mask -- and *nothing* that
     depends on the microbatch size (compute/sync/cost scalars live on the
     per-candidate :class:`StageKernelTable`).  Reachability depends only on
     the root state, the per-stage combo footprints (in master ranking
@@ -510,7 +538,8 @@ class BudgetBoundTables:
     child's straggler-loop iteration-1 budget.
 
     ``+inf`` rows are infeasible suffixes (no combo chain completes), the
-    same rows the engine's backward values mark infeasible.
+    same rows the engine's backward values mark infeasible.  Every array
+    carries the trailing ``+inf`` sentinel entry (module docstring).
 
     ``sync_lb[j][row]`` bounds the *max sync time* of every solution the
     same way (min over combo chains of the max sync along the chain; exact
@@ -533,7 +562,8 @@ def compute_budget_bounds(forward: ForwardLayers,
     Runs over the same (shared) forward layers the engine scores, one stage
     layer at a time.  Per (state, combo) candidate it propagates four
     admissible quantities and reduces each with ``min`` over the fitting
-    combos:
+    combos (a combo without a feasible child reads the child layer's
+    ``+inf`` sentinel entry, so no mask is needed below the last layer):
 
     * ``slb``  -- min achievable max stage compute time
       (``min_c max(t_c, slb_child)``; exact, min/max only);
@@ -590,53 +620,41 @@ def compute_budget_bounds(forward: ForwardLayers,
         if search_budget is not None:
             search_budget.tick()
         table = tables[j]
-        rows = forward.states[j].shape[0]
-        last = j == num_stages - 1
-        if (table.req.shape[0] == 0
-                or (not last and forward.states[j + 1].shape[0] == 0)):
-            # Infeasible layer, exactly as the engine's backward pass
-            # marks it: nothing can host this stage (or nothing survives
-            # below it).
-            infinite = np.full(rows, np.inf)
-            slb[j] = infinite
-            dec[j] = infinite
-            rlb[j] = infinite
-            sum_lb[j] = infinite
-            mslb[j] = infinite
+        if table.req.shape[0] == 0:
+            # Infeasible layer, exactly as the engine's backward pass marks
+            # it: nothing can host this stage.
+            infinite = np.full(forward.states[j].shape[0] + 1, np.inf)
+            slb[j] = dec[j] = rlb[j] = sum_lb[j] = mslb[j] = infinite
             continue
-        t_a = table.compute[None, :]
-        rate_a = table.rate[None, :]
-        sync_a = table.sync[None, :]
-        shape = (rows, table.req.shape[0])
-        stage_cost = (table.rate * (nb * table.compute))[None, :]
-        if last:
-            s_mat = np.broadcast_to(t_a, shape)
-            d_mat = np.broadcast_to(stage_cost, shape)
-            r_mat = np.broadcast_to(rate_a, shape)
-            u_mat = s_mat
-            m_mat = np.broadcast_to(sync_a, shape)
-            invalid = ~forward.last_sel
+        stage_cost = table.rate * (nb * table.compute)
+        if j == num_stages - 1:
+            # The last layer has no child: its one real mask keeps the
+            # fitting combos.
+            fits = forward.last_sel
+            compute = np.where(fits, table.compute, np.inf)
+            candidates = (compute,
+                          np.where(fits, stage_cost, np.inf),
+                          np.where(fits, table.rate, np.inf),
+                          compute,
+                          np.where(fits, table.sync, np.inf))
         else:
             child_row = forward.child_row[j]
-            safe = np.where(child_row >= 0, child_row, 0)
-            base = child_row < 0
-            child_slb = slb[j + 1][safe]
-            s_mat = np.maximum(t_a, child_slb)
-            d_mat = stage_cost + dec[j + 1][safe]
-            r_mat = rate_a + rlb[j + 1][safe]
-            u_mat = t_a + sum_lb[j + 1][safe]
-            m_mat = np.maximum(sync_a, mslb[j + 1][safe])
-            invalid = base | np.isinf(child_slb)
-        slb[j] = np.where(invalid, np.inf, s_mat).min(axis=1)
-        dec[j] = np.where(invalid, np.inf, d_mat).min(axis=1)
-        rlb[j] = np.where(invalid, np.inf, r_mat).min(axis=1)
-        sum_lb[j] = np.where(invalid, np.inf, u_mat).min(axis=1)
-        mslb[j] = np.where(invalid, np.inf, m_mat).min(axis=1)
-    # Infeasible rows are pinned to +inf explicitly: with Nb == 1 the
-    # product term would otherwise produce 0 * inf = NaN, and NaN compares
-    # false everywhere -- silently disarming the certificates.  The sync
-    # factors are masked the same way (inf * 0-rate and rate * inf-sync
-    # would NaN too).
+
+            def child(bound: list[np.ndarray]) -> np.ndarray:
+                # A -1 child row wraps onto the +inf sentinel entry.
+                return np.take(bound[j + 1], child_row, mode="wrap")
+
+            candidates = (np.maximum(table.compute, child(slb)),
+                          stage_cost + child(dec),
+                          table.rate + child(rlb),
+                          table.compute + child(sum_lb),
+                          np.maximum(table.sync, child(mslb)))
+        slb[j], dec[j], rlb[j], sum_lb[j], mslb[j] = (
+            _with_sentinel(block.min(axis=1), np.inf) for block in candidates)
+    # Infeasible rows (and the sentinel) hold +inf in every bound.  With
+    # Nb == 1 the product term would produce 0 * inf = NaN there, and NaN
+    # compares false everywhere -- silently disarming the certificates --
+    # so their factors are masked and the result pinned to +inf.
     cost_lb = []
     for j in range(num_stages):
         infeasible = np.isinf(slb[j])
@@ -667,11 +685,14 @@ class ResourceStateEngine:
     * **Backward pass** (:meth:`run_backward`): the last
       layer scores every fitting combo from the table's scalar arrays;
       every earlier layer combines its combo scalars with the child layer's
-      ``(sum, max, sync, rate)`` quadruples in five elementwise array ops
-      whose per-element operation order matches the scalar recursion
-      exactly (IEEE-754 float64 in both), so the optima -- values *and*
-      argmin tie-breaks (first minimum in master ranking order) -- are
-      identical to the exhaustive recursion.
+      ``(sum, max, sync, rate)`` quadruples (:meth:`_combine`) in
+      elementwise array ops whose per-element operation order matches the
+      scalar recursion exactly (IEEE-754 float64 in both), so the optima --
+      values *and* argmin tie-breaks (first minimum in master ranking
+      order) -- are identical to the exhaustive recursion.  A combo with
+      no feasible child scores ``+inf`` by arithmetic alone: its child row
+      is ``-1`` (or an infeasible row), and both read the sentinel normal
+      form (module docstring).
 
     Solutions are materialised lazily from the stored backpointers (combo
     argmin + child row), so only rows actually requested (the root, plus
@@ -697,15 +718,16 @@ class ResourceStateEngine:
         self.forward = forward
         self.nb1 = float(num_microbatches - 1)
         self.minimize_cost = minimize_cost
-        #: Layers whose combine was served by the fused workspace kernel
-        #: this backward sweep (-> SearchStats.combine_fused_hits).
+        #: Layers whose combine ran in the workspace buffers this backward
+        #: sweep (-> SearchStats.combine_fused_hits).
         self.combine_fused_hits = 0
         num_stages = len(tables)
         #: Backward results: per stage, the chosen combo per row and the
-        #: optimum's (value, sum, max, sync, rate); value is +inf where the
-        #: suffix is infeasible.  ``time_value`` keeps the projected
-        #: iteration time even under the cost objective (the budget search
-        #: needs the projected cost = rate * time).
+        #: optimum's (value, sum, max, sync, rate), each with one trailing
+        #: sentinel entry in the normal form of infeasible rows (value
+        #: +inf).  ``time_value`` keeps the projected iteration time even
+        #: under the cost objective (the budget search needs the projected
+        #: cost = rate * time).
         self.arg: list[np.ndarray] = [None] * num_stages
         self.value: list[np.ndarray] = [None] * num_stages
         self.time_value: list[np.ndarray] = [None] * num_stages
@@ -719,24 +741,6 @@ class ResourceStateEngine:
         self._cost_unc: list[np.ndarray | None] = [None] * num_stages
         self._feasible: list[np.ndarray | None] = [None] * num_stages
 
-    # -- forward-pass views ---------------------------------------------------
-
-    @property
-    def states(self) -> list[np.ndarray]:
-        return self.forward.states
-
-    @property
-    def child_row(self) -> list[np.ndarray | None]:
-        return self.forward.child_row
-
-    @property
-    def states_computed(self) -> int:
-        return self.forward.states_computed
-
-    @property
-    def dedup_hits(self) -> int:
-        return self.forward.dedup_hits
-
     # -- passes --------------------------------------------------------------
 
     @hot_path
@@ -749,195 +753,128 @@ class ResourceStateEngine:
             self._solve_layer(j)
 
     def _mark_layer_infeasible(self, j: int, rows: int) -> None:
-        """Record a whole layer as infeasible (no combo chain completes).
-
-        The same normal form :meth:`_solve_layer` emits for individually
-        infeasible rows: ``value``/``time_value`` ``+inf``, backpointer 0,
-        zeroed quadruples.  Consumers gate on feasibility before reading
-        any of the finite fields (see :meth:`budget_tables`).
-        """
+        """Record a layer no combo can host: every row, like the sentinel,
+        in the infeasible normal form (``value``/``time_value``/``sum``/
+        ``rate`` ``+inf``, ``max``/``sync`` 0, backpointer 0)."""
         self.arg[j] = np.zeros(rows, dtype=np.int64)
-        self.value[j] = np.full(rows, np.inf)
-        self.time_value[j] = np.full(rows, np.inf)
-        self.sum_t[j] = np.zeros(rows)
-        self.max_t[j] = np.zeros(rows)
-        self.sync_t[j] = np.zeros(rows)
-        self.rate[j] = np.zeros(rows)
+        self.value[j] = np.full(rows + 1, np.inf)
+        self.time_value[j] = np.full(rows + 1, np.inf)
+        self.sum_t[j] = np.full(rows + 1, np.inf)
+        self.max_t[j] = np.zeros(rows + 1)
+        self.sync_t[j] = np.zeros(rows + 1)
+        self.rate[j] = np.full(rows + 1, np.inf)
 
-    # lint: disable=hot-loop-alloc -- every where/copy here is a row-sized
-    # (|layer|) gather or output, not a (rows, combos) temporary; the
-    # full-size passes were eliminated in PR 8 (in-place fused scoring) and
-    # the equivalence suites pin the kernel bit-for-bit.
+    # lint: disable=hot-loop-alloc -- the last layer has no child, so its
+    # non-fitting combos need one (rows, combos) mask select; every other
+    # output is a row-sized argmin gather.
     @hot_path
     def _solve_layer(self, j: int) -> None:
         """Score every (state, combo) candidate of one layer and reduce.
 
-        The elementwise operation order replicates the scalar recursion:
-        ``sum = t_a + child_sum``, ``max = max(t_a, child_max)``,
-        ``sync = max(sync_a, child_sync)``,
-        ``value = sum + (Nb-1) * max + sync`` (times the summed cost rate
-        under the cost objective), so values are bit-identical and
-        ``argmin`` (first minimum) matches the recursion's strict-improvement
-        scan over the same combo order.
+        The last layer scores each fitting combo on its own (``time = t +
+        (Nb-1) * t + sync``, times the cost rate under the cost objective)
+        and masks the rest (the engine's one real mask); earlier layers
+        score through :meth:`_combine`.  ``argmin`` (first minimum) matches
+        the recursion's strict-improvement scan over the same combo order.
+        The per-row optimum is stored with the layer's sentinel entry
+        appended; an infeasible row (every candidate ``+inf``) is pinned to
+        the sentinel's normal form.
         """
         table = self.tables[j]
-        forward = self.forward
-        last = j == len(self.tables) - 1
-        rows = forward.states[j].shape[0]
-        if (table.req.shape[0] == 0
-                or (not last and forward.states[j + 1].shape[0] == 0)):
-            # No combo can host this stage (or nothing survives below it):
-            # the whole layer is infeasible, exactly as the recursion finds.
+        rows = self.forward.states[j].shape[0]
+        num_combos = table.req.shape[0]
+        if num_combos == 0:
+            # No combo can host this stage: the whole layer is infeasible,
+            # exactly as the recursion finds.
             self._mark_layer_infeasible(j, rows)
             return
-        t_a = table.compute[None, :]
-        sync_a = table.sync[None, :]
-        rate_a = table.rate[None, :]
-        shape = (rows, table.req.shape[0])
-        # Fused-workspace dispatch (band of FUSED_COMBINE_MIN_ELEMS ..
-        # FUSED_COMBINE_MAX_ELEMS): mid-band non-last layers gather with
-        # np.take into preallocated per-footprint buffers instead of
-        # allocating fresh (rows, combos) temporaries.  Same operand order,
-        # same IEEE op chain -- the reference block below doubles as the
-        # out-of-band fast path and the equivalence reference.
-        elems = rows * table.req.shape[0]
-        fused = (not last and FUSED_COMBINE_MIN_ELEMS <= elems
-                 <= FUSED_COMBINE_MAX_ELEMS)
-        if last:
-            sum_c = np.broadcast_to(table.compute[None, :], shape)
-            max_c = sum_c
-            sync_c = np.broadcast_to(table.sync[None, :], shape)
-            rate_c = np.broadcast_to(table.rate[None, :], shape)
-            time_v = table.compute + self.nb1 * table.compute + table.sync
-            time_v = np.broadcast_to(time_v[None, :], shape)
-            invalid = ~forward.last_sel
-        elif fused:
-            sum_c, max_c, sync_c, rate_c, time_v, invalid = (
-                self._combine_dense_fused(j, t_a, sync_a, rate_a,
-                                          forward.child_row[j]))
-            self.combine_fused_hits += 1
-        else:
-            child_row = forward.child_row[j]
-            # Transient gather: retaining these (rows, combos)
-            # intermediates on the forward layers was measured ~1.4x
-            # slower at the 1024-GPU point (hundreds of MB of retained
-            # intermediates turn every backward temp allocation into
-            # fresh-page traffic).
-            # Every elementwise step below reuses its gather buffer
-            # in place (same operand association as the expression form,
-            # so results stay bit-identical) -- at scale these (rows,
-            # combos) temporaries are memory-bandwidth bound and halving
-            # the passes is a measurable share of the backward wall.
-            base = child_row < 0
-            safe = np.where(base, 0, child_row)
-            sum_c = self.sum_t[j + 1][safe]
-            np.add(t_a, sum_c, out=sum_c)
-            max_c = self.max_t[j + 1][safe]
-            np.maximum(t_a, max_c, out=max_c)
-            sync_c = self.sync_t[j + 1][safe]
-            np.maximum(sync_a, sync_c, out=sync_c)
-            rate_c = self.rate[j + 1][safe]
-            np.add(rate_a, rate_c, out=rate_c)
-            # time_v = sum_c + self.nb1 * max_c + sync_c, left-associated.
-            time_v = self.nb1 * max_c
-            np.add(sum_c, time_v, out=time_v)
-            np.add(time_v, sync_c, out=time_v)
-            # isinf on the 1-D child values once, gathered -- not isinf on
-            # the full (rows, combos) gather.
-            invalid = np.isinf(self.value[j + 1])[safe]
-            invalid |= base
-        if self.minimize_cost:
-            if fused:
-                # Elementwise product through the cached-signature einsum
-                # path, straight into workspace: einsum caches its parsed
-                # contraction per signature string, and 'ij,ij->ij' is the
-                # same IEEE multiply as ``rate_c * time_v``.
-                scored = np.einsum(
-                    "ij,ij->ij", rate_c, time_v,
-                    out=combine_workspace(
-                        "scored", time_v.size).reshape(shape))
-            else:
-                scored = rate_c * time_v
-        elif last:
-            scored = time_v.copy()  # time_v is a read-only broadcast view
-        else:
-            # Masking time_v in place is safe: the entries the mask touches
-            # are exactly the ones the feasibility gate below never reads.
-            scored = time_v
-        scored[invalid] = np.inf
-        arg = np.argmin(scored, axis=1)
         take = np.arange(rows)
+        if j == len(self.tables) - 1:
+            time_a = table.compute + self.nb1 * table.compute + table.sync
+            score_a = table.rate * time_a if self.minimize_cost else time_a
+            scored = np.where(self.forward.last_sel, score_a, np.inf)
+            arg = np.argmin(scored, axis=1)
+            time_v, sum_c, max_c, sync_c, rate_c = (
+                column[arg] for column in (time_a, table.compute,
+                                           table.compute, table.sync,
+                                           table.rate))
+        else:
+            fused = (FUSED_COMBINE_MIN_ELEMS <= rows * num_combos
+                     <= FUSED_COMBINE_MAX_ELEMS)
+            if fused:
+                self.combine_fused_hits += 1
+            *blocks, scored = self._combine(j, fused)
+            arg = np.argmin(scored, axis=1)
+            time_v, sum_c, max_c, sync_c, rate_c = (
+                block[take, arg] for block in blocks)
         value = scored[take, arg]
-        # Normal form for infeasible rows (all entries invalid): argmin of
-        # an all-inf row is already 0; the gathered quadruples would be
-        # whatever column 0 combined to, which nothing may read -- pin them
-        # to 0 so the arrays match _mark_layer_infeasible's normal form and
-        # feasibility-gated consumers (see budget_tables) stay NaN-free.
         feasible = np.isfinite(value)
         self.arg[j] = arg
-        self.value[j] = value
-        # Equivalent to gathering np.where(invalid, inf, time_v): a feasible
-        # row's argmin entry is never invalid (it scored finite), and an
-        # infeasible row is pinned to inf either way -- so the 1-D gate
-        # replaces another full (rows, combos) where pass.
-        self.time_value[j] = np.where(feasible, time_v[take, arg], np.inf)
-        self.sum_t[j] = np.where(feasible, sum_c[take, arg], 0.0)
-        self.max_t[j] = np.where(feasible, max_c[take, arg], 0.0)
-        self.sync_t[j] = np.where(feasible, sync_c[take, arg], 0.0)
-        self.rate[j] = np.where(feasible, rate_c[take, arg], 0.0)
+        self.value[j] = _with_sentinel(value, np.inf)
+        self.time_value[j] = _with_sentinel(time_v, np.inf, feasible)
+        self.sum_t[j] = _with_sentinel(sum_c, np.inf, feasible)
+        self.max_t[j] = _with_sentinel(max_c, 0.0, feasible)
+        self.sync_t[j] = _with_sentinel(sync_c, 0.0, feasible)
+        self.rate[j] = _with_sentinel(rate_c, np.inf, feasible)
 
-    # lint: disable=hot-loop-alloc -- the whole point: every gather lands
-    # in a named grow-only workspace buffer via np.take(..., out=); the
-    # only fresh allocation is the 1-D row-sized isinf input.
     @hot_path
-    def _combine_dense_fused(self, j: int, t_a: np.ndarray,
-                             sync_a: np.ndarray, rate_a: np.ndarray,
-                             child_row: np.ndarray) -> tuple:
-        """Fused dense combine of one non-last layer, in workspace.
+    def _combine(self, j: int, fused: bool) -> tuple:
+        """Every (state, combo) candidate of non-last layer ``j`` combined
+        with its child row's optimum: the ``(rows, combos)`` blocks
+        ``(time, sum, max, sync, rate, scored)``.
 
-        Replicates the reference block of :meth:`_solve_layer` bit for
-        bit: identical operand order and IEEE op chain, with the gathers
-        routed through ``np.take(..., mode="clip", out=)`` into the
-        process-wide buffers of :func:`combine_workspace`
-        instead of fancy-index allocations.  ``mode="clip"`` maps the -1
-        sentinel (the only negative value in ``child_row``) to index 0 --
-        exactly the ``np.where(child_row < 0, 0, child_row)`` the
-        reference gathers through, without ever materialising that
-        (rows, combos) int64 index matrix: per-op timing at the 1024-GPU
-        point showed the explicit ``safe`` buffer cost more in L2 traffic
-        (one streaming write plus five re-reads of a multi-MB matrix)
-        than every elementwise ``out=`` saving combined.  Gathering
-        ``isinf`` of the 1-D child values commutes with the gather
-        itself.
+        The elementwise operation order replicates the scalar recursion:
+        ``sum = t_a + child_sum``, ``max = max(t_a, child_max)``,
+        ``sync = max(sync_a, child_sync)``, ``rate = rate_a + child_rate``,
+        ``time = sum + (Nb-1) * max + sync`` and, under the cost objective,
+        ``scored = rate * time`` (else ``scored`` is ``time``), so values
+        are bit-identical.  The gathers run straight through ``child_row``
+        with ``np.take(..., mode="wrap")``, which sends ``-1`` onto the
+        child layer's trailing sentinel; every other step works in place
+        on its gather buffer.  With ``fused`` (the
+        :data:`FUSED_COMBINE_MIN_ELEMS` band) each block lands in a
+        process-wide :func:`combine_workspace` buffer, otherwise in a fresh
+        array; the arithmetic is the same.
         """
-        ws = combine_workspace
+        # The blocks are transient: retaining these (rows, combos)
+        # intermediates on the forward layers was measured ~1.4x slower at
+        # the 1024-GPU point (hundreds of MB of retained intermediates turn
+        # every backward temp allocation into fresh-page traffic).  Working
+        # in place on each gather buffer matters because at scale these
+        # blocks are memory-bandwidth bound, and halving the passes is a
+        # measurable share of the backward wall.  No clamped-index buffer
+        # either: it cost more L2 traffic than every elementwise saving
+        # combined (:data:`FUSED_COMBINE_MIN_ELEMS`).
+        table = self.tables[j]
+        child_row = self.forward.child_row[j]
         shape = child_row.shape
-        n = child_row.size
-        sum_c = np.take(self.sum_t[j + 1], child_row, mode="clip",
-                        out=ws("sum", n).reshape(shape))
-        np.add(t_a, sum_c, out=sum_c)
-        max_c = np.take(self.max_t[j + 1], child_row, mode="clip",
-                        out=ws("max", n).reshape(shape))
-        np.maximum(t_a, max_c, out=max_c)
-        sync_c = np.take(self.sync_t[j + 1], child_row, mode="clip",
-                         out=ws("sync", n).reshape(shape))
-        np.maximum(sync_a, sync_c, out=sync_c)
-        rate_c = np.take(self.rate[j + 1], child_row, mode="clip",
-                         out=ws("rate", n).reshape(shape))
-        np.add(rate_a, rate_c, out=rate_c)
-        # time_v = sum_c + self.nb1 * max_c + sync_c, left-associated
-        # (scalar multiply commutes bitwise).
-        time_v = np.multiply(max_c, self.nb1,
-                             out=ws("time", n).reshape(shape))
+
+        def out(name: str) -> np.ndarray | None:
+            if not fused:
+                return None
+            return combine_workspace(name, child_row.size).reshape(shape)
+
+        sum_c = np.take(self.sum_t[j + 1], child_row, mode="wrap",
+                        out=out("sum"))
+        np.add(table.compute, sum_c, out=sum_c)
+        max_c = np.take(self.max_t[j + 1], child_row, mode="wrap",
+                        out=out("max"))
+        np.maximum(table.compute, max_c, out=max_c)
+        sync_c = np.take(self.sync_t[j + 1], child_row, mode="wrap",
+                         out=out("sync"))
+        np.maximum(table.sync, sync_c, out=sync_c)
+        rate_c = np.take(self.rate[j + 1], child_row, mode="wrap",
+                         out=out("rate"))
+        np.add(table.rate, rate_c, out=rate_c)
+        # time = sum + nb1 * max + sync, left-associated (the scalar
+        # multiply commutes bitwise).
+        time_v = np.multiply(max_c, self.nb1, out=out("time"))
         np.add(sum_c, time_v, out=time_v)
         np.add(time_v, sync_c, out=time_v)
-        invalid = np.take(np.isinf(self.value[j + 1]), child_row,
-                          mode="clip",
-                          out=ws("invalid", n, bool).reshape(shape))
-        base = np.less(child_row, 0,
-                       out=ws("base", n, bool).reshape(shape))
-        np.logical_or(invalid, base, out=invalid)
-        return sum_c, max_c, sync_c, rate_c, time_v, invalid
+        scored = time_v
+        if self.minimize_cost:
+            scored = np.multiply(rate_c, time_v, out=out("scored"))
+        return time_v, sum_c, max_c, sync_c, rate_c, scored
 
     # -- lookups -------------------------------------------------------------
 
@@ -954,22 +891,17 @@ class ResourceStateEngine:
 
         The budget search's dominance probes touch many rows of one layer;
         one vectorized ``rate * time_value`` (elementwise, so per-row
-        bit-identical to :meth:`projected_cost`) plus one ``isfinite``
+        bit-identical to :meth:`projected_cost`) plus one ``< inf`` test
         replaces the per-row scalar arithmetic.  Built lazily -- the
         unconstrained objectives never need it.
         """
         cost = self._cost_unc[stage_index]
         if cost is None:
-            feasible = np.isfinite(self.value[stage_index])
-            # Infeasible rows hold the (0 rate, +inf time) normal form whose
-            # product is NaN -- pin them to +inf; only feasible entries are
-            # ever compared against budgets.
-            with np.errstate(invalid="ignore"):
-                cost = np.where(feasible,
-                                self.rate[stage_index]
-                                * self.time_value[stage_index], np.inf)
+            # Infeasible rows hold rate = time = +inf, so their cost is
+            # +inf by arithmetic.
+            cost = self.rate[stage_index] * self.time_value[stage_index]
             self._cost_unc[stage_index] = cost
-            self._feasible[stage_index] = feasible
+            self._feasible[stage_index] = cost < np.inf
         return cost, self._feasible[stage_index]
 
     def backpointer(self, stage_index: int, row: int) -> tuple[int, int]:

@@ -334,8 +334,7 @@ def test_production_kernels_are_marked_hot():
     assert getattr(compute_forward_layers, "__hot_path__", False)
     assert getattr(ResourceStateEngine.run_backward, "__hot_path__", False)
     assert getattr(ResourceStateEngine._solve_layer, "__hot_path__", False)
-    assert getattr(ResourceStateEngine._combine_dense_fused,
-                   "__hot_path__", False)
+    assert getattr(ResourceStateEngine._combine, "__hot_path__", False)
     assert getattr(DPSolver._solve_budget_batched, "__hot_path__", False)
 
 

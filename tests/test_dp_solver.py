@@ -558,7 +558,7 @@ def test_combined_cost_covers_the_stage_straggler_plus_the_suffix(
                          solver.data_parallel, entry[0], nodes_used=entry[1],
                          compute_time_s=entry[4])
                      for entry in solver._tables[stage - 1].entries]
-            for row in range(engine.states[stage].shape[0]):
+            for row in range(engine.forward.states[stage].shape[0]):
                 if not engine.feasible(stage, row):
                     continue
                 suffix = solver._materialize(stage, row)

@@ -421,9 +421,9 @@ def test_fused_combine_preserves_plans_when_forced(opt_env, opt_job,
                                                    monkeypatch):
     """Force each combine route onto every layer by moving the dispatch
     band (engine always on): with ``FUSED_COMBINE_MIN_ELEMS = 1`` every
-    non-last layer runs the fused kernel, with the minimum above the
-    maximum none does.  Plans, evaluations, and node counts are
-    bit-identical between the two, and the fused kernel demonstrably
+    non-last layer combines in the workspace buffers, with the minimum
+    above the maximum none does.  Plans, evaluations, and node counts are
+    bit-identical between the two, and the workspace route demonstrably
     runs."""
     import repro.core.dp_solver as dp_solver
     import repro.core.resource_state as rs

@@ -180,7 +180,7 @@ def test_engine_reports_layer_states_as_nodes(opt_env, opt_job, force_engine):
     assert solver.solve(resources) is not None
     assert solver.stats.nodes_explored > before
     assert solver._engine is not None
-    assert solver._engine.states_computed > 0
+    assert solver._engine.forward.states_computed > 0
 
 
 def test_engine_infeasible_root_returns_none(opt_env, opt_job, force_engine):
@@ -284,10 +284,131 @@ def test_engine_budget_tables_match_scalar_probes(opt_env, opt_job,
     engine = solver._engine
     for stage in range(2):
         cost, feasible = engine.budget_tables(stage)
-        for row in range(engine.states[stage].shape[0]):
+        for row in range(engine.forward.states[stage].shape[0]):
             assert bool(feasible[row]) == engine.feasible(stage, row)
             if feasible[row]:
                 assert float(cost[row]) == engine.projected_cost(stage, row)
+
+
+@pytest.mark.parametrize("a100,v100", [(1, 3), (2, 2)])
+def test_sentinel_arithmetic_stays_nan_free(opt_env, force_engine, a100,
+                                            v100):
+    """The sentinel normal form scores a missing or infeasible child +inf
+    by arithmetic alone.  Its worst case: the cost objective with Nb = 1
+    (``(Nb-1) * max`` multiplies by 0) and a GPU priced at 0 (``rate *
+    time`` multiplies a 0 rate), on a pool where some combos have no child
+    and some rows are infeasible.  No step may produce a NaN, no engine or
+    bound array may hold one, and every solve equals the oracle's."""
+    import dataclasses
+    import math
+
+    from repro.core.objectives import OptimizationGoal
+    from repro.models.catalog import get_model
+    from repro.models.spec import TrainingJobSpec
+
+    env = dataclasses.replace(
+        opt_env, prices=opt_env.prices.with_gpu_price("V100-16", 0.0))
+    pp, dp, mbs = 3, 4, 1
+    job = TrainingJobSpec(model=get_model("OPT-350M"),
+                          global_batch_size=dp * mbs, sequence_length=2048)
+    resources = {("us-central1-a", "a2-highgpu-4g"): a100,
+                 ("us-central1-a", "n1-standard-v100-4"): v100}
+
+    def new_solver():
+        return build_solver(env, job, pp=pp, dp=dp, mbs=mbs,
+                            goal=OptimizationGoal.MIN_COST)
+
+    for budget in (None, math.inf, 1e-3, 7e-4, 1e-6):
+        solver = new_solver()
+        assert solver.num_microbatches == 1
+        with np.errstate(invalid="raise"):  # any 0 * inf or inf - inf raises
+            got = solver.solve(dict(resources), budget_per_iteration=budget)
+            bounds = solver._engine_bounds()
+            dominance = [solver._engine.budget_tables(stage)[0]
+                         for stage in range(pp)]
+        engine = solver._engine
+        assert any((table.rate == 0.0).any() for table in engine.tables)
+        assert any((rows < 0).any() for rows in engine.forward.child_row[:-1])
+        assert any(np.isinf(value[:-1]).any() for value in engine.value)
+        for arrays in (engine.value, engine.time_value, engine.sum_t,
+                       engine.max_t, engine.sync_t, engine.rate, dominance,
+                       bounds.straggler_lb, bounds.cost_lb, bounds.sync_lb):
+            for stage, array in enumerate(arrays):
+                assert array.shape == (
+                    engine.forward.states[stage].shape[0] + 1,)
+                assert not np.isnan(array).any()
+        reference = ExhaustiveSolver(new_solver())
+        assert_same_solution(got, reference.solve(
+            dict(resources), budget_per_iteration=budget))
+
+
+def test_missing_child_reads_the_sentinel_not_a_real_row():
+    """A combo that does not fit (child row -1) must score +inf in both
+    backward passes even when the child layer's row 0 is feasible: the
+    gathers wrap -1 onto the sentinel, never onto a real row.  Here the
+    fast stage-0 combo needs 3 of the 2 nodes; scored through row 0 it
+    would win."""
+    from repro.core.resource_state import compute_budget_bounds
+
+    root_pairs = ((("z", "a"), 2),)
+    codec = ResourceStateCodec(root_pairs)
+
+    def table(footprints, compute):
+        entries = [[None, None, None,
+                    ((root_pairs[0][0], used),) if used else (), 0.0]
+                   for used in footprints]
+        return StageKernelTable(
+            entries=entries, req=codec.combo_req(entries),
+            compute=np.array(compute), sync=np.zeros(len(compute)),
+            rate=np.ones(len(compute)))
+
+    # Stage 1's only combo needs no node, so every layer-1 row is feasible.
+    tables = [table([1, 3], [2.0, 0.5]), table([0], [1.0])]
+    root = codec.encode(root_pairs)
+    forward = compute_forward_layers([t.req for t in tables],
+                                     [root.copy(), root.copy()],
+                                     [False, False], 16, root)
+    assert forward.child_row[0].tolist() == [[0, -1]]
+    engine = ResourceStateEngine(codec, tables, forward,
+                                 num_microbatches=2, minimize_cost=False)
+    engine.run_backward()
+    assert engine.arg[0][0] == 0
+    assert engine.value[0][0] == (2.0 + 1.0) + 1.0 * 2.0 + 0.0
+    bounds = compute_budget_bounds(forward, tables, num_microbatches=2)
+    assert bounds.straggler_lb[0][0] == 2.0
+
+
+@pytest.mark.parametrize("goal_cost", [False, True])
+def test_empty_child_layer_is_just_its_sentinel(opt_env, opt_job,
+                                                force_engine, goal_cost):
+    """pp=3 on one A100 node: stage 0 takes the node, no stage-1 combo fits
+    and layer 2 is empty.  Neither backward pass special-cases that: every
+    stage-1 combo wraps onto the empty layer's sentinel, so every layer is
+    infeasible, with +inf values and cost bounds, as the oracle finds."""
+    import math
+
+    from repro.core.objectives import OptimizationGoal
+
+    goal = (OptimizationGoal.MIN_COST if goal_cost
+            else OptimizationGoal.MAX_THROUGHPUT)
+    resources = {("us-central1-a", "a2-highgpu-4g"): 1}
+    for budget in (None, math.inf):
+        solver = build_solver(opt_env, opt_job, pp=3, dp=1, mbs=1,
+                              goal=goal)
+        assert solver.solve(dict(resources),
+                            budget_per_iteration=budget) is None
+        engine = solver._engine
+        assert [layer.shape[0] for layer in engine.forward.states] == \
+            [1, 1, 0]
+        bounds = solver._engine_bounds()
+        for stage in range(3):
+            assert np.isinf(engine.value[stage]).all()
+            assert np.isinf(bounds.cost_lb[stage]).all()
+        assert engine.value[2].shape == (1,)  # the sentinel alone
+        reference = ExhaustiveSolver(build_solver(opt_env, opt_job, pp=3,
+                                                  dp=1, mbs=1, goal=goal))
+        assert reference.solve(dict(resources),
+                               budget_per_iteration=budget) is None
 
 
 def test_budget_bounds_mark_infeasible_layers_infinite(opt_env, opt_job,
