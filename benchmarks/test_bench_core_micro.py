@@ -82,9 +82,17 @@ def test_bench_simulator_evaluate(benchmark, env, plan):
 
 
 def test_bench_simulator_evaluate_uncached(benchmark, env, plan):
-    """The cold fused pass: vectorized evaluation with plan caches disabled."""
-    simulator = SailorSimulator(env, cache_evaluations=False, cache_plans=False)
-    evaluation = benchmark(lambda: simulator.evaluate(plan))
+    """The cold fused pass: one evaluation on a fresh simulator per round.
+
+    The simulator is built in ``setup``, outside the timed body, so only
+    ``evaluate`` is measured, with every per-plan and per-class cache cold.
+    """
+    def fresh_simulator():
+        return (SailorSimulator(env),), {}
+
+    evaluation = benchmark.pedantic(
+        lambda simulator: simulator.evaluate(plan), setup=fresh_simulator,
+        rounds=500, iterations=1)
     assert evaluation.is_valid
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from repro import (
     AvailabilityTraceGenerator,
+    ChurnReplayer,
     ClusterTopology,
+    FaultTrace,
     Objective,
     TrainingJobSpec,
     build_environment,
@@ -23,7 +25,6 @@ from repro import (
 )
 from repro.hardware.availability import AvailabilityTrace
 from repro.runtime.checkpoint import CheckpointConfig
-from repro.runtime.session import ElasticTrainingSession
 
 
 def main() -> None:
@@ -46,28 +47,29 @@ def main() -> None:
     if len(trace.events) > 12:
         print(f"  ... {len(trace.events) - 12} more changes")
 
-    session = ElasticTrainingSession(
+    replayer = ChurnReplayer(
         env, job, objective=Objective.max_throughput(),
         checkpoint_config=CheckpointConfig(interval_iterations=25))
-    report = session.run(trace, base_topology=base)
+    report = replayer.run(FaultTrace.from_availability(trace),
+                          base_topology=base)
 
-    print("\n=== 4-hour elastic session ===")
+    print("\n=== 4-hour elastic run ===")
     print(f"iterations completed      : {report.iterations_completed}")
     print(f"goodput                   : {report.goodput_iters_per_s:.4f} iters/s")
-    print(f"reconfigurations          : {report.reconfigurations}")
+    print(f"reconfigurations          : {len(report.plan_history)}")
+    print(f"time training             : {report.training_time_s:.1f} s")
     print(f"time reconfiguring        : {report.reconfiguration_time_s:.1f} s")
     print(f"time idle (no resources)  : {report.idle_time_s:.1f} s")
     print(f"checkpoint stalls         : {report.checkpoint_stall_s:.1f} s")
     print(f"iterations lost to rollback: {report.iterations_lost_to_rollback}")
-    print(f"availability efficiency   : {report.availability_efficiency * 100:.1f}%")
 
-    print("\nSegments (plan changes over time):")
-    for segment in report.segments:
-        print(f"  {segment.start_s / 60:6.1f}-{segment.end_s / 60:6.1f} min  "
-              f"{segment.gpus:3d} GPUs  {segment.iterations_completed:4d} iterations  "
-              f"({segment.iteration_time_s:.2f} s/iter)")
+    print("\nDecisions (one per availability change):")
+    for record in report.records:
+        print(f"  t={record.time_s / 60:6.1f} min  {record.pool_gpus:3d} GPUs "
+              f"available -> plan on {record.plan_gpus:3d} GPUs  "
+              f"{record.action:<20s} lost {record.iterations_lost} iterations")
 
-    for event in session.controller.events:
+    for event in replayer.controller.events:
         phases = event.breakdown
         print(f"\nReconfiguration at t={event.time_s / 60:.1f} min "
               f"({event.old_gpus} -> {event.new_gpus} GPUs): "

@@ -3,9 +3,9 @@
 Sailor automates distributed training over dynamic, heterogeneous and
 geo-distributed clusters.  This package reimplements the full system in
 Python: the profiler, the simulator, the planner, an elastic training
-runtime (as a discrete-event simulation), the baseline planners it is
-compared against, and the experiment harnesses for every figure and table in
-the paper's evaluation.
+runtime (a replanning controller that replays availability timelines), the
+baseline planners it is compared against, and the experiment harnesses for
+every figure and table in the paper's evaluation.
 
 Quickstart::
 
@@ -44,7 +44,7 @@ from repro.hardware import (
     get_node_type,
 )
 from repro.models import TrainingJobSpec, TransformerModelSpec, get_model
-from repro.runtime import ElasticTrainingSession, TrainingController
+from repro.runtime import ChurnReplayer, FaultTrace, TrainingController
 
 __version__ = "1.0.0"
 
@@ -71,7 +71,8 @@ __all__ = [
     "TrainingJobSpec",
     "TransformerModelSpec",
     "get_model",
-    "ElasticTrainingSession",
+    "ChurnReplayer",
+    "FaultTrace",
     "TrainingController",
     "__version__",
 ]

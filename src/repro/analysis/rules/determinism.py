@@ -23,9 +23,10 @@ enter the search):
   variables are not tracked; the convention is to sort at the point of
   construction, which is what the spine does.)
 
-Sanctioned exceptions are written as justified line suppressions, e.g.
-the planner's ``search_time_s`` observability stamps and the anytime
-deadline plumbing into ``SearchBudget``.
+Any other clock read goes through ``core/budget.py`` (the planner's
+``search_time_s`` and anytime deadline come from its ``SearchClock``);
+a sanctioned exception elsewhere is written as a justified line
+suppression.
 """
 
 from __future__ import annotations

@@ -46,12 +46,6 @@ class CandidatePlan:
     estimated_peak_memory_bytes: list[float] | None = None
     estimated_cost_usd: float | None = None
 
-    @property
-    def estimated_throughput(self) -> float:
-        if self.estimated_iteration_time_s <= 0:
-            return 0.0
-        return 1.0 / self.estimated_iteration_time_s
-
 
 @dataclass
 class BaselineSearchLimits:

@@ -17,6 +17,9 @@ provides the cheap cooperative check that the DP hot loops
   is *salvageable*: the raiser attaches progress counters, and every caller
   up the stack keeps the incumbent found so far instead of discarding it
   (see :meth:`~repro.core.planner.SailorPlanner._plan_branch`).
+* :class:`SearchClock` -- the wall clock of one planning call: the anytime
+  deadline it hands to :class:`SearchBudget` and the ``search_time_s`` it
+  reports.  This module is the only place in ``core`` that reads a clock.
 
 When no budget is supplied (``time_limit_s=None`` and no node budget), no
 ``SearchBudget`` is created and every hot loop pays a single ``is None``
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["SearchBudget", "SearchBudgetExhausted"]
+__all__ = ["SearchBudget", "SearchBudgetExhausted", "SearchClock"]
 
 
 class SearchBudgetExhausted(RuntimeError):
@@ -124,3 +127,24 @@ class SearchBudget:
             self.exhausted_reason = "node_budget"
             return True
         return False
+
+
+class SearchClock:
+    """The wall clock of one planning call, started at construction.
+
+    Neither reading branches the search: the deadline reaches it only
+    through :class:`SearchBudget`, and the elapsed time is reporting.
+    """
+
+    __slots__ = ("start",)
+
+    def __init__(self) -> None:
+        self.start = time.perf_counter()
+
+    def deadline(self, time_limit_s: float | None) -> float | None:
+        """Absolute deadline ``time_limit_s`` after the start, or None."""
+        return None if time_limit_s is None else self.start + time_limit_s
+
+    def elapsed_s(self) -> float:
+        """Seconds since the start."""
+        return time.perf_counter() - self.start

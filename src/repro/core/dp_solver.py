@@ -444,27 +444,44 @@ class DPSolver:
         if cached is not None:
             return cached
         combo, child = self._engine.backpointer(stage_index, row)
+        solution = self._combo_solution(stage_index, combo, child)
+        self._mat_cache[(stage_index, row)] = solution
+        return solution
+
+    def _combo_solution(self, stage_index: int, combo: int,
+                        child: int) -> DPSolution:
+        """The DPSolution of one combo of a stage over its child engine row
+        (``child`` is ignored at the last stage)."""
         entry = self._tables[stage_index].entries[combo]
         assignment = entry[2]
         if assignment is None:
-            assignment = self.context.build_stage_assignment(
-                self.partitions[stage_index], self.microbatch_size,
-                self.data_parallel, entry[0], nodes_used=entry[1],
-                compute_time_s=entry[4])
-            entry[2] = assignment
+            assignment = self._build_assignment(stage_index, entry)
         if stage_index == len(self.partitions) - 1:
-            solution = DPSolution(
+            return DPSolution(
                 assignments=[assignment],
                 max_stage_time_s=assignment.compute_time_s,
                 sum_stage_time_s=assignment.compute_time_s,
                 max_sync_time_s=assignment.sync_time_s,
                 cost_rate_usd_per_s=assignment.cost_rate_usd_per_s,
             )
-        else:
-            solution = self._combine(assignment,
-                                     self._materialize(stage_index + 1, child))
-        self._mat_cache[(stage_index, row)] = solution
-        return solution
+        return self._combine(assignment,
+                             self._materialize(stage_index + 1, child))
+
+    def _build_assignment(self, stage_index: int,
+                          entry: list) -> StageAssignment:
+        """Build a master-combo entry's ``StageAssignment`` and store it in
+        ``entry[2]``.
+
+        Entries build their assignment lazily.  Callers test ``entry[2] is
+        None`` themselves and call this only then, so the hot loops' common
+        path stays one list index and one ``is None`` test.
+        """
+        assignment = self.context.build_stage_assignment(
+            self.partitions[stage_index], self.microbatch_size,
+            self.data_parallel, entry[0], nodes_used=entry[1],
+            compute_time_s=entry[4])
+        entry[2] = assignment
+        return assignment
 
     # -- combo generation ---------------------------------------------------------
 
@@ -719,8 +736,6 @@ class DPSolver:
             guard.tick()
 
         stats = self.stats
-        context = self.context
-        partition = self.partitions[stage_index]
         best: DPSolution | None = None
         best_value = math.inf
         combos = self._combos_for_state(stage_index, state)
@@ -743,10 +758,7 @@ class DPSolver:
         for combo_index, (entry, footprint) in enumerate(combos):
             assignment = entry[2]
             if assignment is None:
-                assignment = context.build_stage_assignment(
-                    partition, self.microbatch_size, self.data_parallel,
-                    entry[0], nodes_used=entry[1], compute_time_s=entry[4])
-                entry[2] = assignment
+                assignment = self._build_assignment(stage_index, entry)
             t_a = assignment.compute_time_s
             sync_a = assignment.sync_time_s
             if is_last:
@@ -1057,11 +1069,7 @@ class DPSolver:
             entry = table.entries[cols[n]]
             assignment = entry[2]
             if assignment is None:
-                assignment = self.context.build_stage_assignment(
-                    self.partitions[stage_index], self.microbatch_size,
-                    self.data_parallel, entry[0], nodes_used=entry[1],
-                    compute_time_s=entry[4])
-                entry[2] = assignment
+                assignment = self._build_assignment(stage_index, entry)
             candidate = self._solve_suffix(stage_index, assignment,
                                            child_list[n], budget, cutoff)
             if candidate is None:
@@ -1072,27 +1080,9 @@ class DPSolver:
                 best_idx = -1
 
         if best is None and best_idx >= 0:
-            best_col = cols[best_idx]
-            best_child = -1 if is_last else child_list[best_idx]
-            entry = table.entries[best_col]
-            assignment = entry[2]
-            if assignment is None:
-                assignment = self.context.build_stage_assignment(
-                    self.partitions[stage_index], self.microbatch_size,
-                    self.data_parallel, entry[0], nodes_used=entry[1],
-                    compute_time_s=entry[4])
-                entry[2] = assignment
-            if is_last:
-                best = DPSolution(
-                    assignments=[assignment],
-                    max_stage_time_s=assignment.compute_time_s,
-                    sum_stage_time_s=assignment.compute_time_s,
-                    max_sync_time_s=assignment.sync_time_s,
-                    cost_rate_usd_per_s=assignment.cost_rate_usd_per_s,
-                )
-            else:
-                best = self._combine(assignment,
-                                     self._materialize(next_stage, best_child))
+            best = self._combo_solution(
+                stage_index, cols[best_idx],
+                -1 if is_last else child_list[best_idx])
 
         exact = best_value < upper_bound or upper_bound == math.inf
         lo = best.projected_cost(nb) if best is not None else -math.inf

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import bisect
 import math
-import time
 from dataclasses import dataclass, field
 
 from repro.collectives import ring_allreduce_time
-from repro.core.budget import SearchBudget, SearchBudgetExhausted
+from repro.core.budget import SearchBudget, SearchBudgetExhausted, SearchClock
 from repro.core.dp_solver import DPSolver, DPSolution, StageOption
 from repro.core.heuristics import (
     ConsolidatedTopology,
@@ -196,13 +195,8 @@ class SailorPlanner:
         ``search_stats`` are always the *delta* this call contributed.
         """
         objective = objective or Objective.max_throughput()
-        # lint: disable=determinism -- observability (search_time_s) plus
-        # the anytime deadline, which reaches the search only through
-        # SearchBudget; neither branches the search directly.
-        start = time.perf_counter()
+        clock = SearchClock()
         heuristics = self.config.heuristics
-        deadline = (None if self.config.time_limit_s is None
-                    else start + self.config.time_limit_s)
 
         consolidated = consolidate_zones(topology, heuristics)
         resources = self._resource_map(consolidated.topology)
@@ -214,7 +208,8 @@ class SailorPlanner:
                              "(job, goal) than this planning call")
         stats_before = context.stats.copy()
         search_budget = SearchBudget.maybe(
-            deadline, self.config.max_search_nodes)
+            clock.deadline(self.config.time_limit_s),
+            self.config.max_search_nodes)
         # The solve memo is skipped under a deterministic node budget: a
         # hit spends no ticks, so warm and cold runs would cut at
         # different candidates.
@@ -249,8 +244,7 @@ class SailorPlanner:
         return PlannerResult(
             plan=best_plan,
             evaluation=best_eval,
-            # lint: disable=determinism -- reporting only, not plan-affecting.
-            search_time_s=time.perf_counter() - start,
+            search_time_s=clock.elapsed_s(),
             planner_name=self.name,
             candidates_evaluated=candidates,
             oom_plans_generated=ooms,

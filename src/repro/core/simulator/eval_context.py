@@ -142,12 +142,10 @@ class EvaluationContext:
     plan-dependent enters the cache keys through :func:`plan_signature`.
     """
 
-    def __init__(self, env: SimulationEnvironment, *,
-                 cache_plans: bool = True) -> None:
+    def __init__(self, env: SimulationEnvironment) -> None:
         self.env = env
         self._timing = TimingEstimator(env)
-        self._arrays: dict[tuple, PlanArrays] | None = \
-            {} if cache_plans else None
+        self._arrays: dict[tuple, PlanArrays] = {}
         #: Cache observability (tested: hit/miss semantics).
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
@@ -225,8 +223,6 @@ class EvaluationContext:
 
     def plan_arrays(self, plan: ParallelizationPlan) -> PlanArrays:
         """Canonical arrays + fused evaluation results for one plan, cached."""
-        if self._arrays is None:
-            return self._build(plan)
         signature = plan_signature(plan)
         cached = self._arrays.get(signature)
         if cached is not None:

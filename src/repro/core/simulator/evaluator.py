@@ -24,20 +24,13 @@ from repro.core.simulator.eval_context import EvaluationContext, plan_signature
 
 
 class SailorSimulator:
-    """Estimates memory footprint, iteration time and cost of a plan.
+    """Estimates memory footprint, iteration time and cost of a plan."""
 
-    ``cache_evaluations`` / ``cache_plans`` control the per-plan-signature
-    caches (benchmarks disable them to measure the cold fused pass).
-    """
-
-    def __init__(self, env: SimulationEnvironment, *,
-                 cache_evaluations: bool = True,
-                 cache_plans: bool = True) -> None:
+    def __init__(self, env: SimulationEnvironment) -> None:
         self.env = env
         self.cost = CostEstimator(env)
-        self.context = EvaluationContext(env, cache_plans=cache_plans)
-        self._eval_cache: dict[tuple, PlanEvaluation] | None = \
-            {} if cache_evaluations else None
+        self.context = EvaluationContext(env)
+        self._eval_cache: dict[tuple, PlanEvaluation] = {}
         self.eval_cache_hits = 0
         self.eval_cache_misses = 0
 
@@ -48,14 +41,12 @@ class SailorSimulator:
         ``check_memory=False`` skips the OOM check (used by estimator-error
         experiments that want timing for configurations known to fit).
         """
-        key = None
-        if self._eval_cache is not None:
-            key = (plan_signature(plan), check_memory)
-            cached = self._eval_cache.get(key)
-            if cached is not None:
-                self.eval_cache_hits += 1
-                return self._copy(cached)
-            self.eval_cache_misses += 1
+        key = (plan_signature(plan), check_memory)
+        cached = self._eval_cache.get(key)
+        if cached is not None:
+            self.eval_cache_hits += 1
+            return self._copy(cached)
+        self.eval_cache_misses += 1
 
         arrays = self.context.plan_arrays(plan)
         oom_stages = list(arrays.oom_stages) if check_memory else []
@@ -76,10 +67,8 @@ class SailorSimulator:
             update_time_s=timing.update_time_s,
             straggler_stage=timing.straggler_stage,
         )
-        if self._eval_cache is not None:
-            self._eval_cache[key] = evaluation
-            return self._copy(evaluation)
-        return evaluation
+        self._eval_cache[key] = evaluation
+        return self._copy(evaluation)
 
     def evaluate_many(self, plans: list[ParallelizationPlan],
                       *, check_memory: bool = True) -> list[PlanEvaluation]:

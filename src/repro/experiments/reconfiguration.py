@@ -6,7 +6,9 @@ topology broadcast 1.25 s, NCCL group re-initialisation 4.5 s, model and
 optimizer redefinition 2 s, dataloader redefinition 0.5 s.  This experiment
 replays the same scale-up event through the controller and reports the
 per-phase breakdown (planning time is the actually-measured planner
-latency), plus an elastic-session summary over a spot-style trace.
+latency), plus the goodput of a one-hour spot-style availability trace
+replayed through the controller by
+:class:`~repro.runtime.replay.ChurnReplayer`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from repro.experiments.common import (
 from repro.hardware.availability import AvailabilityTrace, AvailabilityTraceGenerator
 from repro.hardware.topology import ClusterTopology
 from repro.runtime.controller import TrainingController
-from repro.runtime.session import ElasticTrainingSession
+from repro.runtime.faults import FaultTrace
+from repro.runtime.replay import ChurnReplayer
 
 
 def run(scale: str | object = "small", base_gpus: int = 16,
@@ -51,19 +54,18 @@ def run(scale: str | object = "small", base_gpus: int = 16,
         table.add_row(phase=phase, seconds=seconds)
     table.add_row(phase="total", seconds=event.total_s)
 
-    # Elastic-session summary over a spot trace (goodput context for the
-    # same cluster).
+    # Goodput over a spot trace (context for the same cluster).
     generator = AvailabilityTraceGenerator(seed=3)
     events = generator.spot_preemptions(
         "us-central1-a", "n1-standard-v100-4",
         base_nodes=(base_gpus + added_gpus) // 4, duration_s=3600.0)
     trace = AvailabilityTrace(events=events, duration_s=3600.0)
-    session = ElasticTrainingSession(env, job, objective=objective)
-    report = session.run(trace, base_topology=after)
+    report = ChurnReplayer(env, job, objective=objective).run(
+        FaultTrace.from_availability(trace), base_topology=after)
     table.columns.append("detail")
     table.add_row(phase="session_goodput_iters_per_s",
                   seconds=report.goodput_iters_per_s,
-                  detail=f"{report.reconfigurations} reconfigurations, "
+                  detail=f"{len(report.plan_history)} reconfigurations, "
                          f"{report.iterations_completed} iterations")
 
     table.notes = ("expected shape: cleanup + NCCL re-initialisation dominate; "

@@ -2,9 +2,9 @@
 
 The paper's training framework is a modified Megatron-DeepSpeed with support
 for heterogeneous plans, fault tolerance and elasticity (section 4.4).  This
-package reproduces its *systems* behaviour as a discrete-event simulation:
+package reproduces its *systems* behaviour by replaying availability
+timelines against a simulated job:
 
-* :mod:`repro.runtime.engine` -- a small discrete-event simulation engine.
 * :mod:`repro.runtime.comm_groups` -- building the data/pipeline/tensor
   communication groups (rank topology) for heterogeneous plans.
 * :mod:`repro.runtime.worker` -- per-worker state machine.
@@ -21,17 +21,17 @@ package reproduces its *systems* behaviour as a discrete-event simulation:
   search context.
 * :mod:`repro.runtime.faults` -- seeded fault-injection harness: labelled,
   serializable churn scenarios (preemption bursts, quota cuts, zone
-  outages, node flaps, mid-drain preemptions).
-* :mod:`repro.runtime.replay` -- deterministic replay of a fault trace
-  against the controller loop, with zero-drop accounting and incremental
-  reuse counters.  From the CLI:
+  outages, node flaps, mid-drain preemptions), and
+  :meth:`~repro.runtime.faults.FaultTrace.from_availability` to label a
+  plain availability trace for replay.
+* :mod:`repro.runtime.replay` -- the one timeline loop: deterministic
+  replay of a fault trace against the controller, training at the
+  simulated rate between events, with checkpoint rollback, zero-drop
+  accounting and incremental reuse counters.  From the CLI:
   ``sailor-repro churn --model <name> --events 200 --seed 0`` generates and
   replays a trace; ``--trace-out``/``--trace-in`` round-trip it as JSON.
-* :mod:`repro.runtime.session` -- end-to-end elastic training sessions over
-  an availability trace (used by the elasticity experiments).
 """
 
-from repro.runtime.engine import SimulationEngine, Event
 from repro.runtime.comm_groups import CommunicationGroups, build_rank_topology, RankAssignment
 from repro.runtime.worker import TrainingWorker, WorkerState
 from repro.runtime.checkpoint import CheckpointManager, CheckpointConfig
@@ -44,11 +44,8 @@ from repro.runtime.controller import (
 )
 from repro.runtime.faults import FaultEvent, FaultScenarioGenerator, FaultTrace
 from repro.runtime.replay import ChurnReplayer, ChurnReport
-from repro.runtime.session import ElasticTrainingSession, SessionReport
 
 __all__ = [
-    "SimulationEngine",
-    "Event",
     "CommunicationGroups",
     "build_rank_topology",
     "RankAssignment",
@@ -67,6 +64,4 @@ __all__ = [
     "FaultTrace",
     "ChurnReplayer",
     "ChurnReport",
-    "ElasticTrainingSession",
-    "SessionReport",
 ]

@@ -52,6 +52,8 @@ FAULT_KINDS = (
     "zone_outage",
     "node_flap",
     "price_move",
+    # Only FaultTrace.from_availability labels events with this kind.
+    "availability",
 )
 
 #: Fields every serialized fault event carries.
@@ -142,6 +144,26 @@ class FaultTrace:
     def pools(self) -> list[tuple[str, str]]:
         """All (zone, node_type) pools the trace touches."""
         return sorted({(e.zone, e.node_type) for e in self.events})
+
+    @classmethod
+    def from_availability(cls, trace: AvailabilityTrace) -> "FaultTrace":
+        """Label an availability trace for replay by the controller loop.
+
+        Every step becomes an ``availability`` event.  Steps after t=0
+        that leave a pool at its current level (0 before the pool's first
+        step, as in :meth:`AvailabilityTrace.available_at`) are dropped:
+        they give the controller nothing to react to.
+        """
+        events: list[FaultEvent] = []
+        level: dict[tuple[str, str], int] = {}
+        for e in trace.events:
+            pool = (e.zone, e.node_type)
+            if e.time_s > 0.0 and level.get(pool, 0) == e.available_nodes:
+                continue
+            level[pool] = e.available_nodes
+            events.append(FaultEvent(e.time_s, "availability", e.zone,
+                                     e.node_type, e.available_nodes))
+        return cls(events=events, duration_s=trace.duration_s)
 
     def to_availability_trace(self) -> AvailabilityTrace:
         """The unlabelled availability step function of this trace."""

@@ -1,7 +1,10 @@
-"""Deterministic replay of fault traces against the controller loop.
+"""Deterministic replay of availability timelines against the controller.
 
-:class:`ChurnReplayer` plays a :class:`~repro.runtime.faults.FaultTrace`
-against a :class:`~repro.runtime.controller.TrainingController` end to end:
+:class:`ChurnReplayer` is the runtime's one timeline loop.  It plays a
+:class:`~repro.runtime.faults.FaultTrace` -- a seeded churn scenario, or a
+plain availability trace labelled by
+:meth:`~repro.runtime.faults.FaultTrace.from_availability` -- against a
+:class:`~repro.runtime.controller.TrainingController` end to end:
 it applies every fault event group (simultaneous multi-pool events land as
 one topology change), wakes parked jobs at their retry-backoff deadlines,
 trains at the simulator-predicted rate between boundaries, takes
@@ -15,8 +18,11 @@ The resulting :class:`ChurnReport` carries zero-drop accounting
 tally, replan latencies (p50/p99), how many replans were answered *warm*
 from the controller's long-lived search context, and the plan signature
 history (serialized plans) that the determinism tests compare byte for
-byte.  Replays with a deadline-free policy are fully deterministic: same
-trace, same decisions, same plans, same iteration counts.
+byte.  Its time accounts partition the run: without a ``max_iterations``
+cap, training + reconfiguration + idle time equals the duration (a
+reconfiguration pause is booked only as far as the run lasts).  Replays
+with a deadline-free policy are fully deterministic: same trace, same
+decisions, same plans, same iteration counts.
 """
 
 from __future__ import annotations
@@ -101,6 +107,13 @@ class ChurnReport:
     def events_dropped(self) -> int:
         """Events the replay failed to present to the controller."""
         return self.events_total - self.events_applied
+
+    @property
+    def goodput_iters_per_s(self) -> float:
+        """Useful iterations per wall-clock second over the whole run."""
+        if self.duration_s <= 0:
+            return 0.0
+        return self.iterations_completed / self.duration_s
 
     @property
     def p50_replan_latency_s(self) -> float:
@@ -338,8 +351,12 @@ class ChurnReplayer:
     def _train(self, report: ChurnReport, start: float, end: float,
                reconfig_s: float, completed: int,
                max_iterations: int | None) -> tuple[int, float]:
-        """Train over one quiet window, mirroring the session accounting.
+        """Train over one quiet window between two boundaries.
 
+        The window's span goes to idle time (no plan), or first to the
+        pending reconfiguration pause and then to training, so the three
+        accounts always sum to the span.  Iterations run at the simulated
+        rate with the checkpoint stall amortised over the interval.
         Returns the new completed-iteration count and the reconfiguration
         debt left to consume in later windows (the pause can outlast a
         short window between two fault boundaries).

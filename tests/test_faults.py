@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.hardware.availability import AvailabilityTraceGenerator
+from repro.hardware.availability import (
+    AvailabilityEvent,
+    AvailabilityTrace,
+    AvailabilityTraceGenerator,
+)
 from repro.runtime.faults import (
     FaultEvent,
     FaultScenarioGenerator,
@@ -161,6 +165,34 @@ def test_trace_to_availability_trace_applies_steps():
     availability = trace.to_availability_trace()
     assert availability.available_at(50.0, "a", "a2-highgpu-4g") == 4
     assert availability.available_at(150.0, "a", "a2-highgpu-4g") == 2
+
+
+def test_from_availability_labels_steps_and_drops_unchanged_levels():
+    """A pool's level before its first step is 0, as in
+    ``AvailabilityTrace.available_at``; t=0 steps are kept and later steps
+    that keep a pool's level are dropped."""
+    availability = AvailabilityTrace(events=[
+        AvailabilityEvent(0.0, "z", "a2-highgpu-4g", 0),
+        AvailabilityEvent(100.0, "z", "n1-standard-v100-4", 2),
+        AvailabilityEvent(200.0, "z", "n1-standard-v100-4", 1),
+        AvailabilityEvent(300.0, "z", "a2-highgpu-4g", 0),        # no change
+        AvailabilityEvent(400.0, "z", "a2-highgpu-4g", 3),
+        AvailabilityEvent(500.0, "z", "n1-standard-v100-4", 1),   # no change
+    ], duration_s=600.0)
+    trace = FaultTrace.from_availability(availability)
+    assert [(e.time_s, e.kind, e.node_type, e.available_nodes)
+            for e in trace.events] == [
+        (0.0, "availability", "a2-highgpu-4g", 0),
+        (100.0, "availability", "n1-standard-v100-4", 2),
+        (200.0, "availability", "n1-standard-v100-4", 1),
+        (400.0, "availability", "a2-highgpu-4g", 3),
+    ]
+    assert trace.duration_s == 600.0
+    replayed = trace.to_availability_trace()
+    for t in (0.0, 50.0, 150.0, 250.0, 450.0, 550.0):
+        for node_type in ("a2-highgpu-4g", "n1-standard-v100-4"):
+            assert (replayed.available_at(t, "z", node_type)
+                    == availability.available_at(t, "z", node_type))
 
 
 def test_trace_json_round_trip_is_exact():

@@ -255,13 +255,6 @@ def test_plan_cache_hit_miss_accounting(opt_env, opt_job):
     assert (context.plan_cache_hits, context.plan_cache_misses) == (2, 2)
 
 
-def test_plan_cache_disabled_rebuilds(opt_env, opt_job):
-    context = EvaluationContext(opt_env, cache_plans=False)
-    plan = ParallelizationPlan.homogeneous(opt_job, "a2-highgpu-4g", 4, 2, 4, 2)
-    assert context.plan_arrays(plan) is not context.plan_arrays(plan)
-    assert (context.plan_cache_hits, context.plan_cache_misses) == (0, 0)
-
-
 def test_plan_signature_distinguishes_evaluation_inputs(opt_job):
     base = ParallelizationPlan.homogeneous(opt_job, "a2-highgpu-4g", 4, 2, 4, 2)
     twin = ParallelizationPlan.homogeneous(opt_job, "a2-highgpu-4g", 4, 2, 4, 2)
