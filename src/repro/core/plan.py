@@ -325,9 +325,6 @@ class SearchStats:
     pruned_branches: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Candidates whose full simulator evaluation was skipped because their
-    #: conservative iteration-time floor already lost to the incumbent.
-    gate_skips: int = 0
     #: Straggler-loop suffix resolutions actually performed under a budget
     #: constraint: scalar straggler-loop iterations that probe or solve a
     #: suffix, plus each budget combo the batched scan resolves inline via
@@ -407,7 +404,6 @@ class SearchStats:
         """One-line summary (used by the CLI and examples)."""
         return (f"nodes={self.nodes_explored} memo_hits={self.memo_hits} "
                 f"pruned={self.pruned_branches} cache_hits={self.cache_hits} "
-                f"gate_skips={self.gate_skips} "
                 f"suffix_iters={self.suffix_iterations} "
                 f"suffix_certified={self.suffix_certified} "
                 f"killed_unevaluated={self.candidates_killed_unevaluated} "

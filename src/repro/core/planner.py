@@ -321,9 +321,7 @@ class SailorPlanner:
         heuristics = self.config.heuristics
         outcome = _BranchOutcome(label=f"P{pp}/mbs{mbs}")
         maximize_throughput = objective.goal is OptimizationGoal.MAX_THROUGHPUT
-        constraint = objective.constraint
-        budget = constraint.max_cost_per_iteration_usd
-        min_throughput = constraint.min_throughput_iters_per_s
+        budget = objective.constraint.max_cost_per_iteration_usd
 
         partitions = context.partitions(pp)
         tp_req = min_tp_per_stage(
@@ -412,10 +410,7 @@ class SailorPlanner:
             # staleness and tie-break state of every surviving candidate
             # is unchanged.  (Physically re-sorting the candidates by
             # floor would *not* be: the H3/H4 early stop and the
-            # first-wins tie-break are order-dependent.)  The incumbent
-            # gate does not perturb the kill decisions: it never changes
-            # which candidate becomes a branch best, so neither threshold
-            # moves with it.
+            # first-wins tie-break are order-dependent.)
             kill_at = incumbent_value
             if outcome.evaluation is not None:
                 branch_best = self._incumbent_value(objective,
@@ -456,64 +451,6 @@ class SailorPlanner:
                                     consolidated)
             if plan is None:
                 continue
-
-            # Candidate-level incumbent gate: skip the full simulator
-            # evaluation when the simulator's conservative floors (time:
-            # pipeline + update, no sync; cost: compute at the time floor
-            # + exact egress) decide the outcome.  Two exact skip rules,
-            # both replaying every observable side effect of the full path
-            # from cheap vectorized checks so the chosen plan is
-            # byte-identical with the gate on or off:
-            #
-            # 1. *Constraint violation*: a cost floor already over the
-            #    budget (or a throughput ceiling under the floor) proves
-            #    ``meets`` False no matter the incumbent -- the full path
-            #    would evaluate, fail ``satisfied_by`` and move on, so the
-            #    only bookkeeping to replay is the OOM counter.  This is
-            #    what arms the gate on binding Table 3 budgets.
-            # 2. *Incumbent beaten* (unconstrained objectives): when the
-            #    floor already loses to the branch incumbent the candidate
-            #    cannot become the new incumbent; the H3/H4 staleness
-            #    bookkeeping's "score <= branch best" condition is proven
-            #    by the same comparison.  With a cost/throughput bound this
-            #    rule stays dormant unless rule 1 fired -- ``meets`` is
-            #    never guessed; undecidable candidates take the full
-            #    evaluation.
-            if budget is not None or min_throughput is not None:
-                violated = False
-                if budget is not None:
-                    violated = self.simulator.cost_floor(plan) > budget
-                if not violated and min_throughput is not None:
-                    floor = self.simulator.iteration_time_floor(plan)
-                    if floor > 0:
-                        violated = 1.0 / floor < min_throughput
-                if violated:
-                    context.stats.gate_skips += 1
-                    outcome.candidates_evaluated += 1
-                    if self.simulator.oom_stages(plan):
-                        outcome.oom_plans_generated += 1
-                    continue
-            elif outcome.evaluation is not None:
-                floor = self.simulator.iteration_time_floor(plan)
-                if maximize_throughput:
-                    beaten = floor >= outcome.evaluation.iteration_time_s
-                else:
-                    cost_floor = self.simulator.cost_floor(plan)
-                    beaten = (cost_floor
-                              >= outcome.evaluation.cost_per_iteration_usd)
-                if beaten:
-                    context.stats.gate_skips += 1
-                    outcome.candidates_evaluated += 1
-                    if self.simulator.oom_stages(plan):
-                        outcome.oom_plans_generated += 1
-                        continue
-                    meets = (constraint.max_gpus is None
-                             or plan.total_gpus <= constraint.max_gpus)
-                    if heuristics.ordered_data_parallel and meets:
-                        stale += 1
-                        if stale > DP_PATIENCE:
-                            break
-                    continue
 
             evaluation = self.simulator.evaluate(plan)
             outcome.candidates_evaluated += 1

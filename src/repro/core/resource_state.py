@@ -600,13 +600,12 @@ def compute_budget_bounds(forward: ForwardLayers,
     (``DPSolution.projected_cost``); sync is part of that model, so the
     fold above is admissible against every solution the recursion can
     return.  Egress (inter-zone traffic priced by
-    ``SailorSimulator.communication_cost``) is *not* in the DP cost model
-    -- it appears first at the planner's candidate gate, where
-    ``SailorSimulator.cost_floor`` adds it exactly.  Folding an egress
-    floor in here would over-bound relative to ``projected_cost`` and
-    could certify-infeasible a suffix the recursion would have solved,
-    changing chosen plans; the candidate-gate level is where egress
-    already prunes admissibly.
+    ``CostEstimator.communication_cost``) is *not* in the DP cost model
+    -- it appears first when the planner evaluates a built candidate with
+    ``SailorSimulator.evaluate`` and checks the budget against its full
+    cost.  Folding an egress floor in here would over-bound relative to
+    ``projected_cost`` and could certify-infeasible a suffix the recursion
+    would have solved, changing chosen plans.
     """
     nb = float(num_microbatches)
     nb1 = float(num_microbatches - 1)

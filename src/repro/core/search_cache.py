@@ -57,7 +57,7 @@ own and they are freed with the solver.
 
 The context also owns the :class:`~repro.core.plan.SearchStats` counters
 (nodes explored, memo hits, pruned branches, cache hits/misses, and the
-candidate-level incumbent gate's ``gate_skips``) that
+planner's tail-kill and family-skip counts) that
 :class:`~repro.core.plan.PlannerResult` exposes, which is what makes the
 speedup observable from benchmarks and ``examples/compare_planners.py``.
 

@@ -38,11 +38,11 @@ bit-for-bit (the kernels replicate the scalar floating-point operation
 order, including explicit left-to-right reductions where ``np.sum`` would
 reassociate).
 
-:class:`SailorSimulator` additionally exposes
-:meth:`SailorSimulator.evaluate_many` (batch evaluation over the shared
-caches) and :meth:`SailorSimulator.iteration_time_floor` (a conservative
-lower bound the planner's candidate-level incumbent gate uses to skip full
-evaluation of candidates that provably cannot beat the incumbent).
+:class:`SailorSimulator` additionally exposes conservative floors on a
+plan's iteration time and cost (:meth:`SailorSimulator.iteration_time_floor`,
+:meth:`SailorSimulator.cost_floor`) and its OOM stage list
+(:meth:`SailorSimulator.oom_stages`), each read from the same plan arrays
+as :meth:`SailorSimulator.evaluate`.
 """
 
 from repro.core.simulator.environment import SimulationEnvironment, build_environment

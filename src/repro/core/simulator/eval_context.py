@@ -106,14 +106,13 @@ class PlanArrays:
     update_max: float
     straggler_stage: int
     #: (P,) gradient all-reduce seconds; filled on first timing_breakdown
-    #: call.  Left lazy so the planner's incumbent-gate floor (pipeline +
-    #: update only) never pays for the worst-link sync search it exists to
-    #: skip.
+    #: call.  Left lazy so ``SailorSimulator.iteration_time_floor``
+    #: (pipeline + update only) never pays for the worst-link sync search.
     sync: list[float] | None = None
-    #: Egress USD per iteration; filled on first cost_floor call.  The
-    #: egress term depends only on the plan's cross-zone byte counts -- not
-    #: on the iteration time -- so it is exact (not a floor) and safe to
-    #: cache alongside the arrays.
+    #: Egress USD per iteration; filled on first cost_floor call (nothing
+    #: else reads it).  The egress term depends only on the plan's
+    #: cross-zone byte counts -- not on the iteration time -- so it is exact
+    #: (not a floor) and safe to cache alongside the arrays.
     comm_usd: float | None = None
 
     @property

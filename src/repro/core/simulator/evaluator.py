@@ -34,14 +34,9 @@ class SailorSimulator:
         self.eval_cache_hits = 0
         self.eval_cache_misses = 0
 
-    def evaluate(self, plan: ParallelizationPlan,
-                 *, check_memory: bool = True) -> PlanEvaluation:
-        """Evaluate a plan: validity (OOM), iteration time, and cost.
-
-        ``check_memory=False`` skips the OOM check (used by estimator-error
-        experiments that want timing for configurations known to fit).
-        """
-        key = (plan_signature(plan), check_memory)
+    def evaluate(self, plan: ParallelizationPlan) -> PlanEvaluation:
+        """Evaluate a plan: validity (OOM), iteration time, and cost."""
+        key = plan_signature(plan)
         cached = self._eval_cache.get(key)
         if cached is not None:
             self.eval_cache_hits += 1
@@ -49,7 +44,7 @@ class SailorSimulator:
         self.eval_cache_misses += 1
 
         arrays = self.context.plan_arrays(plan)
-        oom_stages = list(arrays.oom_stages) if check_memory else []
+        oom_stages = list(arrays.oom_stages)
         timing = self.context.timing_breakdown(plan)
         iteration_time = timing.iteration_time_s
         cost = self.cost.breakdown(plan, iteration_time)
@@ -70,23 +65,13 @@ class SailorSimulator:
         self._eval_cache[key] = evaluation
         return self._copy(evaluation)
 
-    def evaluate_many(self, plans: list[ParallelizationPlan],
-                      *, check_memory: bool = True) -> list[PlanEvaluation]:
-        """Evaluate several plans, sharing every per-environment cache.
-
-        Returns one :class:`PlanEvaluation` per input plan, in input order.
-        """
-        return [self.evaluate(plan, check_memory=check_memory)
-                for plan in plans]
-
     def iteration_time_floor(self, plan: ParallelizationPlan) -> float:
         """Conservative lower bound on :attr:`PlanEvaluation.iteration_time_s`.
 
         Exactly the pipeline + optimizer-update terms of the full estimate
         with the gradient-sync term dropped; since sync time is non-negative
         and IEEE-754 addition is monotone, the floor never exceeds the full
-        estimate (bitwise).  The planner's candidate-level incumbent gate
-        skips full evaluation when this floor already loses to the incumbent.
+        estimate (bitwise).
         """
         return self.context.plan_arrays(plan).iteration_time_floor_s
 
@@ -98,10 +83,8 @@ class SailorSimulator:
         not depend on the time at all.  Evaluating the compute term at
         :meth:`iteration_time_floor` therefore never exceeds the full
         estimate (IEEE-754 multiply/add are monotone), and the egress term
-        is carried *exactly* -- which is what lets the planner's candidate
-        gate arm under cost and budget objectives: a ``cost_floor`` above
-        the budget proves the budget violated just as the full evaluation
-        would find it.
+        is carried *exactly*, so a ``cost_floor`` above a budget proves the
+        budget violated just as the full evaluation would find it.
         """
         arrays = self.context.plan_arrays(plan)
         if arrays.comm_usd is None:
@@ -114,8 +97,7 @@ class SailorSimulator:
     def oom_stages(self, plan: ParallelizationPlan) -> list[int]:
         """Stage indices with at least one worker that does not fit.
 
-        Identical to the OOM list :meth:`evaluate` reports; the planner's
-        incumbent gate uses it to keep gated-candidate bookkeeping exact.
+        Identical to the OOM list :meth:`evaluate` reports.
         """
         return list(self.context.plan_arrays(plan).oom_stages)
 
@@ -126,17 +108,3 @@ class SailorSimulator:
             evaluation,
             peak_memory_bytes_per_stage=list(evaluation.peak_memory_bytes_per_stage),
             oom_stages=list(evaluation.oom_stages))
-
-    def iteration_time(self, plan: ParallelizationPlan) -> float:
-        """Convenience: seconds per iteration."""
-        return self.context.timing_breakdown(plan).iteration_time_s
-
-    def throughput(self, plan: ParallelizationPlan) -> float:
-        """Convenience: iterations per second."""
-        t = self.iteration_time(plan)
-        return 1.0 / t if t > 0 else 0.0
-
-    def peak_memory_gb(self, plan: ParallelizationPlan) -> list[float]:
-        """Convenience: per-stage peak memory in GiB."""
-        peaks = self.context.plan_arrays(plan).stage_peaks.tolist()
-        return [p / (1024 ** 3) for p in peaks]

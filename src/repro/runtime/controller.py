@@ -12,9 +12,9 @@ Under churn (see :mod:`repro.runtime.faults`) the controller applies a
 of increasing disruption:
 
 1. ``CONTINUE`` -- the incumbent plan still fits and no switch is
-   warranted (debounce/hysteresis gated, replan not better, replan missed
-   its deadline, or the switch does not pay for its own reconfiguration
-   pause within the amortization horizon).
+   warranted: the change came within the debounce window, the replan
+   found nothing better, or the replan was degraded (it missed its
+   deadline or its anytime search was cut short).
 2. ``SHRINK_DP`` -- the incumbent no longer fits but dropping whole
    data-parallel pipeline columns in place does: a cheap reconfigure with
    no planner invocation.
@@ -26,7 +26,9 @@ of increasing disruption:
    solves (the cross-time analogue of the planner's cross-candidate
    sharing).
 4. ``PARK`` -- nothing fits: checkpoint-park the job (stop workers, keep
-   state) and retry with exponential backoff as capacity returns.
+   state) and retry with exponential backoff (:data:`RETRY_BACKOFF_S`,
+   growing by :data:`RETRY_BACKOFF_FACTOR` up to
+   :data:`MAX_RETRY_BACKOFF_S`) as capacity returns.
 
 Every decision is recorded as a :class:`ReplanDecision` and every applied
 reconfiguration as a :class:`ReconfigurationEvent` carrying its trigger
@@ -40,7 +42,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from repro.core.objectives import Objective, OptimizationGoal
+from repro.core.objectives import Objective
 from repro.core.plan import (
     ParallelizationPlan,
     PlanEvaluation,
@@ -58,6 +60,13 @@ from repro.runtime.comm_groups import CommunicationGroups, build_rank_topology
 from repro.runtime.reconfiguration import ReconfigurationBreakdown, ReconfigurationModel
 from repro.runtime.worker import TrainingWorker, WorkerState
 
+#: Backoff schedule for retrying a transiently-infeasible pool: the first
+#: retry waits ``RETRY_BACKOFF_S``, each further one ``RETRY_BACKOFF_FACTOR``
+#: times longer, capped at ``MAX_RETRY_BACKOFF_S``.
+RETRY_BACKOFF_S = 60.0
+RETRY_BACKOFF_FACTOR = 2.0
+MAX_RETRY_BACKOFF_S = 900.0
+
 
 class DegradationTier(enum.Enum):
     """How disruptive the controller's reaction to a change was."""
@@ -72,39 +81,18 @@ class DegradationTier(enum.Enum):
 class ReplanPolicy:
     """Knobs governing when and how the controller replans.
 
-    The defaults reproduce the pre-policy behaviour (replan eagerly on
-    every change, no deadline, always switch to a better plan), so
-    existing callers see no difference until they opt in.
+    The defaults replan on every change with no deadline and charge the
+    measured solver latency.
     """
 
     #: Minimum seconds between *voluntary* replan attempts while the
     #: incumbent still fits (flap suppression).  0 disables.
     debounce_s: float = 0.0
-    #: Ignore pool-size changes smaller than this fraction of the pool the
-    #: incumbent was deployed against, while the incumbent still fits.
-    hysteresis_fraction: float = 0.0
     #: Wall-clock budget for one replan.  The planner runs anytime-bounded
     #: to this limit; a solve that still overruns it is treated as a miss:
     #: on the voluntary path the incumbent is kept (degraded), on the
     #: broken path the anytime answer is applied but flagged.
     replan_deadline_s: float | None = None
-    #: Gap-aware adoption of *degraded* voluntary replans (deadline missed
-    #: or anytime result incomplete): adopt the degraded plan when its
-    #: certified ``optimality_gap_bound`` is at most this fraction,
-    #: otherwise keep the incumbent.  ``None`` (default) keeps the
-    #: incumbent on every degraded voluntary replan, the pre-anytime
-    #: behaviour.
-    max_adopt_gap: float | None = None
-    #: Backoff schedule for retrying a transiently-infeasible pool.
-    retry_backoff_s: float = 60.0
-    retry_backoff_factor: float = 2.0
-    max_retry_backoff_s: float = 900.0
-    #: Horizon over which a voluntary switch must amortise its own
-    #: reconfiguration pause (transition-cost-aware objective).  ``None``
-    #: disables the gate.
-    amortization_horizon_s: float | None = None
-    #: Try dropping data-parallel columns in place before a full replan.
-    enable_shrink: bool = True
     #: Charge the reconfiguration model's *constant* planning latency
     #: instead of the measured solver wall-clock, so the simulated timeline
     #: (iteration counts, checkpoint instants) is a pure function of the
@@ -113,31 +101,11 @@ class ReplanPolicy:
     deterministic_timing: bool = False
 
     def __post_init__(self) -> None:
-        # Each check is written so that NaN fails it: a NaN debounce or
-        # hysteresis compares false everywhere and would silently act as
-        # "off" instead of failing.
+        # Written so that NaN fails it: a NaN debounce compares false
+        # everywhere and would silently act as "off" instead of failing.
         if not (math.isfinite(self.debounce_s) and self.debounce_s >= 0):
             raise ValueError("debounce_s must be a finite number >= 0, got "
                              f"{self.debounce_s}")
-        if not 0 <= self.hysteresis_fraction < 1:
-            raise ValueError("hysteresis_fraction must be in [0, 1), got "
-                             f"{self.hysteresis_fraction}")
-        if not self.retry_backoff_s > 0:
-            raise ValueError("retry_backoff_s must be > 0, got "
-                             f"{self.retry_backoff_s}")
-        if not self.max_retry_backoff_s >= self.retry_backoff_s:
-            raise ValueError("max_retry_backoff_s must be >= retry_backoff_s "
-                             f"({self.retry_backoff_s}), got "
-                             f"{self.max_retry_backoff_s}")
-        if not self.retry_backoff_factor >= 1:
-            raise ValueError("retry_backoff_factor must be >= 1, got "
-                             f"{self.retry_backoff_factor}")
-        for name in ("max_adopt_gap", "amortization_horizon_s"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value)
-                                          and value >= 0):
-                raise ValueError(f"{name} must be None or a finite number "
-                                 f">= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -214,29 +182,25 @@ class TrainingController:
         self.simulator = SailorSimulator(self.env)
         self._search_context: PlannerSearchContext | None = None
         self._last_replan_check_s: float | None = None
-        self._deployed_pool_gpus: int = 0
         self._retry_at_s: float | None = None
-        self._retry_backoff_s: float = self.policy.retry_backoff_s
+        self._retry_backoff_s: float = RETRY_BACKOFF_S
 
     # -- planning ------------------------------------------------------------
 
     def replan(self, topology: ClusterTopology) -> PlannerResult:
         """Run the planner against the currently available topology.
 
-        A :class:`SailorPlanner` solves inside one long-lived search
-        context, so stage tables, master combos, floor tables and whole DP
-        solves survive across successive pools; the chosen plan is
-        identical to a from-scratch solve on the same pool (the context is
+        Every solve runs inside one long-lived search context, so stage
+        tables, master combos, floor tables and whole DP solves survive
+        across successive pools; the chosen plan is identical to a
+        from-scratch solve on the same pool (the context is
         topology-independent).
         """
-        if isinstance(self.planner, SailorPlanner):
-            if self._search_context is None:
-                self._search_context = PlannerSearchContext(
-                    self.env, self.job, self.objective.goal)
-            result = self.planner.plan(self.job, topology, self.objective,
-                                       context=self._search_context)
-        else:
-            result = self.planner.plan(self.job, topology, self.objective)
+        if self._search_context is None:
+            self._search_context = PlannerSearchContext(
+                self.env, self.job, self.objective.goal)
+        result = self.planner.plan(self.job, topology, self.objective,
+                                   context=self._search_context)
         self.search_stats.merge(result.search_stats)
         return result
 
@@ -294,8 +258,7 @@ class TrainingController:
             return None
         event = self._apply(result, time_s, reason=cause, trigger=cause,
                             tier=DegradationTier.FULL_REPLAN,
-                            deadline_missed=missed,
-                            pool_gpus=topology.total_gpus())
+                            deadline_missed=missed)
         self._decide(time_s, cause, DegradationTier.FULL_REPLAN, "deployed",
                      result=result, deadline_missed=missed)
         return event
@@ -308,13 +271,6 @@ class TrainingController:
                 and time_s - self._last_replan_check_s < policy.debounce_s):
             self._decide(time_s, cause, DegradationTier.CONTINUE, "debounced")
             return None
-        pool_gpus = topology.total_gpus()
-        if policy.hysteresis_fraction > 0 and self._deployed_pool_gpus > 0:
-            delta = abs(pool_gpus - self._deployed_pool_gpus)
-            if delta < policy.hysteresis_fraction * self._deployed_pool_gpus:
-                self._decide(time_s, cause, DegradationTier.CONTINUE,
-                             "hysteresis")
-                return None
         return self._consider_switch(topology, time_s, cause,
                                      reason="better plan available")
 
@@ -325,9 +281,9 @@ class TrainingController:
 
         Prices are baked into the search context's cost tables, the
         simulators and the planner's caches, so all three are rebuilt
-        before replanning.  Debounce and hysteresis are bypassed: a price
-        move invalidates the incumbent's *cost basis* even when the
-        topology (and so the pool size) is completely unchanged.
+        before replanning.  Debounce is bypassed: a price move invalidates
+        the incumbent's *cost basis* even when the topology is completely
+        unchanged.
         """
         self.invalidate_price_caches()
         if self.current_plan is None:
@@ -347,24 +303,20 @@ class TrainingController:
         """
         self._search_context = None
         self.simulator = SailorSimulator(self.env)
-        if isinstance(self.planner, SailorPlanner):
-            self.planner = SailorPlanner(self.env, config=self.planner.config)
+        self.planner = SailorPlanner(self.env, config=self.planner.config)
 
     def _consider_switch(self, topology: ClusterTopology, time_s: float,
                          cause: str, reason: str,
                          ) -> ReconfigurationEvent | None:
-        """Replan and switch if the result is adoptable, better and worth it.
+        """Replan and switch if the result is complete and better.
 
         A *degraded* result (deadline missed, or anytime search incomplete)
-        is adoptable only through the policy's gap-aware gate
-        (:meth:`_adopt_degraded`); otherwise the incumbent is kept -- never
-        block training on, or switch blindly after, a slow solve.
+        keeps the incumbent: never block training on, or switch blindly
+        after, a slow solve.
         """
-        pool_gpus = topology.total_gpus()
         self._last_replan_check_s = time_s
         result, missed = self._timed_replan(topology)
-        degraded = missed or not result.complete
-        if degraded and not self._adopt_degraded(result):
+        if missed or not result.complete:
             self._decide(time_s, cause, DegradationTier.CONTINUE,
                          "deadline_fallback", result=result,
                          deadline_missed=True)
@@ -376,47 +328,30 @@ class TrainingController:
             self._decide(time_s, cause, DegradationTier.CONTINUE, "kept",
                          result=result)
             return None
-        if not self._switch_worth_it(result):
-            self._decide(time_s, cause, DegradationTier.CONTINUE,
-                         "not_worth_switching", result=result)
-            return None
         event = self._apply(result, time_s, reason=reason,
-                            trigger=cause, tier=DegradationTier.FULL_REPLAN,
-                            deadline_missed=degraded,
-                            pool_gpus=pool_gpus)
+                            trigger=cause, tier=DegradationTier.FULL_REPLAN)
         self._decide(time_s, cause, DegradationTier.FULL_REPLAN, "switched",
-                     result=result, deadline_missed=degraded)
+                     result=result)
         return event
-
-    def _adopt_degraded(self, result: PlannerResult) -> bool:
-        """Keep-incumbent vs adopt-degraded-plan, decided by the certified
-        optimality gap instead of a blind timeout fallback."""
-        gap = self.policy.max_adopt_gap
-        if gap is None or not result.found:
-            return False
-        return result.optimality_gap_bound <= gap
 
     def _handle_broken_plan(self, topology: ClusterTopology, time_s: float,
                             cause: str) -> ReconfigurationEvent | None:
         """The incumbent no longer fits: shrink, replan, or park."""
         self._last_replan_check_s = time_s
-        if self.policy.enable_shrink:
-            shrink_start = time.perf_counter()
-            shrunk = self._shrink_to_fit(topology)
-            if shrunk is not None:
-                plan, evaluation = shrunk
-                result = PlannerResult(
-                    plan=plan, evaluation=evaluation,
-                    search_time_s=time.perf_counter() - shrink_start,
-                    planner_name="shrink-in-place")
-                event = self._apply(result, time_s,
-                                    reason="shrink data parallelism to fit",
-                                    trigger=cause,
-                                    tier=DegradationTier.SHRINK_DP,
-                                    pool_gpus=topology.total_gpus())
-                self._decide(time_s, cause, DegradationTier.SHRINK_DP,
-                             "shrunk", result=result)
-                return event
+        shrink_start = time.perf_counter()
+        shrunk = self._shrink_to_fit(topology)
+        if shrunk is not None:
+            plan, evaluation = shrunk
+            result = PlannerResult(
+                plan=plan, evaluation=evaluation,
+                search_time_s=time.perf_counter() - shrink_start,
+                planner_name="shrink-in-place")
+            event = self._apply(result, time_s,
+                                reason="shrink data parallelism to fit",
+                                trigger=cause, tier=DegradationTier.SHRINK_DP)
+            self._decide(time_s, cause, DegradationTier.SHRINK_DP, "shrunk",
+                         result=result)
+            return event
         result, missed = self._timed_replan(topology)
         if result.found:
             # The broken path applies the anytime answer even when degraded
@@ -424,8 +359,7 @@ class TrainingController:
             degraded = missed or not result.complete
             event = self._apply(result, time_s, reason=cause, trigger=cause,
                                 tier=DegradationTier.FULL_REPLAN,
-                                deadline_missed=degraded,
-                                pool_gpus=topology.total_gpus())
+                                deadline_missed=degraded)
             self._decide(time_s, cause, DegradationTier.FULL_REPLAN,
                          "replanned", result=result, deadline_missed=degraded)
             return event
@@ -460,37 +394,6 @@ class TrainingController:
         missed = (self.policy.replan_deadline_s is not None
                   and result.search_time_s > self.policy.replan_deadline_s)
         return result, missed
-
-    def _switch_worth_it(self, result: PlannerResult) -> bool:
-        """Transition-cost-aware gate on voluntary plan switches.
-
-        Moving off the incumbent pauses training for the full
-        reconfiguration latency; the switch is worth it only when the new
-        plan's advantage, integrated over ``amortization_horizon_s``,
-        exceeds the work (throughput objective) or money (cost objective)
-        the pause forfeits.
-        """
-        horizon = self.policy.amortization_horizon_s
-        if horizon is None or self.current_plan is None:
-            return True
-        current = self.current_evaluation
-        if current is None or result.evaluation is None:
-            return True
-        pause = self.reconfiguration.total_s(
-            max(1, result.plan.total_gpus),
-            planning_time_s=result.search_time_s)
-        new = result.evaluation
-        if self.objective.goal is OptimizationGoal.MAX_THROUGHPUT:
-            gained = (new.throughput_iters_per_s
-                      - current.throughput_iters_per_s) * horizon
-            lost = current.throughput_iters_per_s * pause
-            return gained > lost
-        # MIN_COST: dollars saved over the horizon vs. the cost of the
-        # iterations the pause defers (priced at the new plan's rate).
-        saved = (current.cost_per_iteration_usd
-                 - new.cost_per_iteration_usd) * new.throughput_iters_per_s * horizon
-        deferred = new.cost_per_iteration_usd * new.throughput_iters_per_s * pause
-        return saved > deferred
 
     def _shrink_to_fit(self, topology: ClusterTopology,
                        ) -> tuple[ParallelizationPlan, PlanEvaluation] | None:
@@ -559,8 +462,8 @@ class TrainingController:
         if retry:
             self._retry_at_s = time_s + self._retry_backoff_s
             self._retry_backoff_s = min(
-                self._retry_backoff_s * self.policy.retry_backoff_factor,
-                self.policy.max_retry_backoff_s)
+                self._retry_backoff_s * RETRY_BACKOFF_FACTOR,
+                MAX_RETRY_BACKOFF_S)
         else:
             self._retry_at_s = None
         self._decide(time_s, cause, DegradationTier.PARK, "parked",
@@ -568,8 +471,7 @@ class TrainingController:
 
     def _apply(self, result: PlannerResult, time_s: float, reason: str,
                trigger: str = "", tier: DegradationTier = DegradationTier.FULL_REPLAN,
-               deadline_missed: bool = False,
-               pool_gpus: int | None = None) -> ReconfigurationEvent:
+               deadline_missed: bool = False) -> ReconfigurationEvent:
         old_gpus = self.current_plan.total_gpus if self.current_plan else 0
         new_plan = result.plan
         assert new_plan is not None
@@ -597,10 +499,8 @@ class TrainingController:
         self.current_plan = new_plan
         self.current_groups = groups
         self.parked = False
-        if pool_gpus is not None:
-            self._deployed_pool_gpus = pool_gpus
         self._retry_at_s = None
-        self._retry_backoff_s = self.policy.retry_backoff_s
+        self._retry_backoff_s = RETRY_BACKOFF_S
         return event
 
     def _decide(self, time_s: float, trigger: str, tier: DegradationTier,

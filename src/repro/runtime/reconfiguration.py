@@ -90,8 +90,3 @@ class ReconfigurationModel:
             model_init_s=self.model_init_s,
             dataloader_s=self.dataloader_s,
         )
-
-    def total_s(self, num_workers: int,
-                planning_time_s: float | None = None) -> float:
-        """Total reconfiguration latency for a cluster size."""
-        return self.breakdown(num_workers, planning_time_s).total_s

@@ -268,8 +268,8 @@ class ChurnReplayer:
                     self._apply_price_moves(price_events, base_prices, report)
                 if price_events and len(price_events) == len(fault_events):
                     # A pure pricing boundary: the pool is unchanged, so the
-                    # availability path's debounce/hysteresis would wrongly
-                    # swallow the cost-basis change.
+                    # availability path's debounce would wrongly swallow the
+                    # cost-basis change.
                     event = controller.handle_price_change(
                         topology, now, cause=trigger)
                 else:
@@ -408,9 +408,9 @@ class ChurnReplayer:
                 report.shrinks += 1
             elif decision.tier is DegradationTier.PARK:
                 report.parks += 1
-            elif decision.action in ("kept", "not_worth_switching"):
+            elif decision.action == "kept":
                 report.keeps += 1
-            elif decision.action in ("debounced", "hysteresis"):
+            elif decision.action == "debounced":
                 report.debounces += 1
             elif decision.action == "switched":
                 report.switches += 1

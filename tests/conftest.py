@@ -76,7 +76,7 @@ def neo_env(neo_job, mixed_topology):
 
 @pytest.fixture
 def disarm_prunes():
-    """``with disarm_prunes(gate=..., tail=..., family=...):`` plans inside
+    """``with disarm_prunes(tail=..., family=...):`` plans inside
     the block never fire the chosen prunes (``exhaustive_oracle``).  Every
     prune is value-preserving, so the equivalence tests compare plans with
     one prune off."""

@@ -2,8 +2,8 @@
 
 Every prune in the production search is value-preserving: the tuple
 recursion's branch-and-bound, the engine's batched budget scan with its
-straggler/cost certificates, and the planner's incumbent gate, tail kill
-and dominated-family skip.  This module is what the equivalence suites and
+straggler/cost certificates, and the planner's tail kill and
+dominated-family skip.  This module is what the equivalence suites and
 the golden ``exhaustive`` config check them against:
 
 * :class:`ExhaustiveSolver` -- an unpruned, memoised recursion over a
@@ -34,7 +34,6 @@ from repro.core.dp_solver import (
     straggler_converged,
 )
 from repro.core.planner import SailorPlanner
-from repro.core.simulator import SailorSimulator
 
 
 class ExhaustiveSolver:
@@ -210,8 +209,7 @@ def exhaustive_solve(solver: DPSolver, resources,
 
 
 @contextlib.contextmanager
-def disarm_prunes(*, gate: bool = False, tail: bool = False,
-                  family: bool = False):
+def disarm_prunes(*, tail: bool = False, family: bool = False):
     """Switch single planner prunes off with test-side fakes.
 
     Plans inside the block never fire the chosen prunes.  ``tail`` zeroes
@@ -219,11 +217,6 @@ def disarm_prunes(*, gate: bool = False, tail: bool = False,
     floor (no family skip fires) and the anytime gap bound.
     """
     with pytest.MonkeyPatch.context() as mp:
-        if gate:  # zero floors decide no constraint, beat no incumbent
-            mp.setattr(SailorSimulator, "iteration_time_floor",
-                       lambda self, plan: 0.0)
-            mp.setattr(SailorSimulator, "cost_floor",
-                       lambda self, plan: 0.0)
         if tail:  # a zero tail floor never reaches the incumbent
             mp.setattr(SailorPlanner, "_candidate_floor_available",
                        staticmethod(lambda *args: 0.0))
@@ -241,7 +234,7 @@ def exhaustive_planning():
     Plan on a fresh search context: the planner's whole-solve memo does
     not know which solver filled it.
     """
-    with disarm_prunes(gate=True, tail=True, family=True), \
+    with disarm_prunes(tail=True, family=True), \
             pytest.MonkeyPatch.context() as mp:
         mp.setattr(DPSolver, "solve", exhaustive_solve)
         yield

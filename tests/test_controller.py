@@ -6,6 +6,8 @@ from repro.core.objectives import Objective
 from repro.core.planner import SailorPlanner
 from repro.hardware.topology import ClusterTopology
 from repro.runtime.controller import (
+    MAX_RETRY_BACKOFF_S,
+    RETRY_BACKOFF_S,
     DegradationTier,
     ReplanPolicy,
     TrainingController,
@@ -33,31 +35,16 @@ def small_topology(nodes=2):
     ("debounce_s", float("nan")),
     ("debounce_s", -5.0),
     ("debounce_s", float("inf")),
-    ("hysteresis_fraction", -0.1),
-    ("hysteresis_fraction", 1.0),
-    ("hysteresis_fraction", float("nan")),
-    ("retry_backoff_s", 0.0),
-    ("retry_backoff_s", float("nan")),
-    ("max_retry_backoff_s", 30.0),
-    ("retry_backoff_factor", 0.5),
-    ("retry_backoff_factor", float("nan")),
-    ("max_adopt_gap", -1.0),
-    ("max_adopt_gap", float("nan")),
-    ("amortization_horizon_s", float("inf")),
-    ("amortization_horizon_s", -1.0),
 ])
 def test_replan_policy_rejects_bad_values(field, value):
-    """A NaN, negative or out-of-range knob raises instead of silently
+    """A NaN, negative or infinite debounce raises instead of silently
     acting as "off"."""
     with pytest.raises(ValueError, match=field):
         ReplanPolicy(**{field: value})
 
 
 def test_replan_policy_accepts_boundary_values():
-    ReplanPolicy(debounce_s=0.0, hysteresis_fraction=0.0,
-                 retry_backoff_s=1.0, max_retry_backoff_s=1.0,
-                 retry_backoff_factor=1.0, max_adopt_gap=0.0,
-                 amortization_horizon_s=0.0)
+    ReplanPolicy(debounce_s=0.0)
 
 
 def test_start_deploys_plan_and_workers(controller):
@@ -191,12 +178,13 @@ def test_shrink_in_place_drops_data_parallel_columns(opt_env, opt_job):
     assert shrunk.resource_allocation().fits_within(small_topology(2))
 
 
-def test_shrink_disabled_falls_through_to_full_replan(opt_env, opt_job):
-    controller = make_controller(opt_env, opt_job,
-                                 ReplanPolicy(enable_shrink=False))
+def test_unshrinkable_plan_falls_through_to_full_replan(controller):
+    """When no data-parallel prefix of the incumbent fits the new pool
+    (its node type is gone), the broken plan takes a full replan."""
     controller.start(small_topology(4), time_s=0.0)
     event = controller.handle_availability_change(
-        small_topology(2), time_s=60.0, cause="preemption_burst")
+        ClusterTopology.homogeneous("n1-standard-v100-4", 4), time_s=60.0,
+        cause="preemption_burst")
     assert event is not None
     assert event.tier is DegradationTier.FULL_REPLAN
     assert event.planner_result.planner_name == "sailor"
@@ -215,7 +203,7 @@ def test_park_then_resume_on_capacity(controller):
     assert controller.current_plan is not None
 
 
-# -- replan policy: debounce, hysteresis, deadline, retry ---------------------
+# -- replan policy: debounce, deadline, retry ---------------------------------
 
 
 def test_debounce_suppresses_rapid_voluntary_replans(opt_env, opt_job):
@@ -232,20 +220,6 @@ def test_debounce_suppresses_rapid_voluntary_replans(opt_env, opt_job):
     # Once the debounce window passes, the controller replans and upgrades.
     event = controller.handle_availability_change(
         small_topology(6), time_s=400.0, cause="node_flap")
-    assert event is not None
-
-
-def test_hysteresis_ignores_small_pool_changes(opt_env, opt_job):
-    controller = make_controller(opt_env, opt_job,
-                                 ReplanPolicy(hysteresis_fraction=0.5))
-    controller.start(small_topology(4), time_s=0.0)   # 16-GPU pool
-    event = controller.handle_availability_change(
-        small_topology(5), time_s=60.0, cause="node_flap")
-    assert event is None
-    assert controller.decisions[-1].action == "hysteresis"
-    # A 4 -> 8 node change (100% of the deployed pool) clears the band.
-    event = controller.handle_availability_change(
-        small_topology(8), time_s=120.0, cause="quota restored")
     assert event is not None
 
 
@@ -270,33 +244,23 @@ def test_deadline_miss_keeps_incumbent(opt_env, opt_job):
 
 def test_infeasible_pool_parks_with_backoff_and_retries(opt_env, opt_job):
     objective = Objective.max_throughput(max_cost_per_iteration_usd=1e-9)
-    policy = ReplanPolicy(retry_backoff_s=100.0, retry_backoff_factor=2.0,
-                          max_retry_backoff_s=350.0)
     controller = TrainingController(env=opt_env, job=opt_job,
-                                    objective=objective, policy=policy)
+                                    objective=objective)
+    assert RETRY_BACKOFF_S == 60.0 and MAX_RETRY_BACKOFF_S == 900.0
     assert controller.start(small_topology(2), time_s=0.0) is None
     assert controller.parked
-    assert controller.next_retry_at_s == pytest.approx(100.0)
+    assert controller.next_retry_at_s == pytest.approx(60.0)
     # Not due yet: nothing happens.
-    assert controller.maybe_retry(small_topology(2), time_s=50.0) is None
-    # Due: retries, fails again, backoff doubles (and is later capped).
-    assert controller.maybe_retry(small_topology(2), time_s=100.0) is None
-    assert controller.next_retry_at_s == pytest.approx(300.0)
-    assert controller.maybe_retry(small_topology(2), time_s=300.0) is None
-    assert controller.next_retry_at_s == pytest.approx(300.0 + 350.0)
-
-
-def test_amortization_horizon_blocks_marginal_switches(opt_env, opt_job):
-    """With a very short horizon no voluntary switch can amortise the pause."""
-    controller = make_controller(opt_env, opt_job,
-                                 ReplanPolicy(amortization_horizon_s=1e-6))
-    controller.start(small_topology(2), time_s=0.0)
-    plan_before = controller.current_plan
-    event = controller.handle_availability_change(
-        small_topology(6), time_s=60.0, cause="quota restored")
-    assert event is None
-    assert controller.current_plan is plan_before
-    assert controller.decisions[-1].action == "not_worth_switching"
+    assert controller.maybe_retry(small_topology(2), time_s=30.0) is None
+    # Due: retries, fails again, backoff doubles (60 -> 120 s) ...
+    assert controller.maybe_retry(small_topology(2), time_s=60.0) is None
+    assert controller.next_retry_at_s == pytest.approx(60.0 + 120.0)
+    # ... and keeps doubling (240, 480 s) until the 900 s cap.
+    now = 180.0
+    for backoff in (240.0, 480.0, 900.0, 900.0):
+        assert controller.maybe_retry(small_topology(2), time_s=now) is None
+        assert controller.next_retry_at_s == pytest.approx(now + backoff)
+        now += backoff
 
 
 def test_incremental_context_reused_across_replans(controller):
@@ -308,31 +272,13 @@ def test_incremental_context_reused_across_replans(controller):
     assert controller.search_stats.cache_hits > 0
 
 
-# -- anytime results: gap-aware adoption & price moves ------------------------
-
-
-def test_max_adopt_gap_adopts_degraded_result_with_small_gap(opt_env, opt_job):
-    """A missed deadline no longer auto-keeps the incumbent: when the
-    anytime result certifies a gap within the policy's tolerance, the
-    degraded plan is adopted (flagged deadline_missed for observability)."""
-    policy = ReplanPolicy(replan_deadline_s=1e-9, max_adopt_gap=1.0)
-    controller = make_controller(opt_env, opt_job, policy,
-                                 planner=SailorPlanner(opt_env))
-    controller.start(small_topology(2), time_s=0.0)
-    event = controller.handle_availability_change(
-        small_topology(6), time_s=60.0, cause="quota restored")
-    # The unbounded solve completed (gap 0.0 <= 1.0), so the better plan on
-    # the larger pool is adopted despite the missed wall deadline.
-    assert event is not None
-    assert controller.decisions[-1].action == "switched"
-    assert controller.decisions[-1].deadline_missed
+# -- anytime results & price moves --------------------------------------------
 
 
 def test_incomplete_result_is_degraded_even_without_deadline_miss(
         opt_env, opt_job):
-    """A truncated anytime search (complete=False) goes through the same
-    gap gate as a missed deadline: without max_adopt_gap the incumbent is
-    kept."""
+    """A truncated anytime search (complete=False) is degraded like a
+    missed deadline: the incumbent is kept."""
     from repro.core.planner import PlannerConfig
 
     truncated_planner = SailorPlanner(opt_env, config=PlannerConfig(
@@ -348,26 +294,6 @@ def test_incomplete_result_is_degraded_even_without_deadline_miss(
     assert controller.decisions[-1].action == "deadline_fallback"
     # The node budget really truncated the replan, and the decision says so.
     assert controller.decisions[-1].complete is False
-
-
-def test_incomplete_result_adopted_through_gap_gate(opt_env, opt_job):
-    """Same truncated planner, but the policy tolerates any certified gap:
-    the degraded plan is adopted when it beats the incumbent."""
-    from repro.core.planner import PlannerConfig
-
-    truncated_planner = SailorPlanner(opt_env, config=PlannerConfig(
-        max_search_nodes=5))
-    policy = ReplanPolicy(max_adopt_gap=1.0)
-    controller = make_controller(opt_env, opt_job, policy,
-                                 planner=truncated_planner)
-    controller.start(small_topology(2), time_s=0.0)
-    event = controller.handle_availability_change(
-        small_topology(6), time_s=60.0, cause="quota restored")
-    assert event is not None
-    assert controller.decisions[-1].action == "switched"
-    # The node budget really truncated the replan, and the decision says so.
-    assert controller.decisions[-1].complete is False
-    assert controller.decisions[-1].deadline_missed  # degraded adoption
 
 
 def test_handle_price_change_rebuilds_caches_and_replans(opt_env, opt_job):

@@ -276,10 +276,8 @@ def test_tail_kill_preserves_plans_and_bookkeeping(opt_env, opt_job,
                                                    mixed_topology,
                                                    disarm_prunes):
     """Floor-driven tail kills must be observability-only: the chosen
-    plan *and* its evaluation are byte-identical with the tail kill on/off,
-    composed with the incumbent gate on/off, across objectives; the kill
-    decision is gate-independent (surviving candidates' bookkeeping
-    replays exactly), and kills actually fire when armed -- including
+    plan *and* its evaluation are byte-identical with the tail kill on/off
+    across objectives, and kills actually fire when armed -- including
     against the cross-branch incumbent, in branches with no best of their
     own, which this pool reaches."""
     unconstrained = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
@@ -292,38 +290,26 @@ def test_tail_kill_preserves_plans_and_bookkeeping(opt_env, opt_job,
                       Objective.max_throughput(
                           max_cost_per_iteration_usd=budget)):
         reference = None
-        evaluated = {}
         for tail in (True, False):
-            for gate in (True, False):
-                with disarm_prunes(tail=not tail, gate=not gate), \
-                        _recording_branch_kills() as branches:
-                    result = SailorPlanner(opt_env).plan(
-                        opt_job, mixed_topology, objective)
-                assert result.found
-                snapshot = (plan_to_json(result.plan),
-                            result.evaluation.iteration_time_s,
-                            result.evaluation.cost_per_iteration_usd)
-                if reference is None:
-                    reference = snapshot
-                else:
-                    assert snapshot == reference
-                evaluated[(tail, gate)] = (result.candidates_evaluated,
-                                           result.oom_plans_generated)
-                killed = result.search_stats.candidates_killed_unevaluated
-                if tail:
-                    killed_total += killed
-                    cross_branch_kills += sum(k for k, no_best in branches
-                                              if no_best)
-                else:
-                    assert killed == 0
-                if not gate:
-                    assert result.search_stats.gate_skips == 0
-        # The kill threshold is min(branch best, cross-branch incumbent).
-        # The gate never changes which candidate becomes a branch best, so
-        # neither threshold moves with it, and the surviving candidate
-        # count is identical gate on/off (within one tail setting).
-        assert evaluated[(True, True)] == evaluated[(True, False)]
-        assert evaluated[(False, True)] == evaluated[(False, False)]
+            with disarm_prunes(tail=not tail), \
+                    _recording_branch_kills() as branches:
+                result = SailorPlanner(opt_env).plan(
+                    opt_job, mixed_topology, objective)
+            assert result.found
+            snapshot = (plan_to_json(result.plan),
+                        result.evaluation.iteration_time_s,
+                        result.evaluation.cost_per_iteration_usd)
+            if reference is None:
+                reference = snapshot
+            else:
+                assert snapshot == reference
+            killed = result.search_stats.candidates_killed_unevaluated
+            if tail:
+                killed_total += killed
+                cross_branch_kills += sum(k for k, no_best in branches
+                                          if no_best)
+            else:
+                assert killed == 0
     assert killed_total > 0
     assert cross_branch_kills > 0
 
@@ -400,8 +386,8 @@ def test_family_skip_and_tail_kill_preserve_plans(opt_env, opt_job,
                          ids=["throughput", "cost"])
 def test_exhaustive_planning_turns_every_prune_off(opt_env, opt_job,
                                                    mixed_topology, objective):
-    """``exhaustive_planning`` turns every prune off: no gate skip, tail
-    kill, family skip or DP branch prune fires, and the exhaustive search
+    """``exhaustive_planning`` turns every prune off: no tail kill,
+    family skip or DP branch prune fires, and the exhaustive search
     returns the pruned search's plan."""
     with exhaustive_planning():
         exhaustive = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
@@ -410,7 +396,6 @@ def test_exhaustive_planning_turns_every_prune_off(opt_env, opt_job,
     assert exhaustive.found
     assert plan_to_json(pruned.plan) == plan_to_json(exhaustive.plan)
     stats = exhaustive.search_stats
-    assert stats.gate_skips == 0
     assert stats.candidates_killed_unevaluated == 0
     assert stats.families_skipped == 0
     assert stats.pruned_branches == 0

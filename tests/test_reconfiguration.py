@@ -38,10 +38,11 @@ def test_measured_planning_time_substituted():
 
 def test_breakdown_as_dict_and_validation():
     model = ReconfigurationModel()
-    phases = model.breakdown(40).as_dict()
+    breakdown = model.breakdown(40)
+    phases = breakdown.as_dict()
     assert set(phases) == {"planning", "cleanup", "broadcast", "nccl_init",
                            "model_init", "dataloader"}
-    assert model.total_s(40) == pytest.approx(sum(phases.values()))
+    assert breakdown.total_s == pytest.approx(sum(phases.values()))
     with pytest.raises(ValueError):
         model.breakdown(0)
 

@@ -11,6 +11,7 @@ from repro.hardware.nodes import get_node_type
 from repro.hardware.topology import ClusterTopology
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.controller import (
+    MAX_RETRY_BACKOFF_S,
     DegradationTier,
     ReplanPolicy,
     TrainingController,
@@ -164,9 +165,7 @@ def test_all_infeasible_parks_and_retries_with_backoff(opt_env, opt_job,
                                                        mixed_base):
     # A budget no plan can satisfy: every solve is "transiently" infeasible.
     objective = Objective.max_throughput(max_cost_per_iteration_usd=1e-9)
-    policy = ReplanPolicy(retry_backoff_s=200.0, retry_backoff_factor=2.0,
-                          max_retry_backoff_s=800.0,
-                          deterministic_timing=True)
+    policy = ReplanPolicy(deterministic_timing=True)
     controller = TrainingController(env=opt_env, job=opt_job,
                                     objective=objective, policy=policy)
     replayer = ChurnReplayer(opt_env, opt_job, objective, policy=policy,
@@ -182,7 +181,7 @@ def test_all_infeasible_parks_and_retries_with_backoff(opt_env, opt_job,
     assert controller.parked
     assert controller.current_plan is None
     # Backoff grew and was capped.
-    assert controller._retry_backoff_s == policy.max_retry_backoff_s
+    assert controller._retry_backoff_s == MAX_RETRY_BACKOFF_S == 900.0
 
 
 def test_zone_outage_parks_then_resumes_on_capacity(opt_env, opt_job,
@@ -211,13 +210,17 @@ def test_zone_outage_parks_then_resumes_on_capacity(opt_env, opt_job,
 def test_mid_drain_preemption_rolls_back_to_previous_durable(opt_env, opt_job,
                                                              mixed_base):
     """A preemption landing before any drain finishes loses *all* progress;
-    with fast drains only the last interval is lost."""
+    with fast drains only the last interval is lost.  The preemption takes
+    every A100 node the incumbent runs on, so no data-parallel prefix of
+    it fits and the job replans onto the V100 nodes that stay."""
     preempt = [FaultEvent(0.0, "initial", "us-central1-a",
                           "a2-highgpu-4g", 4),
-               FaultEvent(1200.0, "mid_drain_preemption", "us-central1-a",
-                          "a2-highgpu-4g", 1)]
+               FaultEvent(0.0, "initial", "us-central1-a",
+                          "n1-standard-v100-4", 4),
+               FaultEvent(1300.0, "mid_drain_preemption", "us-central1-a",
+                          "a2-highgpu-4g", 0)]
     trace = FaultTrace(events=preempt, duration_s=1800.0)
-    policy = ReplanPolicy(deterministic_timing=True, enable_shrink=False)
+    policy = ReplanPolicy(deterministic_timing=True)
 
     fast = make_replayer(opt_env, opt_job, policy=policy,
                          checkpoint_config=CheckpointConfig(
@@ -235,8 +238,9 @@ def test_mid_drain_preemption_rolls_back_to_previous_durable(opt_env, opt_job,
 
     assert fast_report.events_dropped == 0
     assert slow_report.events_dropped == 0
-    assert slow.checkpoints.latest_durable(1200.0) is None
-    assert fast.checkpoints.latest_durable(1200.0) is not None
+    assert fast_report.shrinks == slow_report.shrinks == 0
+    assert slow.checkpoints.latest_durable(1300.0) is None
+    assert fast.checkpoints.latest_durable(1300.0) is not None
     # Fast drains: at most one checkpoint interval (+ the in-flight tail)
     # is lost.  Slow drains: everything since iteration 0.
     assert 0 < fast_report.iterations_lost_to_rollback <= 20
@@ -256,8 +260,7 @@ def test_shrink_in_place_does_not_roll_back(opt_env, opt_job, mixed_base):
                          "a2-highgpu-4g", 2)]
     trace = FaultTrace(events=events, duration_s=2400.0)
     replayer = make_replayer(opt_env, opt_job,
-                             policy=ReplanPolicy(deterministic_timing=True,
-                                                 enable_shrink=True))
+                             policy=ReplanPolicy(deterministic_timing=True))
     report = replayer.run(trace, base_topology=mixed_base)
     assert report.events_dropped == 0
     if report.shrinks:                 # shrink applied: state survived

@@ -4,9 +4,9 @@ Asserts that ``SailorSimulator`` (``EvaluationContext`` + fused kernels +
 evaluation cache) reproduces a scalar reference built from the per-replica
 estimators (:func:`scalar_evaluate`, :func:`scalar_cost_floor`)
 *bit-for-bit* over homogeneous, heterogeneous and multi-zone plans; that
-``evaluate_many`` preserves input order; that the planner's candidate-level
-incumbent gate never changes the chosen plan; and that the context's
-per-plan cache hit/miss accounting behaves as documented.
+cached evaluations equal fresh ones; that the planner's chosen plans and
+candidate counts stay pinned; and that the context's per-plan cache
+hit/miss accounting behaves as documented.
 """
 
 from __future__ import annotations
@@ -44,16 +44,13 @@ def evaluations_equal(a, b) -> bool:
 # Scalar reference: per-replica walks over the estimators
 # ---------------------------------------------------------------------------
 
-def scalar_evaluate(env, plan: ParallelizationPlan,
-                    *, check_memory: bool = True) -> PlanEvaluation:
+def scalar_evaluate(env, plan: ParallelizationPlan) -> PlanEvaluation:
     """The reference ``SailorSimulator.evaluate`` must reproduce bitwise."""
     # One memory pass serves both the OOM check and the per-stage peaks.
     breakdowns = MemoryEstimator(env).plan_breakdowns(plan)
-    oom_stages = []
-    if check_memory:
-        for stage, per_stage in zip(plan.stages, breakdowns):
-            if any(not b.fits for b in per_stage):
-                oom_stages.append(stage.stage_index)
+    oom_stages = [stage.stage_index
+                  for stage, per_stage in zip(plan.stages, breakdowns)
+                  if any(not b.fits for b in per_stage)]
     stage_peaks = [max(b.peak_bytes for b in per_stage)
                    for per_stage in breakdowns]
     timing = TimingEstimator(env).breakdown(plan)
@@ -137,15 +134,13 @@ VALID_CONFIGS = st.tuples(
 
 
 @settings(max_examples=25, deadline=None)
-@given(config=VALID_CONFIGS, check_memory=st.booleans())
-def test_vectorized_matches_scalar_homogeneous(opt_env, opt_job, config,
-                                               check_memory):
+@given(config=VALID_CONFIGS)
+def test_vectorized_matches_scalar_homogeneous(opt_env, opt_job, config):
     pp, dp, tp, mbs = config
     plan = ParallelizationPlan.homogeneous(opt_job, "a2-highgpu-4g",
                                            pp, dp, tp, mbs)
-    vectorized = SailorSimulator(opt_env).evaluate(plan,
-                                                   check_memory=check_memory)
-    scalar = scalar_evaluate(opt_env, plan, check_memory=check_memory)
+    vectorized = SailorSimulator(opt_env).evaluate(plan)
+    scalar = scalar_evaluate(opt_env, plan)
     assert evaluations_equal(vectorized, scalar)
 
 
@@ -200,24 +195,26 @@ def test_floor_never_exceeds_full_estimate(opt_env, opt_job):
 
 
 # ---------------------------------------------------------------------------
-# evaluate_many
+# Evaluation cache
 # ---------------------------------------------------------------------------
 
-def test_evaluate_many_preserves_input_order(opt_env, opt_job):
+def test_evaluate_in_sequence_matches_scalar(opt_env, opt_job):
+    """One simulator evaluating several plans in turn: every result
+    matches the scalar reference, and a duplicate served from the
+    evaluation cache equals the first evaluation."""
     simulator = SailorSimulator(opt_env)
     plans = [
         ParallelizationPlan.homogeneous(opt_job, "a2-highgpu-4g", 4, 2, 4, 2),
         heterogeneous_plan(opt_job),
         ParallelizationPlan.homogeneous(opt_job, "a2-highgpu-4g", 2, 2, 2, 4),
-        # Duplicate of the first plan: must produce an equal result even
-        # though it is served from the evaluation cache.
+        # Duplicate of the first plan.
         ParallelizationPlan.homogeneous(opt_job, "a2-highgpu-4g", 4, 2, 4, 2),
     ]
-    batched = simulator.evaluate_many(plans)
-    assert len(batched) == len(plans)
-    for plan, result in zip(plans, batched):
+    results = [simulator.evaluate(plan) for plan in plans]
+    for plan, result in zip(plans, results):
         assert evaluations_equal(result, scalar_evaluate(opt_env, plan))
-    assert evaluations_equal(batched[0], batched[3])
+    assert evaluations_equal(results[0], results[3])
+    assert simulator.eval_cache_hits == 1
 
 
 def test_cached_evaluations_do_not_alias(opt_env, opt_job):
@@ -277,113 +274,45 @@ def test_simulator_eval_cache_accounting(opt_env, opt_job):
     plan = ParallelizationPlan.homogeneous(opt_job, "a2-highgpu-4g", 4, 2, 4, 2)
     simulator.evaluate(plan)
     simulator.evaluate(plan)
-    simulator.evaluate(plan, check_memory=False)  # distinct cache key
-    assert simulator.eval_cache_misses == 2
+    assert simulator.eval_cache_misses == 1
     assert simulator.eval_cache_hits == 1
 
 
 # ---------------------------------------------------------------------------
-# Incumbent gate: never skips the optimum
+# Planner pins: chosen plan and candidate counts
 # ---------------------------------------------------------------------------
 
-def _plans_identical(a, b) -> bool:
-    if (a.plan is None) != (b.plan is None):
-        return False
-    if a.plan is None:
-        return True
-    return (a.plan.describe() == b.plan.describe()
-            and evaluations_equal(a.evaluation, b.evaluation))
-
-
-@pytest.mark.parametrize("objective", [
-    Objective.max_throughput(),
-    Objective.min_cost(),
-    Objective.max_throughput(max_gpus=16),
-], ids=["throughput", "cost", "throughput-max-gpus"])
-def test_gate_on_off_chooses_identical_plans(opt_env, opt_job, mixed_topology,
-                                             objective, disarm_prunes):
-    gate_on = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
-    with disarm_prunes(gate=True):
-        gate_off = SailorPlanner(opt_env).plan(
-            opt_job, mixed_topology, objective)
-    assert _plans_identical(gate_on, gate_off)
-    assert gate_on.candidates_evaluated == gate_off.candidates_evaluated
-    assert gate_on.oom_plans_generated == gate_off.oom_plans_generated
-    assert gate_off.search_stats.gate_skips == 0
-
-
-def test_gate_on_off_identical_on_geo_topology(opt_env_geo, opt_job,
-                                               geo_topology_2regions,
-                                               disarm_prunes):
-    objective = Objective.max_throughput()
-    gate_on = SailorPlanner(opt_env_geo).plan(
-        opt_job, geo_topology_2regions, objective)
-    with disarm_prunes(gate=True):
-        gate_off = SailorPlanner(opt_env_geo).plan(
-            opt_job, geo_topology_2regions, objective)
-    assert _plans_identical(gate_on, gate_off)
-
-
-@pytest.mark.parametrize("budget_fraction", [0.6, 1.5],
-                         ids=["binding", "generous"])
-def test_gate_arms_under_budget_constraint(opt_env, opt_job, mixed_topology,
-                                           budget_fraction, disarm_prunes):
-    """The gate stays armed under a budget: a candidate is skipped only
-    when the floors also decide the constraint (cost floor over budget),
-    so the chosen plan and every counter stay byte-identical."""
-    unconstrained = SailorPlanner(opt_env).plan(
-        opt_job, mixed_topology, Objective.max_throughput())
-    budget = (unconstrained.evaluation.cost_per_iteration_usd
-              * budget_fraction)
-    objective = Objective.max_throughput(max_cost_per_iteration_usd=budget)
-    gate_on = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
-    with disarm_prunes(gate=True):
-        gate_off = SailorPlanner(opt_env).plan(
-            opt_job, mixed_topology, objective)
-    assert _plans_identical(gate_on, gate_off)
-    assert gate_on.candidates_evaluated == gate_off.candidates_evaluated
-    assert gate_on.oom_plans_generated == gate_off.oom_plans_generated
-    assert gate_off.search_stats.gate_skips == 0
-
-
-def test_gate_skips_over_budget_candidates_on_geo_topology(
-        opt_env_geo, opt_job, geo_topology_2regions, disarm_prunes):
+def test_budget_plan_pinned_on_geo_topology(opt_env_geo, opt_job,
+                                            geo_topology_2regions):
     """The DP's budget filter knows nothing about egress, so on a
     multi-zone topology it emits candidates whose exact egress cost busts
-    the budget; the egress-covering cost floor proves that without the
-    full evaluation -- the gate must actually fire, byte-identically."""
+    the budget; each is evaluated and rejected.  Pins the chosen plan and
+    the candidate counts."""
     unconstrained = SailorPlanner(opt_env_geo).plan(
         opt_job, geo_topology_2regions, Objective.max_throughput())
     budget = unconstrained.evaluation.cost_per_iteration_usd * 0.75
     objective = Objective.max_throughput(max_cost_per_iteration_usd=budget)
-    gate_on = SailorPlanner(opt_env_geo).plan(
+    result = SailorPlanner(opt_env_geo).plan(
         opt_job, geo_topology_2regions, objective)
-    with disarm_prunes(gate=True):
-        gate_off = SailorPlanner(opt_env_geo).plan(
-            opt_job, geo_topology_2regions, objective)
-    assert _plans_identical(gate_on, gate_off)
-    assert gate_on.candidates_evaluated == gate_off.candidates_evaluated
-    assert gate_on.oom_plans_generated == gate_off.oom_plans_generated
-    assert gate_on.search_stats.gate_skips > 0
-    assert gate_off.search_stats.gate_skips == 0
+    assert result.plan.describe() == (
+        "P=1 D=8 mbs=2 gpus=8\n"
+        "  stage 0: 24 layers, 8x(tp=1 A100-40 @us-central1-a)")
+    assert result.evaluation.cost_per_iteration_usd <= budget
+    assert result.candidates_evaluated == 11
+    assert result.oom_plans_generated == 0
 
 
-def test_gate_arms_under_min_cost_with_throughput_floor(opt_env, opt_job,
-                                                        mixed_topology,
-                                                        disarm_prunes):
-    objective = Objective.min_cost(min_throughput_iters_per_s=0.5)
-    gate_on = SailorPlanner(opt_env).plan(opt_job, mixed_topology, objective)
-    with disarm_prunes(gate=True):
-        gate_off = SailorPlanner(opt_env).plan(
-            opt_job, mixed_topology, objective)
-    assert _plans_identical(gate_on, gate_off)
-    assert gate_on.candidates_evaluated == gate_off.candidates_evaluated
-
-
-def test_gate_actually_skips_candidates(opt_env, opt_job, mixed_topology):
+def test_throughput_plan_pinned_on_mixed_topology(opt_env, opt_job,
+                                                  mixed_topology):
     result = SailorPlanner(opt_env).plan(opt_job, mixed_topology,
                                          Objective.max_throughput())
-    assert result.search_stats.gate_skips > 0
+    assert result.plan.describe() == (
+        "P=3 D=8 mbs=2 gpus=32\n"
+        "  stage 0: 8 layers, 8x(tp=1 A100-40 @us-central1-a)\n"
+        "  stage 1: 8 layers, 8x(tp=2 V100-16 @us-central1-a)\n"
+        "  stage 2: 8 layers, 8x(tp=1 A100-40 @us-central1-a)")
+    assert result.candidates_evaluated == 26
+    assert result.oom_plans_generated == 0
 
 
 # ---------------------------------------------------------------------------

@@ -44,17 +44,6 @@ def test_invalid_plan_flagged(simulator, neo_job):
     evaluation = simulator.evaluate(plan)
     assert not evaluation.is_valid
     assert evaluation.oom_stages == [0]
-    skipped = simulator.evaluate(plan, check_memory=False)
-    assert skipped.is_valid
-
-
-def test_convenience_helpers(simulator, opt_job):
-    plan = plan_for(opt_job)
-    assert simulator.throughput(plan) == pytest.approx(
-        1.0 / simulator.iteration_time(plan))
-    peaks = simulator.peak_memory_gb(plan)
-    assert len(peaks) == plan.pipeline_parallel
-    assert all(0 < p < 40 for p in peaks)
 
 
 def test_reference_close_to_analytic_estimate(simulator, reference, opt_job):
