@@ -17,7 +17,6 @@ from repro.core.simulator import build_environment
 from repro.hardware.topology import ClusterTopology
 from repro.models.catalog import get_model
 from repro.models.spec import TrainingJobSpec
-from repro.runtime.controller import ReplanPolicy
 from repro.runtime.faults import FaultScenarioGenerator
 from repro.runtime.replay import ChurnReplayer
 
@@ -39,8 +38,7 @@ def churn_setup():
 def replay_churn(env, job, base, num_events, duration_s, seed=0):
     trace = FaultScenarioGenerator(seed=seed).churn_trace(
         CHURN_POOLS, duration_s=duration_s, num_events=num_events)
-    replayer = ChurnReplayer(env, job, Objective.max_throughput(),
-                             policy=ReplanPolicy(deterministic_timing=True))
+    replayer = ChurnReplayer(env, job, Objective.max_throughput())
     return replayer.run(trace, base_topology=base)
 
 

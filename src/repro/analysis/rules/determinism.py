@@ -3,11 +3,12 @@ in plan-affecting modules.
 
 The planner's headline contract is byte-identical plans: same inputs,
 same plan, across every toggle, across warm/cold contexts, across replay.
+A replay is held to the same contract: same trace, same report.
 Anything that injects wall-clock time, unseeded randomness or hash-order
-iteration into the search spine can silently break that.  This rule
-forbids, in every ``core/`` module except the sanctioned
-``core/budget.py`` (the *one* place wall-clock deadlines are supposed to
-enter the search):
+iteration into the search spine or the replay loop can silently break
+that.  This rule forbids, in every ``core/`` and ``runtime/`` module
+except the sanctioned ``core/budget.py`` (the *one* place wall-clock
+deadlines are supposed to enter the search):
 
 * wall-clock reads: ``time.time`` / ``perf_counter`` / ``monotonic`` /
   ``*_ns`` variants, ``datetime.now`` / ``utcnow`` / ``today`` -- whether
@@ -24,7 +25,8 @@ enter the search):
   construction, which is what the spine does.)
 
 Any other clock read goes through ``core/budget.py`` (the planner's
-``search_time_s`` and anytime deadline come from its ``SearchClock``);
+``search_time_s`` and anytime deadline come from its ``SearchClock``; the
+controller only reports that measured time, it never charges it);
 a sanctioned exception elsewhere is written as a justified line
 suppression.
 """
@@ -47,7 +49,8 @@ _CLOCK_BARE = {"perf_counter", "perf_counter_ns", "monotonic",
 _SEEDED_NP_RANDOM = {"default_rng", "Generator", "SeedSequence"}
 _ORDER_SENSITIVE_CALLS = {"list", "tuple", "enumerate", "iter", "reversed",
                           "join"}
-_SANCTIONED_BASENAMES = {"budget.py"}
+_SCOPED_PACKAGES = {"core", "runtime"}
+_SANCTIONED_MODULE = ("core", "budget.py")
 
 
 def _is_set_expr(node: ast.AST) -> bool:
@@ -62,15 +65,15 @@ class DeterminismRule(Rule):
     name = "determinism"
     description = ("plan-affecting modules must not read wall clocks, "
                    "unseeded RNGs or set iteration order "
-                   "(core/budget.py is the sanctioned clock site)")
+                   "in core/ and runtime/ (core/budget.py is the "
+                   "sanctioned clock site)")
 
     def run(self, index: ProjectIndex) -> list[Finding]:
         findings: list[Finding] = []
         for source_file in index.src_files:
-            parts = source_file.path.parts
-            if "core" not in parts:
+            if _SCOPED_PACKAGES.isdisjoint(source_file.path.parts):
                 continue
-            if source_file.path.name in _SANCTIONED_BASENAMES:
+            if source_file.path.parts[-2:] == _SANCTIONED_MODULE:
                 continue
             findings.extend(self._check_file(source_file))
         return findings

@@ -7,7 +7,6 @@ timelines against a simulated job:
 
 * :mod:`repro.runtime.comm_groups` -- building the data/pipeline/tensor
   communication groups (rank topology) for heterogeneous plans.
-* :mod:`repro.runtime.worker` -- per-worker state machine.
 * :mod:`repro.runtime.checkpoint` -- asynchronous checkpointing and rollback.
 * :mod:`repro.runtime.reconfiguration` -- the kill-free reconfiguration
   latency model (section 5.5 breakdown).
@@ -33,7 +32,6 @@ timelines against a simulated job:
 """
 
 from repro.runtime.comm_groups import CommunicationGroups, build_rank_topology, RankAssignment
-from repro.runtime.worker import TrainingWorker, WorkerState
 from repro.runtime.checkpoint import CheckpointManager, CheckpointConfig
 from repro.runtime.reconfiguration import ReconfigurationModel, ReconfigurationBreakdown
 from repro.runtime.controller import (
@@ -49,8 +47,6 @@ __all__ = [
     "CommunicationGroups",
     "build_rank_topology",
     "RankAssignment",
-    "TrainingWorker",
-    "WorkerState",
     "CheckpointManager",
     "CheckpointConfig",
     "ReconfigurationModel",

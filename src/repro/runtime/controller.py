@@ -1,11 +1,14 @@
 """The training controller.
 
-The controller is the brains of the Sailor framework (section 4.4): it
-monitors worker status and resource availability; when availability changes
-it re-invokes the planner, instructs existing workers to clean up (destroy
-NCCL groups, free GPU memory) without killing their processes, broadcasts
-the new plan and topology, and waits for workers to re-initialise before
-resuming training.
+The controller is the brains of the Sailor framework (section 4.4): when
+resource availability changes it re-invokes the planner and, if it switches
+plans, reconfigures the job kill-free.  The job is simulated, so there are
+no per-worker objects to clean up: each reconfiguration is booked as the
+section 5.5 pause of
+:class:`~repro.runtime.reconfiguration.ReconfigurationModel`, with the
+model's constant planning time, so a replay is a pure function of its
+trace.  The measured planner wall time is only reported
+(``ReplanDecision.replan_latency_s``).
 
 Under churn (see :mod:`repro.runtime.faults`) the controller applies a
 :class:`ReplanPolicy` with four graceful-degradation tiers, tried in order
@@ -25,10 +28,10 @@ of increasing disruption:
    pools reuse stage tables, master combos, floor tables and whole DP
    solves (the cross-time analogue of the planner's cross-candidate
    sharing).
-4. ``PARK`` -- nothing fits: checkpoint-park the job (stop workers, keep
-   state) and retry with exponential backoff (:data:`RETRY_BACKOFF_S`,
-   growing by :data:`RETRY_BACKOFF_FACTOR` up to
-   :data:`MAX_RETRY_BACKOFF_S`) as capacity returns.
+4. ``PARK`` -- nothing fits: checkpoint-park the job (keep its state)
+   and retry with exponential backoff (:data:`RETRY_BACKOFF_S`, growing
+   by :data:`RETRY_BACKOFF_FACTOR` up to :data:`MAX_RETRY_BACKOFF_S`) as
+   capacity returns.
 
 Every decision is recorded as a :class:`ReplanDecision` and every applied
 reconfiguration as a :class:`ReconfigurationEvent` carrying its trigger
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass, field
 
 from repro.core.objectives import Objective
@@ -52,13 +54,11 @@ from repro.core.plan import (
 )
 from repro.core.planner import PlannerConfig, SailorPlanner
 from repro.core.search_cache import PlannerSearchContext
-from repro.core.simulator import SailorSimulator, SimulationEnvironment
+from repro.core.simulator import SimulationEnvironment
 from repro.hardware.nodes import get_node_type
 from repro.hardware.topology import ClusterTopology
 from repro.models.spec import TrainingJobSpec
-from repro.runtime.comm_groups import CommunicationGroups, build_rank_topology
 from repro.runtime.reconfiguration import ReconfigurationBreakdown, ReconfigurationModel
-from repro.runtime.worker import TrainingWorker, WorkerState
 
 #: Backoff schedule for retrying a transiently-infeasible pool: the first
 #: retry waits ``RETRY_BACKOFF_S``, each further one ``RETRY_BACKOFF_FACTOR``
@@ -81,8 +81,7 @@ class DegradationTier(enum.Enum):
 class ReplanPolicy:
     """Knobs governing when and how the controller replans.
 
-    The defaults replan on every change with no deadline and charge the
-    measured solver latency.
+    The defaults replan on every change with no deadline.
     """
 
     #: Minimum seconds between *voluntary* replan attempts while the
@@ -93,11 +92,8 @@ class ReplanPolicy:
     #: on the voluntary path the incumbent is kept (degraded), on the
     #: broken path the anytime answer is applied but flagged.
     replan_deadline_s: float | None = None
-    #: Charge the reconfiguration model's *constant* planning latency
-    #: instead of the measured solver wall-clock, so the simulated timeline
-    #: (iteration counts, checkpoint instants) is a pure function of the
-    #: trace.  Off by default: the measured latency is the honest section
-    #: 5.5 accounting.
+    #: No effect (planning is always charged at the model's constant);
+    #: perfbench/workloads.py still passes it.
     deterministic_timing: bool = False
 
     def __post_init__(self) -> None:
@@ -163,8 +159,6 @@ class TrainingController:
     policy: ReplanPolicy = field(default_factory=ReplanPolicy)
 
     current_plan: ParallelizationPlan | None = None
-    current_groups: CommunicationGroups | None = None
-    workers: list[TrainingWorker] = field(default_factory=list)
     events: list[ReconfigurationEvent] = field(default_factory=list)
     decisions: list[ReplanDecision] = field(default_factory=list)
     #: True once a deployment failed/was lost and the job is waiting for
@@ -179,7 +173,6 @@ class TrainingController:
             # so a "miss" degrades the answer's quality, never its latency.
             self.planner = SailorPlanner(self.env, config=PlannerConfig(
                 time_limit_s=self.policy.replan_deadline_s))
-        self.simulator = SailorSimulator(self.env)
         self._search_context: PlannerSearchContext | None = None
         self._last_replan_check_s: float | None = None
         self._retry_at_s: float | None = None
@@ -279,9 +272,9 @@ class TrainingController:
                             ) -> ReconfigurationEvent | None:
         """React to a GPU pricing change (e.g. a ``price_move`` fault).
 
-        Prices are baked into the search context's cost tables, the
-        simulators and the planner's caches, so all three are rebuilt
-        before replanning.  Debounce is bypassed: a price move invalidates
+        Prices are baked into the search context's cost tables and the
+        planner's caches and simulator, so both are rebuilt before
+        replanning.  Debounce is bypassed: a price move invalidates
         the incumbent's *cost basis* even when the topology is completely
         unchanged.
         """
@@ -302,7 +295,6 @@ class TrainingController:
         the stale tables.
         """
         self._search_context = None
-        self.simulator = SailorSimulator(self.env)
         self.planner = SailorPlanner(self.env, config=self.planner.config)
 
     def _consider_switch(self, topology: ClusterTopology, time_s: float,
@@ -338,14 +330,14 @@ class TrainingController:
                             cause: str) -> ReconfigurationEvent | None:
         """The incumbent no longer fits: shrink, replan, or park."""
         self._last_replan_check_s = time_s
-        shrink_start = time.perf_counter()
         shrunk = self._shrink_to_fit(topology)
         if shrunk is not None:
             plan, evaluation = shrunk
-            result = PlannerResult(
-                plan=plan, evaluation=evaluation,
-                search_time_s=time.perf_counter() - shrink_start,
-                planner_name="shrink-in-place")
+            # No solve ran: a zero search time keeps the shrink out of the
+            # replay's replan tally.
+            result = PlannerResult(plan=plan, evaluation=evaluation,
+                                   search_time_s=0.0,
+                                   planner_name="shrink-in-place")
             event = self._apply(result, time_s,
                                 reason="shrink data parallelism to fit",
                                 trigger=cause, tier=DegradationTier.SHRINK_DP)
@@ -373,7 +365,7 @@ class TrainingController:
         """Accurate evaluation of the currently-deployed plan."""
         if self.current_plan is None:
             return None
-        return self.simulator.evaluate(self.current_plan)
+        return self.planner.simulator.evaluate(self.current_plan)
 
     def _plan_still_fits(self, topology: ClusterTopology) -> bool:
         """True when every (zone, node type) the plan uses is still there.
@@ -427,7 +419,7 @@ class TrainingController:
                     microbatch_size=plan.microbatch_size)
             except ValueError:
                 continue  # e.g. the global batch does not split at this D
-            evaluation = self.simulator.evaluate(shrunk)
+            evaluation = self.planner.simulator.evaluate(shrunk)
             if not evaluation.is_valid:
                 continue
             if not self.objective.constraint.satisfied_by(
@@ -454,10 +446,8 @@ class TrainingController:
 
     def _park(self, time_s: float, cause: str, result: PlannerResult,
               retry: bool) -> None:
-        """Checkpoint-park: stop workers, keep state, optionally backoff."""
-        self._stop_workers(time_s)
+        """Checkpoint-park: drop the plan, keep state, optionally backoff."""
         self.current_plan = None
-        self.current_groups = None
         self.parked = True
         if retry:
             self._retry_at_s = time_s + self._retry_backoff_s
@@ -475,29 +465,14 @@ class TrainingController:
         old_gpus = self.current_plan.total_gpus if self.current_plan else 0
         new_plan = result.plan
         assert new_plan is not None
-
-        # Kill-free path: surviving workers clean up and repartition instead
-        # of being restarted.
-        self._cleanup_workers(time_s)
-        groups = build_rank_topology(new_plan)
-        groups.validate()
-        self.workers = [TrainingWorker(assignment=a) for a in groups.ranks]
-        for worker in self.workers:
-            worker.transition(WorkerState.INITIALIZING, time_s)
-            worker.transition(WorkerState.TRAINING, time_s)
-
-        breakdown = self.reconfiguration.breakdown(
-            num_workers=new_plan.total_gpus,
-            planning_time_s=(None if self.policy.deterministic_timing
-                             else result.search_time_s))
         event = ReconfigurationEvent(
             time_s=time_s, reason=reason, old_gpus=old_gpus,
-            new_gpus=new_plan.total_gpus, breakdown=breakdown,
+            new_gpus=new_plan.total_gpus,
+            breakdown=self.reconfiguration.breakdown(new_plan.total_gpus),
             planner_result=result, trigger=trigger or reason, tier=tier,
             deadline_missed=deadline_missed)
         self.events.append(event)
         self.current_plan = new_plan
-        self.current_groups = groups
         self.parked = False
         self._retry_at_s = None
         self._retry_backoff_s = RETRY_BACKOFF_S
@@ -516,20 +491,3 @@ class TrainingController:
             complete=result.complete if result is not None else True,
             optimality_gap_bound=(result.optimality_gap_bound
                                   if result is not None else 0.0)))
-
-    def _cleanup_workers(self, time_s: float) -> None:
-        for worker in self.workers:
-            if worker.state is WorkerState.TRAINING:
-                worker.transition(WorkerState.CLEANING_UP, time_s)
-                worker.transition(WorkerState.REPARTITIONING, time_s)
-                worker.transition(WorkerState.STOPPED, time_s)
-            elif worker.state is not WorkerState.STOPPED:
-                worker.transition(WorkerState.STOPPED, time_s)
-
-    def _stop_workers(self, time_s: float) -> None:
-        for worker in self.workers:
-            if worker.state is not WorkerState.STOPPED:
-                if worker.state is WorkerState.TRAINING:
-                    worker.transition(WorkerState.CLEANING_UP, time_s)
-                worker.transition(WorkerState.STOPPED, time_s)
-        self.workers = []

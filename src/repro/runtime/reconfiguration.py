@@ -69,12 +69,12 @@ class ReconfigurationModel:
     #: Exponent controlling how NCCL/broadcast latency grows with workers.
     scale_exponent: float = 1.0
 
-    def breakdown(self, num_workers: int,
-                  planning_time_s: float | None = None) -> ReconfigurationBreakdown:
+    def breakdown(self, num_workers: int) -> ReconfigurationBreakdown:
         """Latency breakdown for a cluster of ``num_workers`` GPUs.
 
-        ``planning_time_s`` lets the controller substitute the *measured*
-        planner latency for the constant.
+        Planning is charged at the constant ``planning_s``, never the
+        measured planner latency, so the same reconfiguration always costs
+        the same pause.
         """
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -83,7 +83,7 @@ class ReconfigurationModel:
         log_scale = max(0.5, math.log2(max(2, num_workers))
                         / math.log2(REFERENCE_WORKERS))
         return ReconfigurationBreakdown(
-            planning_s=self.planning_s if planning_time_s is None else planning_time_s,
+            planning_s=self.planning_s,
             cleanup_s=self.cleanup_s,
             broadcast_s=self.broadcast_s * log_scale,
             nccl_init_s=self.nccl_init_s * scale,

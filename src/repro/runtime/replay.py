@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.core.objectives import Objective
 from repro.core.serialization import plan_to_json
-from repro.core.simulator import SailorSimulator, SimulationEnvironment
+from repro.core.simulator import SimulationEnvironment
 from repro.hardware.nodes import get_node_type
 from repro.hardware.topology import ClusterTopology
 from repro.models.spec import TrainingJobSpec
@@ -210,7 +210,6 @@ class ChurnReplayer:
             env=env, job=job, objective=self.objective, policy=self.policy)
         self.checkpoints = CheckpointManager(
             job=job, config=checkpoint_config or CheckpointConfig())
-        self.simulator = SailorSimulator(env)
         #: Iteration time of the incumbent the last training window ran
         #: under; prices the wall-clock lost when a rollback discards work.
         self._last_iter_time_s = 0.0
@@ -327,8 +326,8 @@ class ChurnReplayer:
         Multipliers are absolute w.r.t. the run-start base, not compounding:
         two successive 1.5x moves on the same pool leave the price at 1.5x
         the base, and the generator's revert event (multiplier 1.0) restores
-        it exactly.  The replayer's own simulator is rebuilt so the
-        training-rate accounting can never read a price-stale evaluator.
+        it exactly.  The controller rebuilds its planner, and with it the
+        simulator the training windows read, before the next window runs.
         """
         for event in events:
             gpu = get_node_type(event.node_type).gpu.name
@@ -336,7 +335,6 @@ class ChurnReplayer:
                           if event.price_multiplier is not None else 1.0)
             self.env.prices.gpu_hourly_usd[gpu] = base_prices[gpu] * multiplier
             report.price_moves += 1
-        self.simulator = SailorSimulator(self.env)
 
     def _next_boundary(self, groups: list, index: int,
                        duration: float) -> tuple[float, bool]:
@@ -372,7 +370,7 @@ class ChurnReplayer:
         window = span - consumed
         if window <= 0:
             return completed, remaining_debt
-        evaluation = self.simulator.evaluate(plan)
+        evaluation = self.controller.planner.simulator.evaluate(plan)
         iter_time = evaluation.iteration_time_s
         self._last_iter_time_s = iter_time
         stall = self.checkpoints.stall_time_s(plan)

@@ -171,6 +171,32 @@ def test_determinism_rule_catches_every_seeded_category():
     assert "hash-order" in messages or "hash-iteration" in messages
 
 
+_CLOCKED_SHRINK = """
+import time
+
+
+def shrink(plan):
+    start = time.perf_counter()
+    return plan, time.perf_counter() - start
+"""
+
+
+@pytest.mark.parametrize("package,flagged", [
+    ("runtime", True), ("experiments", False)])
+def test_determinism_rule_covers_the_replay_runtime(tmp_path, package,
+                                                    flagged):
+    """A replay is a pure function of its trace, so a clock read in a
+    ``runtime/`` module is flagged like one in ``core/``; packages outside
+    the plan and replay path are not linted by this rule."""
+    module = tmp_path / "src" / "repro" / package / "controller.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(_CLOCKED_SHRINK)
+    result = run_lint(tmp_path, rule_names=["determinism"])
+    clock_reads = [f for f in result.findings
+                   if "time.perf_counter" in f.message]
+    assert len(clock_reads) == (2 if flagged else 0)
+
+
 def test_clean_twins_keep_their_justified_suppressions():
     """The good fixtures exercise the waiver path: findings exist but are
     suppressed, and a suppressed finding never reaches the report."""

@@ -12,7 +12,7 @@ from repro.runtime.controller import (
     ReplanPolicy,
     TrainingController,
 )
-from repro.runtime.worker import WorkerState
+from repro.runtime.reconfiguration import ReconfigurationModel
 
 
 @pytest.fixture()
@@ -52,18 +52,13 @@ def test_start_deploys_plan_and_workers(controller):
     assert event is not None
     assert event.reason == "initial deployment"
     assert controller.current_plan is not None
-    assert controller.current_groups is not None
-    assert len(controller.workers) == controller.current_plan.total_gpus
-    assert all(w.state is WorkerState.TRAINING for w in controller.workers)
-    assert event.breakdown.planning_s == pytest.approx(
-        event.planner_result.search_time_s)
+    assert event.breakdown.planning_s == ReconfigurationModel().planning_s
 
 
 def test_start_with_empty_topology_keeps_job_idle(controller):
     event = controller.start(ClusterTopology(), time_s=0.0)
     assert event is None
     assert controller.current_plan is None
-    assert controller.workers == []
 
 
 def test_scale_up_triggers_reconfiguration(controller):
@@ -91,7 +86,6 @@ def test_losing_all_resources_stops_workers(controller):
     event = controller.handle_availability_change(ClusterTopology(), time_s=30.0)
     assert event is None
     assert controller.current_plan is None
-    assert controller.workers == []
 
 
 def test_no_action_when_change_does_not_matter(controller):
@@ -304,10 +298,10 @@ def test_handle_price_change_rebuilds_caches_and_replans(opt_env, opt_job):
     controller = make_controller(opt_env, opt_job, policy)
     controller.start(small_topology(4), time_s=0.0)
     context_before = controller._search_context
-    simulator_before = controller.simulator
+    simulator_before = controller.planner.simulator
     decisions_before = len(controller.decisions)
     controller.handle_price_change(small_topology(4), time_s=1.0)
     assert controller._search_context is not context_before
-    assert controller.simulator is not simulator_before
+    assert controller.planner.simulator is not simulator_before
     assert len(controller.decisions) > decisions_before
     assert controller.decisions[-1].trigger == "price_move"

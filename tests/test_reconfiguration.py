@@ -30,12 +30,6 @@ def test_nccl_init_grows_with_cluster_size():
     assert large.cleanup_s == small.cleanup_s  # per-worker local work
 
 
-def test_measured_planning_time_substituted():
-    model = ReconfigurationModel()
-    breakdown = model.breakdown(REFERENCE_WORKERS, planning_time_s=2.5)
-    assert breakdown.planning_s == 2.5
-
-
 def test_breakdown_as_dict_and_validation():
     model = ReconfigurationModel()
     breakdown = model.breakdown(40)

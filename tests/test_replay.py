@@ -1,6 +1,12 @@
 """End-to-end tests for churn replay: determinism, incremental reuse,
 graceful degradation, and checkpoint rollback under churn."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.objectives import Objective
@@ -30,7 +36,6 @@ def mixed_base():
 
 
 def make_replayer(env, job, **kwargs):
-    kwargs.setdefault("policy", ReplanPolicy(deterministic_timing=True))
     kwargs.setdefault("checkpoint_config",
                       CheckpointConfig(interval_iterations=10))
     return ChurnReplayer(env, job, Objective.max_throughput(), **kwargs)
@@ -73,6 +78,77 @@ def test_churn_replay_is_deterministic(opt_env, opt_job, mixed_base):
     assert first[1] == second[1]      # plan signatures, byte for byte
     assert first[2] == second[2]      # iteration accounting
     assert first[3] == second[3]
+
+
+#: Replays one churn trace and one labelled availability trace under the
+#: default policy and prints each report as JSON, less the measured solve
+#: latencies.  Every applied plan's rank topology is validated on the way.
+_REPLAY_SCRIPT = """
+import dataclasses, json
+from repro.core.objectives import Objective
+from repro.core.simulator import build_environment
+from repro.hardware.availability import (
+    AvailabilityTrace, AvailabilityTraceGenerator)
+from repro.hardware.topology import ClusterTopology
+from repro.models.catalog import get_model
+from repro.models.spec import TrainingJobSpec
+from repro.runtime.comm_groups import build_rank_topology
+from repro.runtime.faults import FaultScenarioGenerator, FaultTrace
+from repro.runtime.replay import ChurnReplayer
+
+pools = {("us-central1-a", "a2-highgpu-4g"): 4,
+         ("us-central1-a", "n1-standard-v100-4"): 4}
+base = ClusterTopology.single_zone(
+    "us-central1-a", {"a2-highgpu-4g": 4, "n1-standard-v100-4": 4})
+job = TrainingJobSpec(model=get_model("OPT-350M"), global_batch_size=256,
+                      sequence_length=2048)
+env = build_environment(job, base, seed=7)
+spot = AvailabilityTraceGenerator(seed=42).spot_preemptions(
+    "us-central1-a", "n1-standard-v100-4", base_nodes=4,
+    duration_s=2 * 3600.0, mean_time_between_events_s=600.0)
+traces = {
+    "churn": FaultScenarioGenerator(seed=0).churn_trace(
+        pools, duration_s=2 * 3600.0, num_events=60),
+    "availability": FaultTrace.from_availability(
+        AvailabilityTrace(events=spot, duration_s=2 * 3600.0)),
+}
+out = {}
+for name, trace in traces.items():
+    replayer = ChurnReplayer(env, job, Objective.max_throughput())
+    report = replayer.run(trace, base_topology=base)
+    for event in replayer.controller.events:
+        build_rank_topology(event.planner_result.plan).validate()
+    fields = dataclasses.asdict(report)
+    del fields["replan_latencies_s"]
+    fields["rank_topologies_validated"] = len(replayer.controller.events)
+    out[name] = fields
+print(json.dumps(out, sort_keys=True, default=str))
+"""
+
+
+def test_replays_are_reproducible_across_processes():
+    """Under the default policy a replay is a pure function of its trace:
+    two fresh processes print byte-identical reports (the measured solve
+    latencies aside), so no wall-clock time reaches the accounts."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    outputs = []
+    for _ in range(2):
+        result = subprocess.run(
+            [sys.executable, "-c", _REPLAY_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    reports = json.loads(outputs[0])
+    for report in reports.values():
+        assert report["events_applied"] == report["events_total"] > 0
+        assert report["reconfiguration_time_s"] > 0
+        assert (report["rank_topologies_validated"]
+                == len(report["plan_history"]) > 0)
+    assert reports["churn"]["replans"] > 0
 
 
 # -- incremental reuse --------------------------------------------------------
@@ -139,7 +215,7 @@ def test_deadline_miss_keeps_incumbent_instead_of_raising(opt_env, opt_job,
                                                           mixed_base):
     # An explicit planner without an internal time limit, so every solve
     # "overruns" the absurd deadline and the fallback path is what acts.
-    policy = ReplanPolicy(replan_deadline_s=1e-9, deterministic_timing=True)
+    policy = ReplanPolicy(replan_deadline_s=1e-9)
     controller = TrainingController(
         env=opt_env, job=opt_job, objective=Objective.max_throughput(),
         planner=SailorPlanner(opt_env), policy=policy)
@@ -165,10 +241,9 @@ def test_all_infeasible_parks_and_retries_with_backoff(opt_env, opt_job,
                                                        mixed_base):
     # A budget no plan can satisfy: every solve is "transiently" infeasible.
     objective = Objective.max_throughput(max_cost_per_iteration_usd=1e-9)
-    policy = ReplanPolicy(deterministic_timing=True)
     controller = TrainingController(env=opt_env, job=opt_job,
-                                    objective=objective, policy=policy)
-    replayer = ChurnReplayer(opt_env, opt_job, objective, policy=policy,
+                                    objective=objective)
+    replayer = ChurnReplayer(opt_env, opt_job, objective,
                              controller=controller)
     trace = FaultTrace(events=[
         FaultEvent(0.0, "initial", "us-central1-a", "a2-highgpu-4g", 4),
@@ -220,9 +295,8 @@ def test_mid_drain_preemption_rolls_back_to_previous_durable(opt_env, opt_job,
                FaultEvent(1300.0, "mid_drain_preemption", "us-central1-a",
                           "a2-highgpu-4g", 0)]
     trace = FaultTrace(events=preempt, duration_s=1800.0)
-    policy = ReplanPolicy(deterministic_timing=True)
 
-    fast = make_replayer(opt_env, opt_job, policy=policy,
+    fast = make_replayer(opt_env, opt_job,
                          checkpoint_config=CheckpointConfig(
                              interval_iterations=10))
     fast_report = fast.run(trace, base_topology=mixed_base)
@@ -230,7 +304,7 @@ def test_mid_drain_preemption_rolls_back_to_previous_durable(opt_env, opt_job,
     # Storage so slow that no drain completes before the preemption: the
     # latest checkpoint is still in flight, so rollback reaches all the way
     # back past it (here: to iteration 0 -- nothing durable yet).
-    slow = make_replayer(opt_env, opt_job, policy=policy,
+    slow = make_replayer(opt_env, opt_job,
                          checkpoint_config=CheckpointConfig(
                              interval_iterations=10,
                              storage_write_gbps=1e-6))
@@ -252,6 +326,21 @@ def test_mid_drain_preemption_rolls_back_to_previous_durable(opt_env, opt_job,
         == slow_report.iterations_lost_to_rollback
 
 
+def test_shrinks_are_not_counted_as_replans(opt_env, opt_job, mixed_base):
+    """``replans`` counts planner solves; a shrink-in-place runs none."""
+    trace = FaultScenarioGenerator(seed=0).churn_trace(
+        POOLS, duration_s=1200.0, num_events=20,
+        kind_weights={"quota_cut": 1.0})
+    replayer = make_replayer(opt_env, opt_job)
+    controller = replayer.controller
+    solves = []
+    replan = controller.replan
+    controller.replan = lambda topology: solves.append(1) or replan(topology)
+    report = replayer.run(trace, base_topology=mixed_base)
+    assert report.shrinks > 0
+    assert report.replans == len(report.replan_latencies_s) == len(solves)
+
+
 def test_shrink_in_place_does_not_roll_back(opt_env, opt_job, mixed_base):
     """Dropping data-parallel columns keeps complete state: no rollback."""
     events = [FaultEvent(0.0, "initial", "us-central1-a",
@@ -259,8 +348,7 @@ def test_shrink_in_place_does_not_roll_back(opt_env, opt_job, mixed_base):
               FaultEvent(1200.0, "preemption_burst", "us-central1-a",
                          "a2-highgpu-4g", 2)]
     trace = FaultTrace(events=events, duration_s=2400.0)
-    replayer = make_replayer(opt_env, opt_job,
-                             policy=ReplanPolicy(deterministic_timing=True))
+    replayer = make_replayer(opt_env, opt_job)
     report = replayer.run(trace, base_topology=mixed_base)
     assert report.events_dropped == 0
     if report.shrinks:                 # shrink applied: state survived
@@ -292,7 +380,6 @@ def test_price_move_replans_under_cost_objective_and_revert_restores(
         multiplier=4.0, revert_after_s=900.0)
     trace = FaultTrace(events=events, duration_s=2700.0)
     replayer = ChurnReplayer(env, opt_job, Objective.min_cost(),
-                             policy=ReplanPolicy(deterministic_timing=True),
                              checkpoint_config=CheckpointConfig(
                                  interval_iterations=10))
     report = replayer.run(trace, base_topology=mixed_base)
