@@ -72,12 +72,13 @@ assumption was wrong (section 4.2.3).  This is what makes budget-constrained
 searches slower (Table 3).  Every budget node runs on the engine, keyed by
 its row in the engine layer, and its whole combo scan threads the loop's
 first iteration through the engine's per-layer arrays
-(:meth:`DPSolver._solve_budget_batched`: dominance-answered iterations
-resolve inline, bit-identical to a per-combo loop, and an admissible cost
-lower-bound table certifies infeasible suffixes without solving them).
-Only combos whose suffix budget genuinely binds run the rest of the loop
-(:meth:`DPSolver._solve_suffix`).  Two further mechanisms answer most
-queries without a fresh search:
+(:meth:`DPSolver._solve_budget_batched`: an admissible lower bound on the
+cost of every whole solution through a combo, :func:`combo_cost_lb`,
+certifies combos that cannot fit the budget without solving their
+suffixes, and dominance-answered iterations resolve inline, bit-identical
+to a per-combo loop).  Only combos whose suffix budget genuinely binds
+run the rest of the loop (:meth:`DPSolver._solve_suffix`).  Two further
+mechanisms answer most queries without a fresh search:
 
 * A *budget-dominance* shortcut: whenever the unconstrained optimum of a
   subproblem fits the remaining budget it is also the budgeted optimum, so
@@ -101,14 +102,16 @@ queries without a fresh search:
   straggler loop only *approximates* the budgeted optimum, so answering a
   sub-budget from a stored interval is not always identical to re-running
   the approximation at that exact budget (a fresh run threads a different
-  remaining budget and can land on a different approximate answer).  The
-  reuse is deliberate -- the interval answer is a feasible solution whose
-  optimality claim is at least as strong as the stored search's -- and the
-  observed effect on the planner is bounded to occasional extra feasible
-  candidates (chosen plans stayed byte-identical across the equivalence
-  matrix); the budget property tests in ``tests/test_dp_solver.py`` pin
-  the sound guarantees (budget respected, never beats brute force,
-  non-binding budgets exact).
+  remaining budget and can land on a different approximate answer).  For
+  the same reason the certificates do not keep solutions byte-identical
+  by construction: a certified combo skips suffix solves whose memo
+  entries a later budget would have reused.  The reuse is deliberate --
+  the interval answer is a feasible solution whose optimality claim is at
+  least as strong as the stored search's -- and the observed effect on
+  the planner is bounded to occasional extra feasible candidates (chosen
+  plans stayed byte-identical across the equivalence matrix); the budget
+  property tests in ``tests/test_dp_solver.py`` pin the sound guarantees
+  (budget respected, never beats brute force, non-binding budgets exact).
 """
 
 from __future__ import annotations
@@ -218,6 +221,33 @@ def straggler_converged(actual: float, assumed: float) -> bool:
     """
     return actual <= assumed + (_STRAGGLER_ABS_TOL
                                 + _STRAGGLER_REL_TOL * assumed)
+
+
+def combo_cost_lb(compute, sync, rate, straggler_c, sync_c, rate_c, sum_c,
+                  cost_c, nb1: int):
+    """Admissible lower bound on the projected cost of every whole solution
+    that takes a combo ``(compute, sync, rate)`` and completes it below a
+    child row whose budget bounds (:class:`BudgetBoundTables`) are
+    ``straggler_c``, ``sync_c``, ``rate_c``, ``sum_c`` and ``cost_c``.
+
+    A completion with suffix ``(sum, max, sync', R)`` takes time ``T = t +
+    sum + nb1 * max(t, max) + max(sync, sync')``, at least ``T_lb`` term by
+    term, so its cost ``(rate + R) * T`` is at least ``(rate + rate_c) *
+    T_lb``.  ``T`` is also at least the suffix's own time, so ``R * T``
+    is at least ``cost_c`` and the cost at least ``rate * T_lb + cost_c``.
+    The better of the two, scaled by :data:`_COST_BOUND_SLACK` for
+    rounding.  Elementwise over NumPy arrays; a child with ``+inf`` bounds
+    (infeasible, or the sentinel row) gives ``+inf``.  Its time factors
+    are masked to 0 first, so no ``0 * inf`` (``Nb == 1``, a free combo)
+    makes a NaN.
+    """
+    infeasible = np.isinf(straggler_c)
+    time_lb = (compute + np.where(infeasible, 0.0, sum_c)
+               + nb1 * np.where(infeasible, 0.0,
+                                np.maximum(compute, straggler_c))
+               + np.maximum(sync, np.where(infeasible, 0.0, sync_c)))
+    return (np.maximum((rate + rate_c) * time_lb, rate * time_lb + cost_c)
+            * _COST_BOUND_SLACK)
 
 
 class DPSolver:
@@ -908,8 +938,9 @@ class DPSolver:
 
         One gather per engine row -- the combo columns plus this stage's
         ``(t, sync, rate)`` and the children's rows, unconstrained ``(sum,
-        max, sync, rate, cost, feasible)`` and cost lower bound --
-        converted from the engine's layer arrays to plain Python floats
+        max, sync, rate, cost, feasible)`` and each combo's whole-solution
+        cost bound (:func:`combo_cost_lb` over the children's bound rows)
+        -- converted from the engine's layer arrays to plain Python floats
         once and reused by every budget the straggler search proposes for
         the row.  (A per-node NumPy variant was measured *slower*: the
         combo rows are capped at ``MAX_COMBOS_PER_STAGE``, far too short to
@@ -922,26 +953,33 @@ class DPSolver:
         engine = self._engine
         table = self._tables[stage_index]
         cols, child = engine.forward.row_cols(stage_index, row, is_last)
+        compute = table.compute[cols]
+        sync = table.sync[cols]
+        rate = table.rate[cols]
+        head = (cols.tolist(), compute.tolist(), sync.tolist(), rate.tolist())
         if is_last:
-            entry = (cols.tolist(), table.compute[cols].tolist(),
-                     table.sync[cols].tolist(), table.rate[cols].tolist(),
-                     None, None, None, None, None, None, None, None)
+            entry = head + (None,) * 8
         else:
             next_stage = stage_index + 1
             # Whole-layer dominance tables: one vectorized pass per layer,
             # per-element bit-identical to a per-row gather.
             cost_vec, feas_vec = engine.budget_tables(next_stage)
-            entry = (cols.tolist(), table.compute[cols].tolist(),
-                     table.sync[cols].tolist(), table.rate[cols].tolist(),
-                     child.tolist(),
-                     engine.sum_t[next_stage][child].tolist(),
-                     engine.max_t[next_stage][child].tolist(),
-                     engine.sync_t[next_stage][child].tolist(),
-                     engine.rate[next_stage][child].tolist(),
-                     cost_vec[child].tolist(),
-                     feas_vec[child].tolist(),
-                     self._engine_bounds().cost_lb[next_stage][child]
-                     .tolist())
+            bounds = self._engine_bounds()
+            lb = combo_cost_lb(compute, sync, rate,
+                               bounds.straggler_lb[next_stage][child],
+                               bounds.sync_lb[next_stage][child],
+                               bounds.rate_lb[next_stage][child],
+                               bounds.sum_lb[next_stage][child],
+                               bounds.cost_lb[next_stage][child],
+                               self.num_microbatches - 1)
+            entry = head + (child.tolist(),
+                            engine.sum_t[next_stage][child].tolist(),
+                            engine.max_t[next_stage][child].tolist(),
+                            engine.sync_t[next_stage][child].tolist(),
+                            engine.rate[next_stage][child].tolist(),
+                            cost_vec[child].tolist(),
+                            feas_vec[child].tolist(),
+                            lb.tolist())
         self._budget_row_cache[(stage_index, row)] = entry
         return entry
 
@@ -957,6 +995,13 @@ class DPSolver:
         answered from the row's gathered engine scalars
         (:meth:`_budget_row`) without a per-combo call:
 
+        * a combo whose whole-solution cost bound (:func:`combo_cost_lb`)
+          exceeds ``budget`` is certified: every completion through it
+          busts the budget, and the scan and the loop return only
+          solutions within ``budget``, so it resolves to nothing without
+          a suffix solve.  The bound covers the child's iteration-1
+          certificate too: it is at least ``rate * Nb * t`` plus the
+          child's cost lower bound;
         * a child whose unconstrained cost fits ``rb1`` takes its engine
           optimum as the suffix (budget dominance).  The combined
           quadruple/value is computed with the exact op order of
@@ -965,8 +1010,6 @@ class DPSolver:
           answer: if its straggler exceeds the assumption, the suffix
           still fits the tightened budget (see :meth:`_solve_suffix`), so
           iteration 2 returns the same suffix;
-        * a child whose cost lower bound exceeds ``rb1`` is certified
-          budget-infeasible: iteration 1 would return ``None``;
         * only a genuinely binding suffix budget runs the loop
           (:meth:`_solve_suffix`, whose suffix solves land back here one
           stage down), threaded with the running-incumbent cutoff.
@@ -983,7 +1026,7 @@ class DPSolver:
         stats = self.stats
         table = self._tables[stage_index]
         (cols, t_list, sync_list, rate_list, child_list, sum_list, max_list,
-         sync_c_list, rate_c_list, cost_unc_list, feasible_list, clb_list) = \
+         sync_c_list, rate_c_list, cost_unc_list, feasible_list, lb_list) = \
             self._budget_row(stage_index, row, is_last)
 
         best: DPSolution | None = None
@@ -1034,6 +1077,11 @@ class DPSolver:
 
             if not feasible_list[n]:
                 continue  # infeasible suffix: no budget can fit it
+            if lb_list[n] > budget:
+                # Certificate: every completion through this combo costs
+                # more than the budget.  Resolved in-layer.
+                stats.suffix_certified += 1
+                continue
             rb1 = budget - rate_s * nb * t_s
             if rb1 <= 0:
                 continue
@@ -1057,12 +1105,6 @@ class DPSolver:
                     best_value = value
                     best_idx = n
                     best = None
-                continue
-            if clb_list[n] > rb1:
-                # Certificate: the suffix is budget-infeasible even with
-                # this stage assumed the straggler -- the straggler loop's
-                # iteration 1 would return None.  Resolved in-layer.
-                stats.suffix_certified += 1
                 continue
 
             # Genuinely binding suffix budget: the straggler loop.
@@ -1114,8 +1156,9 @@ class DPSolver:
         the suffix (``row`` is its state in the next stage's engine layer),
         and retry with the discovered straggler when the assumption turns
         out wrong.  The batched scan calls it only for a genuinely binding
-        iteration 1: the suffix is feasible, and its unconstrained cost
-        exceeds the iteration-1 budget while its cost lower bound does not.
+        iteration 1: the suffix is feasible, the combo's whole-solution
+        cost bound (:func:`combo_cost_lb`) does not exceed ``budget``, and
+        the suffix's unconstrained cost exceeds the iteration-1 budget.
 
         Iterations 2+ need no budget certificate.  A combination within
         ``budget`` costs at least ``rate_a * Nb * max_t`` plus its suffix's

@@ -332,9 +332,10 @@ class SearchStats:
     #: attack (the observable behind the "fewer iterations, not cheaper
     #: iterations" claim).
     suffix_iterations: int = 0
-    #: Suffix resolutions avoided by the engine's cost lower bound: a budget
-    #: node, or a combo's straggler-loop iteration 1, proven infeasible
-    #: without probing or solving the suffix.
+    #: Suffix resolutions avoided by the engine's cost lower bounds: a budget
+    #: node whose every solution busts its budget, or a combo of the batched
+    #: scan whose every whole solution does, proven without probing or
+    #: solving the suffix.
     suffix_certified: int = 0
     #: Per-branch completeness of an anytime search: (P, mbs) branches whose
     #: candidate enumeration ran to its natural end versus branches cut by

@@ -534,23 +534,27 @@ class BudgetBoundTables:
     more -- without running it (a budgeted solve only ever returns
     solutions that respect its budget, so certified infeasibility is
     outcome-identical to solving).  ``DPSolver._solve_budget`` applies it
-    to a node's own budget and ``DPSolver._solve_budget_batched`` to each
-    child's straggler-loop iteration-1 budget.
+    to a node's own budget.
+
+    ``sync_lb[j][row]`` bounds the *max sync time* of every solution the
+    same way (min over combo chains of the max sync along the chain; exact
+    min/max arithmetic, like ``straggler_lb``); ``rate_lb[j][row]`` and
+    ``sum_lb[j][row]`` bound its total cost rate and its compute-time sum.
+    All five feed ``DPSolver._solve_budget_batched``'s per-combo
+    certificate (:func:`repro.core.dp_solver.combo_cost_lb`), which
+    prepends one stage to a child row's bounds and so prices every whole
+    solution through that combo, not only the child's suffix.
 
     ``+inf`` rows are infeasible suffixes (no combo chain completes), the
     same rows the engine's backward values mark infeasible.  Every array
     carries the trailing ``+inf`` sentinel entry (module docstring).
-
-    ``sync_lb[j][row]`` bounds the *max sync time* of every solution the
-    same way (min over combo chains of the max sync along the chain; exact
-    min/max arithmetic, like ``straggler_lb``).  ``straggler_lb`` and
-    ``sync_lb`` certify nothing themselves: both are folded into
-    ``cost_lb`` and kept here for the admissibility property suite.
     """
 
     straggler_lb: list[np.ndarray]
     cost_lb: list[np.ndarray]
     sync_lb: list[np.ndarray]
+    rate_lb: list[np.ndarray]
+    sum_lb: list[np.ndarray]
 
 
 def compute_budget_bounds(forward: ForwardLayers,
@@ -592,7 +596,9 @@ def compute_budget_bounds(forward: ForwardLayers,
       ``cost = (sum_i rate_i) * T >= sum_i rate_i * Nb * t_i +
       (sum_i rate_i) * sync >= dec + rlb * mslb``.
 
-    Both scaled by :data:`_BOUND_SLACK` for float admissibility.
+    Both scaled by :data:`_BOUND_SLACK` for float admissibility.  The
+    tables return ``slb``, ``mslb``, ``rlb`` and ``sum_lb`` as well (not
+    ``dec``): the budget scan prepends a stage to them per combo.
 
     **Why sync folds in but egress does not.**  These bounds certify
     outcomes of the *DP solver's* budget recursion, whose projected cost is
@@ -666,7 +672,8 @@ def compute_budget_bounds(forward: ForwardLayers,
         cost_lb.append(np.where(infeasible, np.inf,
                                 np.maximum(decomposable, product)
                                 * _BOUND_SLACK))
-    return BudgetBoundTables(straggler_lb=slb, cost_lb=cost_lb, sync_lb=mslb)
+    return BudgetBoundTables(straggler_lb=slb, cost_lb=cost_lb, sync_lb=mslb,
+                             rate_lb=rlb, sum_lb=sum_lb)
 
 
 class ResourceStateEngine:

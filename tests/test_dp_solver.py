@@ -8,6 +8,7 @@ from repro.core.dp_solver import (
     MAX_COMBOS_PER_STAGE,
     DPSolver,
     StageOption,
+    combo_cost_lb,
     straggler_converged,
 )
 from repro.core.heuristics import HeuristicConfig, min_tp_per_stage, tp_options_for_stage
@@ -486,14 +487,17 @@ def test_budget_bounds_are_true_lower_bounds_over_random_pools(
         opt_env, opt_job, engine_thresholds):
     """Property (hypothesis-style randomized sweep): the engine-layer
     straggler and cost lower bounds never exceed *any* solution in the
-    search space -- in particular not the minimum.  Admissibility is what
-    makes certificate-answered budget solves outcome-identical to real
-    ones."""
+    search space -- in particular not the minimum -- and neither does the
+    batched budget scan's whole-solution bound of a root combo
+    (``combo_cost_lb``, read from ``_budget_row``) exceed any solution that
+    starts with that combo.  Admissibility is what makes
+    certificate-answered budget solves outcome-identical to real ones."""
     import math
     import random
 
     rng = random.Random(20260729)
     checked = 0
+    combos_checked = 0
     for _ in range(10):
         resources = {("us-central1-a", "a2-highgpu-4g"): rng.randint(0, 4),
                      ("us-central1-a", "n1-standard-v100-4"): rng.randint(0, 4)}
@@ -523,8 +527,39 @@ def test_budget_bounds_are_true_lower_bounds_over_random_pools(
                 assert mlb <= solution.max_sync_time_s
                 assert clb <= solution.projected_cost(nb)
                 checked += 1
+            if pp > 1 and solutions:
+                cols, *_, feasible_list, combo_lbs = \
+                    engine_solver._budget_row(0, 0, False)
+                entries = engine_solver._tables[0].entries
+                for col, feasible, combo_lb in zip(cols, feasible_list,
+                                                   combo_lbs):
+                    if not feasible:
+                        continue
+                    through = [solution for solution in solutions
+                               if solution.assignments[0].placements
+                               == entries[col][0]]
+                    assert through  # a feasible child completes the combo
+                    for solution in through:
+                        assert combo_lb <= solution.projected_cost(nb)
+                        combos_checked += 1
 
     assert checked > 0  # the sweep must have exercised real pools
+    assert combos_checked > 0
+
+
+def test_combo_cost_lb_prices_an_infeasible_child_at_inf():
+    """A child row with ``+inf`` bounds (infeasible, or the sentinel) makes
+    every combo over it ``+inf``, with no ``0 * inf`` NaN on the way:
+    not at Nb = 1, and not for a combo priced at 0."""
+    import numpy as np
+
+    infinite = np.full(2, np.inf)
+    with np.errstate(invalid="raise"):
+        for nb1 in (0, 3):
+            bound = combo_cost_lb(np.array([1.0, 2.0]), np.array([0.1, 0.2]),
+                                  np.array([0.0, 1.0]), *([infinite] * 5),
+                                  nb1)
+            assert np.isposinf(bound).all()
 
 
 def test_combined_cost_covers_the_stage_straggler_plus_the_suffix(

@@ -10,8 +10,14 @@ from repro.core.objectives import Objective
 from repro.core.planner import PlannerConfig, SailorPlanner
 from repro.core.search_cache import PlannerSearchContext
 from repro.core.serialization import plan_to_json
-from repro.core.simulator import MemoryEstimator, SailorSimulator
+from repro.core.simulator import (
+    MemoryEstimator,
+    SailorSimulator,
+    build_environment,
+)
 from repro.hardware.topology import ClusterTopology
+from repro.models.catalog import get_model
+from repro.models.spec import TrainingJobSpec
 
 
 @pytest.fixture(scope="module")
@@ -147,12 +153,14 @@ def test_budget_search_stats_report_suffix_certificates(planner, opt_job,
     """The straggler-certificate win must be observable, not inferred from
     wall time: a binding budget search reports both the suffix resolutions
     it performed and the ones its certificates avoided, and the counters
-    survive the stats round trip."""
+    survive the stats round trip.  The budget is 0.7x the unconstrained
+    cost: at 0.6x the whole-solution certificate settles every combo, so
+    the straggler loop never runs."""
     from repro.core.plan import SearchStats
 
     unconstrained = planner.plan(opt_job, mixed_topology,
                                  Objective.max_throughput())
-    budget = unconstrained.evaluation.cost_per_iteration_usd * 0.6
+    budget = unconstrained.evaluation.cost_per_iteration_usd * 0.7
     result = planner.plan(
         opt_job, mixed_topology,
         Objective.max_throughput(max_cost_per_iteration_usd=budget))
@@ -170,6 +178,35 @@ def test_budget_search_stats_report_suffix_certificates(planner, opt_job,
     # Unconstrained searches never enter the straggler loop.
     assert unconstrained.search_stats.suffix_iterations == 0
     assert unconstrained.search_stats.suffix_certified == 0
+
+
+#: ``suffix_iterations`` of the 1.1x plan below when the batched budget
+#: scan certified only each child's straggler-loop iteration 1, before the
+#: whole-solution combo certificate (``dp_solver.combo_cost_lb``).
+BUDGET_POOL_ITERATIONS_CHILD_CERTIFICATE = 112_847
+
+
+def test_budget_pool_straggler_work_is_pinned():
+    """The straggler loop's work is a deterministic counter, so it is
+    pinned exactly, on any machine.  The pool is the benchmark's seed-0
+    ``budget`` pool (OPT-350M, batch 512, 11 A100 + 9 V100 nodes, 80
+    GPUs); at 1.1x of the unconstrained optimum's cost the ceiling does
+    not bind the optimum, so the budgeted plan is the unconstrained one,
+    and the whole-solution certificate must keep at least half of the
+    loop's former iterations from running."""
+    job = TrainingJobSpec(model=get_model("OPT-350M"), global_batch_size=512)
+    topology = ClusterTopology.single_zone(
+        "us-central1-a", {"a2-highgpu-4g": 11, "n1-standard-v100-4": 9})
+    unconstrained = SailorPlanner(build_environment(job, topology, seed=0)) \
+        .plan(job, topology, Objective.max_throughput())
+    ceiling = 1.1 * unconstrained.evaluation.cost_per_iteration_usd
+    result = SailorPlanner(build_environment(job, topology, seed=0)).plan(
+        job, topology,
+        Objective.max_throughput(max_cost_per_iteration_usd=ceiling))
+    assert plan_to_json(result.plan) == plan_to_json(unconstrained.plan)
+    iterations = result.search_stats.suffix_iterations
+    assert iterations == 48_730
+    assert 2 * iterations <= BUDGET_POOL_ITERATIONS_CHILD_CERTIFICATE
 
 
 def test_h3_early_stop_ignores_infeasible_candidates(opt_env, opt_job,
