@@ -1,13 +1,12 @@
-"""Benchmark regenerating Ablations of Sailor design choices (DESIGN.md).
+"""Benchmark regenerating Ablations of Sailor design choices.
 
 Runs the corresponding experiment harness (``repro.experiments.ablations``) once
-and prints the table the paper reports.  See EXPERIMENTS.md for the recorded
-paper-vs-measured comparison.
+and prints the table the paper reports.
 """
 
 from conftest import run_experiment
 
 
-def test_bench_ablations(benchmark, bench_scale):
-    table = run_experiment(benchmark, "ablations", bench_scale)
+def test_bench_ablations(bench_scale):
+    table = run_experiment("ablations", bench_scale)
     assert table.rows

@@ -1,18 +1,25 @@
-"""Micro-benchmarks of the core library primitives.
+"""Planner scale points and one-call smokes of the core library primitives.
 
-Unlike the per-figure benchmarks (which regenerate the paper's tables once),
-these run the hot paths of the library -- profiling, plan evaluation, the
-reference simulator, the DP solver and the full planner -- for several
-rounds, so `pytest-benchmark` reports meaningful statistics.  They are the
-numbers to watch when optimising the planner (paper Tables 1-3 all hinge on
-planner latency).
+Each planner point (paper Tables 1-3 all hinge on planner latency and
+search work) plans once and pins its plan digest and its search work
+exactly -- nodes explored, memo hits, tail kills, family skips, straggler
+iterations, certificates and candidates evaluated (``conftest.plan_work``).
+The counters are deterministic, so a disarmed tail kill, family skip,
+certificate or memo fails here on any machine, like ``tests/golden/``.
+A change that alters the search on purpose updates the pins and says so.
+Wall time is not judged here: ``make ab`` compares the perfbench workloads
+against a parent revision in alternating pairs.
+
+Every point plans OPT-350M at batch 512 on A100 and V100 4-GPU nodes in
+us-central1-a (environment seed 0) unless it says otherwise.  The
+1024-8192-GPU points run only under ``BENCH_SCALE=full``.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
+
+from conftest import full_scale_only, pinned, plan_work
 
 from repro.core.objectives import Objective
 from repro.core.plan import ParallelizationPlan
@@ -38,8 +45,7 @@ def job():
 
 @pytest.fixture(scope="module")
 def topology():
-    return ClusterTopology.single_zone("us-central1-a", {
-        "a2-highgpu-4g": 8, "n1-standard-v100-4": 8})
+    return mixed_pool(8)
 
 
 @pytest.fixture(scope="module")
@@ -54,327 +60,191 @@ def plan(job):
                                            tensor_parallel=2, microbatch_size=2)
 
 
-def test_bench_profile_one_gpu_type(benchmark, job):
+def mixed_pool(nodes_per_type: int) -> ClusterTopology:
+    """``nodes_per_type`` A100 and V100 4-GPU nodes in us-central1-a."""
+    return ClusterTopology.single_zone("us-central1-a", {
+        "a2-highgpu-4g": nodes_per_type,
+        "n1-standard-v100-4": nodes_per_type})
+
+
+def plan_once(job, topology, objective):
+    """One cold plan on a fresh environment."""
+    env = build_environment(job, topology)
+    return SailorPlanner(env).plan(job, topology, objective)
+
+
+# -- core primitives, one call each -------------------------------------------
+
+
+def test_bench_profile_one_gpu_type(job):
     """Simulated single-node profiling of one GPU type (section 4.1)."""
-    profiler = ComputeProfiler()
-    gpu = get_gpu("A100-40")
-    profile = benchmark(lambda: profiler.profile(job, gpu,
-                                                 microbatch_sizes=[1, 2, 4, 8],
-                                                 tensor_parallel_degrees=[1, 2, 4]))
+    profile = ComputeProfiler().profile(job, get_gpu("A100-40"),
+                                        microbatch_sizes=[1, 2, 4, 8],
+                                        tensor_parallel_degrees=[1, 2, 4])
     assert profile.layer_times
 
 
-def test_bench_environment_build(benchmark, job, topology):
+def test_bench_environment_build(job, topology):
     """Full profiling pass: every GPU type + every network pair."""
-    env = benchmark(lambda: build_environment(job, topology))
-    assert env.profiles.gpu_types()
+    assert build_environment(job, topology).profiles.gpu_types()
 
 
-def test_bench_simulator_evaluate(benchmark, env, plan):
-    """One plan evaluation (memory + timing + cost) -- the planner inner loop.
-
-    Measures the production path: the vectorized kernels plus the
-    per-plan-signature evaluation cache (repeat evaluations are hits).
-    """
+def test_bench_simulator_evaluate(env, plan):
+    """One plan evaluation (memory + timing + cost) -- the planner inner
+    loop -- answered again from the per-plan-signature cache."""
     simulator = SailorSimulator(env)
-    evaluation = benchmark(lambda: simulator.evaluate(plan))
-    assert evaluation.is_valid
+    first = simulator.evaluate(plan)
+    assert first.is_valid
+    assert simulator.evaluate(plan) == first
 
 
-def test_bench_simulator_evaluate_uncached(benchmark, env, plan):
-    """The cold fused pass: one evaluation on a fresh simulator per round.
-
-    The simulator is built in ``setup``, outside the timed body, so only
-    ``evaluate`` is measured, with every per-plan and per-class cache cold.
-    """
-    def fresh_simulator():
-        return (SailorSimulator(env),), {}
-
-    evaluation = benchmark.pedantic(
-        lambda simulator: simulator.evaluate(plan), setup=fresh_simulator,
-        rounds=500, iterations=1)
-    assert evaluation.is_valid
+def test_bench_simulator_evaluate_uncached(env, plan):
+    """The cold fused pass on a fresh simulator scores the plan exactly as
+    a simulator that has evaluated it before."""
+    warm = SailorSimulator(env)
+    warm.evaluate(plan)
+    assert SailorSimulator(env).evaluate(plan) == warm.evaluate(plan)
 
 
-def test_bench_memory_estimator(benchmark, env, plan):
+def test_bench_memory_estimator(env, plan):
     """Per-worker peak-memory estimation for a 32-GPU plan."""
-    estimator = MemoryEstimator(env)
-    peaks = benchmark(lambda: estimator.stage_peaks(plan))
+    peaks = MemoryEstimator(env).stage_peaks(plan)
     assert len(peaks) == plan.pipeline_parallel
 
 
-def test_bench_reference_simulator(benchmark, env, plan):
+def test_bench_reference_simulator(env, plan):
     """Event-driven 1F1B reference simulation of one iteration."""
-    reference = ReferenceSimulator(env)
-    measured = benchmark(lambda: reference.measure(plan))
-    assert measured.iteration_time_s > 0
+    assert ReferenceSimulator(env).measure(plan).iteration_time_s > 0
 
 
-def test_bench_comm_group_construction(benchmark, plan):
+def test_bench_comm_group_construction(plan):
     """Building the heterogeneous rank topology of a 32-GPU plan."""
-    groups = benchmark(lambda: build_rank_topology(plan))
-    assert groups.world_size == plan.total_gpus
+    assert build_rank_topology(plan).world_size == plan.total_gpus
 
 
-def test_bench_planner_homogeneous_32_a100(benchmark, job):
-    """Sailor planner end-to-end on 32 homogeneous A100s (Table 1 row).
+# -- planner points: exact work pins -------------------------------------------
 
-    This point is only ~30ms, so a cold round and scheduler noise swamp a
-    3-round mean; ten rounds after one warmup keep the 20% regression gate
-    meaningful.
-    """
+
+def test_bench_planner_homogeneous_32_a100(job):
+    """32 homogeneous A100s (Table 1 row)."""
     topology = ClusterTopology.homogeneous("a2-highgpu-4g", 8)
-    env = build_environment(job, topology)
-    planner = SailorPlanner(env)
-    result = benchmark.pedantic(
-        lambda: planner.plan(job, topology, Objective.max_throughput()),
-        rounds=10, iterations=1, warmup_rounds=1)
+    result = plan_once(job, topology, Objective.max_throughput())
     assert result.found
+    assert plan_work(result) == pinned("f59f3fc302ad", 3, 0, 14, 29, 0, 0, 3)
 
 
-def test_bench_planner_heterogeneous_64_gpus(benchmark, job, topology, env):
-    """Sailor planner end-to-end on 32 A100 + 32 V100 (Figure 8 small point).
-
-    Three rounds (first one cold) so the recorded mean is stable enough for
-    the 20% regression gate on noisy machines.
-    """
-    planner = SailorPlanner(env)
-    result = benchmark.pedantic(
-        lambda: planner.plan(job, topology, Objective.max_throughput()),
-        rounds=3, iterations=1)
+def test_bench_planner_heterogeneous_64_gpus(job):
+    """32 A100 + 32 V100 (Figure 8 small point)."""
+    result = plan_once(job, mixed_pool(8), Objective.max_throughput())
     assert result.found
-    assert result.search_stats.nodes_explored > 0
+    assert plan_work(result) == pinned(
+        "47a6d4690877", 4_657, 27_582, 89, 33, 0, 0, 35)
 
 
-def test_bench_planner_heterogeneous_128_gpus(benchmark, job):
-    """Sailor planner on 64 A100 + 64 V100 (Figure 8 mid point, 128 GPUs).
-
-    Three rounds (like every sub-1024 scale point): single-round
-    recordings of these seconds-long calls swing 10-25% run to run on
-    this box, and the compare gate reads the median-of-rounds.
-    """
-    topology = ClusterTopology.single_zone("us-central1-a", {
-        "a2-highgpu-4g": 16, "n1-standard-v100-4": 16})
-    env = build_environment(job, topology)
-    planner = SailorPlanner(env)
-    result = benchmark.pedantic(
-        lambda: planner.plan(job, topology, Objective.max_throughput()),
-        rounds=3, iterations=1)
+def test_bench_planner_heterogeneous_128_gpus(job):
+    """64 A100 + 64 V100 (Figure 8 mid point)."""
+    result = plan_once(job, mixed_pool(16), Objective.max_throughput())
     assert result.found
+    assert plan_work(result) == pinned(
+        "5d01727e10d7", 15_711, 135_177, 130, 29, 0, 0, 42)
 
 
-def test_bench_planner_heterogeneous_256_gpus(benchmark, job):
-    """Sailor planner on 128 A100 + 128 V100 (Figure 8 scale-out, 256 GPUs).
+def test_bench_planner_heterogeneous_256_gpus(job):
+    """128 A100 + 128 V100 (Figure 8 scale-out).
 
-    Three rounds for a stable median (see the 128-GPU point).
-    """
-    topology = ClusterTopology.single_zone("us-central1-a", {
-        "a2-highgpu-4g": 32, "n1-standard-v100-4": 32})
-    env = build_environment(job, topology)
-    planner = SailorPlanner(env)
-    result = benchmark.pedantic(
-        lambda: planner.plan(job, topology, Objective.max_throughput()),
-        rounds=3, iterations=1)
+    Cost-bound-driven candidate scheduling must kill unexplored branch
+    tails at this scale."""
+    result = plan_once(job, mixed_pool(32), Objective.max_throughput())
     assert result.found
-    # `make ci` acceptance bar: cost-bound-driven candidate scheduling must
-    # actually kill unexplored tails at this scale -- a disarmed ordering
-    # path (bounds silently inf, toggle wired wrong) fails here rather
-    # than showing up only as a latency drift.
     assert result.search_stats.candidates_killed_unevaluated > 0
+    assert plan_work(result) == pinned(
+        "0f4a22b15896", 48_611, 436_779, 161, 30, 0, 0, 42)
 
 
-def test_bench_planner_heterogeneous_256_gpus_min_cost(benchmark, job):
+def test_bench_planner_heterogeneous_256_gpus_min_cost(job):
     """Min-cost search on the 256-GPU mixed pool.
 
     The cost objective is where the dominated-family skip bites: family
     cost floors (D x rate x time) discriminate much harder than time
     floors, so whole (P, mbs) families are skipped before any forward
-    build.  Three rounds for a stable median.
-    """
-    topology = ClusterTopology.single_zone("us-central1-a", {
-        "a2-highgpu-4g": 32, "n1-standard-v100-4": 32})
-    env = build_environment(job, topology)
-    planner = SailorPlanner(env)
-    result = benchmark.pedantic(
-        lambda: planner.plan(job, topology, Objective.min_cost()),
-        rounds=3, iterations=1)
+    build."""
+    result = plan_once(job, mixed_pool(32), Objective.min_cost())
     assert result.found
-    # `make ci` acceptance bar (checked in the tier-1 phase, like the
-    # 256-GPU tail-kill gate above): the dominated-family skip must
-    # actually skip whole (P, mbs) families at this scale -- a
-    # silently-disarmed family gate (floors zero or unarmed) fails here
-    # rather than showing up only as a latency drift.
     assert result.search_stats.families_skipped > 0
+    assert plan_work(result) == pinned(
+        "5b593958bf70", 39_580, 541_478, 97, 9, 0, 0, 195)
 
 
-def test_bench_planner_heterogeneous_512_gpus(benchmark, job):
-    """Sailor planner on 256 A100 + 256 V100 (Figure 8 max point, 512 GPUs).
-
-    The paper's largest scale: the DP node count grows with zones x node
-    types x data-parallel degree, so this is the point the resource-state
-    engine (array-encoded states + precomputed combo tables) targets.
-    Three rounds for a stable median (see the 128-GPU point); only the
-    1024-GPU point stays single-round for bench wall time.
-    """
-    topology = ClusterTopology.single_zone("us-central1-a", {
-        "a2-highgpu-4g": 64, "n1-standard-v100-4": 64})
-    env = build_environment(job, topology)
-    planner = SailorPlanner(env)
-    result = benchmark.pedantic(
-        lambda: planner.plan(job, topology, Objective.max_throughput()),
-        rounds=3, iterations=1)
+def test_bench_planner_heterogeneous_512_gpus(job):
+    """256 A100 + 256 V100 (Figure 8 max point, the paper's largest)."""
+    result = plan_once(job, mixed_pool(64), Objective.max_throughput())
     assert result.found
+    assert plan_work(result) == pinned(
+        "f9acc4ddfeb0", 51_209, 492_095, 103, 47, 0, 0, 25)
 
 
-@pytest.mark.skipif(os.environ.get("BENCH_SCALE", "smoke") != "full",
-                    reason="1024-GPU point runs only under BENCH_SCALE=full "
-                           "(make bench sets it; make ci's smoke subset "
-                           "stays fast)")
-def test_bench_planner_heterogeneous_1024_gpus(benchmark, job):
-    """Sailor planner on 512 A100 + 512 V100 -- beyond the paper's Figure 8.
-
-    This is the scale point the chunked, hash-deduped forward broadcasts
-    target: state layers reach ~1.7e4 states, past np.unique-on-bytes
-    comfort, and the (N x M x S) fit test would peak well over the chunked
-    path's bound without the state-axis chunking.
-    """
-    topology = ClusterTopology.single_zone("us-central1-a", {
-        "a2-highgpu-4g": 128, "n1-standard-v100-4": 128})
-    env = build_environment(job, topology)
-    planner = SailorPlanner(env)
-    result = benchmark.pedantic(
-        lambda: planner.plan(job, topology, Objective.max_throughput()),
-        rounds=1, iterations=1)
-    assert result.found
-
-
-@pytest.mark.skipif(os.environ.get("BENCH_SCALE", "smoke") != "full",
-                    reason="2048-GPU point runs only under BENCH_SCALE=full")
-def test_bench_planner_heterogeneous_2048_gpus(benchmark, job):
-    """Sailor planner on 1024 A100 + 1024 V100 -- 2x beyond the paper.
-
-    First beyond-1024 scale point, enabled by the shared backward argmin
-    skeletons (the per-candidate argmin reductions dominated the 1024-GPU
-    profile) and the candidate-ordering tail kills.  The mixed-radix state
-    packing stays exact well past this scale (~2^63 budget)."""
-    topology = ClusterTopology.single_zone("us-central1-a", {
-        "a2-highgpu-4g": 256, "n1-standard-v100-4": 256})
-    env = build_environment(job, topology)
-    planner = SailorPlanner(env)
-    result = benchmark.pedantic(
-        lambda: planner.plan(job, topology, Objective.max_throughput()),
-        rounds=1, iterations=1)
+@full_scale_only
+@pytest.mark.parametrize("nodes_per_type, work", [
+    (128, ("51ac91e976b6", 88_558, 831_377, 98, 49, 0, 0, 27)),
+    (256, ("6a665f1224fc", 1_531_730, 19_209_785, 152, 39, 0, 0, 61)),
+    (512, ("b92437f75f71", 4_489_017, 57_633_764, 169, 39, 0, 0, 64)),
+    (1024, ("8f1668971e7e", 2_130_117, 27_613_851, 114, 48, 0, 0, 46)),
+], ids=["1024_gpus", "2048_gpus", "4096_gpus", "8192_gpus"])
+def test_bench_planner_heterogeneous_full_scale(job, nodes_per_type, work):
+    """1024 to 8192 GPUs, up to 8x beyond the paper's Figure 8."""
+    result = plan_once(job, mixed_pool(nodes_per_type),
+                       Objective.max_throughput())
     assert result.found
     assert result.search_stats.candidates_killed_unevaluated > 0
+    assert plan_work(result) == pinned(*work)
 
 
-@pytest.mark.skipif(os.environ.get("BENCH_SCALE", "smoke") != "full",
-                    reason="4096-GPU point runs only under BENCH_SCALE=full")
-def test_bench_planner_heterogeneous_4096_gpus(benchmark, job):
-    """Sailor planner on 2048 A100 + 2048 V100 -- 4x beyond the paper.
-
-    The current ceiling of the recorded scaling trajectory; single round,
-    like every full-scale-only point."""
-    topology = ClusterTopology.single_zone("us-central1-a", {
-        "a2-highgpu-4g": 512, "n1-standard-v100-4": 512})
-    env = build_environment(job, topology)
-    planner = SailorPlanner(env)
-    result = benchmark.pedantic(
-        lambda: planner.plan(job, topology, Objective.max_throughput()),
-        rounds=1, iterations=1)
-    assert result.found
-    assert result.search_stats.candidates_killed_unevaluated > 0
-
-
-@pytest.mark.skipif(os.environ.get("BENCH_SCALE", "smoke") != "full",
-                    reason="8192-GPU point runs only under BENCH_SCALE=full")
-def test_bench_planner_heterogeneous_8192_gpus(benchmark, job):
-    """Sailor planner on 4096 A100 + 4096 V100 -- 8x beyond the paper.
-
-    The first point past the enumeration wall: it is reachable because
-    the fused combine kernel takes the inner elementwise pass off the
-    backward profile and the candidate tail kills run on
-    availability-aware floors.  Single round, like every full-scale-only
-    point."""
-    topology = ClusterTopology.single_zone("us-central1-a", {
-        "a2-highgpu-4g": 1024, "n1-standard-v100-4": 1024})
-    env = build_environment(job, topology)
-    planner = SailorPlanner(env)
-    result = benchmark.pedantic(
-        lambda: planner.plan(job, topology, Objective.max_throughput()),
-        rounds=1, iterations=1)
-    assert result.found
-    assert result.search_stats.candidates_killed_unevaluated > 0
-
-
-def test_bench_planner_budget_constrained_64_gpus(benchmark, job, topology, env):
+def test_bench_planner_budget_constrained_64_gpus(job):
     """Budget-constrained search on the mixed cluster (Table 3's slow case).
 
-    The budget is ~70% of the unconstrained optimum's cost, so it binds and
-    exercises the straggler-approximation loop of section 4.2.3.  Three
-    rounds: single-round recordings of the budget benches swing by whole
-    seconds on this box, and the compare gate reads the median-of-rounds.
-    """
-    planner = SailorPlanner(env)
+    The budget is ~70% of the unconstrained optimum's cost, so it binds
+    and runs the straggler-approximation loop of section 4.2.3; its
+    convergence certificates must fire."""
     objective = Objective.max_throughput(max_cost_per_iteration_usd=0.031)
-    result = benchmark.pedantic(
-        lambda: planner.plan(job, topology, objective),
-        rounds=3, iterations=1)
+    result = plan_once(job, mixed_pool(8), objective)
     assert result.found
     assert result.evaluation.cost_per_iteration_usd <= 0.031
-    # `make ci` acceptance bar (this point is in the smoke subset): the
-    # straggler convergence certificates must actually fire on a binding
-    # budget.  Every budgeted solve runs on the engine path (see the
-    # dp_solver dispatch table), so this pool's budget nodes use the
-    # engine's batched scan and certificates.
     assert result.search_stats.suffix_certified > 0
-    assert result.search_stats.suffix_iterations > 0
+    assert plan_work(result) == pinned(
+        "f59f3fc302ad", 9_709, 55_182, 109, 13, 148, 675, 5)
 
 
-def test_bench_planner_budget_constrained_128_gpus(benchmark, job):
+def test_bench_planner_budget_constrained_128_gpus(job):
     """Budget-constrained search at engine scale (128 GPUs, ~70% budget).
 
-    The scenario the engine's cost-bound certificates target: at this
-    scale the batched budget scan engages, and the certificates prove most
-    suffix budgets infeasible in-layer instead of one solve at a time (one
-    call makes about 148K straggler-loop iterations and 187K
-    certifications).  Three rounds; the gate reads the median.
-    """
-    topology = ClusterTopology.single_zone("us-central1-a", {
-        "a2-highgpu-4g": 16, "n1-standard-v100-4": 16})
-    env = build_environment(job, topology)
-    planner = SailorPlanner(env)
+    The certificates prove most suffix budgets infeasible in-layer, and
+    the tail kill arms on the binding-budget search too (it compares
+    iteration-time floors against the budget incumbent's)."""
     objective = Objective.max_throughput(max_cost_per_iteration_usd=0.0364)
-    result = benchmark.pedantic(
-        lambda: planner.plan(job, topology, objective),
-        rounds=3, iterations=1)
+    result = plan_once(job, mixed_pool(16), objective)
     assert result.found
     assert result.evaluation.cost_per_iteration_usd <= 0.0364
-    # Engine-scale certificates: resolved in-layer, not via scalar fallback.
     assert result.search_stats.suffix_certified > 0
-    # `make ci` acceptance bar: the ordering tail kill must arm on the
-    # binding-budget search too (the kill compares iteration-time floors
-    # against the budget incumbent's iteration time).
     assert result.search_stats.candidates_killed_unevaluated > 0
+    assert plan_work(result) == pinned(
+        "c965f3320fc7", 22_643, 178_093, 149, 21, 14_580, 21_214, 7)
 
 
-def test_bench_planner_budget_constrained_geo_64_gpus(benchmark, job):
+def test_bench_planner_budget_constrained_geo_64_gpus(job):
     """Budget-constrained search over two zones (Table 3, geo flavour).
 
     The budget (~70% of the unconstrained optimum) binds, and cross-zone
     plans carry egress the DP's compute-only cost model cannot see, so
     most candidates the DP emits are evaluated and then rejected over
-    budget.  Three rounds for a stable median (see the single-zone bench).
-    """
+    budget."""
     topology = ClusterTopology(nodes={
         "us-central1-a": {"a2-highgpu-4g": 4, "n1-standard-v100-4": 4},
         "us-central1-b": {"a2-highgpu-4g": 4, "n1-standard-v100-4": 4},
     })
-    env = build_environment(job, topology)
-    planner = SailorPlanner(env)
     objective = Objective.max_throughput(max_cost_per_iteration_usd=0.0614)
-    result = benchmark.pedantic(
-        lambda: planner.plan(job, topology, objective),
-        rounds=3, iterations=1)
+    result = plan_once(job, topology, objective)
     assert result.found
     assert result.evaluation.cost_per_iteration_usd <= 0.0614
+    assert result.search_stats.suffix_certified > 0
+    assert plan_work(result) == pinned(
+        "725eec8017d2", 14_679, 84_119, 123, 7, 14_272, 11_227, 35)

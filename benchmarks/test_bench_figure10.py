@@ -1,13 +1,12 @@
 """Benchmark regenerating Figure 10: small heterogeneous cluster (deployed plans).
 
 Runs the corresponding experiment harness (``repro.experiments.figure10``) once
-and prints the table the paper reports.  See EXPERIMENTS.md for the recorded
-paper-vs-measured comparison.
+and prints the table the paper reports.
 """
 
 from conftest import run_experiment
 
 
-def test_bench_figure10(benchmark, bench_scale):
-    table = run_experiment(benchmark, "figure10", bench_scale)
+def test_bench_figure10(bench_scale):
+    table = run_experiment("figure10", bench_scale)
     assert table.rows

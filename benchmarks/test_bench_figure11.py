@@ -1,13 +1,12 @@
 """Benchmark regenerating Figure 11: geo-distributed training, 4 zones / 2 regions.
 
 Runs the corresponding experiment harness (``repro.experiments.figure11``) once
-and prints the table the paper reports.  See EXPERIMENTS.md for the recorded
-paper-vs-measured comparison.
+and prints the table the paper reports.
 """
 
 from conftest import run_experiment
 
 
-def test_bench_figure11(benchmark, bench_scale):
-    table = run_experiment(benchmark, "figure11", bench_scale)
+def test_bench_figure11(bench_scale):
+    table = run_experiment("figure11", bench_scale)
     assert table.rows

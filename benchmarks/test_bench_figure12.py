@@ -1,13 +1,12 @@
 """Benchmark regenerating Figure 12: geo-distributed training, 5 zones / 2 regions.
 
 Runs the corresponding experiment harness (``repro.experiments.figure12``) once
-and prints the table the paper reports.  See EXPERIMENTS.md for the recorded
-paper-vs-measured comparison.
+and prints the table the paper reports.
 """
 
 from conftest import run_experiment
 
 
-def test_bench_figure12(benchmark, bench_scale):
-    table = run_experiment(benchmark, "figure12", bench_scale)
+def test_bench_figure12(bench_scale):
+    table = run_experiment("figure12", bench_scale)
     assert table.rows

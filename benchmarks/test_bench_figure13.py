@@ -1,13 +1,12 @@
 """Benchmark regenerating Figure 13: minimise cost under a throughput constraint.
 
 Runs the corresponding experiment harness (``repro.experiments.figure13``) once
-and prints the table the paper reports.  See EXPERIMENTS.md for the recorded
-paper-vs-measured comparison.
+and prints the table the paper reports.
 """
 
 from conftest import run_experiment
 
 
-def test_bench_figure13(benchmark, bench_scale):
-    table = run_experiment(benchmark, "figure13", bench_scale)
+def test_bench_figure13(bench_scale):
+    table = run_experiment("figure13", bench_scale)
     assert table.rows

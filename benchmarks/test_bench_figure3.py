@@ -1,13 +1,12 @@
 """Benchmark regenerating Figure 3: peak-memory estimates vs. real footprint.
 
 Runs the corresponding experiment harness (``repro.experiments.figure3``) once
-and prints the table the paper reports.  See EXPERIMENTS.md for the recorded
-paper-vs-measured comparison.
+and prints the table the paper reports.
 """
 
 from conftest import run_experiment
 
 
-def test_bench_figure3(benchmark, bench_scale):
-    table = run_experiment(benchmark, "figure3", bench_scale)
+def test_bench_figure3(bench_scale):
+    table = run_experiment("figure3", bench_scale)
     assert table.rows

@@ -1,13 +1,12 @@
 """Benchmark regenerating Figure 6: iteration-time error on a heterogeneous RTX cluster.
 
 Runs the corresponding experiment harness (``repro.experiments.figure6``) once
-and prints the table the paper reports.  See EXPERIMENTS.md for the recorded
-paper-vs-measured comparison.
+and prints the table the paper reports.
 """
 
 from conftest import run_experiment
 
 
-def test_bench_figure6(benchmark, bench_scale):
-    table = run_experiment(benchmark, "figure6", bench_scale)
+def test_bench_figure6(bench_scale):
+    table = run_experiment("figure6", bench_scale)
     assert table.rows

@@ -1,13 +1,12 @@
 """Benchmark regenerating Figure 8: heterogeneous A100+V100 clusters, OPT-350M.
 
 Runs the corresponding experiment harness (``repro.experiments.figure8``) once
-and prints the table the paper reports.  See EXPERIMENTS.md for the recorded
-paper-vs-measured comparison.
+and prints the table the paper reports.
 """
 
 from conftest import run_experiment
 
 
-def test_bench_figure8(benchmark, bench_scale):
-    table = run_experiment(benchmark, "figure8", bench_scale)
+def test_bench_figure8(bench_scale):
+    table = run_experiment("figure8", bench_scale)
     assert table.rows

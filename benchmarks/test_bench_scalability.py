@@ -1,13 +1,12 @@
 """Benchmark regenerating Section 5.3: planner scalability study.
 
 Runs the corresponding experiment harness (``repro.experiments.scalability``) once
-and prints the table the paper reports.  See EXPERIMENTS.md for the recorded
-paper-vs-measured comparison.
+and prints the table the paper reports.
 """
 
 from conftest import run_experiment
 
 
-def test_bench_scalability(benchmark, bench_scale):
-    table = run_experiment(benchmark, "scalability", bench_scale)
+def test_bench_scalability(bench_scale):
+    table = run_experiment("scalability", bench_scale)
     assert table.rows

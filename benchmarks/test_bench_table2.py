@@ -1,13 +1,12 @@
 """Benchmark regenerating Table 2: search times for the Figure 9b clusters.
 
 Runs the corresponding experiment harness (``repro.experiments.table2``) once
-and prints the table the paper reports.  See EXPERIMENTS.md for the recorded
-paper-vs-measured comparison.
+and prints the table the paper reports.
 """
 
 from conftest import run_experiment
 
 
-def test_bench_table2(benchmark, bench_scale):
-    table = run_experiment(benchmark, "table2", bench_scale)
+def test_bench_table2(bench_scale):
+    table = run_experiment("table2", bench_scale)
     assert table.rows

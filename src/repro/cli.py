@@ -175,7 +175,20 @@ def parse_nodes(specs: list[str]) -> ClusterTopology:
             raise SystemExit(f"invalid node count {count_text!r}") from None
         nodes.setdefault(zone, {})[node_type] = \
             nodes.get(zone, {}).get(node_type, 0) + count
-    return ClusterTopology(nodes=nodes)
+    try:
+        return ClusterTopology(nodes=nodes)
+    except ValueError as exc:  # a negative count
+        raise SystemExit(str(exc)) from None
+
+
+def write_output(path: str, text: str, what: str) -> None:
+    """Write ``text`` to ``path``; an unwritable path is a one-line error."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise SystemExit(f"cannot write {what} to {path}: {exc}") from None
+    print(f"{what} written to {path}")
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
@@ -247,19 +260,19 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(f"estimated cost      : {evaluation.cost_per_iteration_usd:.3f} USD/iteration")
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(plan_to_json(result.plan))
-        print(f"plan written to {args.output}")
+        write_output(args.output, plan_to_json(result.plan), "plan")
     if args.result_output:
-        with open(args.result_output, "w", encoding="utf-8") as handle:
-            handle.write(result_to_json(result))
-        print(f"planner result written to {args.result_output}")
+        write_output(args.result_output, result_to_json(result),
+                     "planner result")
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    with open(args.plan, encoding="utf-8") as handle:
-        plan = plan_from_json(handle.read())
+    try:
+        with open(args.plan, encoding="utf-8") as handle:
+            plan = plan_from_json(handle.read())
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read plan {args.plan}: {exc}") from None
     topology = _topology_for_plan(plan)
     env = build_environment(plan.job, topology)
     evaluation = SailorSimulator(env).evaluate(plan)
@@ -327,9 +340,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise SystemExit(str(exc)) from None
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            handle.write(trace.to_json())
-        print(f"fault trace written to {args.trace_out}")
+        write_output(args.trace_out, trace.to_json(), "fault trace")
 
     base_nodes: dict[str, dict[str, int]] = {}
     for (zone, node_type), count in pools.items():

@@ -170,12 +170,26 @@ def _check_version(data: dict[str, Any]) -> None:
 
 
 def plan_from_dict(data: dict[str, Any]) -> ParallelizationPlan:
-    """Decode a plan; validation of the plan invariants happens on build."""
-    _check_version(data)
-    job = job_from_dict(data["job"])
-    stages = [stage_from_dict(s) for s in data["stages"]]
+    """Decode a plan; validation of the plan invariants happens on build.
+
+    A document that is not a plan (not an object, a missing field, a field
+    of the wrong type) raises ``ValueError`` naming what is wrong.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a plan is a JSON object, not {type(data).__name__}")
+    missing = [name for name in ("job", "stages", "microbatch_size")
+               if name not in data]
+    if missing:
+        raise ValueError(f"not a plan: no field {', '.join(missing)}")
+    try:
+        _check_version(data)
+        job = job_from_dict(data["job"])
+        stages = [stage_from_dict(s) for s in data["stages"]]
+        microbatch_size = int(data["microbatch_size"])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"not a plan: {exc}") from None
     return ParallelizationPlan(job=job, stages=stages,
-                               microbatch_size=int(data["microbatch_size"]))
+                               microbatch_size=microbatch_size)
 
 
 def plan_from_json(text: str) -> ParallelizationPlan:

@@ -5,10 +5,9 @@ Every module exposes a ``run(scale=...)`` function returning an
 series the paper plots.  ``scale="paper"`` uses the paper's cluster sizes
 (slow: hundreds of GPUs and 300-second baseline search caps);
 ``scale="small"`` shrinks clusters and time limits so the whole suite runs
-on a laptop -- the benchmarks under ``benchmarks/`` use the small scale.
-
-See DESIGN.md for the experiment index and EXPERIMENTS.md for the recorded
-paper-vs-measured outcomes.
+on a laptop -- the benchmarks under ``benchmarks/`` run the tiny scale
+(``REPRO_BENCH_SCALE`` overrides it).  Each module's ``table.notes`` line
+states the shape the paper reports for its table or figure.
 """
 
 from repro.experiments.common import (

@@ -1,7 +1,7 @@
-"""Ablations of Sailor's design choices (DESIGN.md checklist).
+"""Ablations of Sailor's design choices.
 
-Not a paper figure, but DESIGN.md calls out the design decisions worth
-ablating; this harness quantifies them:
+Not a paper figure: this harness quantifies the design decisions worth
+ablating:
 
 * H2 (early OOM pruning) on/off -- OOM plans generated and search time;
 * H3/H4 (ordered data-parallel exploration with early stop) on/off;

@@ -2,8 +2,8 @@
 
 These experiments compare, for a set of deployed configurations, each
 planner's *estimate* of peak memory / iteration time against the "real"
-value.  Real hardware is replaced by the fine-grained reference simulator
-(see DESIGN.md), so the reported errors measure how much each estimator's
+value.  Real hardware is replaced by the fine-grained reference simulator,
+so the reported errors measure how much each estimator's
 simplifications (ignored memory sources, uniform stages, no stragglers,
 theoretical FLOPS, flat bandwidth) cost it relative to a detailed execution
 model -- which is exactly the comparison the paper makes.

@@ -1,144 +1,81 @@
-"""Tests for the benchmark tooling: the median-of-rounds compare gate and
-the ``BENCH_history.jsonl`` recorder ``make bench`` appends to."""
+"""Tests for the benchmark tooling: the A/B wall-time judge of
+``benchmarks/ab.py`` (``make ab``)."""
 
 import importlib.util
-import json
 import pathlib
+import sys
 
 import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+METRICS = [
+    {"name": "plan_p50_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "events_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
 
-def _load(name: str):
+
+@pytest.fixture(scope="module")
+def ab():
     spec = importlib.util.spec_from_file_location(
-        name, REPO_ROOT / "benchmarks" / f"{name}.py")
+        "ab", REPO_ROOT / "benchmarks" / "ab.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.fixture(scope="module")
-def compare_bench():
-    return _load("compare_bench")
+def run(plan_s=1.0, events=10.0, *, failed=0):
+    """One perfbench result line of 10 operations."""
+    return {"correct": failed == 0, "attempted": 10, "failed": failed,
+            "metrics": {"plan_p50_s": {"value": plan_s, "unit": "s"},
+                        "events_per_s": {"value": events, "unit": "1/s"}}}
 
 
-@pytest.fixture(scope="module")
-def bench_history():
-    return _load("bench_history")
+def test_compare_gates_on_median_not_mean_or_min(ab):
+    """Two slow outlier pairs move the change's mean past the bound but
+    not its median; a shifted median fails and names the metric."""
+    outliers = [(run(), run(plan_s=5.0 if i < 2 else 1.0)) for i in range(10)]
+    lines, failures = ab.judge(outliers, METRICS)
+    assert failures == []
+    assert any(line.startswith("plan_p50_s") and "won 0/10" in line
+               for line in lines)
+
+    slower = [(run(), run(plan_s=1.3)) for _ in range(10)]
+    _, failures = ab.judge(slower, METRICS)
+    assert len(failures) == 1 and failures[0].startswith("plan_p50_s")
+    _, failures = ab.judge([(run(), run(plan_s=1.2)) for _ in range(10)],
+                           METRICS)
+    assert failures == []
 
 
-def _bench_file(path, stats_by_name):
-    path.write_text(json.dumps({
-        "benchmarks": [{"name": name, "stats": stats}
-                       for name, stats in stats_by_name.items()]
-    }))
-    return str(path)
+def test_ab_reads_higher_is_better_metrics_upward(ab):
+    _, failures = ab.judge([(run(), run(events=20.0))] * 10, METRICS)
+    assert failures == []
+    _, failures = ab.judge([(run(), run(events=7.0))] * 10, METRICS)
+    assert len(failures) == 1 and failures[0].startswith("events_per_s")
 
 
-def test_compare_gates_on_median_not_mean_or_min(compare_bench, tmp_path,
-                                                 capsys):
-    """A noisy mean or a lucky min must not decide the verdict: the gate
-    reads the median-of-rounds."""
-    baseline = _bench_file(tmp_path / "base.json", {
-        "bench_planner_x": {"median": 1.0, "min": 0.9, "mean": 1.1},
-    })
-    # Median regresses 2x while the min is flat and the mean improves.
-    candidate = _bench_file(tmp_path / "new.json", {
-        "bench_planner_x": {"median": 2.0, "min": 0.9, "mean": 0.5},
-    })
-    assert compare_bench.main([baseline, candidate]) == 1
-    out = capsys.readouterr().out
-    assert "REGRESSION" in out
+def test_ab_fails_incorrect_runs_and_a_larger_failed_share(ab):
+    crashed = {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
+               "error": "exit 1"}
+    _, failures = ab.judge([(run(), crashed)] + [(run(), run())] * 9, METRICS)
+    assert failures == ["a change run is not correct: exit 1"]
 
-    # Median flat, mean regressed: must pass.
-    candidate_ok = _bench_file(tmp_path / "ok.json", {
-        "bench_planner_x": {"median": 1.05, "min": 1.0, "mean": 9.0},
-    })
-    assert compare_bench.main([baseline, candidate_ok]) == 0
+    _, failures = ab.judge([(run(failed=1), run(failed=2))], METRICS)
+    assert failures[-1] == ("the change fails 20.00% of operations, "
+                            "the parent 10.00%")
+    _, failures = ab.judge([(run(failed=2), run(failed=1))], METRICS)
+    assert not any(failure.startswith("the change fails")
+                   for failure in failures)
 
 
-def test_compare_falls_back_to_mean_for_old_recordings(compare_bench,
-                                                       tmp_path):
-    """Recordings that predate the median field still load (mean stands in
-    for both figures)."""
-    stats = compare_bench.load_stats(_bench_file(tmp_path / "old.json", {
-        "bench_planner_x": {"mean": 1.5},
-    }))
-    assert stats["bench_planner_x"] == {"median": 1.5, "min": 1.5,
-                                        "rounds": 0}
-
-
-def test_compare_ungated_benchmarks_never_fail(compare_bench, tmp_path):
-    baseline = _bench_file(tmp_path / "base.json", {
-        "bench_other": {"median": 1.0, "min": 1.0},
-    })
-    candidate = _bench_file(tmp_path / "new.json", {
-        "bench_other": {"median": 5.0, "min": 5.0},
-    })
-    assert compare_bench.main([baseline, candidate]) == 0
-
-
-def test_bench_history_appends_one_line_per_run(bench_history, tmp_path):
-    bench = _bench_file(tmp_path / "bench.json", {
-        "bench_planner_budget": {"median": 2.5, "min": 2.25, "mean": 2.6,
-                                 "rounds": 3},
-        "bench_planner_128": {"median": 0.8, "min": 0.75, "rounds": 1},
-    })
-    history = tmp_path / "history.jsonl"
-    assert bench_history.main([bench, "--history", str(history)]) == 0
-    assert bench_history.main([bench, "--history", str(history)]) == 0
-    lines = history.read_text().strip().splitlines()
-    assert len(lines) == 2
-    record = json.loads(lines[0])
-    assert set(record) == {"rev", "recorded_at", "source", "scale",
-                           "benches"}
-    assert record["benches"]["bench_planner_budget"] == {
-        "median_s": 2.5, "min_s": 2.25, "rounds": 3}
-    assert record["benches"]["bench_planner_128"]["median_s"] == 0.8
-    # The revision is the repo's short git rev (or "unknown" off-git).
-    assert record["rev"]
-
-
-def test_bench_history_stamps_scale(bench_history, tmp_path, monkeypatch):
-    """The record carries the BENCH_SCALE it was measured under: --scale
-    wins, $BENCH_SCALE is the default, and off-env runs say 'unknown'."""
-    bench = _bench_file(tmp_path / "bench.json", {
-        "bench_planner_128": {"median": 0.8, "min": 0.75, "rounds": 1},
-    })
-    history = tmp_path / "history.jsonl"
-
-    monkeypatch.delenv("BENCH_SCALE", raising=False)
-    assert bench_history.main([bench, "--history", str(history)]) == 0
-    monkeypatch.setenv("BENCH_SCALE", "smoke")
-    assert bench_history.main([bench, "--history", str(history)]) == 0
-    assert bench_history.main([bench, "--history", str(history),
-                               "--scale", "full"]) == 0
-    scales = [json.loads(line)["scale"]
-              for line in history.read_text().strip().splitlines()]
-    assert scales == ["unknown", "smoke", "full"]
-
-
-def test_compare_treats_8192_point_as_full_scale_only(compare_bench,
-                                                      tmp_path, capsys):
-    """The 8192-GPU point is BENCH_SCALE=full-gated: its absence from a
-    smoke candidate is a scale difference, not a dropped benchmark."""
-    assert compare_bench.is_full_scale_only("bench_planner_8192_gpus")
-    baseline = _bench_file(tmp_path / "base.json", {
-        "bench_planner_x": {"median": 1.0, "min": 1.0},
-        "bench_planner_8192_gpus": {"median": 30.0, "min": 28.0},
-    })
-    candidate = _bench_file(tmp_path / "new.json", {
-        "bench_planner_x": {"median": 1.0, "min": 1.0},
-    })
-    assert compare_bench.main([baseline, candidate]) == 0
-    out = capsys.readouterr().out
-    assert "full-scale-only benches absent" in out
-    assert "not in current run" not in out
-
-
-def test_bench_history_rejects_empty_run(bench_history, tmp_path):
-    bench = _bench_file(tmp_path / "bench.json", {})
-    history = tmp_path / "history.jsonl"
-    assert bench_history.main([bench, "--history", str(history)]) == 1
-    assert not history.exists()
+def test_ab_counts_a_run_without_a_result_line_as_incorrect(ab, tmp_path):
+    crashed = ab.run_once(str(tmp_path), [sys.executable, "-c",
+                                          "import sys; sys.exit('boom')"],
+                          "budget", 1.0)
+    assert crashed["correct"] is False and crashed["error"] == "boom"
+    result = ab.run_once(str(tmp_path), [
+        sys.executable, "-c",
+        "import json; print('log line'); print(json.dumps({'correct': 1}))"],
+        "budget", 1.0)
+    assert result == {"correct": 1}

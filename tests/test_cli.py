@@ -92,9 +92,9 @@ def test_plan_with_impossible_constraint_fails(capsys):
     assert "no valid plan" in capsys.readouterr().out
 
 
-#: ``--trace-in`` documents that are valid JSON but not traces, written to
-#: a file when an argv names them as ``@<name>``.
-NOT_TRACES = {
+#: Files that are not traces or not plans, written to a file when an argv
+#: names them as ``@<name>``.
+BAD_FILES = {name: json.dumps(document) for name, document in {
     "object-without-fields": {"x": 1},
     "list": [],
     "event-without-zone": {
@@ -105,7 +105,10 @@ NOT_TRACES = {
         "format_version": 1, "duration_s": 60.0,
         "events": [{"time_s": 0.0, "kind": "initial", "zone": "us-central1-a",
                     "node_type": "a2-highgpu-4g", "available_nodes": None}]},
-}
+    "object-not-a-plan": {"a": 1},
+    "list-not-a-plan": [1, 2],
+}.items()}
+BAD_FILES["not-json"] = "{not json"
 
 
 @pytest.mark.parametrize("argv", [
@@ -133,18 +136,28 @@ NOT_TRACES = {
     ["churn", "--trace-in", "@list"],
     ["churn", "--trace-in", "@event-without-zone"],
     ["churn", "--trace-in", "@event-with-null-count"],
+    ["simulate", "--plan", "no-such-dir/plan.json"],
+    ["simulate", "--plan", "@not-json"],
+    ["simulate", "--plan", "@object-not-a-plan"],
+    ["simulate", "--plan", "@list-not-a-plan"],
+    ["plan", "--output", "no-such-dir/plan.json"],
+    ["plan", "--result-output", "no-such-dir/result.json"],
+    ["churn", "--trace-out", "no-such-dir/trace.json", "--events", "2"],
+    ["plan", "--nodes", "us-central1-a:a2-highgpu-4g:-2"],
+    ["churn", "--pools", "us-central1-a:a2-highgpu-4g:-2"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_bad_limits_exit_with_one_line_message(argv, tmp_path):
-    """A NaN or non-positive search limit, an invalid job or objective, or
-    a trace file that is not a trace exits non-zero with a one-line
-    message instead of mis-planning (an empty replay) or dying with a
-    traceback: ``SystemExit`` with a string code prints it to stderr and
-    exits 1."""
+    """A NaN or non-positive search limit, an invalid job, objective or
+    node count, a trace or plan file that cannot be read or is not a trace
+    or plan, or an output path that cannot be written exits non-zero with
+    a one-line message instead of mis-planning (an empty replay) or dying
+    with a traceback: ``SystemExit`` with a string code prints it to
+    stderr and exits 1."""
     if argv[0] == "plan":
         argv = argv + ["--nodes", "us-central1-a:a2-highgpu-4g:1"]
     if argv[-1].startswith("@"):
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps(NOT_TRACES[argv[-1][1:]]))
+        path = tmp_path / "input.json"
+        path.write_text(BAD_FILES[argv[-1][1:]])
         argv = argv[:-1] + [str(path)]
     with pytest.raises(SystemExit) as excinfo:
         main(argv)

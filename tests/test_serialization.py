@@ -71,6 +71,21 @@ def test_corrupted_plan_fails_validation(opt_job):
         plan_from_dict(document)
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda document: {"a": 1},
+    lambda document: [1, 2],
+    lambda document: {**document, "stages": [{"replicas": []}]},
+    lambda document: {**document, "job": "OPT-350M"},
+    lambda document: {**document, "job": {**document["job"], "model": "X"}},
+    lambda document: {**document, "format_version": "1"},
+], ids=["object", "list", "stage-fields", "job-type", "model", "version"])
+def test_document_that_is_not_a_plan_raises_value_error(opt_job, mutate):
+    """Missing fields and fields of the wrong type are a ``ValueError``,
+    the error a caller checks for, never a ``KeyError`` or ``TypeError``."""
+    with pytest.raises(ValueError):
+        plan_from_dict(mutate(plan_to_dict(heterogeneous_plan(opt_job))))
+
+
 def test_evaluation_roundtrip(opt_env, opt_job):
     from repro.core.simulator import SailorSimulator
 
