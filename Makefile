@@ -26,9 +26,11 @@
 #                                   (exported with git archive; default
 #                                   HEAD) against the working tree;
 #                                   exits 1 on an
-#                                   incorrect run, a larger failed share
-#                                   or a median worse than its
-#                                   BENCHMARK.json bound
+#                                   incorrect run, a larger failed share,
+#                                   a median worse than its
+#                                   BENCHMARK.json bound, or a metric
+#                                   whose parent runs spread wider than
+#                                   that bound (UNRESOLVED)
 #   make profile                    cProfile one planner call (PROFILE_ARGS=...;
 #                                   add --stats to dump the SearchStats
 #                                   counters as JSON next to the profile,

@@ -12,12 +12,15 @@ side in 10 pairs, and the side that runs first alternates from pair to
 pair, so drift on the machine falls on both sides alike.
 
 For every end-to-end metric it prints each side's median and range, the
-change/parent ratio of the medians and the pairs the change won.  It exits
-1 when a run is not ``correct``, when the change fails a larger share of
-operations than the parent, or when a change median is worse than the
-parent's by more than the metric's BENCHMARK.json bound; 2 on a usage
-error.  It reads nothing of the program but ``perfbench/`` and
-BENCHMARK.json.
+parent's interquartile spread relative to its median, the change/parent
+ratio of the medians and the pairs the change won.  It exits 1 when a run
+is not ``correct``, when the change fails a larger share of operations
+than the parent, when a change median is worse than the parent's by more
+than the metric's BENCHMARK.json bound, or when a metric is
+``UNRESOLVED``: the parent's own spread is wider than the bound, so a
+median within it says nothing, and not every change run beats every
+parent run.  It exits 2 on a usage error.  It reads nothing of the
+program but ``perfbench/`` and BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -73,6 +76,16 @@ def failed_share(runs: list[dict]) -> float:
     return sum(run["failed"] for run in runs) / attempted if attempted else 0.0
 
 
+def relative_spread(values: list[float]) -> float:
+    """Interquartile range of ``values`` over their median (0 for fewer
+    than two values or a zero median)."""
+    median = statistics.median(values)
+    if len(values) < 2 or not median:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return (q3 - q1) / abs(median)
+
+
 def judge(pairs: list[tuple[dict, dict]],
           end_to_end: list[dict]) -> tuple[list[str], list[str]]:
     """``(report lines, failures)`` for one workload's ``(parent, change)``
@@ -103,16 +116,26 @@ def judge(pairs: list[tuple[dict, dict]],
         p50, c50 = statistics.median(parent), statistics.median(change)
         won = sum((c < p) if lower else (c > p) for p, c in values)
         worse = (c50 > p50 * (1 + bound)) if lower else (c50 < p50 * (1 - bound))
+        spread = relative_spread(parent)
+        clean_win = (max(change) < min(parent)) if lower \
+            else (min(change) > max(parent))
+        unresolved = not worse and spread > bound and not clean_win
         ratio = c50 / p50 if p50 else float("nan")
+        verdict = "  WORSE" if worse else "  UNRESOLVED" if unresolved else ""
         lines.append(
             f"{name:20s} parent {p50:.4g} [{min(parent):.4g}, "
-            f"{max(parent):.4g}]  change {c50:.4g} [{min(change):.4g}, "
-            f"{max(change):.4g}]  ratio {ratio:.3f}  "
-            f"won {won}/{len(values)}" + ("  WORSE" if worse else ""))
+            f"{max(parent):.4g}] iqr {spread:.0%}  change {c50:.4g} "
+            f"[{min(change):.4g}, {max(change):.4g}]  ratio {ratio:.3f}  "
+            f"won {won}/{len(values)}" + verdict)
         if worse:
             failures.append(
                 f"{name}: change median {c50:.4g} {metric['unit']} is worse "
                 f"than the parent's {p50:.4g} by more than {bound:.0%}")
+        elif unresolved:
+            failures.append(
+                f"{name}: unresolved, the parent's interquartile spread is "
+                f"{spread:.0%} of its median, wider than the {bound:.0%} "
+                f"bound")
     return lines, failures
 
 

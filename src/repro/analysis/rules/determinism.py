@@ -26,7 +26,8 @@ deadlines are supposed to enter the search):
 
 Any other clock read goes through ``core/budget.py`` (the planner's
 ``search_time_s`` and anytime deadline come from its ``SearchClock``; the
-controller only reports that measured time, it never charges it);
+controller only reports that measured time, it never charges or judges
+it);
 a sanctioned exception elsewhere is written as a justified line
 suppression.
 """

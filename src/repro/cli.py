@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 
 from repro.core.objectives import Objective
@@ -124,9 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace duration in seconds (default: 4h)")
     churn.add_argument("--objective", choices=["throughput", "cost"],
                        default="throughput")
-    churn.add_argument("--deadline", type=float, default=None,
-                       help="wall-clock replan deadline in seconds "
-                            "(miss -> keep the incumbent, degraded)")
+    churn.add_argument("--replan-ticks", type=int, default=None,
+                       metavar="N",
+                       help="bound each replan's search to N ticks; a "
+                            "truncated search keeps the incumbent, degraded "
+                            "(default: unbounded)")
     churn.add_argument("--debounce", type=float, default=0.0,
                        help="minimum seconds between voluntary replans")
     churn.add_argument("--checkpoint-interval", type=int, default=20,
@@ -179,6 +182,19 @@ def parse_nodes(specs: list[str]) -> ClusterTopology:
         return ClusterTopology(nodes=nodes)
     except ValueError as exc:  # a negative count
         raise SystemExit(str(exc)) from None
+
+
+def check_writable(path: str, what: str) -> None:
+    """Exit with a one-line error now, before any work, when ``path``
+    cannot be opened for writing; leaves no file behind."""
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise SystemExit(f"cannot write {what} to {path}: {exc}") from None
+    if not existed:
+        os.remove(path)
 
 
 def write_output(path: str, text: str, what: str) -> None:
@@ -234,6 +250,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     topology = parse_nodes(args.nodes)
+    if args.output:
+        check_writable(args.output, "plan")
+    if args.result_output:
+        check_writable(args.result_output, "planner result")
     print("Planning for topology:")
     print(topology.describe())
 
@@ -304,7 +324,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_churn(args: argparse.Namespace) -> int:
     from repro.runtime.checkpoint import CheckpointConfig
-    from repro.runtime.controller import ReplanPolicy
+    from repro.runtime.controller import ReplanPolicy, TrainingController
     from repro.runtime.faults import FaultScenarioGenerator, FaultTrace
     from repro.runtime.replay import ChurnReplayer
 
@@ -349,13 +369,16 @@ def cmd_churn(args: argparse.Namespace) -> int:
     env = build_environment(job, base)
     objective = (Objective.max_throughput() if args.objective == "throughput"
                  else Objective.min_cost())
-    # ``--deadline`` becomes the controller planner's ``time_limit_s``,
-    # which ``PlannerConfig`` validates when the replayer is built.
+    # ``--replan-ticks`` becomes the controller planner's
+    # ``max_search_nodes``, which ``PlannerConfig`` validates.
     try:
+        planner = SailorPlanner(env, config=PlannerConfig(
+            max_search_nodes=args.replan_ticks))
+        controller = TrainingController(
+            env=env, job=job, objective=objective, planner=planner,
+            policy=ReplanPolicy(debounce_s=args.debounce))
         replayer = ChurnReplayer(
-            env, job, objective,
-            policy=ReplanPolicy(replan_deadline_s=args.deadline,
-                                debounce_s=args.debounce),
+            env, job, objective, controller=controller,
             checkpoint_config=CheckpointConfig(
                 interval_iterations=args.checkpoint_interval))
     except ValueError as exc:

@@ -14,9 +14,11 @@ provides the cheap cooperative check that the DP hot loops
   so a budget-carrying solve stays within a bounded number of inner
   iterations of its deadline without measurable overhead.
 * :class:`SearchBudgetExhausted` -- the cooperative-cancellation signal.  It
-  is *salvageable*: the raiser attaches progress counters, and every caller
-  up the stack keeps the incumbent found so far instead of discarding it
-  (see :meth:`~repro.core.planner.SailorPlanner._plan_branch`).
+  is *salvageable*: every caller up the stack keeps the incumbent found so
+  far instead of discarding it (see
+  :meth:`~repro.core.planner.SailorPlanner._plan_branch`), and the
+  truncated search reports itself only through the result's ``complete``,
+  ``optimality_gap_bound`` and ``incomplete_branches``.
 * :class:`SearchClock` -- the wall clock of one planning call: the anytime
   deadline it hands to :class:`SearchBudget` and the ``search_time_s`` it
   reports.  This module is the only place in ``core`` that reads a clock.
@@ -41,8 +43,6 @@ class SearchBudgetExhausted(RuntimeError):
     incomplete with a certified optimality-gap bound.  ``reason`` is
     ``"deadline"`` (wall clock) or ``"node_budget"`` (deterministic tick
     allowance); ``ticks`` counts cancellation-point visits at raise time.
-    Raisers with partial state attach progress via :meth:`attach` so the
-    caller can report how much work the interrupted solve completed.
     """
 
     def __init__(self, reason: str, ticks: int) -> None:
@@ -50,11 +50,6 @@ class SearchBudgetExhausted(RuntimeError):
                          f"after {ticks} ticks")
         self.reason = reason
         self.ticks = ticks
-        self.progress: dict[str, int] = {}
-
-    def attach(self, **progress: int) -> None:
-        """Record salvage metadata (partial memo sizes, nodes explored)."""
-        self.progress.update(progress)
 
 
 class SearchBudget:

@@ -316,22 +316,6 @@ class DPSolver:
         """Search counters, shared with the context (and so the planner)."""
         return self.context.stats
 
-    @property
-    def nodes_explored(self) -> int:
-        """DP subproblems expanded on this solver's context (back-compat).
-
-        Stats live on the shared context, so with an injected context this
-        is the total across *every* solver sharing it, not just this one;
-        for a standalone solver (private context) the two coincide.
-        """
-        return self.context.stats.nodes_explored
-
-    def budget_memo_entries(self) -> int:
-        """Total interval entries currently stored in the budgeted memo."""
-        return sum(len(entries)
-                   for per_stage in self._budget_memo
-                   for entries in per_stage.values())
-
     # -- public API ------------------------------------------------------------
 
     def solve(self, resources: ResourceMap,
@@ -340,25 +324,11 @@ class DPSolver:
 
         With a :class:`~repro.core.budget.SearchBudget` attached, a deadline
         or node-budget hit raises :class:`SearchBudgetExhausted` from the
-        nearest cancellation point.  The exception is salvageable: progress
-        counters (nodes explored, partial memo sizes) are attached before it
-        propagates, the per-solve memos and the context's cross-candidate
-        caches keep every subproblem completed so far, and the caller keeps
-        its pre-deadline incumbent (see ``SailorPlanner._plan_branch``).
+        nearest cancellation point.  The exception is salvageable: the
+        context's cross-candidate caches keep every subproblem completed so
+        far, and the caller keeps its pre-deadline incumbent (see
+        ``SailorPlanner._plan_branch``).
         """
-        try:
-            return self._solve_root(resources, budget_per_iteration)
-        except SearchBudgetExhausted as exc:
-            exc.attach(
-                nodes_explored=self.stats.nodes_explored,
-                stage_memo_entries=sum(len(memo) for memo in self._memo),
-                budget_memo_entries=self.budget_memo_entries(),
-            )
-            raise
-
-    def _solve_root(self, resources: ResourceMap,
-                    budget_per_iteration: float | None = None,
-                    ) -> DPSolution | None:
         state = self._prepare_root(resources)
         if state is None:
             return None  # some stage can be hosted by no available option

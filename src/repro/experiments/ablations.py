@@ -28,11 +28,9 @@ from repro.experiments.common import (
 from repro.experiments.estimation import build_samples, error_summary, relative_error
 
 
-def _sailor_with(env, scale, **heuristic_overrides) -> SailorPlanner:
+def _sailor_with(env, **heuristic_overrides) -> SailorPlanner:
     heuristics = HeuristicConfig(**heuristic_overrides)
-    config = PlannerConfig(heuristics=heuristics,
-                           time_limit_s=scale.sailor_time_limit_s)
-    return SailorPlanner(env, config=config)
+    return SailorPlanner(env, config=PlannerConfig(heuristics=heuristics))
 
 
 def run(scale: str | object = "small", gpus_per_type: int = 32) -> ExperimentTable:
@@ -52,7 +50,7 @@ def run(scale: str | object = "small", gpus_per_type: int = 32) -> ExperimentTab
 
     # H2: early OOM pruning.
     for variant, prune in (("on", True), ("off", False)):
-        planner = _sailor_with(env, scale, prune_oom_early=prune)
+        planner = _sailor_with(env, prune_oom_early=prune)
         result = planner.plan(job, mixed, objective)
         table.add_row(ablation="H2_oom_pruning", variant=variant,
                       search_time_s=result.search_time_s,
@@ -63,7 +61,7 @@ def run(scale: str | object = "small", gpus_per_type: int = 32) -> ExperimentTab
 
     # H3/H4: ordered data-parallel exploration.
     for variant, ordered in (("on", True), ("off", False)):
-        planner = _sailor_with(env, scale, ordered_data_parallel=ordered)
+        planner = _sailor_with(env, ordered_data_parallel=ordered)
         result = planner.plan(job, mixed, objective)
         table.add_row(ablation="H3_H4_dp_ordering", variant=variant,
                       search_time_s=result.search_time_s,
@@ -76,7 +74,7 @@ def run(scale: str | object = "small", gpus_per_type: int = 32) -> ExperimentTab
     geo = geo_topology(gpus, ["us-central1-a", "us-central1-b", "us-west1-a"])
     geo_env = make_environment(job, geo)
     for variant, consolidate in (("on", True), ("off", False)):
-        planner = _sailor_with(geo_env, scale, consolidate_zones=consolidate)
+        planner = _sailor_with(geo_env, consolidate_zones=consolidate)
         result = planner.plan(job, geo, objective)
         table.add_row(ablation="H6_zone_consolidation", variant=variant,
                       search_time_s=result.search_time_s,

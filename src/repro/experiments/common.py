@@ -8,7 +8,7 @@ from repro.baselines import get_baseline
 from repro.baselines.base import BaselineSearchLimits
 from repro.core.objectives import Objective
 from repro.core.plan import ParallelizationPlan, PlannerResult
-from repro.core.planner import PlannerConfig, SailorPlanner
+from repro.core.planner import SailorPlanner
 from repro.core.simulator import (
     ReferenceSimulator,
     SailorSimulator,
@@ -95,7 +95,6 @@ class ExperimentScale:
     gpu_scale: float = 1.0
     baseline_time_limit_s: float = 300.0
     metis_time_limit_s: float = 300.0
-    sailor_time_limit_s: float | None = None
     max_ranked: int = 64
 
     def scaled_gpus(self, gpus: int, minimum: int = 4) -> int:
@@ -110,12 +109,12 @@ PAPER_SCALE = ExperimentScale(name="paper")
 #: Laptop-friendly sizes used by the benchmark suite.
 SMALL_SCALE = ExperimentScale(
     name="small", gpu_scale=0.25, baseline_time_limit_s=10.0,
-    metis_time_limit_s=10.0, sailor_time_limit_s=30.0, max_ranked=32)
+    metis_time_limit_s=10.0, max_ranked=32)
 
 #: Even smaller; used by the unit/integration tests.
 TINY_SCALE = ExperimentScale(
     name="tiny", gpu_scale=0.125, baseline_time_limit_s=3.0,
-    metis_time_limit_s=3.0, sailor_time_limit_s=10.0, max_ranked=16)
+    metis_time_limit_s=3.0, max_ranked=16)
 
 _SCALES = {"paper": PAPER_SCALE, "small": SMALL_SCALE, "tiny": TINY_SCALE}
 
@@ -205,12 +204,10 @@ def make_environment(job: TrainingJobSpec, topology: ClusterTopology,
     return build_environment(job, topology, noise_std=noise_std, seed=seed)
 
 
-def make_sailor(env: SimulationEnvironment,
-                scale: ExperimentScale) -> SailorPlanner:
-    """Sailor planner configured for the experiment scale."""
-    config = PlannerConfig()
-    config.time_limit_s = scale.sailor_time_limit_s
-    return SailorPlanner(env, config=config)
+def make_sailor(env: SimulationEnvironment) -> SailorPlanner:
+    """Sailor planner for an experiment: unbounded, so every plan it
+    reports is certified optimal over its search space."""
+    return SailorPlanner(env)
 
 
 def make_baseline(name: str, env: SimulationEnvironment,
@@ -239,7 +236,7 @@ def run_planner(name: str, env: SimulationEnvironment, job: TrainingJobSpec,
                 scale: ExperimentScale) -> PlannerResult:
     """Run either Sailor or a baseline by name."""
     if name == "sailor":
-        return make_sailor(env, scale).plan(job, topology, objective)
+        return make_sailor(env).plan(job, topology, objective)
     return make_baseline(name, env, scale).plan(job, topology, objective)
 
 

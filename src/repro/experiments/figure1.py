@@ -106,7 +106,7 @@ def run(scale: str | object = "small") -> ExperimentTable:
     c4_env = None
     for config, (topology, kind) in setups.items():
         env = make_environment(job, topology)
-        result = make_sailor(env, scale).plan(job, topology, objective)
+        result = make_sailor(env).plan(job, topology, objective)
         if result.found:
             throughput, cost = measured_throughput(env, result.plan)
         else:

@@ -46,7 +46,7 @@ def run(scale: str | object = "small", gpus_per_zone: int = 256,
     for zones in zone_counts:
         topology = geo_topology(per_zone, ALL_ZONES[:zones])
         env = make_environment(job, topology)
-        result = make_sailor(env, scale).plan(job, topology, objective)
+        result = make_sailor(env).plan(job, topology, objective)
         table.add_row(sweep="zones", setting=f"{zones} zones x {per_zone} A100",
                       total_gpus=topology.total_gpus(),
                       search_time_s=result.search_time_s, found=result.found)
@@ -61,7 +61,7 @@ def run(scale: str | object = "small", gpus_per_zone: int = 256,
             nodes[node_type] = max(1, per_type // per_node)
         topology = ClusterTopology.single_zone("us-central1-a", nodes)
         env = make_environment(job, topology)
-        result = make_sailor(env, scale).plan(job, topology, objective)
+        result = make_sailor(env).plan(job, topology, objective)
         table.add_row(sweep="gpu_types",
                       setting=f"{types} GPU types x {per_type} GPUs",
                       total_gpus=topology.total_gpus(),

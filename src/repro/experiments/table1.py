@@ -42,7 +42,7 @@ def run(scale: str | object = "small", num_gpus: int = 128) -> ExperimentTable:
 
     for name in TABLE1_PLANNERS:
         if name == "sailor":
-            planner = make_sailor(env, scale)
+            planner = make_sailor(env)
             result = planner.plan(job, topology, objective)
             table.add_row(planner="sailor", parallelism="3D",
                           recommends_allocation=True, heterogeneous_gpus=True,

@@ -28,7 +28,8 @@ from repro.experiments.common import (
 )
 
 
-def _planner(env, heuristics_on: bool, time_limit_s: float | None) -> SailorPlanner:
+def _planner(env, heuristics_on: bool,
+             time_limit_s: float | None = None) -> SailorPlanner:
     heuristics = HeuristicConfig()
     if not heuristics_on:
         heuristics.prune_oom_early = False
@@ -70,8 +71,7 @@ def run(scale: str | object = "small", gpus_per_type: int = 128,
                       found=result.found)
 
         # Dynamic programming + heuristics.
-        planner = _planner(env, heuristics_on=True,
-                           time_limit_s=scale.sailor_time_limit_s)
+        planner = _planner(env, heuristics_on=True)
         result = planner.plan(job, topology, Objective.max_throughput())
         heuristics_time = result.search_time_s
         table.add_row(gpu_types=num_types, configuration="dp_plus_heuristics",
@@ -79,8 +79,7 @@ def run(scale: str | object = "small", gpus_per_type: int = 128,
                       found=result.found)
 
         # Heuristics + budget constraint.
-        planner = _planner(env, heuristics_on=True,
-                           time_limit_s=scale.sailor_time_limit_s)
+        planner = _planner(env, heuristics_on=True)
         result = planner.plan(job, topology,
                               Objective.max_throughput(
                                   max_cost_per_iteration_usd=budget_usd))

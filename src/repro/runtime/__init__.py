@@ -14,8 +14,8 @@ timelines against a simulated job:
   availability changes it reacts at the cheapest sufficient degradation
   tier (``CONTINUE`` -> ``SHRINK_DP`` -> ``FULL_REPLAN`` -> ``PARK``),
   governed by a :class:`~repro.runtime.controller.ReplanPolicy`
-  (debounce on flapping pools, wall-clock replan deadline with
-  keep-the-incumbent fallback) with retry-with-backoff while parked, and made
+  (debounce on flapping pools; a tick-bounded planner's truncated search
+  keeps the incumbent) with retry-with-backoff while parked, and made
   *incremental* by solving every replan inside one long-lived planner
   search context.
 * :mod:`repro.runtime.faults` -- seeded fault-injection harness: labelled,

@@ -16,8 +16,8 @@ of increasing disruption:
 
 1. ``CONTINUE`` -- the incumbent plan still fits and no switch is
    warranted: the change came within the debounce window, the replan
-   found nothing better, or the replan was degraded (it missed its
-   deadline or its anytime search was cut short).
+   found nothing better, or the replan was degraded (its search ran out
+   of the planner's budget, so its ``PlannerResult.complete`` is False).
 2. ``SHRINK_DP`` -- the incumbent no longer fits but dropping whole
    data-parallel pipeline columns in place does: a cheap reconfigure with
    no planner invocation.
@@ -33,9 +33,14 @@ of increasing disruption:
    by :data:`RETRY_BACKOFF_FACTOR` up to :data:`MAX_RETRY_BACKOFF_S`) as
    capacity returns.
 
+A bounded replan is configured on the planner, where every other search
+bound lives: pass ``SailorPlanner(env, PlannerConfig(max_search_nodes=N))``
+as ``planner``.  The tick budget cuts the search at the same point on any
+machine, so a replay under it stays a pure function of its trace.
+
 Every decision is recorded as a :class:`ReplanDecision` and every applied
 reconfiguration as a :class:`ReconfigurationEvent` carrying its trigger
-cause, tier and deadline verdict for observability.
+cause and tier for observability.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from repro.core.plan import (
     ResourceAllocation,
     SearchStats,
 )
-from repro.core.planner import PlannerConfig, SailorPlanner
+from repro.core.planner import SailorPlanner
 from repro.core.search_cache import PlannerSearchContext
 from repro.core.simulator import SimulationEnvironment
 from repro.hardware.nodes import get_node_type
@@ -81,17 +86,14 @@ class DegradationTier(enum.Enum):
 class ReplanPolicy:
     """Knobs governing when and how the controller replans.
 
-    The defaults replan on every change with no deadline.
+    The defaults replan on every change.  How long one replan may search
+    is the planner's bound (``PlannerConfig.max_search_nodes``), not a
+    policy knob.
     """
 
     #: Minimum seconds between *voluntary* replan attempts while the
     #: incumbent still fits (flap suppression).  0 disables.
     debounce_s: float = 0.0
-    #: Wall-clock budget for one replan.  The planner runs anytime-bounded
-    #: to this limit; a solve that still overruns it is treated as a miss:
-    #: on the voluntary path the incumbent is kept (degraded), on the
-    #: broken path the anytime answer is applied but flagged.
-    replan_deadline_s: float | None = None
     #: No effect (planning is always charged at the model's constant);
     #: perfbench/workloads.py still passes it.
     deterministic_timing: bool = False
@@ -113,13 +115,11 @@ class ReplanDecision:
     tier: DegradationTier
     action: str
     replan_latency_s: float = 0.0
-    deadline_missed: bool = False
     cache_hits: int = 0
     solve_memo_hits: int = 0
     #: The deciding ``PlannerResult``'s anytime fields (``True``/``0.0`` for
-    #: a decision taken without a solve): a ``deadline_missed`` decision
-    #: whose search still completed overran the wall deadline, while
-    #: ``complete=False`` marks a truncated anytime search.
+    #: a decision taken without a solve).  ``complete=False`` marks a
+    #: degraded replan: the search ran out of its budget, on any path.
     complete: bool = True
     optimality_gap_bound: float = 0.0
 
@@ -138,8 +138,6 @@ class ReconfigurationEvent:
     trigger: str = ""
     #: Degradation tier the controller resolved the change at.
     tier: DegradationTier = DegradationTier.FULL_REPLAN
-    #: True when the solve overran the policy's replan deadline.
-    deadline_missed: bool = False
 
     @property
     def total_s(self) -> float:
@@ -169,10 +167,7 @@ class TrainingController:
 
     def __post_init__(self) -> None:
         if self.planner is None:
-            # With a replan deadline the solver runs anytime-bounded to it,
-            # so a "miss" degrades the answer's quality, never its latency.
-            self.planner = SailorPlanner(self.env, config=PlannerConfig(
-                time_limit_s=self.policy.replan_deadline_s))
+            self.planner = SailorPlanner(self.env)
         self._search_context: PlannerSearchContext | None = None
         self._last_replan_check_s: float | None = None
         self._retry_at_s: float | None = None
@@ -225,7 +220,7 @@ class TrainingController:
 
     def maybe_retry(self, topology: ClusterTopology, time_s: float,
                     ) -> ReconfigurationEvent | None:
-        """Retry a parked job once its backoff deadline has passed."""
+        """Retry a parked job once its backoff wait has passed."""
         if (self.current_plan is not None or self._retry_at_s is None
                 or time_s < self._retry_at_s):
             return None
@@ -244,16 +239,15 @@ class TrainingController:
                         cause: str) -> ReconfigurationEvent | None:
         """Deploy onto a pool with no incumbent (start, park-resume, retry)."""
         self._last_replan_check_s = time_s
-        result, missed = self._timed_replan(topology)
+        result = self.replan(topology)
         if not result.found:
             self._park(time_s, cause, result,
                        retry=topology.total_gpus() > 0)
             return None
         event = self._apply(result, time_s, reason=cause, trigger=cause,
-                            tier=DegradationTier.FULL_REPLAN,
-                            deadline_missed=missed)
+                            tier=DegradationTier.FULL_REPLAN)
         self._decide(time_s, cause, DegradationTier.FULL_REPLAN, "deployed",
-                     result=result, deadline_missed=missed)
+                     result=result)
         return event
 
     def _maybe_improve(self, topology: ClusterTopology, time_s: float,
@@ -302,16 +296,14 @@ class TrainingController:
                          ) -> ReconfigurationEvent | None:
         """Replan and switch if the result is complete and better.
 
-        A *degraded* result (deadline missed, or anytime search incomplete)
-        keeps the incumbent: never block training on, or switch blindly
-        after, a slow solve.
+        A *degraded* result (an incomplete anytime search) keeps the
+        incumbent: never switch blindly after a truncated solve.
         """
         self._last_replan_check_s = time_s
-        result, missed = self._timed_replan(topology)
-        if missed or not result.complete:
+        result = self.replan(topology)
+        if not result.complete:
             self._decide(time_s, cause, DegradationTier.CONTINUE,
-                         "deadline_fallback", result=result,
-                         deadline_missed=True)
+                         "deadline_fallback", result=result)
             return None
         if (not result.found
                 or (self.current_evaluation is not None
@@ -344,16 +336,15 @@ class TrainingController:
             self._decide(time_s, cause, DegradationTier.SHRINK_DP, "shrunk",
                          result=result)
             return event
-        result, missed = self._timed_replan(topology)
+        result = self.replan(topology)
         if result.found:
             # The broken path applies the anytime answer even when degraded
-            # (an incomplete search beats no plan), but flags it.
-            degraded = missed or not result.complete
+            # (an incomplete search beats no plan); its decision keeps
+            # ``complete=False``.
             event = self._apply(result, time_s, reason=cause, trigger=cause,
-                                tier=DegradationTier.FULL_REPLAN,
-                                deadline_missed=degraded)
+                                tier=DegradationTier.FULL_REPLAN)
             self._decide(time_s, cause, DegradationTier.FULL_REPLAN,
-                         "replanned", result=result, deadline_missed=degraded)
+                         "replanned", result=result)
             return event
         self._park(time_s, cause, result, retry=topology.total_gpus() > 0)
         return None
@@ -378,14 +369,6 @@ class TrainingController:
         if self.current_plan is None:
             return False
         return self.current_plan.resource_allocation().fits_within(topology)
-
-    def _timed_replan(self, topology: ClusterTopology,
-                      ) -> tuple[PlannerResult, bool]:
-        """One replan plus the deadline verdict on its measured latency."""
-        result = self.replan(topology)
-        missed = (self.policy.replan_deadline_s is not None
-                  and result.search_time_s > self.policy.replan_deadline_s)
-        return result, missed
 
     def _shrink_to_fit(self, topology: ClusterTopology,
                        ) -> tuple[ParallelizationPlan, PlanEvaluation] | None:
@@ -461,7 +444,7 @@ class TrainingController:
 
     def _apply(self, result: PlannerResult, time_s: float, reason: str,
                trigger: str = "", tier: DegradationTier = DegradationTier.FULL_REPLAN,
-               deadline_missed: bool = False) -> ReconfigurationEvent:
+               ) -> ReconfigurationEvent:
         old_gpus = self.current_plan.total_gpus if self.current_plan else 0
         new_plan = result.plan
         assert new_plan is not None
@@ -469,8 +452,7 @@ class TrainingController:
             time_s=time_s, reason=reason, old_gpus=old_gpus,
             new_gpus=new_plan.total_gpus,
             breakdown=self.reconfiguration.breakdown(new_plan.total_gpus),
-            planner_result=result, trigger=trigger or reason, tier=tier,
-            deadline_missed=deadline_missed)
+            planner_result=result, trigger=trigger or reason, tier=tier)
         self.events.append(event)
         self.current_plan = new_plan
         self.parked = False
@@ -479,13 +461,11 @@ class TrainingController:
         return event
 
     def _decide(self, time_s: float, trigger: str, tier: DegradationTier,
-                action: str, result: PlannerResult | None = None,
-                deadline_missed: bool = False) -> None:
+                action: str, result: PlannerResult | None = None) -> None:
         stats = result.search_stats if result is not None else SearchStats()
         self.decisions.append(ReplanDecision(
             time_s=time_s, trigger=trigger, tier=tier, action=action,
             replan_latency_s=result.search_time_s if result is not None else 0.0,
-            deadline_missed=deadline_missed,
             cache_hits=stats.cache_hits,
             solve_memo_hits=stats.solve_memo_hits,
             complete=result.complete if result is not None else True,

@@ -6,7 +6,7 @@ plain availability trace labelled by
 :meth:`~repro.runtime.faults.FaultTrace.from_availability` -- against a
 :class:`~repro.runtime.controller.TrainingController` end to end:
 it applies every fault event group (simultaneous multi-pool events land as
-one topology change), wakes parked jobs at their retry-backoff deadlines,
+one topology change), wakes parked jobs when their retry backoff ends,
 trains at the simulator-predicted rate between boundaries, takes
 asynchronous checkpoints, and rolls back to the latest *durable* checkpoint
 when capacity is lost out from under the incumbent plan (a shrink-in-place
@@ -20,9 +20,12 @@ from the controller's long-lived search context, and the plan signature
 history (serialized plans) that the determinism tests compare byte for
 byte.  Its time accounts partition the run: without a ``max_iterations``
 cap, training + reconfiguration + idle time equals the duration (a
-reconfiguration pause is booked only as far as the run lasts).  Replays
-with a deadline-free policy are fully deterministic: same trace, same
-decisions, same plans, same iteration counts.
+reconfiguration pause is booked only as far as the run lasts).  Every
+replay is fully deterministic: same trace, same decisions, same plans,
+same iteration counts.  A bounded replan counts its search in ticks
+(``PlannerConfig.max_search_nodes``), so even a truncated search cuts at
+the same point on every run; only a planner handed a wall-clock
+``time_limit_s`` by its caller would break this.
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ class ChurnReport:
     keeps: int = 0
     debounces: int = 0
     retries: int = 0
+    #: Degraded replans: decisions whose search ran out of its budget
+    #: (``ReplanDecision.complete`` is False), on any path.
     deadline_fallbacks: int = 0
     switches: int = 0
     #: Latency of every planner solve, in decision order.
@@ -338,7 +343,7 @@ class ChurnReplayer:
 
     def _next_boundary(self, groups: list, index: int,
                        duration: float) -> tuple[float, bool]:
-        """Earliest upcoming wakeup: next fault group or a retry deadline."""
+        """Earliest upcoming wakeup: next fault group or a parked retry."""
         event_t = groups[index][0] if index < len(groups) else duration
         retry_t = self.controller.next_retry_at_s
         if (self.controller.current_plan is None and retry_t is not None
@@ -414,5 +419,5 @@ class ChurnReplayer:
                 report.switches += 1
             if decision.trigger == "retry after backoff":
                 report.retries += 1
-            if decision.deadline_missed:
+            if not decision.complete:
                 report.deadline_fallbacks += 1

@@ -58,14 +58,6 @@ def test_budget_deadline_trips_and_expired_is_non_raising():
     assert excinfo.value.reason == "deadline"
 
 
-def test_budget_exhausted_carries_attached_progress():
-    exc = SearchBudgetExhausted("deadline", ticks=42)
-    exc.attach(nodes_explored=7, stage_memo_entries=3)
-    assert exc.progress["nodes_explored"] == 7
-    exc.attach(budget_memo_entries=1)
-    assert exc.progress["stage_memo_entries"] == 3  # attach merges
-
-
 # ---------------------------------------------------------------------------
 # Truncated solves: incumbent + certified gap
 # ---------------------------------------------------------------------------

@@ -79,3 +79,35 @@ def test_ab_counts_a_run_without_a_result_line_as_incorrect(ab, tmp_path):
         "import json; print('log line'); print(json.dumps({'correct': 1}))"],
         "budget", 1.0)
     assert result == {"correct": 1}
+
+
+def noisy_parent(change_plan_s):
+    """Ten pairs whose parent ``plan_p50_s`` alternates 1.0 and 1.5 s: an
+    interquartile spread of 40% of the median, wider than the 25% bound."""
+    return [(run(plan_s=1.0 if i % 2 else 1.5), run(plan_s=change_plan_s))
+            for i in range(10)]
+
+
+def test_ab_reports_a_noisy_pass_as_unresolved(ab):
+    """A change median inside the bound proves nothing when the parent's
+    own runs spread wider than it."""
+    lines, failures = ab.judge(noisy_parent(1.25), METRICS)
+    assert len(failures) == 1
+    assert failures[0].startswith("plan_p50_s: unresolved")
+    assert any(line.startswith("plan_p50_s") and line.endswith("UNRESOLVED")
+               and "iqr 40%" in line for line in lines)
+
+
+def test_ab_resolves_a_clean_win_over_a_noisy_parent(ab):
+    """Every change run beats every parent run: the spread cannot hide it."""
+    lines, failures = ab.judge(noisy_parent(0.9), METRICS)
+    assert failures == []
+    assert any(line.startswith("plan_p50_s") and "won 10/10" in line
+               for line in lines)
+
+
+def test_ab_still_fails_a_noisy_regression_as_worse(ab):
+    lines, failures = ab.judge(noisy_parent(2.0), METRICS)
+    assert len(failures) == 1 and "is worse than" in failures[0]
+    assert any(line.startswith("plan_p50_s") and line.endswith("WORSE")
+               for line in lines)

@@ -123,8 +123,8 @@ BAD_FILES["not-json"] = "{not json"
     ["plan", "--min-throughput", "1000"],
     ["plan", "--max-cost", "0.000001", "--objective", "cost"],
     ["plan", "--global-batch-size", "0"],
-    ["churn", "--deadline", "nan", "--events", "2"],
-    ["churn", "--deadline", "-1", "--events", "2"],
+    ["churn", "--replan-ticks", "0", "--events", "2"],
+    ["churn", "--replan-ticks", "-1", "--events", "2"],
     ["churn", "--events", "1"],
     ["churn", "--duration", "0"],
     ["churn", "--duration", "-5"],
@@ -146,13 +146,14 @@ BAD_FILES["not-json"] = "{not json"
     ["plan", "--nodes", "us-central1-a:a2-highgpu-4g:-2"],
     ["churn", "--pools", "us-central1-a:a2-highgpu-4g:-2"],
 ], ids=lambda argv: " ".join(argv[:3]))
-def test_bad_limits_exit_with_one_line_message(argv, tmp_path):
+def test_bad_limits_exit_with_one_line_message(argv, tmp_path, capsys):
     """A NaN or non-positive search limit, an invalid job, objective or
     node count, a trace or plan file that cannot be read or is not a trace
     or plan, or an output path that cannot be written exits non-zero with
     a one-line message instead of mis-planning (an empty replay) or dying
     with a traceback: ``SystemExit`` with a string code prints it to
-    stderr and exits 1."""
+    stderr and exits 1.  Each is found before any work: nothing is
+    printed first, so an unwritable ``plan --output`` never searches."""
     if argv[0] == "plan":
         argv = argv + ["--nodes", "us-central1-a:a2-highgpu-4g:1"]
     if argv[-1].startswith("@"):
@@ -164,6 +165,24 @@ def test_bad_limits_exit_with_one_line_message(argv, tmp_path):
     message = excinfo.value.code
     assert isinstance(message, str) and message
     assert "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
+def test_churn_with_replan_ticks_reports_the_same_fallbacks_twice(capsys):
+    """A tick-bounded replay degrades some replans, and the same ones on
+    every run: only the measured latency line may differ."""
+    argv = ["churn", "--events", "60", "--seed", "0", "--duration", "7200",
+            "--replan-ticks", "50"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append([line for line in capsys.readouterr().out.splitlines()
+                        if not line.startswith("replan latency:")])
+    assert outputs[0] == outputs[1]
+    decisions = next(line for line in outputs[0]
+                     if line.startswith("decisions:"))
+    fallbacks = int(decisions.rsplit(", ", 1)[1].split()[0])
+    assert fallbacks > 0
 
 
 def test_unknown_model_rejected():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.objectives import Objective
-from repro.core.planner import SailorPlanner
+from repro.core.planner import PlannerConfig, SailorPlanner
 from repro.hardware.topology import ClusterTopology
 from repro.runtime.controller import (
     MAX_RETRY_BACKOFF_S,
@@ -197,7 +197,7 @@ def test_park_then_resume_on_capacity(controller):
     assert controller.current_plan is not None
 
 
-# -- replan policy: debounce, deadline, retry ---------------------------------
+# -- replan policy: debounce, tick-bounded replans, retry ---------------------
 
 
 def test_debounce_suppresses_rapid_voluntary_replans(opt_env, opt_job):
@@ -218,22 +218,32 @@ def test_debounce_suppresses_rapid_voluntary_replans(opt_env, opt_job):
 
 
 def test_deadline_miss_keeps_incumbent(opt_env, opt_job):
-    policy = ReplanPolicy(replan_deadline_s=1e-9)
-    controller = make_controller(opt_env, opt_job, policy,
-                                 planner=SailorPlanner(opt_env))
+    """A replan cut by its tick budget is degraded on every path: the
+    deploy and broken-plan paths apply the anytime answer, the voluntary
+    path keeps the incumbent, and each decision says ``complete=False``."""
+    controller = make_controller(
+        opt_env, opt_job, ReplanPolicy(),
+        planner=SailorPlanner(opt_env, PlannerConfig(max_search_nodes=2)))
     start_event = controller.start(small_topology(2), time_s=0.0)
-    assert start_event is not None            # deploy even on a missed deadline
-    assert start_event.deadline_missed
+    assert start_event is not None            # deploy the anytime answer
+    assert not start_event.planner_result.complete
+    assert controller.decisions[-1].action == "deployed"
+    assert controller.decisions[-1].complete is False
     plan_before = controller.current_plan
     event = controller.handle_availability_change(
         small_topology(6), time_s=60.0, cause="quota restored")
     assert event is None
     assert controller.current_plan is plan_before
     assert controller.decisions[-1].action == "deadline_fallback"
-    assert controller.decisions[-1].deadline_missed
-    # A wall-deadline miss, not a truncated search: the solve completed.
-    assert controller.decisions[-1].complete
-    assert controller.decisions[-1].optimality_gap_bound == 0.0
+    assert controller.decisions[-1].complete is False
+    assert controller.decisions[-1].optimality_gap_bound > 0.0
+    # The incumbent's node type is gone and nothing shrinks onto V100s.
+    event = controller.handle_availability_change(
+        ClusterTopology.homogeneous("n1-standard-v100-4", 2), time_s=120.0,
+        cause="zone_outage")
+    assert event is not None and event.tier is DegradationTier.FULL_REPLAN
+    assert controller.decisions[-1].action == "replanned"
+    assert controller.decisions[-1].complete is False
 
 
 def test_infeasible_pool_parks_with_backoff_and_retries(opt_env, opt_job):
@@ -271,15 +281,14 @@ def test_incremental_context_reused_across_replans(controller):
 
 def test_incomplete_result_is_degraded_even_without_deadline_miss(
         opt_env, opt_job):
-    """A truncated anytime search (complete=False) is degraded like a
-    missed deadline: the incumbent is kept."""
-    from repro.core.planner import PlannerConfig
-
+    """A voluntary replan whose search is truncated (complete=False)
+    keeps the incumbent, even when the deploy before it completed."""
     truncated_planner = SailorPlanner(opt_env, config=PlannerConfig(
         max_search_nodes=5))
     controller = make_controller(opt_env, opt_job, ReplanPolicy(),
                                  planner=truncated_planner)
     controller.start(small_topology(2), time_s=0.0)
+    assert controller.decisions[-1].complete
     plan_before = controller.current_plan
     event = controller.handle_availability_change(
         small_topology(6), time_s=60.0, cause="quota restored")

@@ -138,12 +138,12 @@ def test_memoization_reuses_subproblems(opt_env, opt_job):
     solver = build_solver(opt_env, opt_job, pp=4, dp=1)
     resources = {("us-central1-a", "a2-highgpu-4g"): 8}
     solver.solve(resources)
-    explored_first = solver.nodes_explored
+    explored_first = solver.stats.nodes_explored
     solver.solve(resources)
     # The memo is cleared per call, so the second call explores a similar
     # number of nodes; within a call the memo keeps the count well below the
     # worst case of combos^stages.
-    assert solver.nodes_explored <= 2 * explored_first
+    assert solver.stats.nodes_explored <= 2 * explored_first
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.objectives import Objective
-from repro.core.planner import SailorPlanner
+from repro.core.planner import PlannerConfig, SailorPlanner
 from repro.core.serialization import plan_to_json
 from repro.core.simulator import build_environment
 from repro.hardware.nodes import get_node_type
@@ -19,7 +19,6 @@ from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.controller import (
     MAX_RETRY_BACKOFF_S,
     DegradationTier,
-    ReplanPolicy,
     TrainingController,
 )
 from repro.runtime.faults import FaultEvent, FaultScenarioGenerator, FaultTrace
@@ -81,11 +80,13 @@ def test_churn_replay_is_deterministic(opt_env, opt_job, mixed_base):
 
 
 #: Replays one churn trace and one labelled availability trace under the
-#: default policy and prints each report as JSON, less the measured solve
-#: latencies.  Every applied plan's rank topology is validated on the way.
+#: default policy, and the churn trace again under a 50-tick planner, and
+#: prints each report as JSON, less the measured solve latencies.  Every
+#: applied plan's rank topology is validated on the way.
 _REPLAY_SCRIPT = """
 import dataclasses, json
 from repro.core.objectives import Objective
+from repro.core.planner import PlannerConfig, SailorPlanner
 from repro.core.simulator import build_environment
 from repro.hardware.availability import (
     AvailabilityTrace, AvailabilityTraceGenerator)
@@ -93,6 +94,7 @@ from repro.hardware.topology import ClusterTopology
 from repro.models.catalog import get_model
 from repro.models.spec import TrainingJobSpec
 from repro.runtime.comm_groups import build_rank_topology
+from repro.runtime.controller import TrainingController
 from repro.runtime.faults import FaultScenarioGenerator, FaultTrace
 from repro.runtime.replay import ChurnReplayer
 
@@ -112,24 +114,32 @@ traces = {
     "availability": FaultTrace.from_availability(
         AvailabilityTrace(events=spot, duration_s=2 * 3600.0)),
 }
+runs = [(name, trace, None) for name, trace in traces.items()]
+runs.append(("churn-bounded", traces["churn"], 50))
 out = {}
-for name, trace in traces.items():
-    replayer = ChurnReplayer(env, job, Objective.max_throughput())
+for name, trace, ticks in runs:
+    controller = TrainingController(
+        env=env, job=job, objective=Objective.max_throughput(),
+        planner=SailorPlanner(env, PlannerConfig(max_search_nodes=ticks)))
+    replayer = ChurnReplayer(env, job, controller=controller)
     report = replayer.run(trace, base_topology=base)
-    for event in replayer.controller.events:
+    for event in controller.events:
         build_rank_topology(event.planner_result.plan).validate()
     fields = dataclasses.asdict(report)
     del fields["replan_latencies_s"]
-    fields["rank_topologies_validated"] = len(replayer.controller.events)
+    fields["rank_topologies_validated"] = len(controller.events)
+    fields["incomplete_decisions"] = sum(
+        not decision.complete for decision in controller.decisions)
     out[name] = fields
 print(json.dumps(out, sort_keys=True, default=str))
 """
 
 
 def test_replays_are_reproducible_across_processes():
-    """Under the default policy a replay is a pure function of its trace:
-    two fresh processes print byte-identical reports (the measured solve
-    latencies aside), so no wall-clock time reaches the accounts."""
+    """A replay is a pure function of its trace: two fresh processes
+    print byte-identical reports (the measured solve latencies aside), so
+    no wall-clock time reaches the accounts -- also when a tick budget
+    truncates some of the replans."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -149,6 +159,10 @@ def test_replays_are_reproducible_across_processes():
         assert (report["rank_topologies_validated"]
                 == len(report["plan_history"]) > 0)
     assert reports["churn"]["replans"] > 0
+    assert reports["churn"]["incomplete_decisions"] == 0
+    bounded = reports["churn-bounded"]
+    assert bounded["incomplete_decisions"] > 0
+    assert bounded["deadline_fallbacks"] == bounded["incomplete_decisions"]
 
 
 # -- incremental reuse --------------------------------------------------------
@@ -213,14 +227,12 @@ def test_node_flap_replans_hit_the_solve_memo_and_match_cold(opt_env, opt_job,
 
 def test_deadline_miss_keeps_incumbent_instead_of_raising(opt_env, opt_job,
                                                           mixed_base):
-    # An explicit planner without an internal time limit, so every solve
-    # "overruns" the absurd deadline and the fallback path is what acts.
-    policy = ReplanPolicy(replan_deadline_s=1e-9)
+    # A two-tick planner: every solve is truncated, so the fallback path
+    # is what acts on both voluntary replans.
     controller = TrainingController(
         env=opt_env, job=opt_job, objective=Objective.max_throughput(),
-        planner=SailorPlanner(opt_env), policy=policy)
-    replayer = make_replayer(opt_env, opt_job, policy=policy,
-                             controller=controller)
+        planner=SailorPlanner(opt_env, PlannerConfig(max_search_nodes=2)))
+    replayer = make_replayer(opt_env, opt_job, controller=controller)
     trace = FaultTrace(events=[
         FaultEvent(0.0, "initial", "us-central1-a", "a2-highgpu-4g", 2),
         FaultEvent(600.0, "quota_cut", "us-central1-a", "a2-highgpu-4g", 4),
@@ -228,13 +240,14 @@ def test_deadline_miss_keeps_incumbent_instead_of_raising(opt_env, opt_job,
     ], duration_s=1800.0)
     report = replayer.run(trace, base_topology=mixed_base)
     assert report.events_dropped == 0
-    assert report.deadline_fallbacks >= 2
+    # The truncated deploy counts as degraded too.
+    assert report.deadline_fallbacks == 3
+    assert [d.complete for d in controller.decisions] == [False] * 3
     # The incumbent survived both voluntary replan opportunities.
     plan_gpus = {r.plan_gpus for r in report.records}
     assert plan_gpus == {8}
-    fallbacks = [d for d in controller.decisions
-                 if d.action == "deadline_fallback"]
-    assert fallbacks and all(d.deadline_missed for d in fallbacks)
+    assert [d.action for d in controller.decisions] == [
+        "deployed", "deadline_fallback", "deadline_fallback"]
 
 
 def test_all_infeasible_parks_and_retries_with_backoff(opt_env, opt_job,

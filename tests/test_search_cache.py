@@ -219,7 +219,6 @@ def test_context_stats_shared_with_solver(opt_env, opt_job):
     solver = build_solver(opt_env, opt_job, context=context)
     assert solver.stats is context.stats
     solver.solve(dict(RESOURCES))
-    assert solver.nodes_explored == context.stats.nodes_explored
     assert context.stats.nodes_explored > 0
 
 
