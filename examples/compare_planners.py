@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro import Objective, TrainingJobSpec, build_environment, get_model
 from repro.baselines import get_baseline
-from repro.baselines.base import BaselineSearchLimits
 from repro.core.planner import SailorPlanner
 from repro.core.simulator import ReferenceSimulator
 from repro.hardware.topology import ClusterTopology
@@ -43,11 +42,7 @@ def main() -> None:
         if name == "sailor":
             result = SailorPlanner(env).plan(job, topology, objective)
         else:
-            limits = BaselineSearchLimits(time_limit_s=30.0)
-            kwargs = {"limits": limits}
-            if name == "metis":
-                kwargs["time_limit_s"] = 30.0
-            result = get_baseline(name, env, **kwargs).plan(job, topology, objective)
+            result = get_baseline(name, env).plan(job, topology, objective)
         # The search-cost columns are what Table 3 compares across planners;
         # baselines that do not report DP-search counters show all zeros.
         stats = result.search_stats.describe()

@@ -3,10 +3,9 @@
 
 Each experiment harness in ``repro.experiments`` reproduces one table or
 figure.  This script runs them all and prints the result tables.  By default
-it uses the "small" scale (clusters shrunk ~4x, baseline search caps of a few
-seconds) so the whole sweep finishes on a laptop; pass ``--scale paper`` for
-the paper's cluster sizes and 300-second Metis caps (slow), or ``--only
-figure8`` to run a single experiment.
+it uses the "small" scale (clusters shrunk ~4x) so the whole sweep
+finishes on a laptop; pass ``--scale paper`` for the paper's cluster sizes
+(slow), or ``--only figure8`` to run a single experiment.
 
 Run with:  python examples/reproduce_paper.py [--scale small|tiny|paper] [--only NAME]
 """

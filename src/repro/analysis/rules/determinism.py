@@ -3,12 +3,15 @@ in plan-affecting modules.
 
 The planner's headline contract is byte-identical plans: same inputs,
 same plan, across every toggle, across warm/cold contexts, across replay.
-A replay is held to the same contract: same trace, same report.
-Anything that injects wall-clock time, unseeded randomness or hash-order
-iteration into the search spine or the replay loop can silently break
-that.  This rule forbids, in every ``core/`` and ``runtime/`` module
-except the sanctioned ``core/budget.py`` (the *one* place wall-clock
-deadlines are supposed to enter the search):
+A replay is held to the same contract: same trace, same report, and so
+are the baseline planners and the experiment tables built from them:
+same inputs, same rows (apart from measured search times).  Anything
+that injects wall-clock time, unseeded randomness or hash-order
+iteration into the search spine, the replay loop, a baseline search or
+an experiment harness can silently break that.  This rule forbids, in
+every ``core/``, ``runtime/``, ``baselines/`` and ``experiments/``
+module except the sanctioned ``core/budget.py`` (the *one* place
+wall-clock deadlines are supposed to enter the search):
 
 * wall-clock reads: ``time.time`` / ``perf_counter`` / ``monotonic`` /
   ``*_ns`` variants, ``datetime.now`` / ``utcnow`` / ``today`` -- whether
@@ -25,9 +28,10 @@ deadlines are supposed to enter the search):
   construction, which is what the spine does.)
 
 Any other clock read goes through ``core/budget.py`` (the planner's
-``search_time_s`` and anytime deadline come from its ``SearchClock``; the
-controller only reports that measured time, it never charges or judges
-it);
+and every baseline's ``search_time_s``, and the planner's anytime
+deadline, come from its ``SearchClock``; the controller only reports
+that measured time, it never charges or judges it, and a baseline search
+is bounded by counts alone);
 a sanctioned exception elsewhere is written as a justified line
 suppression.
 """
@@ -50,7 +54,7 @@ _CLOCK_BARE = {"perf_counter", "perf_counter_ns", "monotonic",
 _SEEDED_NP_RANDOM = {"default_rng", "Generator", "SeedSequence"}
 _ORDER_SENSITIVE_CALLS = {"list", "tuple", "enumerate", "iter", "reversed",
                           "join"}
-_SCOPED_PACKAGES = {"core", "runtime"}
+_SCOPED_PACKAGES = {"core", "runtime", "baselines", "experiments"}
 _SANCTIONED_MODULE = ("core", "budget.py")
 
 
@@ -66,8 +70,8 @@ class DeterminismRule(Rule):
     name = "determinism"
     description = ("plan-affecting modules must not read wall clocks, "
                    "unseeded RNGs or set iteration order "
-                   "in core/ and runtime/ (core/budget.py is the "
-                   "sanctioned clock site)")
+                   "in core/, runtime/, baselines/ and experiments/ "
+                   "(core/budget.py is the sanctioned clock site)")
 
     def run(self, index: ProjectIndex) -> list[Finding]:
         findings: list[Finding] = []

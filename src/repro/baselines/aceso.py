@@ -7,15 +7,14 @@ microbatch size, or pipeline depth) until no improvement is found.
 Characteristics reproduced from the paper's comparison:
 
 * search time around a couple of hundred seconds (it evaluates many
-  incremental mutations);
+  incremental mutations); here the descent is bounded by
+  ``max_iterations`` mutation rounds, not by a clock;
 * homogeneous assumptions, no resource-allocation decisions, no zones;
 * its iterative descent can get stuck in poor local optima, which is why it
   trails the best planners in Figure 7.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.baselines.base import BaselinePlanner, CandidatePlan, register_baseline
 from repro.baselines.estimators import BaselineEstimator, EstimatorFlags
@@ -36,11 +35,9 @@ class AcesoPlanner(BaselinePlanner):
     supports_heterogeneous = False
     supports_multizone = False
 
-    def __init__(self, env, limits=None, max_iterations: int = 200,
-                 time_limit_s: float = 200.0) -> None:
+    def __init__(self, env, limits=None, max_iterations: int = 200) -> None:
         super().__init__(env, limits)
         self.max_iterations = max_iterations
-        self.time_limit_s = time_limit_s
 
     def build_estimator(self) -> BaselineEstimator:
         return BaselineEstimator(self.env, EstimatorFlags(
@@ -60,7 +57,6 @@ class AcesoPlanner(BaselinePlanner):
 
     def ranked_plans(self, job: TrainingJobSpec, topology: ClusterTopology,
                      objective: Objective) -> list[CandidatePlan]:
-        deadline = time.perf_counter() + self.time_limit_s
         all_plans = self.enumerate_uniform_plans(job, topology,
                                                  allow_mixed_types=False)
         if not all_plans:
@@ -73,8 +69,6 @@ class AcesoPlanner(BaselinePlanner):
         trail = [current_candidate]
 
         for _ in range(self.max_iterations):
-            if time.perf_counter() > deadline:
-                break
             improved = False
             for neighbour_key in self._neighbour_keys(self._key(current)):
                 neighbour = by_key.get(neighbour_key)

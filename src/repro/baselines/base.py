@@ -12,16 +12,20 @@ All baselines implement :class:`BaselinePlanner`:
 This mirrors the paper's methodology: every baseline is integrated behind a
 unified API, is given the same profiling information, and the number of OOM
 plans generated before a valid one is reported alongside throughput.
+
+Every search is bounded by counts (:class:`BaselineSearchLimits` and the
+per-baseline loop bounds), never by a wall clock, so a baseline's ranking
+and chosen plan are a pure function of its inputs.  The measured
+``search_time_s`` is only reported.
 """
 
 from __future__ import annotations
 
 import abc
-import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.baselines.estimators import BaselineEstimator
+from repro.core.budget import SearchClock
 from repro.core.objectives import Objective, OptimizationGoal
 from repro.core.plan import (
     ParallelizationPlan,
@@ -49,13 +53,16 @@ class CandidatePlan:
 
 @dataclass
 class BaselineSearchLimits:
-    """Bounds on the candidate enumeration (keep searches finite)."""
+    """Count bounds on the candidate enumeration (keep searches finite).
+
+    ``max_candidates`` caps the plans one enumeration generates, and
+    ``max_ranked`` the ranked plans a baseline hands to deployment.
+    """
 
     max_pipeline_parallel: int = 16
     max_microbatch_size: int = 8
     max_candidates: int = 4096
     max_ranked: int = 64
-    time_limit_s: float | None = 300.0
 
 
 class BaselinePlanner(abc.ABC):
@@ -78,11 +85,6 @@ class BaselinePlanner(abc.ABC):
         self.limits = limits or BaselineSearchLimits()
         self.simulator = SailorSimulator(env)
         self.estimator = self.build_estimator()
-        #: Absolute ``time.perf_counter()`` deadline for the current solve,
-        #: set by :meth:`plan`; ``None`` outside a deadline-bounded call.
-        self._deadline: float | None = None
-        #: Whether the last enumeration was cut short by the deadline.
-        self._enumeration_truncated = False
 
     # -- subclass interface -------------------------------------------------------
 
@@ -98,32 +100,16 @@ class BaselinePlanner(abc.ABC):
     # -- shared deployment logic -----------------------------------------------------
 
     def plan(self, job: TrainingJobSpec, topology: ClusterTopology,
-             objective: Objective | None = None, *,
-             deadline: float | None = None) -> PlannerResult:
+             objective: Objective | None = None) -> PlannerResult:
         """Pick the baseline's plan and evaluate it accurately.
 
-        ``deadline`` is an *absolute* ``time.perf_counter()`` instant -- the
-        same clock and convention :class:`~repro.core.budget.SearchBudget`
-        uses -- so a quality-vs-deadline sweep can hand every planner,
-        Sailor and baseline alike, one uniform wall deadline instead of
-        per-planner relative limits.  When omitted, the baseline's own
-        ``limits.time_limit_s`` still applies (relative to the call).  A
-        result whose enumeration was cut short is marked ``complete=False``
-        with an infinite gap bound: baselines certify nothing about the
-        candidates they never generated.
+        ``search_time_s`` is the measured wall time of :meth:`ranked_plans`;
+        it is reported, never used to stop the search.
         """
         objective = objective or Objective.max_throughput()
-        start = time.perf_counter()
-        if deadline is None and self.limits.time_limit_s:
-            deadline = start + self.limits.time_limit_s
-        self._deadline = deadline
-        self._enumeration_truncated = False
-        try:
-            ranked = self.ranked_plans(job, topology, objective)
-        finally:
-            self._deadline = None
-        search_time = time.perf_counter() - start
-        complete = not self._enumeration_truncated
+        clock = SearchClock()
+        ranked = self.ranked_plans(job, topology, objective)
+        search_time = clock.elapsed_s()
 
         oom_plans = 0
         chosen: ParallelizationPlan | None = None
@@ -146,8 +132,6 @@ class BaselinePlanner(abc.ABC):
             planner_name=self.name,
             candidates_evaluated=len(ranked),
             oom_plans_generated=oom_plans,
-            complete=complete,
-            optimality_gap_bound=0.0 if complete else math.inf,
         )
 
     # -- shared enumeration helpers ----------------------------------------------------
@@ -228,7 +212,8 @@ class BaselinePlanner(abc.ABC):
                                 tensor_parallel_degrees: list[int] | None = None,
                                 allow_mixed_types: bool = False,
                                 ) -> list[ParallelizationPlan]:
-        """All uniform (P, TP, DP, mbs) plans that fit on the fixed topology.
+        """All uniform (P, TP, DP, mbs) plans that fit on the fixed topology,
+        in (P, TP, mbs, DP) order, up to ``limits.max_candidates`` of them.
 
         ``allow_mixed_types`` lets replicas spill onto slower GPU pools once
         the fastest pool is exhausted (how AMP/Metis/FlashFlex use mixed
@@ -251,20 +236,12 @@ class BaselinePlanner(abc.ABC):
                                        if d <= max_gpus_per_node]
 
         plans: list[ParallelizationPlan] = []
-        # Inside plan() the shared absolute deadline governs; a direct call
-        # falls back to the baseline's own relative time limit.
-        deadline = self._deadline
-        if deadline is None and self.limits.time_limit_s:
-            deadline = time.perf_counter() + self.limits.time_limit_s
         for pp in self.pipeline_candidates(job, total_nodes):
             if pp > job.model.num_layers:
                 continue
             partitions = uniform_partition(job.model, pp)
             for tp in tensor_parallel_degrees:
                 for mbs in self.microbatch_candidates(job):
-                    if deadline and time.perf_counter() > deadline:
-                        self._enumeration_truncated = True
-                        return plans
                     max_dp = self._max_uniform_dp(pools, tp, pp)
                     for dp in self._dp_candidates(job, mbs, max_dp):
                         replica_sets = self._place_uniform(

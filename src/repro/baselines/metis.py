@@ -7,7 +7,9 @@ reproduced from the paper's comparison:
   grouped into pipeline stages) combined with load-balanced layer
   partitioning, which makes the search extremely slow -- hours for a
   16-GPU heterogeneous cluster; the paper therefore caps it at 300 s and
-  takes the best plan found so far (we do the same via ``time_limit_s``);
+  takes the best plan found so far.  Here the cap is a count, not a
+  clock: the search stops after ``limits.max_candidates`` feasible
+  candidates, so the plan it returns does not depend on the host's speed;
 * reasonably accurate compute/memory modelling, but it mis-models
   heterogeneous network bandwidth (flat-bandwidth assumption), giving ~28%
   iteration-time error in Figure 6;
@@ -19,7 +21,6 @@ reproduced from the paper's comparison:
 from __future__ import annotations
 
 import itertools
-import time
 
 from repro.baselines.base import BaselinePlanner, CandidatePlan, register_baseline
 from repro.baselines.estimators import BaselineEstimator, EstimatorFlags
@@ -41,11 +42,9 @@ class MetisPlanner(BaselinePlanner):
     supports_heterogeneous = True
     supports_multizone = False
 
-    def __init__(self, env, limits=None, time_limit_s: float = 300.0,
+    def __init__(self, env, limits=None,
                  max_permutation_length: int = 10) -> None:
         super().__init__(env, limits)
-        #: Wall-clock cap on the search, as applied in the paper's evaluation.
-        self.time_limit_s = time_limit_s
         #: Mirrors the max_permutation_length knob of the Metis paper.
         self.max_permutation_length = max_permutation_length
 
@@ -68,7 +67,6 @@ class MetisPlanner(BaselinePlanner):
 
     def ranked_plans(self, job: TrainingJobSpec, topology: ClusterTopology,
                      objective: Objective) -> list[CandidatePlan]:
-        deadline = time.perf_counter() + self.time_limit_s
         zones = self.usable_zones(topology)
         node_types = self.usable_node_types(topology)
         pools = self._node_pools(topology, node_types, zones)
@@ -82,17 +80,16 @@ class MetisPlanner(BaselinePlanner):
         # the pipeline and, for each, load-balanced layer partitions within a
         # configured variance.  We walk the same space: permutations of
         # node-type orderings x pipeline depth x TP degree x microbatch size
-        # x per-stage weight perturbations, until the deadline.  The weight
-        # perturbations are what blows up the search at larger pipeline
-        # depths, matching the hours-long searches reported in Table 1.
+        # x per-stage weight perturbations, until ``max_candidates`` plans
+        # fit.  The weight perturbations are what blows up the search at
+        # larger pipeline depths, matching the hours-long searches reported
+        # in Table 1.
         type_orderings = list(itertools.permutations(node_types))
         for pp in self.pipeline_candidates(job, sum(c for _, _, c in pools)):
             for ordering in type_orderings:
                 for tp in (1, 2, 4, 8):
                     for mbs in self.microbatch_candidates(job):
                         for weights in self._weight_variants(pp):
-                            if time.perf_counter() > deadline:
-                                return self._sort_candidates(candidates, objective)
                             plan = self._build_plan(job, topology, pools, ordering,
                                                     pp, tp, mbs, total_gpus,
                                                     weight_scale=weights)
@@ -102,6 +99,9 @@ class MetisPlanner(BaselinePlanner):
                                 continue
                             candidates.append(
                                 self.candidate_from_plan(plan, objective))
+                            if len(candidates) >= self.limits.max_candidates:
+                                return self._sort_candidates(candidates,
+                                                             objective)
         return self._sort_candidates(candidates, objective)
 
     def _weight_variants(self, pp: int) -> list[tuple[float, ...] | None]:

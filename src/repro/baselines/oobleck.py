@@ -7,7 +7,8 @@ from the paper's comparison:
 
 * very long search times (hours in Table 1) because it enumerates and
   evaluates a large space of pipeline templates up front -- we model this
-  with an explicit template enumeration capped by ``time_limit_s``;
+  with an explicit, finite template enumeration over (nodes per pipeline,
+  TP, mbs);
 * homogeneous assumptions (single GPU type, single zone);
 * memory estimation that omits optimizer state and communication buffers,
   one of the under-estimators called out in section 3.2.
@@ -15,11 +16,10 @@ from the paper's comparison:
 
 from __future__ import annotations
 
-import time
-
 from repro.baselines.base import BaselinePlanner, CandidatePlan, register_baseline
 from repro.baselines.estimators import BaselineEstimator, EstimatorFlags
 from repro.core.objectives import Objective
+from repro.core.plan import ParallelizationPlan
 from repro.hardware.topology import ClusterTopology
 from repro.models.spec import TrainingJobSpec
 
@@ -33,10 +33,6 @@ class OobleckPlanner(BaselinePlanner):
     recommends_allocation = False
     supports_heterogeneous = False
     supports_multizone = False
-
-    def __init__(self, env, limits=None, time_limit_s: float = 300.0) -> None:
-        super().__init__(env, limits)
-        self.time_limit_s = time_limit_s
 
     def build_estimator(self) -> BaselineEstimator:
         return BaselineEstimator(self.env, EstimatorFlags(
@@ -56,7 +52,6 @@ class OobleckPlanner(BaselinePlanner):
 
     def ranked_plans(self, job: TrainingJobSpec, topology: ClusterTopology,
                      objective: Objective) -> list[CandidatePlan]:
-        deadline = time.perf_counter() + self.time_limit_s
         candidates: list[CandidatePlan] = []
         # Template enumeration: Oobleck builds one template per feasible
         # number of nodes per pipeline, then instantiates as many pipelines
@@ -69,18 +64,20 @@ class OobleckPlanner(BaselinePlanner):
         if total_nodes == 0:
             return []
 
+        # Each TP degree's uniform plans are enumerated once and bucketed by
+        # template, in enumeration order.
+        templates: dict[tuple[int, int, int], list[ParallelizationPlan]] = {}
+        for tp in (1, 2, 4, 8):
+            for plan in self.enumerate_uniform_plans(
+                    job, topology, tensor_parallel_degrees=[tp],
+                    allow_mixed_types=False):
+                key = (plan.pipeline_parallel, tp, plan.microbatch_size)
+                templates.setdefault(key, []).append(plan)
+
         for nodes_per_pipeline in range(1, total_nodes + 1):
             for tp in (1, 2, 4, 8):
                 for mbs in self.microbatch_candidates(job):
-                    if time.perf_counter() > deadline:
-                        return self._sort_candidates(candidates, objective)
-                    for plan in self.enumerate_uniform_plans(
-                            job, topology, tensor_parallel_degrees=[tp],
-                            allow_mixed_types=False):
-                        if plan.microbatch_size != mbs:
-                            continue
-                        if plan.pipeline_parallel != nodes_per_pipeline:
-                            continue
+                    for plan in templates.get((nodes_per_pipeline, tp, mbs), ()):
                         if not self.estimator.plan_fits(plan):
                             continue
                         candidates.append(self.candidate_from_plan(plan, objective))

@@ -246,9 +246,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
                                  "the cost objective takes --min-throughput")
             objective = Objective.min_cost(
                 min_throughput_iters_per_s=args.min_throughput)
-        config = PlannerConfig(time_limit_s=args.time_limit)
     except (KeyError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
+    try:
+        config = PlannerConfig(time_limit_s=args.time_limit)
+    except ValueError:
+        raise SystemExit("--time-limit must be a finite number of seconds "
+                         f"> 0, got {args.time_limit}") from None
     topology = parse_nodes(args.nodes)
     if args.output:
         check_writable(args.output, "plan")
@@ -372,13 +376,17 @@ def cmd_churn(args: argparse.Namespace) -> int:
     # ``--replan-ticks`` becomes the controller planner's
     # ``max_search_nodes``, which ``PlannerConfig`` validates.
     try:
-        planner = SailorPlanner(env, config=PlannerConfig(
-            max_search_nodes=args.replan_ticks))
+        config = PlannerConfig(max_search_nodes=args.replan_ticks)
+    except ValueError:
+        raise SystemExit("--replan-ticks must be an integer >= 1, got "
+                         f"{args.replan_ticks}") from None
+    try:
         controller = TrainingController(
-            env=env, job=job, objective=objective, planner=planner,
+            env=env, job=job, objective=objective,
+            planner=SailorPlanner(env, config=config),
             policy=ReplanPolicy(debounce_s=args.debounce))
         replayer = ChurnReplayer(
-            env, job, objective, controller=controller,
+            env, job, controller=controller,
             checkpoint_config=CheckpointConfig(
                 interval_iterations=args.checkpoint_interval))
     except ValueError as exc:

@@ -3,9 +3,9 @@
 Every module exposes a ``run(scale=...)`` function returning an
 :class:`~repro.experiments.common.ExperimentTable` whose rows mirror the
 series the paper plots.  ``scale="paper"`` uses the paper's cluster sizes
-(slow: hundreds of GPUs and 300-second baseline search caps);
-``scale="small"`` shrinks clusters and time limits so the whole suite runs
-on a laptop -- the benchmarks under ``benchmarks/`` run the tiny scale
+(slow: hundreds of GPUs); ``scale="small"`` shrinks clusters and the
+number of ranked baseline plans so the whole suite runs on a laptop --
+the benchmarks under ``benchmarks/`` run the tiny scale
 (``REPRO_BENCH_SCALE`` overrides it).  Each module's ``table.notes`` line
 states the shape the paper reports for its table or figure.
 """

@@ -89,12 +89,16 @@ class ExperimentTable:
 
 @dataclass(frozen=True)
 class ExperimentScale:
-    """Knobs controlling experiment size so it fits the available machine."""
+    """Knobs controlling experiment size so it fits the available machine.
+
+    ``gpu_scale`` shrinks the paper's cluster sizes and ``max_ranked``
+    caps how many ranked plans a baseline may try to deploy.  No knob is a
+    wall clock: every baseline search is bounded by counts, so a table's
+    rows depend only on its inputs.
+    """
 
     name: str
     gpu_scale: float = 1.0
-    baseline_time_limit_s: float = 300.0
-    metis_time_limit_s: float = 300.0
     max_ranked: int = 64
 
     def scaled_gpus(self, gpus: int, minimum: int = 4) -> int:
@@ -107,14 +111,10 @@ class ExperimentScale:
 PAPER_SCALE = ExperimentScale(name="paper")
 
 #: Laptop-friendly sizes used by the benchmark suite.
-SMALL_SCALE = ExperimentScale(
-    name="small", gpu_scale=0.25, baseline_time_limit_s=10.0,
-    metis_time_limit_s=10.0, max_ranked=32)
+SMALL_SCALE = ExperimentScale(name="small", gpu_scale=0.25, max_ranked=32)
 
 #: Even smaller; used by the unit/integration tests.
-TINY_SCALE = ExperimentScale(
-    name="tiny", gpu_scale=0.125, baseline_time_limit_s=3.0,
-    metis_time_limit_s=3.0, max_ranked=16)
+TINY_SCALE = ExperimentScale(name="tiny", gpu_scale=0.125, max_ranked=16)
 
 _SCALES = {"paper": PAPER_SCALE, "small": SMALL_SCALE, "tiny": TINY_SCALE}
 
@@ -213,14 +213,8 @@ def make_sailor(env: SimulationEnvironment) -> SailorPlanner:
 def make_baseline(name: str, env: SimulationEnvironment,
                   scale: ExperimentScale):
     """Baseline planner configured for the experiment scale."""
-    limits = BaselineSearchLimits(time_limit_s=scale.baseline_time_limit_s,
-                                  max_ranked=scale.max_ranked)
-    kwargs: dict[str, object] = {"limits": limits}
-    if name == "metis":
-        kwargs["time_limit_s"] = scale.metis_time_limit_s
-    if name in ("aceso", "oobleck"):
-        kwargs["time_limit_s"] = scale.baseline_time_limit_s
-    return get_baseline(name, env, **kwargs)
+    limits = BaselineSearchLimits(max_ranked=scale.max_ranked)
+    return get_baseline(name, env, limits=limits)
 
 
 def measured_throughput(env: SimulationEnvironment, plan: ParallelizationPlan,

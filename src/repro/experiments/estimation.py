@@ -49,7 +49,7 @@ def build_samples(env: SimulationEnvironment, job: TrainingJobSpec,
     span more than one GPU type (when the topology offers more than one), so
     the heterogeneity-related estimation errors are exercised.
     """
-    limits = BaselineSearchLimits(max_candidates=512, time_limit_s=20.0)
+    limits = BaselineSearchLimits(max_candidates=512)
     enumerator = get_baseline("amp", env, limits=limits)
     plans = enumerator.enumerate_uniform_plans(job, topology,
                                                allow_mixed_types=mixed_types)

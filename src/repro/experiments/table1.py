@@ -58,6 +58,8 @@ def run(scale: str | object = "small", num_gpus: int = 128) -> ExperimentTable:
                       search_time_s=result.search_time_s, found=result.found)
 
     table.notes = ("expected shape: only Sailor combines allocation choice, "
-                   "heterogeneous GPUs and multi-zone; Metis/Oobleck-style "
-                   "searches hit their time cap while Sailor stays in seconds")
+                   "heterogeneous GPUs and multi-zone; Sailor stays in "
+                   "seconds (the paper's Metis and Oobleck searches take "
+                   "hours and were cut at 300 s; here they are bounded by "
+                   "candidate counts)")
     return table

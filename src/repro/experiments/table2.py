@@ -47,6 +47,8 @@ def run(scale: str | object = "small",
                           search_time_s=result.search_time_s,
                           found=result.found)
 
-    table.notes = ("expected shape: Metis pins at its time cap; Sailor's search "
-                   "is the fastest of the heterogeneity-aware planners at scale")
+    table.notes = ("expected shape: Metis is the slowest search (the paper "
+                   "cut it at 300 s; here it stops after max_candidates "
+                   "feasible plans); Sailor's search is the fastest of the "
+                   "heterogeneity-aware planners at scale")
     return table

@@ -8,9 +8,11 @@ GPT-Neo-2.7B on one zone with 128 A100 and 128 V100.  The paper compares:
   a few times slower than without, because of the straggler-approximation
   iterations in the budget-constrained DP.
 
-Running the heuristic-free configuration to completion is infeasible by
-design, so it is executed under a wall-clock cap and reported as a lower
-bound (``>= cap``), which is exactly how one would document an "hours" entry.
+Running the heuristic-free configuration to completion is infeasible at
+paper scale, so it is executed under a wall-clock cap; ``hit_time_cap`` is
+True exactly when that search returned incomplete (``complete=False``), and
+its time is then a lower bound, which is how one would document an "hours"
+entry.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def run(scale: str | object = "small", gpus_per_type: int = 128,
         result = planner.plan(job, topology, Objective.max_throughput())
         table.add_row(gpu_types=num_types, configuration="dp_only",
                       search_time_s=result.search_time_s,
-                      hit_time_cap=result.search_time_s >= no_heuristics_cap_s * 0.95,
+                      hit_time_cap=not result.complete,
                       found=result.found)
 
         # Dynamic programming + heuristics.

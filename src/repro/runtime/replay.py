@@ -200,19 +200,29 @@ class ChurnReport:
 
 
 class ChurnReplayer:
-    """Plays a fault trace against the replanning controller loop."""
+    """Plays a fault trace against the replanning controller loop.
+
+    Without a ``controller`` the replayer builds one from ``objective`` and
+    ``policy``.  A passed ``controller`` already carries its objective and
+    policy, so passing either alongside it is a ``ValueError``.
+    """
 
     def __init__(self, env: SimulationEnvironment, job: TrainingJobSpec,
                  objective: Objective | None = None,
                  policy: ReplanPolicy | None = None,
                  controller: TrainingController | None = None,
                  checkpoint_config: CheckpointConfig | None = None) -> None:
+        if controller is None:
+            controller = TrainingController(
+                env=env, job=job,
+                objective=objective or Objective.max_throughput(),
+                policy=policy or ReplanPolicy())
+        elif objective is not None or policy is not None:
+            raise ValueError("pass the objective and policy to the "
+                             "controller, not alongside it")
         self.env = env
         self.job = job
-        self.objective = objective or Objective.max_throughput()
-        self.policy = policy or ReplanPolicy()
-        self.controller = controller or TrainingController(
-            env=env, job=job, objective=self.objective, policy=self.policy)
+        self.controller = controller
         self.checkpoints = CheckpointManager(
             job=job, config=checkpoint_config or CheckpointConfig())
         #: Iteration time of the incumbent the last training window ran

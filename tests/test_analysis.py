@@ -182,12 +182,15 @@ def shrink(plan):
 
 
 @pytest.mark.parametrize("package,flagged", [
-    ("runtime", True), ("experiments", False)])
+    ("runtime", True), ("baselines", True), ("experiments", True),
+    ("hardware", False)])
 def test_determinism_rule_covers_the_replay_runtime(tmp_path, package,
                                                     flagged):
-    """A replay is a pure function of its trace, so a clock read in a
-    ``runtime/`` module is flagged like one in ``core/``; packages outside
-    the plan and replay path are not linted by this rule."""
+    """A replay is a pure function of its trace, and a baseline search or
+    an experiment table of its inputs, so a clock read in a ``runtime/``,
+    ``baselines/`` or ``experiments/`` module is flagged like one in
+    ``core/``; packages outside those paths are not linted by this
+    rule."""
     module = tmp_path / "src" / "repro" / package / "controller.py"
     module.parent.mkdir(parents=True)
     module.write_text(_CLOCKED_SHRINK)

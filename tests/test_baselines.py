@@ -1,28 +1,24 @@
 """Integration tests for the baseline planners."""
 
-import math
-import time
+import hashlib
 
 import pytest
 
 from repro.baselines import get_baseline, list_baselines
 from repro.baselines.base import BaselineSearchLimits
 from repro.core.objectives import Objective
+from repro.core.serialization import plan_to_json
 from repro.core.simulator import MemoryEstimator
 
 
 ALL_BASELINES = ("piper", "varuna", "amp", "metis", "flashflex", "galvatron",
                  "aceso", "oobleck", "dtfm")
 
-FAST_LIMITS = BaselineSearchLimits(time_limit_s=5.0, max_ranked=16,
-                                   max_candidates=512)
+FAST_LIMITS = BaselineSearchLimits(max_ranked=16, max_candidates=512)
 
 
 def make(name, env):
-    kwargs = {"limits": FAST_LIMITS}
-    if name in ("metis", "aceso", "oobleck"):
-        kwargs["time_limit_s"] = 5.0
-    return get_baseline(name, env, **kwargs)
+    return get_baseline(name, env, limits=FAST_LIMITS)
 
 
 def test_registry_contains_all_baselines():
@@ -122,26 +118,46 @@ def test_baseline_search_times_reported(opt_env, opt_job, a100_topology):
     assert 0 <= result.search_time_s < 10.0
 
 
-def test_baseline_deadline_marks_truncated_search_incomplete(opt_env, opt_job,
-                                                             a100_topology):
-    """The uniform absolute deadline every baseline inherits from
-    ``HeterogeneityBlindBaseline.plan``: an already-expired deadline cuts
-    candidate enumeration immediately and the result says so (incomplete,
-    infinite gap -- a truncated grid search certifies nothing)."""
-    baseline = make("piper", opt_env)
-    result = baseline.plan(opt_job, a100_topology, Objective.max_throughput(),
-                           deadline=time.perf_counter() - 1.0)
-    assert not result.complete
-    assert result.optimality_gap_bound == math.inf
-    # A generous deadline leaves the exhaustive enumeration untouched and
-    # the result certified complete, matching the no-deadline call.
-    relaxed = baseline.plan(opt_job, a100_topology, Objective.max_throughput(),
-                            deadline=time.perf_counter() + 60.0)
-    assert relaxed.complete
-    assert relaxed.optimality_gap_bound == 0.0
-    untimed = baseline.plan(opt_job, a100_topology, Objective.max_throughput())
-    assert untimed.complete
-    assert untimed.found == relaxed.found
-    if untimed.found:
-        assert untimed.evaluation.iteration_time_s \
-            == relaxed.evaluation.iteration_time_s
+def test_metis_stops_after_max_candidates_feasible_plans(opt_env, opt_job,
+                                                        mixed_topology):
+    """Metis's search is bounded by a count, not a clock: it keeps the
+    first ``max_candidates`` feasible plans of its enumeration."""
+    objective = Objective.max_throughput()
+    capped = get_baseline("metis", opt_env, limits=BaselineSearchLimits(
+        max_candidates=5, max_ranked=64))
+    ranked = capped.ranked_plans(opt_job, mixed_topology, objective)
+    assert len(ranked) == 5
+    assert capped.plan(opt_job, mixed_topology,
+                       objective).candidates_evaluated == 5
+    wider = get_baseline("metis", opt_env, limits=BaselineSearchLimits(
+        max_candidates=50, max_ranked=64))
+    wider_plans = {plan_to_json(c.plan) for c in
+                   wider.ranked_plans(opt_job, mixed_topology, objective)}
+    assert len(wider_plans) > 5
+    assert {plan_to_json(c.plan) for c in ranked} <= wider_plans
+
+
+#: Oobleck's full ranked list (count, sha256 prefix over each plan's JSON
+#: and estimates) per (topology fixture, goal).
+OOBLECK_RANKED = {
+    ("a100_topology", "max_throughput"): (270, "a083b265123f"),
+    ("a100_topology", "min_cost"): (270, "7ef661ebda53"),
+    ("mixed_topology", "max_throughput"): (127, "62c6510adc97"),
+    ("mixed_topology", "min_cost"): (127, "f4de9c07a2fa"),
+}
+
+
+@pytest.mark.parametrize("topology,goal", sorted(OOBLECK_RANKED))
+def test_oobleck_ranked_plans_are_pinned(opt_env, opt_job, topology, goal,
+                                         request):
+    """Oobleck's template enumeration, ranking and estimates are pinned:
+    enumerating each TP degree once must not reorder or change a plan."""
+    baseline = get_baseline("oobleck", opt_env, limits=BaselineSearchLimits(
+        max_ranked=4096, max_candidates=512))
+    objective = getattr(Objective, goal)()
+    ranked = baseline.ranked_plans(
+        opt_job, request.getfixturevalue(topology), objective)
+    text = "\n".join(plan_to_json(c.plan) + repr(c.estimated_iteration_time_s)
+                     + repr(c.estimated_cost_usd) for c in ranked)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+    assert (len(ranked), digest) == OOBLECK_RANKED[(topology, goal)]

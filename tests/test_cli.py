@@ -153,7 +153,8 @@ def test_bad_limits_exit_with_one_line_message(argv, tmp_path, capsys):
     a one-line message instead of mis-planning (an empty replay) or dying
     with a traceback: ``SystemExit`` with a string code prints it to
     stderr and exits 1.  Each is found before any work: nothing is
-    printed first, so an unwritable ``plan --output`` never searches."""
+    printed first, so an unwritable ``plan --output`` never searches.  A
+    bad search limit names the flag the user typed."""
     if argv[0] == "plan":
         argv = argv + ["--nodes", "us-central1-a:a2-highgpu-4g:1"]
     if argv[-1].startswith("@"):
@@ -165,6 +166,8 @@ def test_bad_limits_exit_with_one_line_message(argv, tmp_path, capsys):
     message = excinfo.value.code
     assert isinstance(message, str) and message
     assert "\n" not in message
+    if argv[1] in ("--time-limit", "--replan-ticks"):
+        assert message.startswith(argv[1])
     assert capsys.readouterr().out == ""
 
 

@@ -19,6 +19,7 @@ from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.controller import (
     MAX_RETRY_BACKOFF_S,
     DegradationTier,
+    ReplanPolicy,
     TrainingController,
 )
 from repro.runtime.faults import FaultEvent, FaultScenarioGenerator, FaultTrace
@@ -37,7 +38,9 @@ def mixed_base():
 def make_replayer(env, job, **kwargs):
     kwargs.setdefault("checkpoint_config",
                       CheckpointConfig(interval_iterations=10))
-    return ChurnReplayer(env, job, Objective.max_throughput(), **kwargs)
+    if "controller" not in kwargs:
+        kwargs.setdefault("objective", Objective.max_throughput())
+    return ChurnReplayer(env, job, **kwargs)
 
 
 # -- zero-drop + determinism --------------------------------------------------
@@ -223,6 +226,24 @@ def test_node_flap_replans_hit_the_solve_memo_and_match_cold(opt_env, opt_job,
     assert controller.search_stats.solve_memo_hits > 0
 
 
+@pytest.mark.parametrize("extra", [
+    {"objective": Objective.min_cost()},
+    {"policy": ReplanPolicy(debounce_s=300.0)},
+    {"objective": Objective.max_throughput(), "policy": ReplanPolicy()},
+], ids=lambda extra: "+".join(extra))
+def test_controller_with_objective_or_policy_is_rejected(opt_env, opt_job,
+                                                          extra):
+    """A passed controller carries its own objective and policy; a second
+    copy beside it would be silently ignored, so it is an error."""
+    controller = TrainingController(env=opt_env, job=opt_job)
+    with pytest.raises(ValueError, match="controller"):
+        ChurnReplayer(opt_env, opt_job, controller=controller, **extra)
+    replayer = ChurnReplayer(opt_env, opt_job, controller=controller)
+    assert replayer.controller is controller
+    assert not hasattr(replayer, "policy")
+    assert not hasattr(replayer, "objective")
+
+
 # -- graceful degradation -----------------------------------------------------
 
 def test_deadline_miss_keeps_incumbent_instead_of_raising(opt_env, opt_job,
@@ -256,8 +277,7 @@ def test_all_infeasible_parks_and_retries_with_backoff(opt_env, opt_job,
     objective = Objective.max_throughput(max_cost_per_iteration_usd=1e-9)
     controller = TrainingController(env=opt_env, job=opt_job,
                                     objective=objective)
-    replayer = ChurnReplayer(opt_env, opt_job, objective,
-                             controller=controller)
+    replayer = ChurnReplayer(opt_env, opt_job, controller=controller)
     trace = FaultTrace(events=[
         FaultEvent(0.0, "initial", "us-central1-a", "a2-highgpu-4g", 4),
     ], duration_s=3600.0)
